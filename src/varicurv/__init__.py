@@ -39,8 +39,7 @@ from .estimator import (
     mean_curvature_vector,
     orthogonal_curvature_tensor,
     orthogonal_sff,
-    plane_bases,
-    plane_normals,
+    plane_frames,
     point_curvature,
     principal_curvatures,
     restrict_to_tangent,
@@ -75,7 +74,6 @@ from .shapes import (
 from .tensors import (
     CurvTensor3,
     DirectionMatrix,
-    Projector,
     SffTensor,
     build_full_system_matrix,
     comatrix_norm_bound,

@@ -8,7 +8,8 @@ Two subcommands:
 
 Exit codes: 0 success (per-point numeric failures downgrade to status flags
 and a warning count), 1 input/validation error, 2 numeric fatal error.
-Thread count for the per-point pipeline comes from VARICURV_THREADS.
+The per-point pipeline runs serially, so output bytes depend only on the
+inputs.
 """
 
 from __future__ import annotations

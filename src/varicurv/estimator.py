@@ -28,8 +28,6 @@ limit to vanish along any approach.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,25 +145,20 @@ def default_kernels(cloud: PointCloudVarifold) -> KernelPair:
     return natural_kernel_pair(bump_profile(), cloud.dim_d, cloud.ambient_n)
 
 
-def plane_normals(planes: np.ndarray) -> np.ndarray:
-    """Unit kernel vectors of a stack of codimension-1 projectors.
+def plane_frames(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals (N, n) and orthonormal tangent bases (N, n, n-1) of a
+    stack of codimension-1 projectors, from one eigendecomposition.
 
-    Signs are fixed by lexicographic positivity of the first component
+    Normal signs are fixed by lexicographic positivity of the first component
     exceeding 1e-9; no global orientation is attempted.
     """
-    w, v = np.linalg.eigh(planes)
+    _, v = np.linalg.eigh(planes)
     normals = v[:, :, 0]
     big = np.abs(normals) > 1e-9
     first = np.argmax(big, axis=1)
     signs = np.sign(normals[np.arange(normals.shape[0]), first])
     signs[signs == 0] = 1.0
-    return normals * signs[:, None]
-
-
-def plane_bases(planes: np.ndarray, dim_d: int) -> np.ndarray:
-    """(N, n, d) orthonormal bases of a stack of rank-d projectors."""
-    _, v = np.linalg.eigh(planes)
-    return v[:, :, planes.shape[1] - dim_d:]
+    return normals * signs[:, None], v[:, :, 1:]
 
 
 def _local_sums(cloud, l0, idx, kernels, eps):
@@ -298,10 +291,10 @@ def orthogonal_sff(
 ) -> SffTensor:
     """Bilinear-form curvature tensor via the direct plane-difference sums.
 
-    Algebraically equal to converting :func:`orthogonal_curvature_tensor`
-    with :func:`to_bilinear_form`; computed here through an independent
-    summation path (the (P_l - P_l0) difference combination), which the test
-    suite exploits as a cross-check.
+    Reference path: algebraically equal to converting
+    :func:`orthogonal_curvature_tensor` with :func:`to_bilinear_form`, which
+    is what :func:`point_curvature` does, but summed independently over the
+    (P_l - P_l0) difference combination so the tests can cross-check the two.
     """
     if idx is None:
         index = index or NeighborIndex(cloud.positions)
@@ -396,9 +389,11 @@ def point_curvature(
     """Curvature report at one point (codimension 1).
 
     ``scale`` is either a resolved smoothing radius or a NeighborQuery.
-    ``variant`` selects the curvature tensor: "orthogonal" (default, exact
-    stored plane) or "averaged" (kernel-averaged direction matrix fed to the
-    linear-system solve).
+    ``variant`` selects the gradient-form curvature tensor: "orthogonal"
+    (default, a_perp = beta - P_l0 (x) H with the exact stored plane) or
+    "averaged" (kernel-averaged direction matrix fed to the linear-system
+    solve).  Either way the neighbor sums run once, and the tensor is
+    converted with :func:`to_bilinear_form` before restriction.
     """
     if cloud.dim_d != cloud.ambient_n - 1:
         raise CodimensionError("point_curvature needs codimension 1")
@@ -419,12 +414,13 @@ def point_curvature(
     p0 = cloud.planes[l0]
     a_perp = CurvTensor3(beta.entries - np.einsum("jk,i->ijk", p0, h))
     if variant == "orthogonal":
-        b_form = orthogonal_sff(cloud, l0, kernels, eps, idx=idx)
+        a_form = a_perp
     elif variant == "averaged":
         c = smoothed_direction_matrix(cloud, cloud.positions[l0], kernels, eps, idx=idx)
-        b_form = to_bilinear_form(solve_curvature_system(c, beta))
+        a_form = solve_curvature_system(c, beta)
     else:
         raise InvalidInputError(f"unknown variant {variant!r}")
+    b_form = to_bilinear_form(a_form)
     restricted, basis, normal = restrict_to_tangent(
         b_form, p0, normal=normal, basis=basis, dim_d=cloud.dim_d
     )
@@ -463,74 +459,54 @@ class CurvatureReport:
         return int(np.sum(self.status != STATUS_OK))
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    return max(1, int(os.environ.get("VARICURV_THREADS", "1")))
-
-
 def curvature_report(
     cloud: PointCloudVarifold,
     query: NeighborQuery,
     kernels: KernelPair | None = None,
     variant: str = "orthogonal",
-    threads: int | None = None,
     ambiguous: np.ndarray | None = None,
     collect_a_perp: bool = False,
 ) -> CurvatureReport:
-    """Run the per-point pipeline over the whole cloud.
+    """Run :func:`point_curvature` over the whole cloud, one point at a time.
 
     Per-point numeric failures (isolated points) become NaN rows with a
-    status flag rather than exceptions.  Point evaluations are pure and run
-    over disjoint index chunks when ``threads`` (or VARICURV_THREADS) is
-    above 1; neighbor lists are pre-sorted so the result does not depend on
-    the schedule.
+    status flag rather than exceptions.  Neighbor lists are resolved once
+    for all points and pre-sorted, so the result is deterministic.
     """
     if cloud.dim_d != cloud.ambient_n - 1:
         raise CodimensionError("curvature_report needs codimension 1")
     kernels = kernels or default_kernels(cloud)
-    n, d = cloud.n_points, cloud.dim_d
+    n, d, nn = cloud.n_points, cloud.dim_d, cloud.ambient_n
     index = NeighborIndex(cloud.positions)
     indices, eps = index.resolve_all(query)
-    normals = plane_normals(cloud.planes)
-    bases = plane_bases(cloud.planes, d)
+    normals, bases = plane_frames(cloud.planes)
 
     kappas = np.full((n, d), np.nan)
-    directions = np.full((n, d, cloud.ambient_n), np.nan)
+    directions = np.full((n, d, nn), np.nan)
     gauss = np.full(n, np.nan)
     abs_sum = np.full(n, np.nan)
     mean_norm = np.full(n, np.nan)
-    mean_vectors = np.full((n, cloud.ambient_n), np.nan)
+    mean_vectors = np.full((n, nn), np.nan)
     status = np.full(n, STATUS_OK, dtype=object)
-    nn = cloud.ambient_n
     a_perp = np.full((n, nn, nn, nn), np.nan) if collect_a_perp else None
 
-    def run_span(span):
-        for l0 in span:
-            try:
-                pc = point_curvature(
-                    cloud, l0, kernels, eps[l0], idx=indices[l0],
-                    normal=normals[l0], basis=bases[l0], variant=variant,
-                )
-            except IsolatedPointError:
-                status[l0] = STATUS_ISOLATED
-                continue
-            kappas[l0] = pc.kappas
-            directions[l0] = pc.directions
-            gauss[l0] = pc.gauss
-            abs_sum[l0] = pc.abs_sum
-            mean_vectors[l0] = pc.mean_curv
-            mean_norm[l0] = np.linalg.norm(pc.mean_curv)
-            if a_perp is not None:
-                a_perp[l0] = pc.a_perp.entries
-
-    workers = _thread_count(threads)
-    spans = np.array_split(np.arange(n), workers)
-    if workers == 1:
-        run_span(spans[0])
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_span, spans))
+    for l0 in range(n):
+        try:
+            pc = point_curvature(
+                cloud, l0, kernels, eps[l0], idx=indices[l0],
+                normal=normals[l0], basis=bases[l0], variant=variant,
+            )
+        except IsolatedPointError:
+            status[l0] = STATUS_ISOLATED
+            continue
+        kappas[l0] = pc.kappas
+        directions[l0] = pc.directions
+        gauss[l0] = pc.gauss
+        abs_sum[l0] = pc.abs_sum
+        mean_vectors[l0] = pc.mean_curv
+        mean_norm[l0] = np.linalg.norm(pc.mean_curv)
+        if a_perp is not None:
+            a_perp[l0] = pc.a_perp.entries
 
     if ambiguous is not None:
         flagged = (status == STATUS_OK) & np.asarray(ambiguous, dtype=bool)

@@ -179,19 +179,16 @@ def kernel_constant(profile: KernelProfile, d: int, rel_tol: float = 1e-8) -> fl
 
 @dataclass(frozen=True)
 class KernelPair:
-    """Profiles rho/xi/eta plus their normalizing constants.
+    """Profiles rho/xi/eta plus the prefactor of the variation tensor.
 
-    ``ratio`` is C_xi / C_rho, the prefactor of the smoothed variation
-    tensor.  For pairs built by :func:`natural_kernel_pair` it equals d/n
-    exactly (integration by parts); the quadrature values are kept as a
-    cross-check.
+    ``ratio`` is C_xi / C_rho (see :func:`kernel_constant`).  For pairs
+    built by :func:`natural_kernel_pair` it equals d/n exactly (integration
+    by parts), so no quadrature runs when a pair is built.
     """
 
     rho: KernelProfile
     xi: KernelProfile
     eta: KernelProfile
-    c_rho: float
-    c_xi: float
     ratio: float
     dim_d: int
     ambient_n: int
@@ -199,11 +196,8 @@ class KernelPair:
 
 def natural_kernel_pair(rho: KernelProfile, d: int, n: int) -> KernelPair:
     """Build the kernel pair with xi tied to rho and eta defaulting to rho."""
-    xi = paired_mass_profile(rho, n)
-    c_rho = kernel_constant(rho, d)
-    c_xi = kernel_constant(xi, d)
     return KernelPair(
-        rho=rho, xi=xi, eta=rho, c_rho=c_rho, c_xi=c_xi,
+        rho=rho, xi=paired_mass_profile(rho, n), eta=rho,
         ratio=d / n, dim_d=d, ambient_n=n,
     )
 

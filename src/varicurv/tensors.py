@@ -48,65 +48,6 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise InvalidInputError(f"{what} contains NaN or Inf")
 
 
-@dataclass(frozen=True)
-class Projector:
-    """Orthogonal projection onto a d-plane, stored as an n x n matrix."""
-
-    entries: np.ndarray
-    dim_d: int
-
-    @classmethod
-    def from_matrix(cls, mat, dim_d: int, tol: float = 1e-10) -> "Projector":
-        mat = np.asarray(mat, dtype=float)
-        _require_finite(mat, "projector")
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise InvalidInputError("projector must be a square matrix")
-        if np.max(np.abs(mat - mat.T)) > 1e-12 * max(1.0, np.max(np.abs(mat))):
-            raise InvalidInputError("projector is not symmetric")
-        mat = 0.5 * (mat + mat.T)
-        if np.max(np.abs(mat @ mat - mat)) > tol:
-            raise InvalidInputError("projector is not idempotent")
-        if abs(np.trace(mat) - dim_d) > tol:
-            raise InvalidInputError(
-                f"projector trace {np.trace(mat):.3g} != rank {dim_d}"
-            )
-        return cls(mat, dim_d)
-
-    @classmethod
-    def from_basis(cls, basis) -> "Projector":
-        """Projector onto the span of the columns of ``basis`` (n x d)."""
-        q, _ = np.linalg.qr(np.asarray(basis, dtype=float))
-        return cls(q @ q.T, q.shape[1])
-
-    @classmethod
-    def from_normal(cls, normal) -> "Projector":
-        """Codimension-1 projector with unit kernel vector ``normal``."""
-        nu = np.asarray(normal, dtype=float)
-        nu = nu / np.linalg.norm(nu)
-        return cls(np.eye(nu.size) - np.outer(nu, nu), nu.size - 1)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def orthonormal_basis(self) -> np.ndarray:
-        """n x d matrix whose columns span the projected plane."""
-        w, v = np.linalg.eigh(self.entries)
-        return v[:, np.argsort(w)[::-1][: self.dim_d]]
-
-    def unit_normal(self) -> np.ndarray:
-        """Unit kernel vector (codimension 1 only), lexicographically positive."""
-        if self.dim_d != self.n - 1:
-            from .errors import CodimensionError
-
-            raise CodimensionError(
-                f"unit normal needs d = n-1, got d={self.dim_d}, n={self.n}"
-            )
-        w, v = np.linalg.eigh(self.entries)
-        nu = v[:, np.argmin(w)]
-        return fix_sign(nu)
-
-
 def fix_sign(vec: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Flip ``vec`` so its first component larger than ``tol`` is positive."""
     for x in vec:
@@ -147,16 +88,6 @@ class DirectionMatrix:
             raise InvalidDirectionMatrixError("entries exceed 1 in absolute value")
         return cls(mat)
 
-    @classmethod
-    def from_projectors(cls, projectors, weights=None) -> "DirectionMatrix":
-        mats = [p.entries if isinstance(p, Projector) else np.asarray(p, float)
-                for p in projectors]
-        if weights is None:
-            weights = np.full(len(mats), 1.0 / len(mats))
-        weights = np.asarray(weights, dtype=float)
-        weights = weights / weights.sum()
-        return cls.from_matrix(sum(w * m for w, m in zip(weights, mats)))
-
     @property
     def n(self) -> int:
         return self.entries.shape[0]
@@ -191,10 +122,6 @@ class CurvTensor3:
 
     entries: np.ndarray
 
-    @classmethod
-    def zeros(cls, n: int) -> "CurvTensor3":
-        return cls(np.zeros((n, n, n)))
-
     @property
     def n(self) -> int:
         return self.entries.shape[0]
@@ -212,16 +139,9 @@ class SffTensor:
 
     entries: np.ndarray
 
-    @classmethod
-    def zeros(cls, n: int) -> "SffTensor":
-        return cls(np.zeros((n, n, n)))
-
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def ij_asymmetry(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.transpose(1, 0, 2))))
 
 
 def solve_curvature_system(c, b) -> CurvTensor3:

@@ -171,7 +171,9 @@ def test_criterion_5_sphere_convergence():
             np.einsum("lij,lk->lijk", sample.cloud.planes, sample.base_points)
             + np.einsum("lik,lj->lijk", sample.cloud.planes, sample.base_points)
         )
-        aperp_err = np.max(np.abs(rep.a_perp - exact), axis=(1, 2, 3))
+        # Frobenius norm per point, so the rate does not move with the
+        # seed's random rotation of the sphere sample
+        aperp_err = np.linalg.norm((rep.a_perp - exact).reshape(n_pts, -1), axis=1)
         eps_rows.append(float(np.median(rep.eps)))
         aperp_rows.append(float(np.median(aperp_err)))
     elapsed = time.perf_counter() - t0

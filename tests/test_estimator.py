@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import varicurv as vc
+from varicurv import estimator
 from varicurv.errors import (
     CodimensionError,
     DegenerateNeighborhoodError,
@@ -122,7 +125,7 @@ class TestVariationTensor:
 
 class TestMeanCurvature:
     def test_zero_for_zero_tensor(self):
-        h = vc.mean_curvature_vector(vc.CurvTensor3.zeros(3))
+        h = vc.mean_curvature_vector(vc.CurvTensor3(np.zeros((3, 3, 3))))
         assert np.all(h == 0)
 
     def test_trace_identity_checked(self):
@@ -261,7 +264,7 @@ class TestCurvatureTensors:
 
 class TestRestriction:
     def test_codimension_guard(self):
-        b = vc.SffTensor.zeros(4)
+        b = vc.SffTensor(np.zeros((4, 4, 4)))
         plane = np.diag([1.0, 1.0, 0.0, 0.0])
         with pytest.raises(CodimensionError):
             vc.restrict_to_tangent(b, plane)
@@ -402,21 +405,51 @@ class TestReport:
         assert np.all(np.isnan(rep.kappas[-1]))
         assert rep.n_warnings == 1
 
-    def test_deterministic_and_thread_agreement(self):
+    def test_deterministic_rerun(self):
         sample = vc.Sphere(1.0).sample(1000, seed=3)
         rep1 = curvature_report(sample.cloud, NeighborQuery.knn(20))
         rep2 = curvature_report(sample.cloud, NeighborQuery.knn(20))
         assert np.array_equal(rep1.kappas, rep2.kappas)
-        rep4 = curvature_report(sample.cloud, NeighborQuery.knn(20), threads=4)
-        assert np.nanmax(np.abs(rep4.kappas - rep1.kappas)) <= 1e-12
 
-    def test_thread_count_from_environment(self, monkeypatch):
-        monkeypatch.setenv("VARICURV_THREADS", "3")
-        sample = vc.Sphere(1.0).sample(500, seed=3)
-        rep_env = curvature_report(sample.cloud, NeighborQuery.knn(20))
-        monkeypatch.delenv("VARICURV_THREADS")
-        rep_one = curvature_report(sample.cloud, NeighborQuery.knn(20))
-        assert np.nanmax(np.abs(rep_env.kappas - rep_one.kappas)) <= 1e-12
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([2, 3, 4]),
+        eps=st.floats(0.35, 0.9),
+        kernel=st.sampled_from(["bump", "tent"]),
+    )
+    def test_one_sum_per_point_matches_reference_sff(self, seed, n, eps, kernel):
+        cloud = random_cloud(np.random.default_rng(seed), n_pts=80, n=n, d=n - 1)
+        kp = vc.kernel_pair_by_name(kernel, n - 1, n)
+        query = NeighborQuery.radius(eps)
+        real_sums = estimator._local_sums
+        reports = {}
+        for variant in ("orthogonal", "averaged"):
+            calls = []
+
+            def counting_sums(cloud, l0, *args):
+                calls.append(l0)
+                return real_sums(cloud, l0, *args)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(estimator, "_local_sums", counting_sums)
+                reports[variant] = curvature_report(cloud, query, kp, variant=variant)
+            assert calls == list(range(cloud.n_points)), variant
+
+        # reference: restrict the independently summed orthogonal_sff
+        rep = reports["orthogonal"]
+        indices, _ = NeighborIndex(cloud.positions).resolve_all(query)
+        normals, bases = vc.plane_frames(cloud.planes)
+        for l0 in np.nonzero(rep.status != STATUS_ISOLATED)[0]:
+            b = vc.orthogonal_sff(cloud, l0, kp, eps, idx=indices[l0])
+            restricted, _, _ = vc.restrict_to_tangent(
+                b, cloud.planes[l0], normal=normals[l0], basis=bases[l0]
+            )
+            kappas, _, _, _ = vc.principal_curvatures(
+                restricted, bases[l0], normals[l0]
+            )
+            scale = 1.0 + np.max(np.abs(b.entries))
+            assert np.max(np.abs(rep.kappas[l0] - kappas)) <= 1e-12 * scale
 
     def test_codimension_guard(self):
         cloud = line_cloud([0.0, 0.1, 0.2], n=3)

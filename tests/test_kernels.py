@@ -96,7 +96,8 @@ class TestNaturalKernelPair:
         pair = vc.natural_kernel_pair(vc.bump_profile(), d, n)
         assert pair.ratio == d / n
         # quadrature cross-check of the integration-by-parts identity
-        assert pair.c_xi / pair.c_rho == pytest.approx(d / n, abs=1e-6)
+        ratio = vc.kernel_constant(pair.xi, d) / vc.kernel_constant(pair.rho, d)
+        assert ratio == pytest.approx(d / n, abs=1e-6)
 
     def test_eta_defaults_to_rho(self):
         pair = vc.natural_kernel_pair(vc.bump_profile(), 2, 3)
