@@ -22,7 +22,6 @@ from .errors import (
     IsolatedPointError,
     QuadratureError,
     ScheduleError,
-    SizeLimitError,
     VaricurvError,
     ZeroRadiusError,
 )
@@ -75,10 +74,7 @@ from .tensors import (
     CurvTensor3,
     DirectionMatrix,
     SffTensor,
-    build_full_system_matrix,
-    comatrix_norm_bound,
     solve_curvature_system,
-    system_residual,
     to_bilinear_form,
     to_gradient_form,
 )

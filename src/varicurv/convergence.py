@@ -116,9 +116,6 @@ class ConvergenceResult:
     def eps_values(self) -> np.ndarray:
         return np.array([r.eps_median for r in self.rows])
 
-    def kappa_medians(self) -> np.ndarray:
-        return np.array([r.kappa_median for r in self.rows])
-
     def aperp_slope(self) -> float:
         errs = np.array([r.aperp_median for r in self.rows], dtype=float)
         return fit_loglog_slope(self.eps_values(), errs)

@@ -17,10 +17,6 @@ class AsymmetricInputError(VaricurvError):
     """Tensor lacks the symmetry required by the operation."""
 
 
-class SizeLimitError(VaricurvError):
-    """Guard against combinatorial blowup of test-scale dense assemblies."""
-
-
 class InvalidProfileError(VaricurvError):
     """Kernel profile violates an admissibility condition."""
 

@@ -45,7 +45,6 @@ from .tensors import (
     CurvTensor3,
     DirectionMatrix,
     SffTensor,
-    fix_sign,
     solve_curvature_system,
     to_bilinear_form,
 )
@@ -64,8 +63,8 @@ class NeighborQuery:
     """Neighborhood selection: fixed radius or k nearest neighbors.
 
     In k-mode the per-point radius resolves to (1 + margin) times the
-    distance to the k-th neighbor (self excluded).  The default margin of
-    0.2 spreads the k neighbors over the kernel's active shell; with a tight
+    distance to the k-th neighbor (self excluded).  The margin of 0.2
+    spreads the k neighbors over the kernel's active shell; with a tight
     margin the bump profile concentrates nearly all weight on a third of the
     stencil, and the resulting quadrature noise floor drowns the estimator's
     eps-rate on smooth shapes.
@@ -91,8 +90,8 @@ class NeighborQuery:
         return cls(mode="radius", epsilon=float(epsilon))
 
     @classmethod
-    def knn(cls, k: int, margin: float = 0.2) -> "NeighborQuery":
-        return cls(mode="knn", k=int(k), margin=margin)
+    def knn(cls, k: int) -> "NeighborQuery":
+        return cls(mode="knn", k=int(k))
 
 
 class NeighborIndex:
@@ -128,17 +127,6 @@ class NeighborIndex:
         raw = self.tree.query_ball_point(self.positions, eps)
         indices = [np.sort(np.asarray(ix, dtype=np.intp)) for ix in raw]
         return indices, eps
-
-    def resolve_one(self, l0: int, query: NeighborQuery) -> tuple[np.ndarray, float]:
-        if query.mode == "radius":
-            eps = query.epsilon
-        else:
-            k_eff = min(query.k + 1, self.n_points)
-            if k_eff < 2:
-                raise InvalidInputError("k-mode needs at least two points")
-            dists, _ = self.tree.query(self.positions[l0], k=k_eff)
-            eps = (1.0 + query.margin) * float(np.atleast_1d(dists)[-1])
-        return self.ball(self.positions[l0], eps), eps
 
 
 def default_kernels(cloud: PointCloudVarifold) -> KernelPair:
@@ -205,21 +193,20 @@ def variation_tensor(
     return CurvTensor3(num * (kernels.ratio / (eps * xi_den)))
 
 
-def mean_curvature_vector(
-    tensor: CurvTensor3, dim_d: int | None = None, check_tol: float = 1e-10
-) -> np.ndarray:
+def mean_curvature_vector(tensor: CurvTensor3, dim_d: int | None = None) -> np.ndarray:
     """Mean curvature vector H_i = sum_q t_qiq of a variation tensor.
 
     When ``dim_d`` is given, also verifies the companion trace identity
     sum_q t_iqq = d * H_i, which holds to the projector tolerance for
-    tensors produced by :func:`variation_tensor`.
+    tensors produced by :func:`variation_tensor`; a deviation above
+    1e-10 * (1 + max|t|) raises :class:`InvalidInputError`.
     """
     t = tensor.entries
     h = np.einsum("qiq->i", t)
     if dim_d is not None:
         other = np.einsum("iqq->i", t)
         scale = 1.0 + float(np.max(np.abs(t)))
-        if np.max(np.abs(other - dim_d * h)) > check_tol * scale:
+        if np.max(np.abs(other - dim_d * h)) > 1e-10 * scale:
             raise InvalidInputError(
                 "trace identity sum_q t_iqq = d * H_i violated; "
                 "tensor did not come from a rank-d cloud"
@@ -328,11 +315,9 @@ def restrict_to_tangent(
             "the vector-valued tensor is the final output in higher codimension"
         )
     if normal is None or basis is None:
-        w, v = np.linalg.eigh(plane)
-        if normal is None:
-            normal = fix_sign(v[:, 0])
-        if basis is None:
-            basis = v[:, 1:]
+        normals, bases = plane_frames(plane[None])
+        normal = normals[0] if normal is None else normal
+        basis = bases[0] if basis is None else basis
     scalar = np.einsum("ijk,k->ij", b_perp.entries, normal)
     scalar = 0.5 * (scalar + scalar.T)
     restricted = basis.T @ scalar @ basis
@@ -379,7 +364,7 @@ def point_curvature(
     cloud: PointCloudVarifold,
     l0: int,
     kernels: KernelPair | None = None,
-    scale: float | NeighborQuery = None,
+    scale: float | None = None,
     index: NeighborIndex | None = None,
     idx: np.ndarray | None = None,
     normal: np.ndarray | None = None,
@@ -388,7 +373,7 @@ def point_curvature(
 ) -> PointCurvature:
     """Curvature report at one point (codimension 1).
 
-    ``scale`` is either a resolved smoothing radius or a NeighborQuery.
+    ``scale`` is the smoothing radius eps.
     ``variant`` selects the gradient-form curvature tensor: "orthogonal"
     (default, a_perp = beta - P_l0 (x) H with the exact stored plane) or
     "averaged" (kernel-averaged direction matrix fed to the linear-system
@@ -398,16 +383,12 @@ def point_curvature(
     if cloud.dim_d != cloud.ambient_n - 1:
         raise CodimensionError("point_curvature needs codimension 1")
     kernels = kernels or default_kernels(cloud)
-    if isinstance(scale, NeighborQuery):
+    if scale is None:
+        raise InvalidInputError("scale must be a smoothing radius")
+    eps = float(scale)
+    if idx is None:
         index = index or NeighborIndex(cloud.positions)
-        idx, eps = index.resolve_one(l0, scale)
-    elif scale is None:
-        raise InvalidInputError("scale must be a radius or a NeighborQuery")
-    else:
-        eps = float(scale)
-        if idx is None:
-            index = index or NeighborIndex(cloud.positions)
-            idx = index.ball(cloud.positions[l0], eps)
+        idx = index.ball(cloud.positions[l0], eps)
 
     beta = variation_tensor(cloud, l0, kernels, eps, idx=idx)
     h = mean_curvature_vector(beta, dim_d=cloud.dim_d)
@@ -533,9 +514,9 @@ class TangentEstimate:
 
 
 def estimate_tangent_planes(
-    positions, query: NeighborQuery, dim_d: int, weight=None
+    positions, query: NeighborQuery, dim_d: int
 ) -> TangentEstimate:
-    """Tangent planes by weighted local covariance.
+    """Tangent planes by bump-weighted local covariance.
 
     At each point the covariance of neighbor offsets from the kernel-weighted
     barycenter is eigen-decomposed; the span of the d dominant eigenvectors
@@ -546,7 +527,7 @@ def estimate_tangent_planes(
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     n_pts, n = positions.shape
-    weight = weight or bump_profile()
+    weight = bump_profile()
     index = NeighborIndex(positions)
     indices, sigma = index.resolve_all(query)
     planes = np.empty((n_pts, n, n))
@@ -578,14 +559,12 @@ def estimate_tangent_planes(
 
 
 def estimate_masses(
-    positions, n_mass: int, dim_d: int, mode: str = "nmass",
-    include_self: bool = True,
+    positions, n_mass: int, dim_d: int, mode: str = "nmass"
 ) -> np.ndarray:
     """Per-point masses from the radius of the smallest n_mass-point ball.
 
     r_i is the smallest radius whose closed ball around x_i holds at least
-    ``n_mass`` cloud points, the point itself included by default
-    (``include_self=False`` switches to the exclusive count).  Modes:
+    ``n_mass`` cloud points, the point itself included.  Modes:
     "nmass" gives omega_d r_i^d / n_mass, "rd" the simplified r_i^d,
     "uniform" all ones.
     """
@@ -595,11 +574,10 @@ def estimate_masses(
         return np.ones(n_pts)
     if mode not in ("nmass", "rd"):
         raise InvalidInputError(f"unknown mass mode {mode!r}")
-    k_query = n_mass if include_self else n_mass + 1
-    if not 1 <= k_query <= n_pts:
+    if not 1 <= n_mass <= n_pts:
         raise InvalidInputError("need 1 <= n_mass <= number of points")
     tree = cKDTree(positions)
-    dists, _ = tree.query(positions, k=k_query)
+    dists, _ = tree.query(positions, k=n_mass)
     dists = np.atleast_2d(dists)
     radii = dists[:, -1]
     if np.any(radii <= 0.0):

@@ -15,6 +15,8 @@ round trip reproduces positions to well below 1e-6.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import FileFormatError
@@ -30,7 +32,10 @@ def _fmt(x: float) -> str:
 
 
 def read_xyz(path, ambient_n: int | None = None) -> np.ndarray:
-    """Read an xyz cloud; returns (N, n) positions."""
+    """Read an xyz cloud; returns (N, n) positions.
+
+    NaN or infinite values are rejected with the line they occur on.
+    """
     rows = []
     width = ambient_n
     with open(path, "r") as fh:
@@ -46,9 +51,12 @@ def read_xyz(path, ambient_n: int | None = None) -> np.ndarray:
                     f"expected {width} columns, found {len(parts)}", line=lineno
                 )
             try:
-                rows.append([float(p) for p in parts])
+                row = [float(p) for p in parts]
             except ValueError:
                 raise FileFormatError(f"bad float in {body!r}", line=lineno) from None
+            if not all(map(math.isfinite, row)):
+                raise FileFormatError(f"non-finite value in {body!r}", line=lineno)
+            rows.append(row)
     if not rows:
         raise FileFormatError("no points found in xyz file")
     return np.asarray(rows)
@@ -65,7 +73,10 @@ def write_xyz(path, positions: np.ndarray) -> None:
 
 
 def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
-    """Read an ascii ply; returns (positions (N,3), normals (N,3) or None)."""
+    """Read an ascii ply; returns (positions (N,3), normals (N,3) or None).
+
+    NaN or infinite coordinates or normals are rejected with their line.
+    """
     with open(path, "r") as fh:
         lines = fh.readlines()
     if not lines or lines[0].strip() != "ply":
@@ -97,6 +108,7 @@ def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
             raise FileFormatError(f"vertex element lacks property {needed!r}")
     cols = {name: j for j, name in enumerate(props)}
     has_normals = all(k in cols for k in ("nx", "ny", "nz"))
+    fields = ("x", "y", "z", "nx", "ny", "nz") if has_normals else ("x", "y", "z")
     positions = np.empty((n_vertex, 3))
     normals = np.empty((n_vertex, 3)) if has_normals else None
     for row in range(n_vertex):
@@ -109,11 +121,14 @@ def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
                 f"expected {len(props)} fields, found {len(parts)}", line=lineno
             )
         try:
-            positions[row] = [float(parts[cols[k]]) for k in ("x", "y", "z")]
-            if has_normals:
-                normals[row] = [float(parts[cols[k]]) for k in ("nx", "ny", "nz")]
+            values = [float(parts[cols[k]]) for k in fields]
         except ValueError:
             raise FileFormatError("bad float in vertex line", line=lineno) from None
+        if not all(map(math.isfinite, values)):
+            raise FileFormatError("non-finite value in vertex line", line=lineno)
+        positions[row] = values[:3]
+        if has_normals:
+            normals[row] = values[3:]
     return positions, normals
 
 
@@ -180,9 +195,9 @@ def write_report_csv(path, positions: np.ndarray, report) -> None:
 # ---------------------------------------------------------------- colors
 
 
-def clip_to_unit(values: np.ndarray, lo_pct: float = 2.0, hi_pct: float = 98.0,
-                 symmetric: bool = False) -> np.ndarray:
-    """Map values monotonically into [0, 1] with percentile clipping.
+def clip_to_unit(values: np.ndarray, symmetric: bool = False) -> np.ndarray:
+    """Map values monotonically into [0, 1], clipped at the 2nd and 98th
+    percentiles.
 
     ``symmetric`` centers the map at 0 (for signed quantities), scaling by
     the larger clipped magnitude.  NaN maps to NaN.
@@ -191,7 +206,7 @@ def clip_to_unit(values: np.ndarray, lo_pct: float = 2.0, hi_pct: float = 98.0,
     finite = values[np.isfinite(values)]
     if finite.size == 0:
         return np.full_like(values, np.nan)
-    lo, hi = np.percentile(finite, [lo_pct, hi_pct])
+    lo, hi = np.percentile(finite, [2.0, 98.0])
     if symmetric:
         scale = max(abs(lo), abs(hi), 1e-300)
         return 0.5 + 0.5 * np.clip(values / scale, -1.0, 1.0)

@@ -32,28 +32,14 @@ def unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
-def _vectorized(fn: Callable[[np.ndarray], np.ndarray]):
-    """Wrap an array-only radial function so scalars map to floats."""
-
-    def wrapped(t):
-        arr = np.asarray(t, dtype=float)
-        out = fn(np.atleast_1d(arr))
-        return float(out[0]) if arr.ndim == 0 else out
-
-    return wrapped
-
-
 @dataclass(frozen=True)
 class KernelProfile:
-    """Radial profile with derivative access; vanishes on [1, inf)."""
+    """Radial profile on arrays, vanishing with its derivative on [1, inf);
+    ``deriv`` is needed only for the differentiated profile ``rho``."""
 
     name: str
-    eval: Callable = field(repr=False)
-    deriv: Callable = field(repr=False)
-    support_radius: float = 1.0
-
-    def __call__(self, t):
-        return self.eval(t)
+    eval: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    deriv: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
 
 # Below 1 - t^2 = 1e-8 the bump value exp(-1/(1-t^2)) underflows to exactly
@@ -62,7 +48,8 @@ class KernelProfile:
 _BUMP_CUTOFF = 1e-8
 
 
-def _bump_eval(t: np.ndarray) -> np.ndarray:
+def _bump_eval(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     u = 1.0 - t * t
     m = (t >= 0.0) & (u > _BUMP_CUTOFF)
@@ -70,7 +57,8 @@ def _bump_eval(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bump_deriv(t: np.ndarray) -> np.ndarray:
+def _bump_deriv(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     u = 1.0 - t * t
     m = (t >= 0.0) & (u > _BUMP_CUTOFF)
@@ -85,31 +73,34 @@ def bump_profile() -> KernelProfile:
     Unnormalized on purpose: the estimator formulas only ever use ratios in
     which the normalization cancels.  Decreasing, with derivative zero at 0.
     """
-    return KernelProfile("bump", _vectorized(_bump_eval), _vectorized(_bump_deriv))
+    return KernelProfile("bump", _bump_eval, _bump_deriv)
 
 
 def tent_profile() -> KernelProfile:
     """Piecewise-linear 1 - t on [0,1); testing only (slope at 0 is -1)."""
 
     def ev(t):
+        t = np.asarray(t, dtype=float)
         return np.where((t >= 0.0) & (t < 1.0), 1.0 - t, 0.0)
 
     def dv(t):
+        t = np.asarray(t, dtype=float)
         return np.where((t > 0.0) & (t < 1.0), -1.0, 0.0)
 
-    return KernelProfile("tent", _vectorized(ev), _vectorized(dv))
+    return KernelProfile("tent", ev, dv)
 
 
 def box_profile() -> KernelProfile:
     """Indicator of [0,1); testing only (its paired mass profile is zero)."""
 
     def ev(t):
+        t = np.asarray(t, dtype=float)
         return np.where((t >= 0.0) & (t < 1.0), 1.0, 0.0)
 
     def dv(t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
-    return KernelProfile("box", _vectorized(ev), _vectorized(dv))
+    return KernelProfile("box", ev, dv)
 
 
 _PROFILES = {"bump": bump_profile, "tent": tent_profile, "box": box_profile}
@@ -128,7 +119,7 @@ def paired_mass_profile(rho: KernelProfile, ambient_n: int) -> KernelProfile:
     """Mass-smoothing profile xi with n * xi(s) = -s * rho'(s).
 
     Nonnegative whenever ``rho`` is decreasing; rejects profiles that
-    increase anywhere on a sample grid.
+    increase anywhere on a sample grid.  Vanishes on [1, inf) as rho' does.
     """
     grid = np.linspace(0.0, 1.0, 2001)
     dv = np.asarray(rho.deriv(grid))
@@ -139,24 +130,12 @@ def paired_mass_profile(rho: KernelProfile, ambient_n: int) -> KernelProfile:
 
     def ev(t):
         t = np.asarray(t, dtype=float)
-        inside = (t >= 0.0) & (t < 1.0)
-        out = np.zeros_like(t)
-        out[inside] = -t[inside] * np.asarray(rho.deriv(t[inside])) / ambient_n
-        return out
+        return -t * rho.deriv(t) / ambient_n
 
-    def dvv(t):
-        # Central difference; the profile derivative is only needed for
-        # diagnostics, never in the estimator formulas.
-        t = np.asarray(t, dtype=float)
-        h = 1e-6
-        lo = np.maximum(t - h, 0.0)
-        hi = t + h
-        return (ev(hi) - ev(lo)) / (hi - lo)
-
-    return KernelProfile(f"nkp({rho.name})", _vectorized(ev), _vectorized(dvv))
+    return KernelProfile(f"nkp({rho.name})", ev)
 
 
-def kernel_constant(profile: KernelProfile, d: int, rel_tol: float = 1e-8) -> float:
+def kernel_constant(profile: KernelProfile, d: int) -> float:
     """The constant d * omega_d * int_0^1 profile(r) r^(d-1) dr.
 
     Adaptive quadrature (QUADPACK); the bump is flat-zero at r -> 1 so the
@@ -169,7 +148,7 @@ def kernel_constant(profile: KernelProfile, d: int, rel_tol: float = 1e-8) -> fl
         return profile.eval(r) * r ** (d - 1)
 
     val, err = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200)
-    if not np.isfinite(val) or (val != 0.0 and err > rel_tol * abs(val)):
+    if not np.isfinite(val) or (val != 0.0 and err > 1e-8 * abs(val)):
         raise QuadratureError(
             f"radial moment of {profile.name!r} did not converge: "
             f"value {val:.6g}, error estimate {err:.2g}"

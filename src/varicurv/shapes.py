@@ -13,9 +13,7 @@ O(1/sqrt(k_neighbors)) noise floor under every kernel-weighted estimate,
 drowning the convergence rates this module exists to expose; quasi-uniform
 clouds match the mesh-derived datasets the estimator targets.
 
-Positions can be perturbed by isotropic Gaussian noise (planes stay exact);
-a separate knob rotates the planes by small random rotations to emulate
-estimated-tangent error independently of position noise.
+Positions can be perturbed by isotropic Gaussian noise (planes stay exact).
 """
 
 from __future__ import annotations
@@ -74,28 +72,6 @@ def _random_rotation(n: int, rng) -> np.ndarray:
     return q
 
 
-def _rotate_planes(planes: np.ndarray, sigma: float, rng) -> np.ndarray:
-    """Conjugate each plane by a small random rotation (angle ~ N(0, sigma))."""
-    n = planes.shape[1]
-    out = np.empty_like(planes)
-    for i in range(planes.shape[0]):
-        angle = rng.normal(0.0, sigma)
-        if n == 2:
-            c, s = np.cos(angle), np.sin(angle)
-            rot = np.array([[c, -s], [s, c]])
-        elif n == 3:
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            k = np.array(
-                [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
-            )
-            rot = np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
-        else:
-            raise InvalidInputError("plane perturbation implemented for n in {2, 3}")
-        out[i] = rot @ planes[i] @ rot.T
-    return out
-
-
 class AnalyticShape(abc.ABC):
     """Base class: a sampler plus exact curvature evaluation."""
 
@@ -112,11 +88,7 @@ class AnalyticShape(abc.ABC):
         """Exact curvatures at a point on the shape (projected if within 1e-9)."""
 
     def sample(
-        self,
-        n_points: int,
-        noise_sigma: float = 0.0,
-        seed: int = 0,
-        plane_sigma: float = 0.0,
+        self, n_points: int, noise_sigma: float = 0.0, seed: int = 0
     ) -> ShapeSample:
         if n_points < 10:
             raise InvalidInputError("need at least 10 sample points")
@@ -125,8 +97,6 @@ class AnalyticShape(abc.ABC):
         positions = base
         if noise_sigma > 0.0:
             positions = base + rng.normal(0.0, noise_sigma, size=base.shape)
-        if plane_sigma > 0.0:
-            planes = _rotate_planes(planes, plane_sigma, rng)
         masses = np.ones(n_points)
         cloud = validate_cloud(positions, planes, masses, dim_d=self.dim_d)
         reports = [self.exact_report(p) for p in base]

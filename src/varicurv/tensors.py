@@ -26,7 +26,6 @@ Two rank-3 tensor layouts are used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .errors import (
     AsymmetricInputError,
     InvalidDirectionMatrixError,
     InvalidInputError,
-    SizeLimitError,
 )
 
 # Absolute tolerances for validation; all data handled here is O(1)..O(1/eps)
@@ -46,14 +44,6 @@ PSD_TOL = 1e-10
 def _require_finite(arr: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{what} contains NaN or Inf")
-
-
-def fix_sign(vec: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Flip ``vec`` so its first component larger than ``tol`` is positive."""
-    for x in vec:
-        if abs(x) > tol:
-            return vec if x > 0 else -vec
-    return vec
 
 
 @dataclass(frozen=True)
@@ -92,21 +82,6 @@ class DirectionMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def inverse_norm(self) -> float:
-        """Computed operator norm of (I + c)^{-1} (no closed-form constant)."""
-        return float(
-            np.linalg.norm(np.linalg.inv(np.eye(self.n) + self.entries), ord=2)
-        )
-
-
-def comatrix_norm_bound(n: int, d: int) -> float:
-    """Explicit bound on ||(I + c)^{-1}|| from the cofactor formula.
-
-    Entries of I + c are at most 2 in absolute value, so each cofactor is at
-    most (n-1)! * 2^(n-1), while det(I + c) >= 2^d.
-    """
-    return n * factorial(n - 1) * 2.0 ** (n - 1) / 2.0**d
-
 
 def _as_tensor_entries(t) -> np.ndarray:
     entries = t.entries if hasattr(t, "entries") else np.asarray(t, dtype=float)
@@ -122,10 +97,6 @@ class CurvTensor3:
 
     entries: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
     def jk_asymmetry(self) -> float:
         return float(np.max(np.abs(self.entries - self.entries.transpose(0, 2, 1))))
 
@@ -138,10 +109,6 @@ class SffTensor:
     """Rank-3 tensor in bilinear form; entry [i, j, k] reads B_ij^k."""
 
     entries: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 def solve_curvature_system(c, b) -> CurvTensor3:
@@ -164,42 +131,15 @@ def solve_curvature_system(c, b) -> CurvTensor3:
     return CurvTensor3(a)
 
 
-def build_full_system_matrix(c) -> np.ndarray:
-    """Assemble the dense n^3 x n^3 system matrix L (test scale, n <= 4).
-
-    Rows and columns are ordered lexicographically in (i, j, k); the row for
-    (i, j, k) adds c_jk to every column of the form (q, i, q).
-    """
-    if not isinstance(c, DirectionMatrix):
-        c = DirectionMatrix.from_matrix(c)
-    n = c.n
-    if n > 4:
-        raise SizeLimitError(f"dense system assembly limited to n <= 4, got {n}")
-    size = n**3
-    L = np.eye(size)
-    cm = c.entries
-
-    def flat(i, j, k):
-        return (i * n + j) * n + k
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row = flat(i, j, k)
-                for q in range(n):
-                    L[row, flat(q, i, q)] += cm[j, k]
-    return L
-
-
-def to_bilinear_form(a, tol: float = SYMMETRY_TOL) -> SffTensor:
+def to_bilinear_form(a) -> SffTensor:
     """Convert gradient form to bilinear form: B_ij^k = (a_ijk + a_jik - a_kij)/2.
 
     Requires (j, k)-symmetry of ``a``; the input is symmetrized before use
-    when within ``tol`` and rejected beyond it.
+    when within ``SYMMETRY_TOL`` and rejected beyond it.
     """
     at = _as_tensor_entries(a)
     _require_finite(at, "gradient-form tensor")
-    if np.max(np.abs(at - at.transpose(0, 2, 1))) > tol:
+    if np.max(np.abs(at - at.transpose(0, 2, 1))) > SYMMETRY_TOL:
         raise AsymmetricInputError("gradient-form tensor is not (j,k)-symmetric")
     at = 0.5 * (at + at.transpose(0, 2, 1))
     # transpose(1, 0, 2) reads a[j, i, k]; transpose(1, 2, 0) reads a[k, i, j]
@@ -207,25 +147,16 @@ def to_bilinear_form(a, tol: float = SYMMETRY_TOL) -> SffTensor:
     return SffTensor(out)
 
 
-def to_gradient_form(b, tol: float = SYMMETRY_TOL) -> CurvTensor3:
+def to_gradient_form(b) -> CurvTensor3:
     """Convert bilinear form to gradient form: a_ijk = B_ij^k + B_ik^j.
 
-    Requires (i, j)-symmetry of ``b``; inverse of :func:`to_bilinear_form` on
-    the symmetric tensor classes.
+    Requires (i, j)-symmetry of ``b`` within ``SYMMETRY_TOL``; inverse of
+    :func:`to_bilinear_form` on the symmetric tensor classes.
     """
     bt = _as_tensor_entries(b)
     _require_finite(bt, "bilinear-form tensor")
-    if np.max(np.abs(bt - bt.transpose(1, 0, 2))) > tol:
+    if np.max(np.abs(bt - bt.transpose(1, 0, 2))) > SYMMETRY_TOL:
         raise AsymmetricInputError("bilinear-form tensor is not (i,j)-symmetric")
     bt = 0.5 * (bt + bt.transpose(1, 0, 2))
     return CurvTensor3(bt + bt.transpose(0, 2, 1))
 
-
-def system_residual(c, a, b) -> float:
-    """Max-abs residual of the curvature system at candidate solution ``a``."""
-    cm = c.entries if isinstance(c, DirectionMatrix) else np.asarray(c, float)
-    at = _as_tensor_entries(a)
-    bt = _as_tensor_entries(b)
-    s = np.einsum("qiq->i", at)
-    lhs = at + np.einsum("jk,i->ijk", cm, s)
-    return float(np.max(np.abs(lhs - bt)))

@@ -27,8 +27,7 @@ class PointCloudVarifold:
     planes:    (N, n, n) stack of rank-d orthogonal projection matrices
     masses:    (N,) strictly positive weights
 
-    Immutable after validation; safe to share across parallel estimator
-    workers.  Construct through :func:`validate_cloud`.
+    Immutable after validation.  Construct through :func:`validate_cloud`.
     """
 
     positions: np.ndarray

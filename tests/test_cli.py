@@ -84,6 +84,20 @@ class TestRunFromFile:
         assert run_cli("run", "--input", str(bad), "--d", "2",
                        "--csv", str(tmp_path / "o.csv")) == 1
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_coordinate_exit_code(self, tmp_path, capsys, bad):
+        xyz = tmp_path / "c.xyz"
+        rows = [f"{i} {i % 3} {i % 2}" for i in range(11)]
+        rows[4] = f"4 {bad} 0"
+        xyz.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert run_cli("run", "--input", str(xyz), "--k", "5",
+                       "--csv", str(tmp_path / "o.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "line 5" in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_dimension_mismatch(self, tmp_path):
         xyz = tmp_path / "c.xyz"
         xyz.write_text("1 2 3\n4 5 6\n")

@@ -40,6 +40,14 @@ class TestXyz:
             vio.read_xyz(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_reports_number(self, tmp_path, bad):
+        path = tmp_path / "c.xyz"
+        path.write_text(f"1 2 3\n# comment\n4 {bad} 6\n7 8 9\n")
+        with pytest.raises(FileFormatError) as err:
+            vio.read_xyz(path)
+        assert err.value.line == 3
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "c.xyz"
         path.write_text("# nothing\n")
@@ -87,6 +95,22 @@ class TestPly:
         )
         with pytest.raises(FileFormatError):
             vio.read_ply(path)
+
+    @pytest.mark.parametrize("column", [1, 4])
+    def test_non_finite_reports_number(self, tmp_path, column):
+        names = ("x", "y", "z", "nx", "ny", "nz")
+        props = "".join(f"property float {k}\n" for k in names)
+        rows = [["0", "0", "0", "0", "0", "1"] for _ in range(3)]
+        rows[1][column] = "nan"
+        path = tmp_path / "c.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 3\n" + props + "end_header\n"
+            + "".join(" ".join(r) + "\n" for r in rows)
+        )
+        with pytest.raises(FileFormatError) as err:
+            vio.read_ply(path)
+        # ten header lines, then the second vertex line
+        assert err.value.line == 12
 
     def test_binary_rejected(self, tmp_path):
         path = tmp_path / "c.ply"

@@ -57,15 +57,13 @@ class TestPairedMassProfile:
         assert np.all(xi.eval(np.linspace(0, 1.2, 400)) >= 0.0)
 
     def test_rejects_increasing_profile(self):
-        from varicurv.kernels import KernelProfile, _vectorized
-
         def ev(t):
             return np.where(t < 1.0, t, 0.0)
 
         def dv(t):
             return np.where(t < 1.0, 1.0, 0.0)
 
-        rising = KernelProfile("rising", _vectorized(ev), _vectorized(dv))
+        rising = vc.KernelProfile("rising", ev, dv)
         with pytest.raises(InvalidProfileError):
             vc.paired_mass_profile(rising, 2)
 

@@ -137,14 +137,6 @@ class TestSamplers:
         radii = np.linalg.norm(noisy.cloud.positions, axis=1)
         assert np.std(radii) > 1e-4
 
-    def test_plane_noise_flag_rotates_planes(self):
-        clean = vc.Sphere(1.0).sample(200, seed=9)
-        tilted = vc.Sphere(1.0).sample(200, seed=9, plane_sigma=0.05)
-        assert not np.array_equal(clean.cloud.planes, tilted.cloud.planes)
-        # still valid projectors
-        p = tilted.cloud.planes[0]
-        assert np.allclose(p @ p, p, atol=1e-10)
-
     def test_min_points_guard(self):
         with pytest.raises(InvalidInputError):
             vc.Sphere(1.0).sample(5)
