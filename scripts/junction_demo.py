@@ -12,6 +12,8 @@ import numpy as np
 
 from varicurv import (
     JunctionSpec,
+    NeighborIndex,
+    NeighborQuery,
     bump_profile,
     junction_coefficients,
     junction_is_curvature_free,
@@ -34,11 +36,14 @@ def main():
         t = junction_coefficients(spec)
         cloud = sample_junction(spec, int(2 * args.eps / args.spacing) + 10,
                                 args.spacing)
-        beta = variation_tensor(cloud, 0, kernels, args.eps)
+        indices, _ = NeighborIndex(cloud.positions).resolve_all(
+            NeighborQuery.radius(args.eps)
+        )
+        beta = variation_tensor(cloud, 0, kernels, args.eps, idx=indices[0])
         print(f"regular {n_rays}-junction: curvature-free="
               f"{junction_is_curvature_free(spec)}, "
-              f"|t|_inf={np.max(np.abs(t.entries)):.6f}, "
-              f"smoothed |b(0)|_inf={beta.max_abs():.4f}")
+              f"|t|_inf={np.max(np.abs(t)):.6f}, "
+              f"smoothed |b(0)|_inf={np.max(np.abs(beta)):.4f}")
 
 
 if __name__ == "__main__":

@@ -71,9 +71,7 @@ from .shapes import (
     shape_by_name,
 )
 from .tensors import (
-    CurvTensor3,
     DirectionMatrix,
-    SffTensor,
     solve_curvature_system,
     to_bilinear_form,
     to_gradient_form,

@@ -19,7 +19,6 @@ from .estimator import (
     STATUS_ISOLATED,
     NeighborQuery,
     curvature_report,
-    estimate_masses,
     estimate_tangent_planes,
 )
 from .kernels import KernelPair, bump_profile, natural_kernel_pair
@@ -45,8 +44,6 @@ class ConvergenceSchedule:
     rows: tuple[ScheduleRow, ...]
     noise_sigma: float = 0.0
     tangent_mode: str = "exact"
-    mass_mode: str = "uniform"
-    n_mass: int = 8
     seed: int = 0
 
     def __post_init__(self):
@@ -144,11 +141,6 @@ def _row_cloud(schedule: ConvergenceSchedule, row: ScheduleRow, row_id: int):
             cloud.positions, est.planes, cloud.masses, cloud.dim_d
         )
         ambiguous = est.ambiguous
-    if schedule.mass_mode != "uniform":
-        masses = estimate_masses(
-            cloud.positions, schedule.n_mass, cloud.dim_d, mode=schedule.mass_mode
-        )
-        cloud = validate_cloud(cloud.positions, cloud.planes, masses, cloud.dim_d)
     return cloud, sample, ambiguous
 
 

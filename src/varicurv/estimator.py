@@ -24,6 +24,11 @@ Pipeline at a cloud point x0 with smoothing scale eps:
 The summand at a zero-distance neighbor (the point itself, or a duplicate)
 is defined as 0: the raw expression is 0/0 there, and rho'(0) = 0 forces the
 limit to vanish along any approach.
+
+Tensors are plain (n, n, n) float64 arrays.  The per-point functions take
+the point's sorted neighbor list as the required keyword ``idx``, as
+:meth:`NeighborIndex.resolve_all` returns it; :func:`curvature_report`
+resolves all lists once and loops over the points.
 """
 
 from __future__ import annotations
@@ -41,13 +46,7 @@ from .errors import (
     ZeroRadiusError,
 )
 from .kernels import KernelPair, bump_profile, natural_kernel_pair, unit_ball_volume
-from .tensors import (
-    CurvTensor3,
-    DirectionMatrix,
-    SffTensor,
-    solve_curvature_system,
-    to_bilinear_form,
-)
+from .tensors import DirectionMatrix, solve_curvature_system, to_bilinear_form
 from .varifold import PointCloudVarifold
 
 # Below this the smoothed mass denominator counts as empty (isolated point).
@@ -104,10 +103,6 @@ class NeighborIndex:
     @property
     def n_points(self) -> int:
         return self.positions.shape[0]
-
-    def ball(self, x, eps: float) -> np.ndarray:
-        idx = self.tree.query_ball_point(np.asarray(x, dtype=float), eps)
-        return np.sort(np.asarray(idx, dtype=np.intp))
 
     def kth_distance(self, k: int) -> np.ndarray:
         """Distance from each point to its k-th nearest neighbor (self excluded)."""
@@ -178,22 +173,19 @@ def _local_sums(cloud, l0, idx, kernels, eps):
 
 def variation_tensor(
     cloud: PointCloudVarifold, l0: int, kernels: KernelPair, eps: float,
-    index: NeighborIndex | None = None, idx: np.ndarray | None = None,
-) -> CurvTensor3:
+    *, idx: np.ndarray,
+) -> np.ndarray:
     """Smoothed variation tensor at cloud point ``l0`` (gradient form).
 
     Exactly (j,k)-symmetric since the stored planes are symmetric.  Raises
     :class:`IsolatedPointError` when the smoothed mass denominator vanishes.
     """
-    if idx is None:
-        index = index or NeighborIndex(cloud.positions)
-        idx = index.ball(cloud.positions[l0], eps)
     planes_sub, w, pu, xi_den = _local_sums(cloud, l0, idx, kernels, eps)
     num = np.einsum("l,ljk,li->ijk", w, planes_sub, pu)
-    return CurvTensor3(num * (kernels.ratio / (eps * xi_den)))
+    return num * (kernels.ratio / (eps * xi_den))
 
 
-def mean_curvature_vector(tensor: CurvTensor3, dim_d: int | None = None) -> np.ndarray:
+def mean_curvature_vector(tensor: np.ndarray, dim_d: int | None = None) -> np.ndarray:
     """Mean curvature vector H_i = sum_q t_qiq of a variation tensor.
 
     When ``dim_d`` is given, also verifies the companion trace identity
@@ -201,7 +193,7 @@ def mean_curvature_vector(tensor: CurvTensor3, dim_d: int | None = None) -> np.n
     tensors produced by :func:`variation_tensor`; a deviation above
     1e-10 * (1 + max|t|) raises :class:`InvalidInputError`.
     """
-    t = tensor.entries
+    t = np.asarray(tensor, dtype=float)
     h = np.einsum("qiq->i", t)
     if dim_d is not None:
         other = np.einsum("iqq->i", t)
@@ -216,7 +208,7 @@ def mean_curvature_vector(tensor: CurvTensor3, dim_d: int | None = None) -> np.n
 
 def smoothed_direction_matrix(
     cloud: PointCloudVarifold, x, kernels: KernelPair, eps: float,
-    index: NeighborIndex | None = None, idx: np.ndarray | None = None,
+    *, idx: np.ndarray,
 ) -> DirectionMatrix:
     """Kernel-averaged direction matrix at an arbitrary location ``x``.
 
@@ -224,9 +216,6 @@ def smoothed_direction_matrix(
     symmetric PSD with trace d and entries in [-1, 1].
     """
     x = np.asarray(x, dtype=float)
-    if idx is None:
-        index = index or NeighborIndex(cloud.positions)
-        idx = index.ball(x, eps)
     if idx.size == 0:
         raise IsolatedPointError("no neighbors in the eta-ball")
     d_vec = x - cloud.positions[idx]
@@ -241,13 +230,10 @@ def smoothed_direction_matrix(
 
 def curvature_tensor(
     cloud: PointCloudVarifold, l0: int, kernels: KernelPair, eps: float,
-    index: NeighborIndex | None = None, idx: np.ndarray | None = None,
-) -> CurvTensor3:
+    *, idx: np.ndarray,
+) -> np.ndarray:
     """Regularized curvature tensor: solve the system against the averaged
     direction matrix.  Equals t_ijk - c_jk ((I+c)^{-1} H)_i."""
-    if idx is None:
-        index = index or NeighborIndex(cloud.positions)
-        idx = index.ball(cloud.positions[l0], eps)
     t = variation_tensor(cloud, l0, kernels, eps, idx=idx)
     c = smoothed_direction_matrix(cloud, cloud.positions[l0], kernels, eps, idx=idx)
     return solve_curvature_system(c, t)
@@ -255,27 +241,23 @@ def curvature_tensor(
 
 def orthogonal_curvature_tensor(
     cloud: PointCloudVarifold, l0: int, kernels: KernelPair, eps: float,
-    index: NeighborIndex | None = None, idx: np.ndarray | None = None,
-) -> CurvTensor3:
+    *, idx: np.ndarray,
+) -> np.ndarray:
     """Orthogonal-variant curvature tensor a_ijk = t_ijk - (P_l0)_jk H_i.
 
     Uses the exact stored plane at l0 (not a kernel average); satisfies
     sum_q a_qiq = ((I - P) H)_i and sum_q a_iqq = 0 up to the projector
     tolerance.
     """
-    if idx is None:
-        index = index or NeighborIndex(cloud.positions)
-        idx = index.ball(cloud.positions[l0], eps)
     t = variation_tensor(cloud, l0, kernels, eps, idx=idx)
     h = mean_curvature_vector(t, dim_d=cloud.dim_d)
-    p0 = cloud.planes[l0]
-    return CurvTensor3(t.entries - np.einsum("jk,i->ijk", p0, h))
+    return t - np.einsum("jk,i->ijk", cloud.planes[l0], h)
 
 
 def orthogonal_sff(
     cloud: PointCloudVarifold, l0: int, kernels: KernelPair, eps: float,
-    index: NeighborIndex | None = None, idx: np.ndarray | None = None,
-) -> SffTensor:
+    *, idx: np.ndarray,
+) -> np.ndarray:
     """Bilinear-form curvature tensor via the direct plane-difference sums.
 
     Reference path: algebraically equal to converting
@@ -283,21 +265,17 @@ def orthogonal_sff(
     is what :func:`point_curvature` does, but summed independently over the
     (P_l - P_l0) difference combination so the tests can cross-check the two.
     """
-    if idx is None:
-        index = index or NeighborIndex(cloud.positions)
-        idx = index.ball(cloud.positions[l0], eps)
     planes_sub, w, pu, xi_den = _local_sums(cloud, l0, idx, kernels, eps)
     dp = planes_sub - cloud.planes[l0][None]
     s = w[:, None] * pu
     t1 = np.einsum("ljk,li->ijk", dp, s)
     t2 = np.einsum("lik,lj->ijk", dp, s)
     t3 = np.einsum("lij,lk->ijk", dp, s)
-    out = 0.5 * (t1 + t2 - t3) * (kernels.ratio / (eps * xi_den))
-    return SffTensor(out)
+    return 0.5 * (t1 + t2 - t3) * (kernels.ratio / (eps * xi_den))
 
 
 def restrict_to_tangent(
-    b_perp: SffTensor, plane: np.ndarray, normal: np.ndarray | None = None,
+    b_perp: np.ndarray, plane: np.ndarray, normal: np.ndarray | None = None,
     basis: np.ndarray | None = None, dim_d: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scalar-valued restricted form (codimension 1 only).
@@ -318,7 +296,7 @@ def restrict_to_tangent(
         normals, bases = plane_frames(plane[None])
         normal = normals[0] if normal is None else normal
         basis = bases[0] if basis is None else basis
-    scalar = np.einsum("ijk,k->ij", b_perp.entries, normal)
+    scalar = np.einsum("ijk,k->ij", b_perp, normal)
     scalar = 0.5 * (scalar + scalar.T)
     restricted = basis.T @ scalar @ basis
     return 0.5 * (restricted + restricted.T), basis, normal
@@ -326,24 +304,18 @@ def restrict_to_tangent(
 
 @dataclass(frozen=True)
 class PointCurvature:
-    """Full curvature description at one cloud point."""
+    """Curvature description at one cloud point."""
 
-    index: int
-    eps: float
-    beta: CurvTensor3
-    a_perp: CurvTensor3
-    b_perp: SffTensor
+    a_perp: np.ndarray
     mean_curv: np.ndarray
-    sff_restricted: np.ndarray
     kappas: np.ndarray
     directions: np.ndarray
     gauss: float
     abs_sum: float
-    status: str = STATUS_OK
 
 
 def principal_curvatures(
-    sff_restricted: np.ndarray, basis: np.ndarray, normal: np.ndarray
+    restricted: np.ndarray, basis: np.ndarray, normal: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Eigen-decompose the restricted form.
 
@@ -352,7 +324,7 @@ def principal_curvatures(
     overall sign of the kappas follows the arbitrary normal orientation; the
     product is orientation-free for d = 2.
     """
-    sym = 0.5 * (sff_restricted + sff_restricted.T)
+    sym = 0.5 * (restricted + restricted.T)
     w, v = np.linalg.eigh(sym)
     order = np.argsort(w)[::-1]
     kappas = w[order]
@@ -364,16 +336,17 @@ def point_curvature(
     cloud: PointCloudVarifold,
     l0: int,
     kernels: KernelPair | None = None,
-    scale: float | None = None,
-    index: NeighborIndex | None = None,
-    idx: np.ndarray | None = None,
+    *,
+    scale: float,
+    idx: np.ndarray,
     normal: np.ndarray | None = None,
     basis: np.ndarray | None = None,
     variant: str = "orthogonal",
 ) -> PointCurvature:
     """Curvature report at one point (codimension 1).
 
-    ``scale`` is the smoothing radius eps.
+    ``scale`` is the smoothing radius eps and ``idx`` the sorted neighbor
+    list of ``l0`` within it, as :meth:`NeighborIndex.resolve_all` returns.
     ``variant`` selects the gradient-form curvature tensor: "orthogonal"
     (default, a_perp = beta - P_l0 (x) H with the exact stored plane) or
     "averaged" (kernel-averaged direction matrix fed to the linear-system
@@ -383,17 +356,12 @@ def point_curvature(
     if cloud.dim_d != cloud.ambient_n - 1:
         raise CodimensionError("point_curvature needs codimension 1")
     kernels = kernels or default_kernels(cloud)
-    if scale is None:
-        raise InvalidInputError("scale must be a smoothing radius")
     eps = float(scale)
-    if idx is None:
-        index = index or NeighborIndex(cloud.positions)
-        idx = index.ball(cloud.positions[l0], eps)
 
     beta = variation_tensor(cloud, l0, kernels, eps, idx=idx)
     h = mean_curvature_vector(beta, dim_d=cloud.dim_d)
     p0 = cloud.planes[l0]
-    a_perp = CurvTensor3(beta.entries - np.einsum("jk,i->ijk", p0, h))
+    a_perp = beta - np.einsum("jk,i->ijk", p0, h)
     if variant == "orthogonal":
         a_form = a_perp
     elif variant == "averaged":
@@ -407,13 +375,8 @@ def point_curvature(
     )
     kappas, directions, gauss, abs_sum = principal_curvatures(restricted, basis, normal)
     return PointCurvature(
-        index=l0,
-        eps=eps,
-        beta=beta,
         a_perp=a_perp,
-        b_perp=b_form,
         mean_curv=h,
-        sff_restricted=restricted,
         kappas=kappas,
         directions=directions,
         gauss=gauss,
@@ -474,7 +437,7 @@ def curvature_report(
     for l0 in range(n):
         try:
             pc = point_curvature(
-                cloud, l0, kernels, eps[l0], idx=indices[l0],
+                cloud, l0, kernels, scale=eps[l0], idx=indices[l0],
                 normal=normals[l0], basis=bases[l0], variant=variant,
             )
         except IsolatedPointError:
@@ -487,7 +450,7 @@ def curvature_report(
         mean_vectors[l0] = pc.mean_curv
         mean_norm[l0] = np.linalg.norm(pc.mean_curv)
         if a_perp is not None:
-            a_perp[l0] = pc.a_perp.entries
+            a_perp[l0] = pc.a_perp
 
     if ambiguous is not None:
         flagged = (status == STATUS_OK) & np.asarray(ambiguous, dtype=bool)

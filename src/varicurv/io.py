@@ -75,7 +75,8 @@ def write_xyz(path, positions: np.ndarray) -> None:
 def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Read an ascii ply; returns (positions (N,3), normals (N,3) or None).
 
-    NaN or infinite coordinates or normals are rejected with their line.
+    Malformed header lines and NaN or infinite coordinates or normals are
+    rejected with their line.
     """
     with open(path, "r") as fh:
         lines = fh.readlines()
@@ -90,9 +91,13 @@ def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
         if not tok:
             continue
         if tok[0] == "format":
-            if tok[1] != "ascii":
+            if len(tok) < 2 or tok[1] != "ascii":
                 raise FileFormatError("only ascii 1.0 ply is supported", line=i)
         elif tok[0] == "element":
+            if len(tok) != 3 or not tok[2].isdecimal():
+                raise FileFormatError(
+                    "expected 'element <name> <count>' with count >= 0", line=i
+                )
             in_vertex = tok[1] == "vertex"
             if in_vertex:
                 n_vertex = int(tok[2])

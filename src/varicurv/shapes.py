@@ -35,7 +35,6 @@ class ExactCurvature:
     normal: np.ndarray
     gauss: float
     mean_vector: np.ndarray
-    singular: bool = False
 
 
 @dataclass(frozen=True)
@@ -385,7 +384,6 @@ class Cube(AnalyticShape):
                 normal=nu,
                 gauss=np.nan,
                 mean_vector=np.full(3, np.nan),
-                singular=True,
             )
         return ExactCurvature(
             kappas=np.zeros(2),

@@ -13,7 +13,8 @@ the closed-form solution
 and the associated n^3 x n^3 matrix L satisfies det(L) = det(I + c), so the
 system is always uniquely solvable.
 
-Two rank-3 tensor layouts are used throughout:
+Two rank-3 tensor layouts are used throughout, both plain (n, n, n) float64
+arrays:
 
 * gradient form ``a[i, j, k]``: tangential derivative of the projector field
   in direction e_i; symmetric in (j, k);
@@ -84,40 +85,19 @@ class DirectionMatrix:
 
 
 def _as_tensor_entries(t) -> np.ndarray:
-    entries = t.entries if hasattr(t, "entries") else np.asarray(t, dtype=float)
-    entries = np.asarray(entries, dtype=float)
+    entries = np.asarray(t, dtype=float)
     if entries.ndim != 3 or len(set(entries.shape)) != 1:
         raise InvalidInputError("rank-3 tensor must have shape (n, n, n)")
     return entries
 
 
-@dataclass(frozen=True)
-class CurvTensor3:
-    """Rank-3 tensor in gradient form, indexed [i, j, k] over {0..n-1}^3."""
-
-    entries: np.ndarray
-
-    def jk_asymmetry(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.transpose(0, 2, 1))))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.entries)))
-
-
-@dataclass(frozen=True)
-class SffTensor:
-    """Rank-3 tensor in bilinear form; entry [i, j, k] reads B_ij^k."""
-
-    entries: np.ndarray
-
-
-def solve_curvature_system(c, b) -> CurvTensor3:
+def solve_curvature_system(c, b) -> np.ndarray:
     """Solve a_ijk + c_jk * sum_q a_qiq = b_ijk via the closed form.
 
     ``c`` may be a DirectionMatrix or any array accepted by
-    ``DirectionMatrix.from_matrix``; ``b`` a CurvTensor3 or raw (n, n, n)
-    array.  The (I + c) solve uses a direct dense factorization; systems are
-    tiny (n <= ~10), so runtime is dominated by call count, not size.
+    ``DirectionMatrix.from_matrix``; ``b`` an (n, n, n) array.  The (I + c)
+    solve uses a direct dense factorization; systems are tiny (n <= ~10), so
+    runtime is dominated by call count, not size.
     """
     if not isinstance(c, DirectionMatrix):
         c = DirectionMatrix.from_matrix(c)
@@ -127,11 +107,10 @@ def solve_curvature_system(c, b) -> CurvTensor3:
         raise InvalidInputError("tensor and direction matrix sizes disagree")
     h = np.einsum("qiq->i", bt)
     g = np.linalg.solve(np.eye(c.n) + c.entries, h)
-    a = bt - np.einsum("i,jk->ijk", g, c.entries)
-    return CurvTensor3(a)
+    return bt - np.einsum("i,jk->ijk", g, c.entries)
 
 
-def to_bilinear_form(a) -> SffTensor:
+def to_bilinear_form(a) -> np.ndarray:
     """Convert gradient form to bilinear form: B_ij^k = (a_ijk + a_jik - a_kij)/2.
 
     Requires (j, k)-symmetry of ``a``; the input is symmetrized before use
@@ -143,11 +122,10 @@ def to_bilinear_form(a) -> SffTensor:
         raise AsymmetricInputError("gradient-form tensor is not (j,k)-symmetric")
     at = 0.5 * (at + at.transpose(0, 2, 1))
     # transpose(1, 0, 2) reads a[j, i, k]; transpose(1, 2, 0) reads a[k, i, j]
-    out = 0.5 * (at + at.transpose(1, 0, 2) - at.transpose(1, 2, 0))
-    return SffTensor(out)
+    return 0.5 * (at + at.transpose(1, 0, 2) - at.transpose(1, 2, 0))
 
 
-def to_gradient_form(b) -> CurvTensor3:
+def to_gradient_form(b) -> np.ndarray:
     """Convert bilinear form to gradient form: a_ijk = B_ij^k + B_ik^j.
 
     Requires (i, j)-symmetry of ``b`` within ``SYMMETRY_TOL``; inverse of
@@ -158,5 +136,5 @@ def to_gradient_form(b) -> CurvTensor3:
     if np.max(np.abs(bt - bt.transpose(1, 0, 2))) > SYMMETRY_TOL:
         raise AsymmetricInputError("bilinear-form tensor is not (i,j)-symmetric")
     bt = 0.5 * (bt + bt.transpose(1, 0, 2))
-    return CurvTensor3(bt + bt.transpose(0, 2, 1))
+    return bt + bt.transpose(0, 2, 1)
 

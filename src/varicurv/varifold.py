@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CloudValidationError, InvalidInputError
-from .tensors import CurvTensor3
 
 PLANE_PROJECT_TOL = 1e-6
 
@@ -140,7 +139,7 @@ def _regular_harmonics(n_rays: int, m: int) -> tuple[float, float]:
     return c, 0.0
 
 
-def junction_coefficients(spec: JunctionSpec) -> CurvTensor3:
+def junction_coefficients(spec: JunctionSpec) -> np.ndarray:
     """Coefficient tensor t_ijk = sum_l u_i u_j u_k of the junction's variations.
 
     The junction's weak curvature tensor vanishes iff t is identically zero,
@@ -162,9 +161,9 @@ def junction_coefficients(spec: JunctionSpec) -> CurvTensor3:
         t[0, 0, 1] = t[0, 1, 0] = t[1, 0, 0] = ccs
         t[0, 1, 1] = t[1, 0, 1] = t[1, 1, 0] = css
         t[1, 1, 1] = sss
-        return CurvTensor3(t)
+        return t
     u = spec.directions
-    return CurvTensor3(np.einsum("li,lj,lk->ijk", u, u, u))
+    return np.einsum("li,lj,lk->ijk", u, u, u)
 
 
 def junction_is_curvature_free(spec: JunctionSpec, tol: float = 1e-12) -> bool:
@@ -173,7 +172,7 @@ def junction_is_curvature_free(spec: JunctionSpec, tol: float = 1e-12) -> bool:
         # Harmonic sums vanish iff n does not divide the harmonic order, so
         # the first/third-harmonic conditions read n >= 2 and n not in {1, 3}.
         return spec.regular_n >= 2 and spec.regular_n != 3
-    t = junction_coefficients(spec).entries
+    t = junction_coefficients(spec)
     first_moment = spec.directions.sum(axis=0)
     return bool(np.max(np.abs(t)) <= tol and np.max(np.abs(first_moment)) <= tol)
 

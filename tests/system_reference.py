@@ -3,18 +3,23 @@
 The library solves a_ijk + c_jk * sum_q a_qiq = b_ijk in closed form; these
 helpers assemble the same system as an explicit n^3 x n^3 matrix, measure a
 candidate's residual, and bound ||(I + c)^{-1}|| so the tests can check the
-closed form against independent arithmetic.
+closed form against independent arithmetic.  ``ball`` gives single-point
+tests the neighbor list that the per-point estimator functions take as
+``idx=``.
 """
 
 from math import factorial
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from varicurv.tensors import DirectionMatrix
 
 
-def _entries(t) -> np.ndarray:
-    return np.asarray(getattr(t, "entries", t), dtype=float)
+def ball(cloud, x, eps: float) -> np.ndarray:
+    """Sorted indices of the cloud points within ``eps`` of location ``x``."""
+    idx = cKDTree(cloud.positions).query_ball_point(np.asarray(x, dtype=float), eps)
+    return np.sort(np.asarray(idx, dtype=np.intp))
 
 
 def build_full_system_matrix(c) -> np.ndarray:
@@ -45,11 +50,9 @@ def build_full_system_matrix(c) -> np.ndarray:
 
 def system_residual(c, a, b) -> float:
     """Max-abs residual of the curvature system at candidate solution ``a``."""
-    cm = _entries(c)
-    at = _entries(a)
-    s = np.einsum("qiq->i", at)
-    lhs = at + np.einsum("jk,i->ijk", cm, s)
-    return float(np.max(np.abs(lhs - _entries(b))))
+    s = np.einsum("qiq->i", a)
+    lhs = a + np.einsum("jk,i->ijk", c, s)
+    return float(np.max(np.abs(lhs - b)))
 
 
 def inverse_norm(c: DirectionMatrix) -> float:

@@ -98,6 +98,17 @@ class TestRunFromFile:
         assert "line 5" in err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_malformed_ply_header_exit_code(self, tmp_path, capsys):
+        ply = tmp_path / "c.ply"
+        ply.write_text("ply\nformat ascii 1.0\nelement vertex abc\n"
+                       "property float x\nproperty float y\nproperty float z\n"
+                       "end_header\n")
+        capsys.readouterr()
+        assert run_cli("run", "--input", str(ply), "--format", "ply",
+                       "--csv", str(tmp_path / "o.csv")) == 1
+        assert capsys.readouterr().err.startswith("error: line 3:")
+        assert not (tmp_path / "o.csv").exists()
+
     def test_dimension_mismatch(self, tmp_path):
         xyz = tmp_path / "c.xyz"
         xyz.write_text("1 2 3\n4 5 6\n")

@@ -99,10 +99,9 @@ class TestRunConvergence:
         with pytest.raises(ScheduleError):
             run_convergence(sched, collect_aperp_error=True)
 
-    def test_estimated_tangents_and_masses_run(self):
+    def test_estimated_tangents_run(self):
         sched = ConvergenceSchedule(
-            vc.Sphere(1.0), knn_rows([500, 1200], k=20),
-            tangent_mode="estimated", mass_mode="rd", n_mass=6,
+            vc.Sphere(1.0), knn_rows([500, 1200], k=20), tangent_mode="estimated",
         )
         res = run_convergence(sched)
         assert res.rows[-1].kappa_median[1] < 0.2

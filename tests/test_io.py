@@ -112,6 +112,21 @@ class TestPly:
         # ten header lines, then the second vertex line
         assert err.value.line == 12
 
+    @pytest.mark.parametrize("bad_line", [
+        "element vertex abc", "format", "element vertex -2",
+    ])
+    def test_malformed_header_reports_number(self, tmp_path, bad_line):
+        header = ["ply", "format ascii 1.0", "element vertex 1",
+                  "property float x", "property float y", "property float z",
+                  "end_header", "0 0 0"]
+        slot = 1 if bad_line == "format" else 2
+        header[slot] = bad_line
+        path = tmp_path / "c.ply"
+        path.write_text("\n".join(header) + "\n")
+        with pytest.raises(FileFormatError) as err:
+            vio.read_ply(path)
+        assert err.value.line == slot + 1
+
     def test_binary_rejected(self, tmp_path):
         path = tmp_path / "c.ply"
         path.write_text("ply\nformat binary_little_endian 1.0\nend_header\n")
