@@ -157,10 +157,7 @@ def _run(args) -> int:
         est = estimate_tangent_planes(positions, query, d)
         planes = est.planes
         ambiguous = est.ambiguous
-    if args.mass_mode == "uniform":
-        masses = np.ones(positions.shape[0])
-    else:
-        masses = estimate_masses(positions, args.n_mass, d, mode=args.mass_mode)
+    masses = estimate_masses(positions, args.n_mass, d, mode=args.mass_mode)
     cloud = validate_cloud(positions, planes, masses, d)
     kernels = kernel_pair_by_name(args.kernel, d, n)
     report = curvature_report(cloud, query, kernels=kernels, ambiguous=ambiguous)

@@ -21,10 +21,6 @@ class InvalidProfileError(VaricurvError):
     """Kernel profile violates an admissibility condition."""
 
 
-class QuadratureError(VaricurvError):
-    """Adaptive quadrature failed to converge to the requested accuracy."""
-
-
 class CloudValidationError(VaricurvError):
     """Point cloud data fails validation (masses, planes, coordinates)."""
 

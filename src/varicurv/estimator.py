@@ -46,7 +46,7 @@ from .errors import (
     ZeroRadiusError,
 )
 from .kernels import KernelPair, bump_profile, natural_kernel_pair, unit_ball_volume
-from .tensors import DirectionMatrix, solve_curvature_system, to_bilinear_form
+from .tensors import solve_curvature_system, to_bilinear_form
 from .varifold import PointCloudVarifold
 
 # Below this the smoothed mass denominator counts as empty (isolated point).
@@ -209,11 +209,13 @@ def mean_curvature_vector(tensor: np.ndarray, dim_d: int | None = None) -> np.nd
 def smoothed_direction_matrix(
     cloud: PointCloudVarifold, x, kernels: KernelPair, eps: float,
     *, idx: np.ndarray,
-) -> DirectionMatrix:
+) -> np.ndarray:
     """Kernel-averaged direction matrix at an arbitrary location ``x``.
 
-    Mass-weighted eta-average of the stored planes over the eps-ball;
-    symmetric PSD with trace d and entries in [-1, 1].
+    Mass-weighted eta-average of the stored planes over the eps-ball,
+    symmetrized; PSD with trace d and entries in [-1, 1] up to rounding.
+    It is not validated here: :func:`solve_curvature_system` checks every
+    direction matrix it is given, so each point runs the check once.
     """
     x = np.asarray(x, dtype=float)
     if idx.size == 0:
@@ -225,33 +227,7 @@ def smoothed_direction_matrix(
     if w_sum < DENOM_GUARD:
         raise IsolatedPointError("smoothed mass vanishes in the eta-ball")
     c = np.einsum("l,lab->ab", w, cloud.planes[idx]) / w_sum
-    return DirectionMatrix.from_matrix(0.5 * (c + c.T))
-
-
-def curvature_tensor(
-    cloud: PointCloudVarifold, l0: int, kernels: KernelPair, eps: float,
-    *, idx: np.ndarray,
-) -> np.ndarray:
-    """Regularized curvature tensor: solve the system against the averaged
-    direction matrix.  Equals t_ijk - c_jk ((I+c)^{-1} H)_i."""
-    t = variation_tensor(cloud, l0, kernels, eps, idx=idx)
-    c = smoothed_direction_matrix(cloud, cloud.positions[l0], kernels, eps, idx=idx)
-    return solve_curvature_system(c, t)
-
-
-def orthogonal_curvature_tensor(
-    cloud: PointCloudVarifold, l0: int, kernels: KernelPair, eps: float,
-    *, idx: np.ndarray,
-) -> np.ndarray:
-    """Orthogonal-variant curvature tensor a_ijk = t_ijk - (P_l0)_jk H_i.
-
-    Uses the exact stored plane at l0 (not a kernel average); satisfies
-    sum_q a_qiq = ((I - P) H)_i and sum_q a_iqq = 0 up to the projector
-    tolerance.
-    """
-    t = variation_tensor(cloud, l0, kernels, eps, idx=idx)
-    h = mean_curvature_vector(t, dim_d=cloud.dim_d)
-    return t - np.einsum("jk,i->ijk", cloud.planes[l0], h)
+    return 0.5 * (c + c.T)
 
 
 def orthogonal_sff(
@@ -260,10 +236,11 @@ def orthogonal_sff(
 ) -> np.ndarray:
     """Bilinear-form curvature tensor via the direct plane-difference sums.
 
-    Reference path: algebraically equal to converting
-    :func:`orthogonal_curvature_tensor` with :func:`to_bilinear_form`, which
-    is what :func:`point_curvature` does, but summed independently over the
-    (P_l - P_l0) difference combination so the tests can cross-check the two.
+    Reference path: algebraically equal to converting the orthogonal
+    gradient-form tensor a_perp = t - P_l0 (x) H with :func:`to_bilinear_form`,
+    which is what :func:`point_curvature` does, but summed independently over
+    the (P_l - P_l0) difference combination so the tests can cross-check the
+    two.
     """
     planes_sub, w, pu, xi_den = _local_sums(cloud, l0, idx, kernels, eps)
     dp = planes_sub - cloud.planes[l0][None]

@@ -5,7 +5,8 @@ Formats:
 * xyz: one point per line, whitespace-separated floats (n columns),
   '#' starts a comment;
 * ply (ascii 1.0): vertex element with float x, y, z; optional float
-  nx, ny, nz normals (used as tangent-plane hints in codimension 1);
+  nx, ny, nz normals, which must be non-zero (used as tangent-plane hints
+  in codimension 1);
   the writer adds uchar red, green, blue and float quality.
 
 CSV reports print floats with 9 significant digits so repeated runs are
@@ -75,8 +76,8 @@ def write_xyz(path, positions: np.ndarray) -> None:
 def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Read an ascii ply; returns (positions (N,3), normals (N,3) or None).
 
-    Malformed header lines and NaN or infinite coordinates or normals are
-    rejected with their line.
+    Malformed header lines, NaN or infinite coordinates or normals, and
+    zero-length normals are rejected with their line.
     """
     with open(path, "r") as fh:
         lines = fh.readlines()
@@ -133,6 +134,9 @@ def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
             raise FileFormatError("non-finite value in vertex line", line=lineno)
         positions[row] = values[:3]
         if has_normals:
+            # the squared length as the CLI computes it before normalizing
+            if sum(v * v for v in values[3:]) == 0.0:
+                raise FileFormatError("zero-length normal", line=lineno)
             normals[row] = values[3:]
     return positions, normals
 

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import InvalidInputError, InvalidProfileError, QuadratureError
+from .errors import InvalidInputError, InvalidProfileError
 
 
 def unit_ball_volume(d: int) -> float:
@@ -135,34 +134,14 @@ def paired_mass_profile(rho: KernelProfile, ambient_n: int) -> KernelProfile:
     return KernelProfile(f"nkp({rho.name})", ev)
 
 
-def kernel_constant(profile: KernelProfile, d: int) -> float:
-    """The constant d * omega_d * int_0^1 profile(r) r^(d-1) dr.
-
-    Adaptive quadrature (QUADPACK); the bump is flat-zero at r -> 1 so the
-    endpoint needs no special treatment beyond the adaptive subdivision.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-
-    def integrand(r):
-        return profile.eval(r) * r ** (d - 1)
-
-    val, err = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200)
-    if not np.isfinite(val) or (val != 0.0 and err > 1e-8 * abs(val)):
-        raise QuadratureError(
-            f"radial moment of {profile.name!r} did not converge: "
-            f"value {val:.6g}, error estimate {err:.2g}"
-        )
-    return d * unit_ball_volume(d) * val
-
-
 @dataclass(frozen=True)
 class KernelPair:
     """Profiles rho/xi/eta plus the prefactor of the variation tensor.
 
-    ``ratio`` is C_xi / C_rho (see :func:`kernel_constant`).  For pairs
-    built by :func:`natural_kernel_pair` it equals d/n exactly (integration
-    by parts), so no quadrature runs when a pair is built.
+    ``ratio`` is C_xi / C_rho, where C_f = d * omega_d * int_0^1 f(r)
+    r^(d-1) dr is a profile's normalizing constant.  For pairs built by
+    :func:`natural_kernel_pair` it equals d/n exactly (integration by
+    parts), so no quadrature runs when a pair is built.
     """
 
     rho: KernelProfile

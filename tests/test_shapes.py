@@ -3,6 +3,7 @@ import pytest
 
 import varicurv as vc
 from varicurv.errors import InvalidInputError
+from varicurv.shapes import shape_by_name
 
 
 class TestExactReports:
@@ -75,14 +76,14 @@ class TestSamplers:
         ("cube", {"side": 1.0}),
     ])
     def test_sample_validates_and_counts(self, name, kwargs):
-        shape = vc.shape_by_name(name, **kwargs)
+        shape = shape_by_name(name, **kwargs)
         sample = shape.sample(500, seed=7)
         assert sample.cloud.n_points == 500
         assert sample.kappas.shape == (500, shape.dim_d)
 
     def test_unknown_shape(self):
         with pytest.raises(InvalidInputError):
-            vc.shape_by_name("klein-bottle")
+            shape_by_name("klein-bottle")
 
     def test_determinism_under_seed(self):
         a = vc.Sphere(1.0).sample(300, seed=5)
