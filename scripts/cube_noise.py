@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from varicurv import Cube, validate_cloud
+from varicurv import Cube, NeighborIndex, validate_cloud
 from varicurv.estimator import (
     NeighborQuery,
     curvature_report,
@@ -31,11 +31,14 @@ def main():
 
     sample = Cube(1.0).sample(args.n_points, noise_sigma=args.noise,
                               seed=args.seed)
-    query = NeighborQuery.knn(args.k)
-    est = estimate_tangent_planes(sample.cloud.positions, query, 2)
+    # one neighbor resolution serves the tangent estimate and the report
+    neighbors = NeighborIndex(sample.cloud.positions).resolve_all(
+        NeighborQuery.knn(args.k)
+    )
+    est = estimate_tangent_planes(sample.cloud.positions, neighbors, 2)
     cloud = validate_cloud(sample.cloud.positions, est.planes,
                            sample.cloud.masses, 2)
-    rep = curvature_report(cloud, query, ambiguous=est.ambiguous)
+    rep = curvature_report(cloud, neighbors, ambiguous=est.ambiguous)
 
     eps_med = float(np.median(rep.eps))
     ribbon = sample.edge_distance <= eps_med

@@ -26,8 +26,8 @@ from .errors import (
     InvalidInputError,
     VaricurvError,
 )
-from .estimator import NeighborQuery, curvature_report, estimate_masses, \
-    estimate_tangent_planes
+from .estimator import NeighborIndex, NeighborQuery, curvature_report, \
+    estimate_masses, estimate_tangent_planes
 from .kernels import kernel_pair_by_name
 from .shapes import shape_by_name
 from .varifold import validate_cloud
@@ -148,19 +148,22 @@ def _run(args) -> int:
         raise InvalidInputError(
             "the scalar curvature pipeline needs codimension 1 (d = n-1)"
         )
+    if planes is None and args.tangent_mode == "exact":
+        raise InvalidInputError(
+            "--tangent-mode exact needs a shape input or ply normals"
+        )
+    # one resolution serves the tangent estimate and the report
+    neighbors = NeighborIndex(positions).resolve_all(query)
     ambiguous = None
     if planes is None:
-        if args.tangent_mode == "exact":
-            raise InvalidInputError(
-                "--tangent-mode exact needs a shape input or ply normals"
-            )
-        est = estimate_tangent_planes(positions, query, d)
+        est = estimate_tangent_planes(positions, neighbors, d)
         planes = est.planes
         ambiguous = est.ambiguous
     masses = estimate_masses(positions, args.n_mass, d, mode=args.mass_mode)
     cloud = validate_cloud(positions, planes, masses, d)
     kernels = kernel_pair_by_name(args.kernel, d, n)
-    report = curvature_report(cloud, query, kernels=kernels, ambiguous=ambiguous)
+    report = curvature_report(cloud, neighbors, kernels=kernels,
+                              ambiguous=ambiguous)
     if report.n_warnings:
         print(f"warning: {report.n_warnings} points flagged "
               f"(isolated or ambiguous tangent)", file=sys.stderr)

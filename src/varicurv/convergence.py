@@ -1,11 +1,11 @@
 """Convergence harness: run the estimator over shape schedules and fit rates.
 
 A schedule is a list of (sample size, neighbor query) rows over one analytic
-shape.  For each row the harness samples the shape, optionally re-estimates
-tangent planes from the (noisy) positions, runs the per-point pipeline, and
-compares against the shape's exact curvatures.  Principal-curvature errors
-are computed after aligning the arbitrary per-point sign of the estimate
-with the ground truth.
+shape.  For each row the harness samples the shape, resolves the neighbor
+query once, optionally re-estimates tangent planes from the (noisy)
+positions, runs the per-point pipeline, and compares against the shape's
+exact curvatures.  Principal-curvature errors are computed after aligning
+the arbitrary per-point sign of the estimate with the ground truth.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ScheduleError
 from .estimator import (
     STATUS_ISOLATED,
+    NeighborIndex,
     NeighborQuery,
     curvature_report,
     estimate_tangent_planes,
@@ -129,19 +130,23 @@ class ConvergenceResult:
 
 
 def _row_cloud(schedule: ConvergenceSchedule, row: ScheduleRow, row_id: int):
+    """The row's cloud, its sample, its tangent ambiguity flags and the
+    ``(indices, eps)`` resolution of the row's query that every pipeline
+    run of the row shares."""
     sample = schedule.shape.sample(
         row.n_points, noise_sigma=schedule.noise_sigma,
         seed=schedule.seed + 1000 * row_id,
     )
     cloud = sample.cloud
+    neighbors = NeighborIndex(cloud.positions).resolve_all(row.query)
     ambiguous = None
     if schedule.tangent_mode == "estimated":
-        est = estimate_tangent_planes(cloud.positions, row.query, cloud.dim_d)
+        est = estimate_tangent_planes(cloud.positions, neighbors, cloud.dim_d)
         cloud = validate_cloud(
             cloud.positions, est.planes, cloud.masses, cloud.dim_d
         )
         ambiguous = est.ambiguous
-    return cloud, sample, ambiguous
+    return cloud, sample, ambiguous, neighbors
 
 
 def run_convergence(
@@ -166,43 +171,54 @@ def run_convergence(
         )
     result = ConvergenceResult()
     for row_id, row in enumerate(schedule.rows):
-        cloud, sample, ambiguous = _row_cloud(schedule, row, row_id)
-        report = curvature_report(
-            cloud, row.query, kernels=kernels, ambiguous=ambiguous,
-            collect_a_perp=collect_aperp_error,
-        )
-        ok = report.status != STATUS_ISOLATED
-        ok &= np.all(np.isfinite(report.kappas), axis=1)
-        k_err = aligned_kappa_errors(report.kappas[ok], sample.kappas[ok])
-        h_err = relative_errors(
-            report.mean_norm[ok], np.linalg.norm(sample.mean_vectors[ok], axis=1)
-        )
-        g_err = relative_errors(report.gauss[ok], sample.gauss[ok])
-        row_res = RowResult(
-            n_points=row.n_points,
-            eps_median=float(np.median(report.eps)),
-            kappa_median=np.median(k_err, axis=0),
-            kappa_p90=np.percentile(k_err, 90, axis=0),
-            mean_norm_median=float(np.median(h_err)),
-            mean_norm_p90=float(np.percentile(h_err, 90)),
-            gauss_median=float(np.median(g_err)),
-            gauss_p90=float(np.percentile(g_err, 90)),
-            n_warnings=report.n_warnings,
-        )
-        if collect_aperp_error:
-            exact = np.stack([shape.gradient_tensor(p) for p in sample.base_points])
-            # Frobenius norm: rotation-invariant, so the fitted rate does not
-            # depend on the orientation of the sample
-            diffs = np.linalg.norm((report.a_perp - exact).reshape(len(exact), -1),
-                                   axis=1)
-            diffs = diffs[ok & np.isfinite(diffs)]
-            row_res.aperp_median = float(np.median(diffs))
-            row_res.aperp_p90 = float(np.percentile(diffs, 90))
-        if compare_variants:
-            alt = curvature_report(cloud, row.query, kernels=kernels,
-                                   variant="averaged")
-            alt_ok = ok & np.all(np.isfinite(alt.kappas), axis=1)
-            alt_err = aligned_kappa_errors(alt.kappas[alt_ok], sample.kappas[alt_ok])
-            row_res.kappa_median_averaged = np.median(alt_err, axis=0)
-        result.rows.append(row_res)
+        # one call per row: nothing of a row stays alive while the next runs
+        result.rows.append(_row_result(
+            schedule, row, row_id, kernels, collect_aperp_error, compare_variants
+        ))
     return result
+
+
+def _row_result(
+    schedule: ConvergenceSchedule, row: ScheduleRow, row_id: int,
+    kernels: KernelPair, collect_aperp_error: bool, compare_variants: bool,
+) -> RowResult:
+    cloud, sample, ambiguous, neighbors = _row_cloud(schedule, row, row_id)
+    report = curvature_report(
+        cloud, neighbors, kernels=kernels, ambiguous=ambiguous,
+        collect_a_perp=collect_aperp_error,
+    )
+    ok = report.status != STATUS_ISOLATED
+    ok &= np.all(np.isfinite(report.kappas), axis=1)
+    k_err = aligned_kappa_errors(report.kappas[ok], sample.kappas[ok])
+    h_err = relative_errors(
+        report.mean_norm[ok], np.linalg.norm(sample.mean_vectors[ok], axis=1)
+    )
+    g_err = relative_errors(report.gauss[ok], sample.gauss[ok])
+    row_res = RowResult(
+        n_points=row.n_points,
+        eps_median=float(np.median(report.eps)),
+        kappa_median=np.median(k_err, axis=0),
+        kappa_p90=np.percentile(k_err, 90, axis=0),
+        mean_norm_median=float(np.median(h_err)),
+        mean_norm_p90=float(np.percentile(h_err, 90)),
+        gauss_median=float(np.median(g_err)),
+        gauss_p90=float(np.percentile(g_err, 90)),
+        n_warnings=report.n_warnings,
+    )
+    if collect_aperp_error:
+        exact = np.stack([schedule.shape.gradient_tensor(p)
+                          for p in sample.base_points])
+        # Frobenius norm: rotation-invariant, so the fitted rate does not
+        # depend on the orientation of the sample
+        diffs = np.linalg.norm((report.a_perp - exact).reshape(len(exact), -1),
+                               axis=1)
+        diffs = diffs[ok & np.isfinite(diffs)]
+        row_res.aperp_median = float(np.median(diffs))
+        row_res.aperp_p90 = float(np.percentile(diffs, 90))
+    if compare_variants:
+        alt = curvature_report(cloud, neighbors, kernels=kernels,
+                               variant="averaged")
+        alt_ok = ok & np.all(np.isfinite(alt.kappas), axis=1)
+        alt_err = aligned_kappa_errors(alt.kappas[alt_ok], sample.kappas[alt_ok])
+        row_res.kappa_median_averaged = np.median(alt_err, axis=0)
+    return row_res

@@ -27,8 +27,10 @@ limit to vanish along any approach.
 
 Tensors are plain (n, n, n) float64 arrays.  The per-point functions take
 the point's sorted neighbor list as the required keyword ``idx``, as
-:meth:`NeighborIndex.resolve_all` returns it; :func:`curvature_report`
-resolves all lists once and loops over the points.
+:meth:`NeighborIndex.resolve_all` returns it.  The whole-cloud functions
+:func:`estimate_tangent_planes` and :func:`curvature_report` take the
+``(indices, eps)`` pair that ``resolve_all`` returns, so one resolution
+serves both.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ DENOM_GUARD = 1e-300
 STATUS_OK = "ok"
 STATUS_ISOLATED = "isolated"
 STATUS_AMBIGUOUS = "ambiguous_tangent"
+
+# Points per batch of the tangent estimate: bounds the per-pair (n, n)
+# covariance terms at about 9 MB for k = 40 in R^3.
+TANGENT_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -382,7 +388,7 @@ class CurvatureReport:
 
 def curvature_report(
     cloud: PointCloudVarifold,
-    query: NeighborQuery,
+    neighbors: tuple[list[np.ndarray], np.ndarray],
     kernels: KernelPair | None = None,
     variant: str = "orthogonal",
     ambiguous: np.ndarray | None = None,
@@ -390,16 +396,17 @@ def curvature_report(
 ) -> CurvatureReport:
     """Run :func:`point_curvature` over the whole cloud, one point at a time.
 
-    Per-point numeric failures (isolated points) become NaN rows with a
-    status flag rather than exceptions.  Neighbor lists are resolved once
-    for all points and pre-sorted, so the result is deterministic.
+    ``neighbors`` is the ``(indices, eps)`` pair that
+    :meth:`NeighborIndex.resolve_all` returns for the cloud's positions: each
+    point's sorted neighbor list and its smoothing radius.  Per-point numeric
+    failures (isolated points) become NaN rows with a status flag rather
+    than exceptions.
     """
     if cloud.dim_d != cloud.ambient_n - 1:
         raise CodimensionError("curvature_report needs codimension 1")
     kernels = kernels or default_kernels(cloud)
     n, d, nn = cloud.n_points, cloud.dim_d, cloud.ambient_n
-    index = NeighborIndex(cloud.positions)
-    indices, eps = index.resolve_all(query)
+    indices, eps = _check_neighbors(neighbors, n)
     normals, bases = plane_frames(cloud.planes)
 
     kappas = np.full((n, d), np.nan)
@@ -453,49 +460,98 @@ class TangentEstimate:
     ambiguous: np.ndarray
 
 
+def _check_neighbors(neighbors, n_pts):
+    indices, eps = neighbors
+    eps = np.asarray(eps, dtype=float)
+    if len(indices) != n_pts or eps.shape != (n_pts,):
+        raise InvalidInputError(
+            f"neighbors resolved for {len(indices)} points, cloud has {n_pts}"
+        )
+    return indices, eps
+
+
 def estimate_tangent_planes(
-    positions, query: NeighborQuery, dim_d: int
+    positions, neighbors: tuple[list[np.ndarray], np.ndarray], dim_d: int
 ) -> TangentEstimate:
     """Tangent planes by bump-weighted local covariance.
 
-    At each point the covariance of neighbor offsets from the kernel-weighted
-    barycenter is eigen-decomposed; the span of the d dominant eigenvectors
-    gives the plane.  A point whose covariance has rank < d (relative 1e-12)
-    raises :class:`DegenerateNeighborhoodError`; a near-tie between the d-th
-    and (d+1)-th eigenvalues (within 1e-9 of the largest) flags the point as
-    ambiguous instead of failing.
+    ``neighbors`` is the ``(indices, eps)`` pair that
+    :meth:`NeighborIndex.resolve_all` returns for ``positions``; eps is the
+    bump's radius at each point.  At each point the covariance of neighbor
+    offsets from the kernel-weighted barycenter is eigen-decomposed; the
+    span of the d dominant eigenvectors gives the plane.  A point with fewer
+    than d+1 neighbors, zero weight sum, or a covariance of rank < d
+    (relative 1e-12) raises :class:`DegenerateNeighborhoodError`, for the
+    first such point in point order; a near-tie between the d-th and
+    (d+1)-th eigenvalues (within 1e-9 of the largest) flags the point as
+    ambiguous instead of failing.  The points run in batches of
+    ``TANGENT_CHUNK``, with one stacked eigendecomposition per batch.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     n_pts, n = positions.shape
-    weight = bump_profile()
-    index = NeighborIndex(positions)
-    indices, sigma = index.resolve_all(query)
+    indices, sigma = _check_neighbors(neighbors, n_pts)
     planes = np.empty((n_pts, n, n))
     ambiguous = np.zeros(n_pts, dtype=bool)
-    for i in range(n_pts):
-        idx = indices[i]
-        if idx.size < dim_d + 1:
-            raise DegenerateNeighborhoodError(i, f"only {idx.size} points near {i}")
-        pts = positions[idx]
-        d_vec = pts - positions[i]
-        r = np.sqrt(np.einsum("la,la->l", d_vec, d_vec))
-        w = weight.eval(r / sigma[i])
-        w_sum = w.sum()
-        if w_sum <= 0.0:
-            raise DegenerateNeighborhoodError(i, f"zero covariance weights at {i}")
-        bary = (w @ pts) / w_sum
-        centered = pts - bary
-        cov = np.einsum("l,la,lb->ab", w, centered, centered)
-        evals, evecs = np.linalg.eigh(cov)
-        evals = evals[::-1]
-        evecs = evecs[:, ::-1]
-        if evals[0] <= 0.0 or evals[dim_d - 1] <= 1e-12 * evals[0]:
-            raise DegenerateNeighborhoodError(i)
-        if dim_d < n and evals[dim_d - 1] - evals[dim_d] <= 1e-9 * evals[0]:
-            ambiguous[i] = True
-        top = evecs[:, :dim_d]
-        planes[i] = top @ top.T
+    for lo in range(0, n_pts, TANGENT_CHUNK):
+        hi = min(lo + TANGENT_CHUNK, n_pts)
+        planes[lo:hi], ambiguous[lo:hi] = _tangent_chunk(
+            positions, indices[lo:hi], sigma[lo:hi], lo, dim_d
+        )
     return TangentEstimate(planes=planes, ambiguous=ambiguous)
+
+
+def _tangent_chunk(positions, indices, sigma, lo, dim_d):
+    """Planes and ambiguity flags of points lo, lo+1, ... from their
+    neighbor lists, flattened into CSR form (``flat`` holds the lists end to
+    end, ``starts`` the offset of each) and reduced per point with
+    ``np.add.reduceat``; per-owner rows are repeated ``counts`` times."""
+    n = positions.shape[1]
+    counts = np.fromiter(map(len, indices), dtype=np.intp, count=len(indices))
+    # Points from the first one with too few neighbors on are never needed:
+    # that point raises unless an earlier one does.
+    few = np.flatnonzero(counts < dim_d + 1)
+    m = int(few[0]) if few.size else len(indices)
+    if m:
+        counts = counts[:m]
+        flat = np.concatenate(indices[:m])
+        starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+        # np.take and np.repeat gather rows several times faster than
+        # fancy indexing
+        pts = np.take(positions, flat, axis=0)
+        d_vec = pts - np.repeat(positions[lo:lo + m], counts, axis=0)
+        r = np.sqrt(np.einsum("la,la->l", d_vec, d_vec))
+        w = bump_profile().eval(r / np.repeat(sigma[:m], counts))
+        w_sum = np.add.reduceat(w, starts)
+        zero_w = w_sum <= 0.0
+        bary = np.add.reduceat(w[:, None] * pts, starts)
+        bary /= np.where(zero_w, 1.0, w_sum)[:, None]
+        centered = pts - np.repeat(bary, counts, axis=0)
+        weighted = w[:, None] * centered
+        # one entry at a time: a (pairs, n, n) product would be the largest
+        # array of the pass
+        cov = np.empty((m, n, n))
+        for a, b in zip(*np.triu_indices(n)):
+            cov[:, a, b] = cov[:, b, a] = np.add.reduceat(
+                weighted[:, a] * centered[:, b], starts
+            )
+        evals, evecs = np.linalg.eigh(cov)
+        evals = evals[:, ::-1]
+        evecs = evecs[:, :, ::-1]
+        low_rank = (evals[:, 0] <= 0.0) | (evals[:, dim_d - 1] <= 1e-12 * evals[:, 0])
+        bad = np.flatnonzero(zero_w | low_rank)
+        if bad.size:
+            i = lo + int(bad[0])
+            raise DegenerateNeighborhoodError(
+                i, f"zero covariance weights at {i}" if zero_w[bad[0]] else None
+            )
+    if few.size:
+        i = lo + m
+        raise DegenerateNeighborhoodError(i, f"only {len(indices[m])} points near {i}")
+    ambiguous = np.zeros(m, dtype=bool)
+    if dim_d < n:
+        ambiguous = evals[:, dim_d - 1] - evals[:, dim_d] <= 1e-9 * evals[:, 0]
+    top = evecs[:, :, :dim_d]
+    return top @ top.transpose(0, 2, 1), ambiguous
 
 
 def estimate_masses(

@@ -25,8 +25,9 @@ from .errors import FileFormatError
 FLOAT_FMT = "%.9g"
 
 
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % x
+def _write_rows(fh, row_fmt: str, rows) -> None:
+    """Write every row with one %-format string, in a single write."""
+    fh.write("".join(row_fmt % tuple(row) for row in rows))
 
 
 # ---------------------------------------------------------------- xyz
@@ -65,9 +66,9 @@ def read_xyz(path, ambient_n: int | None = None) -> np.ndarray:
 
 def write_xyz(path, positions: np.ndarray) -> None:
     positions = np.atleast_2d(positions)
+    row_fmt = " ".join([FLOAT_FMT] * positions.shape[1]) + "\n"
     with open(path, "w") as fh:
-        for row in positions:
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+        _write_rows(fh, row_fmt, positions.tolist())
 
 
 # ---------------------------------------------------------------- ply
@@ -153,24 +154,25 @@ def write_ply(
     n = positions.shape[0]
     header = ["ply", "format ascii 1.0", f"element vertex {n}"]
     header += [f"property float {k}" for k in ("x", "y", "z")]
+    columns = [positions]
+    formats = [FLOAT_FMT] * positions.shape[1]
     if normals is not None:
         header += [f"property float {k}" for k in ("nx", "ny", "nz")]
+        columns.append(normals)
+        formats += [FLOAT_FMT] * normals.shape[1]
     if colors is not None:
         header += [f"property uchar {k}" for k in ("red", "green", "blue")]
+        # the float column stack holds uchar values exactly; %d prints them
+        columns.append(colors)
+        formats += ["%d"] * colors.shape[1]
     if quality is not None:
         header.append("property float quality")
+        columns.append(quality)
+        formats.append(FLOAT_FMT)
     header.append("end_header")
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
-        for i in range(n):
-            fields = [_fmt(v) for v in positions[i]]
-            if normals is not None:
-                fields += [_fmt(v) for v in normals[i]]
-            if colors is not None:
-                fields += [str(int(c)) for c in colors[i]]
-            if quality is not None:
-                fields.append(_fmt(quality[i]))
-            fh.write(" ".join(fields) + "\n")
+        _write_rows(fh, " ".join(formats) + "\n", np.column_stack(columns).tolist())
 
 
 # ---------------------------------------------------------------- csv
@@ -182,7 +184,7 @@ def write_report_csv(path, positions: np.ndarray, report) -> None:
     Columns: index, x0..x{n-1}, k1..kd, gauss, abs_sum, mean_norm, status.
     """
     positions = np.atleast_2d(positions)
-    n, amb = positions.shape
+    amb = positions.shape[1]
     d = report.kappas.shape[1]
     header = (
         ["index"]
@@ -190,15 +192,16 @@ def write_report_csv(path, positions: np.ndarray, report) -> None:
         + [f"k{j + 1}" for j in range(d)]
         + ["gauss", "abs_sum", "mean_norm", "status"]
     )
+    values = np.column_stack([positions, report.kappas, report.gauss,
+                              report.abs_sum, report.mean_norm]).tolist()
+    rows = (
+        (i, *numbers, status)
+        for i, (numbers, status) in enumerate(zip(values, report.status))
+    )
+    row_fmt = "%d," + ",".join([FLOAT_FMT] * (amb + d + 3)) + ",%s\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fields = [str(i)]
-            fields += [_fmt(v) for v in positions[i]]
-            fields += [_fmt(v) for v in report.kappas[i]]
-            fields += [_fmt(report.gauss[i]), _fmt(report.abs_sum[i]),
-                       _fmt(report.mean_norm[i]), str(report.status[i])]
-            fh.write(",".join(fields) + "\n")
+        _write_rows(fh, row_fmt, rows)
 
 
 # ---------------------------------------------------------------- colors

@@ -7,7 +7,8 @@ closed form against independent arithmetic.  ``ball`` gives single-point
 tests the neighbor list that the per-point estimator functions take as
 ``idx=``.  The per-point curvature tensors of both variants, the inverse
 form conversion and the kernel constants by quadrature are cross-checks no
-library path needs.
+library path needs.  ``reference_tangent_planes`` is the one-point-at-a-time
+tangent estimate that the batched library version is tested against.
 """
 
 from math import factorial
@@ -16,13 +17,14 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
-from varicurv.errors import AsymmetricInputError
+from varicurv.errors import AsymmetricInputError, DegenerateNeighborhoodError
 from varicurv.estimator import (
+    TangentEstimate,
     mean_curvature_vector,
     smoothed_direction_matrix,
     variation_tensor,
 )
-from varicurv.kernels import unit_ball_volume
+from varicurv.kernels import bump_profile, unit_ball_volume
 from varicurv.tensors import SYMMETRY_TOL, direction_matrix, solve_curvature_system
 
 
@@ -50,6 +52,44 @@ def orthogonal_curvature_tensor(cloud, l0, kernels, eps, *, idx) -> np.ndarray:
     t = variation_tensor(cloud, l0, kernels, eps, idx=idx)
     h = mean_curvature_vector(t, dim_d=cloud.dim_d)
     return t - np.einsum("jk,i->ijk", cloud.planes[l0], h)
+
+
+def reference_tangent_planes(positions, neighbors, dim_d: int) -> TangentEstimate:
+    """Tangent planes by bump-weighted local covariance, one point at a time.
+
+    Same rules, tolerances and errors as
+    :func:`varicurv.estimator.estimate_tangent_planes`, which batches them.
+    """
+    positions = np.atleast_2d(np.asarray(positions, dtype=float))
+    n_pts, n = positions.shape
+    weight = bump_profile()
+    indices, sigma = neighbors
+    planes = np.empty((n_pts, n, n))
+    ambiguous = np.zeros(n_pts, dtype=bool)
+    for i in range(n_pts):
+        idx = indices[i]
+        if idx.size < dim_d + 1:
+            raise DegenerateNeighborhoodError(i, f"only {idx.size} points near {i}")
+        pts = positions[idx]
+        d_vec = pts - positions[i]
+        r = np.sqrt(np.einsum("la,la->l", d_vec, d_vec))
+        w = weight.eval(r / sigma[i])
+        w_sum = w.sum()
+        if w_sum <= 0.0:
+            raise DegenerateNeighborhoodError(i, f"zero covariance weights at {i}")
+        bary = (w @ pts) / w_sum
+        centered = pts - bary
+        cov = np.einsum("l,la,lb->ab", w, centered, centered)
+        evals, evecs = np.linalg.eigh(cov)
+        evals = evals[::-1]
+        evecs = evecs[:, ::-1]
+        if evals[0] <= 0.0 or evals[dim_d - 1] <= 1e-12 * evals[0]:
+            raise DegenerateNeighborhoodError(i)
+        if dim_d < n and evals[dim_d - 1] - evals[dim_d] <= 1e-9 * evals[0]:
+            ambiguous[i] = True
+        top = evecs[:, :dim_d]
+        planes[i] = top @ top.T
+    return TangentEstimate(planes=planes, ambiguous=ambiguous)
 
 
 def to_gradient_form(b) -> np.ndarray:

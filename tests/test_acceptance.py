@@ -17,6 +17,7 @@ import pytest
 import varicurv as vc
 from varicurv.convergence import aligned_kappa_errors, fit_loglog_slope
 from varicurv.estimator import (
+    NeighborIndex,
     NeighborQuery,
     curvature_report,
     estimate_tangent_planes,
@@ -172,7 +173,9 @@ def test_criterion_5_sphere_convergence():
     for row, (n_pts, k) in enumerate(((4000, 40), (16000, 80), (64000, 160))):
         sample = sphere.sample(n_pts, seed=RNG_SEED + row)
         rep = curvature_report(
-            sample.cloud, NeighborQuery.knn(k), collect_a_perp=True
+            sample.cloud,
+            NeighborIndex(sample.cloud.positions).resolve_all(NeighborQuery.knn(k)),
+            collect_a_perp=True,
         )
         k_err = aligned_kappa_errors(rep.kappas, sample.kappas)
         k_medians.append(np.median(k_err, axis=0))
@@ -213,7 +216,8 @@ def test_criterion_6_torus_sign_structure():
     t0 = time.perf_counter()
     torus = vc.Torus(2.0, 0.5)
     sample = torus.sample(64000, seed=RNG_SEED)
-    rep = curvature_report(sample.cloud, NeighborQuery.knn(40))
+    neighbors = NeighborIndex(sample.cloud.positions).resolve_all(NeighborQuery.knn(40))
+    rep = curvature_report(sample.cloud, neighbors)
     strong = np.abs(sample.gauss) > 0.1
     usable = strong & np.isfinite(rep.gauss)
     frac = float(
@@ -234,12 +238,13 @@ def test_criterion_7_cube_noise_robustness():
     fractions = {}
     for sigma, k in ((0.01, 40), (0.05, 150)):
         sample = cube.sample(21602, noise_sigma=sigma, seed=RNG_SEED)
-        query = NeighborQuery.knn(k)
-        est = estimate_tangent_planes(sample.cloud.positions, query, 2)
+        positions = sample.cloud.positions
+        neighbors = NeighborIndex(positions).resolve_all(NeighborQuery.knn(k))
+        est = estimate_tangent_planes(sample.cloud.positions, neighbors, 2)
         cloud = vc.validate_cloud(
             sample.cloud.positions, est.planes, sample.cloud.masses, 2
         )
-        rep = curvature_report(cloud, query, ambiguous=est.ambiguous)
+        rep = curvature_report(cloud, neighbors, ambiguous=est.ambiguous)
         eps_med = float(np.median(rep.eps))
         # ribbon of total width 2*eps around the edge lines; interiors keep
         # a 3*eps guard band

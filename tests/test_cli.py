@@ -3,6 +3,7 @@ import pytest
 
 import varicurv as vc
 from varicurv.cli import main
+from varicurv.estimator import NeighborIndex
 
 
 def run_cli(*args):
@@ -64,6 +65,25 @@ class TestRunFromFile:
         rows = out.read_text().splitlines()[1:]
         gauss = np.array([float(r.split(",")[6]) for r in rows])
         assert np.nanmax(np.abs(gauss)) < 1e-8
+
+    def test_estimated_tangents_resolve_neighbors_once(self, tmp_path):
+        # the tangent estimate and the report share one resolution
+        sample = vc.Cube(1.0).sample(600, noise_sigma=0.01, seed=2)
+        xyz = tmp_path / "cube.xyz"
+        vc.io.write_xyz(xyz, sample.cloud.positions)
+        real_resolve = NeighborIndex.resolve_all
+        calls = []
+
+        def counting_resolve(self, query):
+            calls.append(query)
+            return real_resolve(self, query)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(NeighborIndex, "resolve_all", counting_resolve)
+            code = run_cli("run", "--input", str(xyz), "--k", "16",
+                           "--mass-mode", "nmass", "--csv", str(tmp_path / "c.csv"))
+        assert code == 0
+        assert len(calls) == 1
 
     def test_ply_normals_used_as_planes(self, tmp_path):
         sample = vc.Sphere(1.0).sample(600, seed=5)

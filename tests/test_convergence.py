@@ -11,7 +11,7 @@ from varicurv.convergence import (
     run_convergence,
 )
 from varicurv.errors import ScheduleError
-from varicurv.estimator import NeighborQuery
+from varicurv.estimator import NeighborIndex, NeighborQuery
 
 
 def knn_rows(sizes, k=40):
@@ -81,7 +81,9 @@ class TestRunConvergence:
         pts = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(m * m)])
         planes = np.broadcast_to(np.diag([1.0, 1.0, 0.0]), (m * m, 3, 3)).copy()
         cloud = vc.validate_cloud(pts, planes, np.ones(m * m), 2)
-        rep = vc.curvature_report(cloud, NeighborQuery.radius(0.15))
+        rep = vc.curvature_report(
+            cloud, vc.NeighborIndex(pts).resolve_all(NeighborQuery.radius(0.15))
+        )
         interior = np.max(np.abs(pts[:, :2]), axis=1) < 0.5 - 0.15
         assert np.max(rep.mean_norm[interior]) < 1e-10
 
@@ -121,6 +123,21 @@ class TestRunConvergence:
 
 
 class TestPairedVariants:
+    def test_both_variants_share_one_resolution_per_row(self):
+        sched = ConvergenceSchedule(vc.Sphere(1.0), knn_rows([300, 600], k=20))
+        real_resolve = NeighborIndex.resolve_all
+        calls = []
+
+        def counting_resolve(self, query):
+            calls.append(query)
+            return real_resolve(self, query)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(NeighborIndex, "resolve_all", counting_resolve)
+            res = run_convergence(sched, compare_variants=True)
+        assert res.rows[-1].kappa_median_averaged is not None
+        assert len(calls) == 2
+
     def test_orthogonal_beats_averaged_with_noise(self):
         # noisy positions + estimated tangents: the exact-plane variant's
         # difference structure suppresses the O(1) kernel noise that the

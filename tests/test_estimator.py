@@ -14,6 +14,7 @@ from varicurv.errors import (
 )
 from varicurv.estimator import (
     STATUS_ISOLATED,
+    TANGENT_CHUNK,
     NeighborIndex,
     NeighborQuery,
     curvature_report,
@@ -29,7 +30,12 @@ from varicurv.estimator import (
 from varicurv.kernels import kernel_pair_by_name, paired_mass_profile
 from varicurv.shapes import shape_by_name
 
-from system_reference import ball, curvature_tensor, orthogonal_curvature_tensor
+from system_reference import (
+    ball,
+    curvature_tensor,
+    orthogonal_curvature_tensor,
+    reference_tangent_planes,
+)
 
 
 def pair_for(d, n):
@@ -439,7 +445,9 @@ def sphere_with_outlier():
 class TestReport:
     def test_isolated_point_flagged(self):
         cloud = sphere_with_outlier()
-        rep = curvature_report(cloud, NeighborQuery.radius(0.5))
+        rep = curvature_report(
+            cloud, NeighborIndex(cloud.positions).resolve_all(NeighborQuery.radius(0.5))
+        )
         assert rep.status[-1] == STATUS_ISOLATED
         assert np.all(np.isnan(rep.kappas[-1]))
         assert rep.n_warnings == 1
@@ -447,6 +455,8 @@ class TestReport:
     def test_averaged_variant_checks_direction_matrix_once_per_point(self):
         # one PSD check per non-isolated point, inside solve_curvature_system
         cloud = sphere_with_outlier()
+        query = NeighborQuery.radius(0.5)
+        neighbors = NeighborIndex(cloud.positions).resolve_all(query)
         real_check = tensors.direction_matrix
         calls = []
 
@@ -456,15 +466,15 @@ class TestReport:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tensors, "direction_matrix", counting_check)
-            rep = curvature_report(cloud, NeighborQuery.radius(0.5),
-                                   variant="averaged")
+            rep = curvature_report(cloud, neighbors, variant="averaged")
         assert rep.status[-1] == STATUS_ISOLATED
         assert len(calls) == int(np.sum(rep.status != STATUS_ISOLATED)) == 300
 
     def test_deterministic_rerun(self):
         sample = vc.Sphere(1.0).sample(1000, seed=3)
-        rep1 = curvature_report(sample.cloud, NeighborQuery.knn(20))
-        rep2 = curvature_report(sample.cloud, NeighborQuery.knn(20))
+        index = NeighborIndex(sample.cloud.positions)
+        rep1 = curvature_report(sample.cloud, index.resolve_all(NeighborQuery.knn(20)))
+        rep2 = curvature_report(sample.cloud, index.resolve_all(NeighborQuery.knn(20)))
         assert np.array_equal(rep1.kappas, rep2.kappas)
 
     @settings(max_examples=30, deadline=None)
@@ -481,6 +491,7 @@ class TestReport:
         # radius grows with sqrt(n) past n = 4 to keep most points non-isolated
         radius = eps * np.sqrt(n / 2) if n > 4 else eps
         query = NeighborQuery.radius(radius)
+        neighbors = NeighborIndex(cloud.positions).resolve_all(query)
         real_sums = estimator._local_sums
         reports = {}
         for variant in ("orthogonal", "averaged"):
@@ -492,12 +503,13 @@ class TestReport:
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(estimator, "_local_sums", counting_sums)
-                reports[variant] = curvature_report(cloud, query, kp, variant=variant)
+                reports[variant] = curvature_report(cloud, neighbors, kp,
+                                                    variant=variant)
             assert calls == list(range(cloud.n_points)), variant
 
         # reference: restrict the independently summed orthogonal_sff
         rep = reports["orthogonal"]
-        indices, _ = NeighborIndex(cloud.positions).resolve_all(query)
+        indices, _ = neighbors
         normals, bases = plane_frames(cloud.planes)
         rows = np.nonzero(rep.status != STATUS_ISOLATED)[0]
         assert rows.size > 0
@@ -525,9 +537,11 @@ class TestReport:
             cloud.positions[perm], cloud.planes[perm], cloud.masses[perm], 2
         )
         query = NeighborQuery.knn(20)
+        neighbors = NeighborIndex(cloud.positions).resolve_all(query)
+        moved_neighbors = NeighborIndex(shuffled.positions).resolve_all(query)
         for variant in ("orthogonal", "averaged"):
-            rep = curvature_report(cloud, query, variant=variant)
-            moved = curvature_report(shuffled, query, variant=variant)
+            rep = curvature_report(cloud, neighbors, variant=variant)
+            moved = curvature_report(shuffled, moved_neighbors, variant=variant)
             assert np.array_equal(moved.status, rep.status[perm]), variant
             tol = 1e-12 * (1.0 + np.nanmax(np.abs(rep.kappas)))
             assert np.allclose(moved.kappas, rep.kappas[perm], rtol=0, atol=tol,
@@ -535,32 +549,46 @@ class TestReport:
             assert np.allclose(moved.mean_vectors, rep.mean_vectors[perm], rtol=0,
                                atol=tol, equal_nan=True), variant
 
+    def test_neighbors_of_another_cloud_rejected(self):
+        sample = vc.Sphere(1.0).sample(200, seed=2)
+        neighbors = NeighborIndex(sample.cloud.positions[:150]).resolve_all(
+            NeighborQuery.knn(10)
+        )
+        with pytest.raises(InvalidInputError, match="150 points, cloud has 200"):
+            curvature_report(sample.cloud, neighbors)
+
     def test_codimension_guard(self):
         cloud = line_cloud([0.0, 0.1, 0.2], n=3)
         with pytest.raises(CodimensionError):
-            curvature_report(cloud, NeighborQuery.knn(2))
+            curvature_report(
+                cloud, NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(2))
+            )
 
 
 class TestTangentEstimation:
     def test_collinear_points(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        est = estimate_tangent_planes(pts, NeighborQuery.knn(2), 1)
+        est = estimate_tangent_planes(
+            pts, NeighborIndex(pts).resolve_all(NeighborQuery.knn(2)), 1
+        )
         t = np.array([1.0, 1.0]) / np.sqrt(2)
         assert np.allclose(est.planes[0], np.outer(t, t), atol=1e-12)
 
     def test_coplanar_points(self):
         rng = np.random.default_rng(47)
         pts = np.column_stack([rng.uniform(-1, 1, (40, 2)), np.zeros(40)])
-        est = estimate_tangent_planes(pts, NeighborQuery.knn(10), 2)
+        est = estimate_tangent_planes(
+            pts, NeighborIndex(pts).resolve_all(NeighborQuery.knn(10)), 2
+        )
         assert np.allclose(est.planes, np.diag([1.0, 1.0, 0.0]), atol=1e-10)
 
     def test_sphere_estimate_improves_with_density(self):
         errs = {}
         for n_pts in (2500, 10000):
             sample = vc.Sphere(1.0).sample(n_pts, seed=11)
-            est = estimate_tangent_planes(
-                sample.cloud.positions, NeighborQuery.knn(40), 2
-            )
+            positions = sample.cloud.positions
+            neighbors = NeighborIndex(positions).resolve_all(NeighborQuery.knn(40))
+            est = estimate_tangent_planes(positions, neighbors, 2)
             diffs = np.linalg.norm(
                 est.planes - sample.cloud.planes, ord=2, axis=(1, 2)
             )
@@ -572,16 +600,98 @@ class TestTangentEstimation:
         pts = np.zeros((5, 3))
         pts[:, 0] = np.arange(5.0)
         with pytest.raises(DegenerateNeighborhoodError) as err:
-            estimate_tangent_planes(pts, NeighborQuery.knn(3), 2)
+            estimate_tangent_planes(
+                pts, NeighborIndex(pts).resolve_all(NeighborQuery.knn(3)), 2
+            )
         assert err.value.index == 0
 
     def test_ambiguous_flag_on_isotropic_data(self):
         rng = np.random.default_rng(53)
         sample = vc.Sphere(1.0).sample(1500, seed=13)
-        est = estimate_tangent_planes(
-            sample.cloud.positions, NeighborQuery.knn(30), 2
-        )
+        positions = sample.cloud.positions
+        neighbors = NeighborIndex(positions).resolve_all(NeighborQuery.knn(30))
+        est = estimate_tangent_planes(positions, neighbors, 2)
         assert not est.ambiguous.all()
+
+
+def tangent_outcome(estimate, positions, neighbors, dim_d):
+    """The estimate, or the (class, index, message) of the error it raised."""
+    try:
+        return estimate(positions, neighbors, dim_d)
+    except DegenerateNeighborhoodError as e:
+        return type(e), e.index, str(e)
+
+
+def plane_grid(n_pts):
+    """``n_pts`` points of a 0.02-spaced square grid in the z = 0 plane."""
+    side = int(np.ceil(np.sqrt(n_pts)))
+    u, v = np.meshgrid(np.arange(side), np.arange(side))
+    grid = 0.02 * np.column_stack([u.ravel(), v.ravel(), np.zeros(side * side)])
+    return grid[:n_pts]
+
+
+class TestBatchedTangents:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([2, 3, 4, 6, 10]),
+        mode=st.sampled_from(["radius", "knn"]),
+        beyond_chunk=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_reference(self, seed, n, mode, beyond_chunk, data):
+        d = data.draw(st.integers(1, n - 1), label="d")
+        k = data.draw(st.integers(d, d + 20), label="k")
+        rng = np.random.default_rng(seed)
+        n_pts = TANGENT_CHUNK + 150 if beyond_chunk else int(rng.integers(30, 300))
+        # a noisy d-dimensional sheet: the planes are far from ambiguous
+        pts = np.zeros((n_pts, n))
+        pts[:, :d] = rng.uniform(-1.0, 1.0, (n_pts, d))
+        pts[:, d:] = 0.05 * rng.standard_normal((n_pts, n - d))
+        pts = pts @ np.linalg.qr(rng.standard_normal((n, n)))[0]
+        index = NeighborIndex(pts)
+        if mode == "knn":
+            query = NeighborQuery.knn(k)
+        else:
+            # past every point's k-th neighbor, so that most examples succeed
+            query = NeighborQuery.radius(1.3 * float(index.kth_distance(k).max()))
+        neighbors = index.resolve_all(query)
+        est = tangent_outcome(estimate_tangent_planes, pts, neighbors, d)
+        ref = tangent_outcome(reference_tangent_planes, pts, neighbors, d)
+        if isinstance(ref, tuple):
+            assert est == ref
+            return
+        assert np.max(np.abs(est.planes - ref.planes)) <= 1e-12
+        assert np.array_equal(est.ambiguous, ref.ambiguous)
+
+        perm = rng.permutation(n_pts)
+        moved = estimate_tangent_planes(
+            pts[perm], NeighborIndex(pts[perm]).resolve_all(query), d
+        )
+        assert np.max(np.abs(moved.planes - est.planes[perm])) <= 1e-12
+        assert np.array_equal(moved.ambiguous, est.ambiguous[perm])
+
+    @pytest.mark.parametrize("first", ["few", "collinear"])
+    def test_first_degenerate_point_in_second_chunk(self, first):
+        # a grid of good points, then (far from the grid and from each
+        # other) a lone point with one neighbor and five collinear points;
+        # whichever comes first in point order decides the error
+        lone = np.array([[10.0, 10.0, 10.0]])
+        line = np.column_stack([20.0 + 0.01 * np.arange(5), np.full(5, 20.0),
+                                np.full(5, 20.0)])
+        grid = plane_grid(TANGENT_CHUNK + 200)
+        at = TANGENT_CHUNK + 50
+        odd = [lone, line] if first == "few" else [line, lone]
+        pts = np.vstack([grid[:at], *odd, grid[at:]])
+        neighbors = NeighborIndex(pts).resolve_all(NeighborQuery.radius(0.05))
+        est = tangent_outcome(estimate_tangent_planes, pts, neighbors, 2)
+        ref = tangent_outcome(reference_tangent_planes, pts, neighbors, 2)
+        assert est == ref
+        assert est[:2] == (DegenerateNeighborhoodError, at)
+        if first == "few":
+            assert est[2] == f"only 1 points near {at}"
+        else:
+            assert est[2] == f"degenerate neighborhood at point {at}"
 
 
 class TestMassEstimation:

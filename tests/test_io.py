@@ -3,6 +3,24 @@ import pytest
 
 import varicurv.io as vio
 from varicurv.errors import FileFormatError
+from varicurv.estimator import CurvatureReport
+
+NAN, INF = np.nan, np.inf
+# zeros of both signs, a subnormal, extreme exponents, more than 9 digits
+POSITIONS = np.array([
+    [0.0, -0.0, 1.5],
+    [1e-300, -2.5e300, 123456789.123],
+    [5e-324, 1.0 / 3.0, -7.0],
+])
+
+
+def report_of(kappas, gauss, abs_sum, mean_norm, status):
+    n, d = kappas.shape
+    return CurvatureReport(
+        kappas=kappas, directions=np.zeros((n, d, d + 1)), gauss=gauss,
+        abs_sum=abs_sum, mean_norm=mean_norm, mean_vectors=np.zeros((n, d + 1)),
+        eps=np.ones(n), status=np.array(status, dtype=object),
+    )
 
 
 class TestXyz:
@@ -55,7 +73,77 @@ class TestXyz:
             vio.read_xyz(path)
 
 
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "c.xyz"
+        vio.write_xyz(path, POSITIONS)
+        assert path.read_bytes() == (
+            b"0 -0 1.5\n"
+            b"1e-300 -2.5e+300 123456789\n"
+            b"4.94065646e-324 0.333333333 -7\n"
+        )
+        vio.write_xyz(path, np.array([[1.0, 2.0, 3.0, 4.0, -1e100]]))
+        assert path.read_bytes() == b"1 2 3 4 -1e+100\n"
+
+
+class TestReportCsv:
+    def test_golden_bytes_d2(self, tmp_path):
+        rep = report_of(
+            np.array([[NAN, INF], [-INF, -0.0], [1e-7, 12345678901.0]]),
+            np.array([NAN, 0.0, 1e-310]),
+            np.array([NAN, 1.7976931348623157e308, 2.0]),
+            np.array([NAN, -0.0, 0.1]),
+            ["isolated", "ok", "ambiguous_tangent"],
+        )
+        path = tmp_path / "r.csv"
+        vio.write_report_csv(path, POSITIONS, rep)
+        assert path.read_bytes() == (
+            b"index,x0,x1,x2,k1,k2,gauss,abs_sum,mean_norm,status\n"
+            b"0,0,-0,1.5,nan,inf,nan,nan,nan,isolated\n"
+            b"1,1e-300,-2.5e+300,123456789,-inf,-0,0,1.79769313e+308,-0,ok\n"
+            b"2,4.94065646e-324,0.333333333,-7,1e-07,1.23456789e+10,1e-310,2,0.1,"
+            b"ambiguous_tangent\n"
+        )
+
+    def test_golden_bytes_d1_one_row(self, tmp_path):
+        rep = report_of(np.array([[-3.0]]), np.array([-3.0]), np.array([3.0]),
+                        np.array([2.99999999999]), ["ok"])
+        path = tmp_path / "r.csv"
+        vio.write_report_csv(path, np.array([[0.25, -1e-5]]), rep)
+        assert path.read_bytes() == (
+            b"index,x0,x1,k1,gauss,abs_sum,mean_norm,status\n"
+            b"0,0.25,-1e-05,-3,-3,3,3,ok\n"
+        )
+
+
 class TestPly:
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "c.ply"
+        vio.write_ply(
+            path, POSITIONS,
+            colors=np.array([[0, 128, 255], [255, 255, 255], [7, 0, 1]],
+                            dtype=np.uint8),
+            quality=np.array([NAN, -0.0, 1e21]),
+            normals=np.array([[0, 0, 1.0], [-1e-9, 0.6, 0.8], [1, 0, 0]]),
+        )
+        header = (
+            b"ply\nformat ascii 1.0\nelement vertex 3\n"
+            b"property float x\nproperty float y\nproperty float z\n"
+            b"property float nx\nproperty float ny\nproperty float nz\n"
+            b"property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            b"property float quality\nend_header\n"
+        )
+        assert path.read_bytes() == header + (
+            b"0 -0 1.5 0 0 1 0 128 255 nan\n"
+            b"1e-300 -2.5e+300 123456789 -1e-09 0.6 0.8 255 255 255 -0\n"
+            b"4.94065646e-324 0.333333333 -7 1 0 0 7 0 1 1e+21\n"
+        )
+        vio.write_ply(path, POSITIONS[:1])
+        assert path.read_bytes() == (
+            b"ply\nformat ascii 1.0\nelement vertex 1\n"
+            b"property float x\nproperty float y\nproperty float z\n"
+            b"end_header\n0 -0 1.5\n"
+        )
+
     def test_round_trip_with_normals(self, tmp_path):
         rng = np.random.default_rng(5)
         pts = rng.standard_normal((25, 3))
