@@ -206,8 +206,7 @@ def _row_result(
         n_warnings=report.n_warnings,
     )
     if collect_aperp_error:
-        exact = np.stack([schedule.shape.gradient_tensor(p)
-                          for p in sample.base_points])
+        exact = schedule.shape.gradient_tensor(sample.base_points)
         # Frobenius norm: rotation-invariant, so the fitted rate does not
         # depend on the orientation of the sample
         diffs = np.linalg.norm((report.a_perp - exact).reshape(len(exact), -1),

@@ -1,8 +1,11 @@
 """Analytic shapes with exact curvature fields and area-uniform samplers.
 
 Each shape produces point clouds with exact tangent projectors attached and
-knows its classical principal curvatures pointwise.  Principal curvatures are
-reported with respect to the inward normal, so convex shapes get positive
+knows its classical principal curvatures pointwise: ``exact_report`` takes an
+``(N, n)`` array of points on the shape and returns ``(kappas (N, d),
+normals (N, n), gauss (N,), mean_vectors (N, n))``, the ``ShapeSample`` field
+order, in one call (a single point is a one-row array).  Principal curvatures
+are reported with respect to the inward normal, so convex shapes get positive
 values; the estimator side only recovers curvature signs up to a global flip
 per point, which callers account for when comparing.
 
@@ -25,16 +28,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .varifold import PointCloudVarifold, validate_cloud
-
-
-@dataclass(frozen=True)
-class ExactCurvature:
-    """Ground-truth pointwise curvature data (inward-normal convention)."""
-
-    kappas: np.ndarray
-    normal: np.ndarray
-    gauss: float
-    mean_vector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -83,8 +76,17 @@ class AnalyticShape(abc.ABC):
         """Return (points, planes, extras) at exact surface positions."""
 
     @abc.abstractmethod
-    def exact_report(self, point) -> ExactCurvature:
-        """Exact curvatures at a point on the shape (projected if within 1e-9)."""
+    def exact_report(
+        self, points
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Exact curvatures at an ``(N, n)`` array of points on the shape.
+
+        Returns ``(kappas (N, d), normals (N, n), gauss (N,), mean_vectors
+        (N, n))`` in ``ShapeSample`` field order, row ``l`` belonging to
+        point ``l``.  Every row must be finite and lie within 1e-9 of the
+        shape; otherwise :class:`InvalidInputError` names the first row that
+        does not.
+        """
 
     def sample(
         self, n_points: int, noise_sigma: float = 0.0, seed: int = 0
@@ -98,32 +100,70 @@ class AnalyticShape(abc.ABC):
             positions = base + rng.normal(0.0, noise_sigma, size=base.shape)
         masses = np.ones(n_points)
         cloud = validate_cloud(positions, planes, masses, dim_d=self.dim_d)
-        reports = [self.exact_report(p) for p in base]
+        kappas, normals, gauss, mean_vectors = self.exact_report(base)
         return ShapeSample(
             cloud=cloud,
             base_points=base,
-            kappas=np.array([r.kappas for r in reports]),
-            normals=np.array([r.normal for r in reports]),
-            gauss=np.array([r.gauss for r in reports]),
-            mean_vectors=np.array([r.mean_vector for r in reports]),
+            kappas=kappas,
+            normals=normals,
+            gauss=gauss,
+            mean_vectors=mean_vectors,
             edge_distance=extras.get("edge_distance"),
         )
 
 
-def _require_on_shape(dev: float, what: str) -> None:
-    if dev > 1e-9:
-        raise InvalidInputError(f"point is {dev:.3g} away from the {what}")
+def _rows(points, ambient_n: int) -> np.ndarray:
+    p = np.asarray(points, dtype=float)
+    if p.ndim != 2 or p.shape[1] != ambient_n:
+        raise InvalidInputError(
+            f"expected an (N, {ambient_n}) array of points, got shape {p.shape}"
+        )
+    bad = np.flatnonzero(~np.isfinite(p).all(axis=1))
+    if bad.size:
+        raise InvalidInputError(f"point {bad[0]} has a NaN or Inf coordinate")
+    return p
 
 
-class Sphere(AnalyticShape):
-    dim_d = 2
-    ambient_n = 3
+def _require_on_shape(dev: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(dev > 1e-9)
+    if bad.size:
+        i = bad[0]
+        raise InvalidInputError(f"point {i} is {dev[i]:.3g} away from the {what}")
+
+
+class _RoundSphere(AnalyticShape):
+    """The d-sphere of radius R in R^(d+1); subclasses fix d and the sampler."""
 
     def __init__(self, radius: float = 1.0):
         if radius <= 0:
             raise InvalidInputError("radius must be positive")
         self.radius = radius
-        self.name = "sphere"
+
+    def exact_report(self, points):
+        p = _rows(points, self.ambient_n)
+        # stacked one-vector dot products round like np.linalg.norm of a row
+        r = np.sqrt((p[:, None, :] @ p[:, :, None])[:, 0, 0])
+        _require_on_shape(np.abs(r - self.radius), self.name)
+        normals = -(p / r[:, None])
+        k = 1.0 / self.radius
+        kappas = np.full((len(p), self.dim_d), k)
+        return kappas, normals, kappas.prod(axis=1), self.dim_d * k * normals
+
+    def gradient_tensor(self, points) -> np.ndarray:
+        """Exact gradient-form curvature tensors, ``(N, n, n, n)``:
+        -(P_ij x_k + P_ik x_j)/R^2 at each row x."""
+        p = _rows(points, self.ambient_n)
+        proj = np.eye(self.ambient_n) - np.einsum("li,lj->lij", p, p) / (
+            self.radius**2
+        )
+        t = np.einsum("lij,lk->lijk", proj, p) + np.einsum("lik,lj->lijk", proj, p)
+        return -t / self.radius**2
+
+
+class Sphere(_RoundSphere):
+    name = "sphere"
+    dim_d = 2
+    ambient_n = 3
 
     def _draw(self, n_points, rng):
         # Golden-angle spiral: stratified heights (Archimedes projection) with
@@ -138,36 +178,11 @@ class Sphere(AnalyticShape):
         planes = np.eye(3)[None] - np.einsum("li,lj->lij", unit, unit)
         return pts, planes, {}
 
-    def exact_report(self, point) -> ExactCurvature:
-        p = np.asarray(point, dtype=float)
-        r = np.linalg.norm(p)
-        _require_on_shape(abs(r - self.radius), "sphere")
-        outward = p / r
-        k = 1.0 / self.radius
-        return ExactCurvature(
-            kappas=np.array([k, k]),
-            normal=-outward,
-            gauss=k * k,
-            mean_vector=2.0 * k * (-outward),
-        )
 
-    def gradient_tensor(self, point) -> np.ndarray:
-        """Exact gradient-form curvature tensor: -(P_ij x_k + P_ik x_j)/R^2."""
-        p = np.asarray(point, dtype=float)
-        proj = np.eye(3) - np.outer(p, p) / (self.radius**2)
-        t = np.einsum("ij,k->ijk", proj, p) + np.einsum("ik,j->ijk", proj, p)
-        return -t / self.radius**2
-
-
-class Circle(AnalyticShape):
+class Circle(_RoundSphere):
+    name = "circle"
     dim_d = 1
     ambient_n = 2
-
-    def __init__(self, radius: float = 1.0):
-        if radius <= 0:
-            raise InvalidInputError("radius must be positive")
-        self.radius = radius
-        self.name = "circle"
 
     def _draw(self, n_points, rng):
         theta = 2.0 * np.pi * (np.arange(n_points) + 0.5) / n_points
@@ -176,25 +191,6 @@ class Circle(AnalyticShape):
         tang = np.column_stack([-np.sin(theta), np.cos(theta)])
         planes = np.einsum("li,lj->lij", tang, tang)
         return pts, planes, {}
-
-    def exact_report(self, point) -> ExactCurvature:
-        p = np.asarray(point, dtype=float)
-        r = np.linalg.norm(p)
-        _require_on_shape(abs(r - self.radius), "circle")
-        outward = p / r
-        k = 1.0 / self.radius
-        return ExactCurvature(
-            kappas=np.array([k]),
-            normal=-outward,
-            gauss=k,
-            mean_vector=k * (-outward),
-        )
-
-    def gradient_tensor(self, point) -> np.ndarray:
-        p = np.asarray(point, dtype=float)
-        proj = np.eye(2) - np.outer(p, p) / (self.radius**2)
-        t = np.einsum("ij,k->ijk", proj, p) + np.einsum("ik,j->ijk", proj, p)
-        return -t / self.radius**2
 
 
 class Torus(AnalyticShape):
@@ -240,29 +236,21 @@ class Torus(AnalyticShape):
         )
         return pts, planes, {}
 
-    def _angles(self, p):
-        phi = np.arctan2(p[1], p[0])
-        rho = np.hypot(p[0], p[1])
-        theta = np.arctan2(p[2], rho - self.r_major)
-        return theta, phi
-
-    def exact_report(self, point) -> ExactCurvature:
-        p = np.asarray(point, dtype=float)
-        theta, phi = self._angles(p)
-        nearest = self._point(np.array([theta]), np.array([phi]))[0]
-        _require_on_shape(float(np.linalg.norm(p - nearest)), "torus")
-        outward = np.array(
-            [np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi), np.sin(theta)]
+    def exact_report(self, points):
+        p = _rows(points, self.ambient_n)
+        phi = np.arctan2(p[:, 1], p[:, 0])
+        theta = np.arctan2(p[:, 2], np.hypot(p[:, 0], p[:, 1]) - self.r_major)
+        dev = np.linalg.norm(p - self._point(theta, phi), axis=1)
+        _require_on_shape(dev, "torus")
+        cos_t = np.cos(theta)
+        normals = -np.column_stack(
+            [cos_t * np.cos(phi), cos_t * np.sin(phi), np.sin(theta)]
         )
         k_tube = 1.0 / self.r_minor
-        k_ring = np.cos(theta) / (self.r_major + self.r_minor * np.cos(theta))
-        kappas = np.sort(np.array([k_tube, k_ring]))[::-1]
-        return ExactCurvature(
-            kappas=kappas,
-            normal=-outward,
-            gauss=k_tube * k_ring,
-            mean_vector=(k_tube + k_ring) * (-outward),
-        )
+        k_ring = cos_t / (self.r_major + self.r_minor * cos_t)
+        # k_ring <= 1/(R + r) < k_tube, so the columns are already descending
+        kappas = np.column_stack([np.full(len(p), k_tube), k_ring])
+        return kappas, normals, k_tube * k_ring, (k_tube + k_ring)[:, None] * normals
 
 
 class Cylinder(AnalyticShape):
@@ -288,18 +276,15 @@ class Cylinder(AnalyticShape):
         planes[:, 2, 2] += 1.0
         return pts, planes, {}
 
-    def exact_report(self, point) -> ExactCurvature:
-        p = np.asarray(point, dtype=float)
-        rho = np.hypot(p[0], p[1])
-        _require_on_shape(abs(rho - self.radius), "cylinder")
-        outward = np.array([p[0] / rho, p[1] / rho, 0.0])
+    def exact_report(self, points):
+        p = _rows(points, self.ambient_n)
+        rho = np.hypot(p[:, 0], p[:, 1])
+        _require_on_shape(np.abs(rho - self.radius), "cylinder")
+        zeros = np.zeros(len(p))
+        normals = -np.column_stack([p[:, 0] / rho, p[:, 1] / rho, zeros])
         k = 1.0 / self.radius
-        return ExactCurvature(
-            kappas=np.array([k, 0.0]),
-            normal=-outward,
-            gauss=0.0,
-            mean_vector=k * (-outward),
-        )
+        kappas = np.column_stack([np.full(len(p), k), zeros])
+        return kappas, normals, zeros, k * normals
 
 
 class PlanePatch(AnalyticShape):
@@ -319,15 +304,12 @@ class PlanePatch(AnalyticShape):
         planes = np.broadcast_to(np.diag([1.0, 1.0, 0.0]), (n_points, 3, 3)).copy()
         return pts, planes, {}
 
-    def exact_report(self, point) -> ExactCurvature:
-        p = np.asarray(point, dtype=float)
-        _require_on_shape(abs(p[2]), "plane")
-        return ExactCurvature(
-            kappas=np.zeros(2),
-            normal=np.array([0.0, 0.0, 1.0]),
-            gauss=0.0,
-            mean_vector=np.zeros(3),
-        )
+    def exact_report(self, points):
+        p = _rows(points, self.ambient_n)
+        _require_on_shape(np.abs(p[:, 2]), "plane")
+        n = len(p)
+        normals = np.tile([0.0, 0.0, 1.0], (n, 1))
+        return np.zeros((n, 2)), normals, np.zeros(n), np.zeros((n, 3))
 
 
 class Cube(AnalyticShape):
@@ -368,29 +350,19 @@ class Cube(AnalyticShape):
             row += m
         return pts, planes, {"edge_distance": edge_dist}
 
-    def exact_report(self, point) -> ExactCurvature:
-        p = np.asarray(point, dtype=float)
+    def exact_report(self, points):
+        p = _rows(points, self.ambient_n)
         half = self.side / 2.0
-        dev = np.max(np.abs(p)) - half
-        _require_on_shape(abs(dev), "cube surface")
-        on_face = np.abs(np.abs(p) - half) < 1e-12
-        axis = int(np.argmax(np.abs(p)))
-        nu = np.zeros(3)
-        nu[axis] = np.sign(p[axis])
-        if on_face.sum() > 1:
-            # Edge or corner: no classical pointwise curvature.
-            return ExactCurvature(
-                kappas=np.full(2, np.nan),
-                normal=nu,
-                gauss=np.nan,
-                mean_vector=np.full(3, np.nan),
-            )
-        return ExactCurvature(
-            kappas=np.zeros(2),
-            normal=nu,
-            gauss=0.0,
-            mean_vector=np.zeros(3),
-        )
+        a = np.abs(p)
+        _require_on_shape(np.abs(a.max(axis=1) - half), "cube surface")
+        rows = np.arange(len(p))
+        axis = a.argmax(axis=1)
+        normals = np.zeros_like(p)
+        normals[rows, axis] = np.sign(p[rows, axis])
+        # Edge or corner: no classical pointwise curvature.
+        fill = np.where((np.abs(a - half) < 1e-12).sum(axis=1) > 1, np.nan, 0.0)
+        kappas = np.repeat(fill[:, None], 2, axis=1)
+        return kappas, normals, fill, np.repeat(fill[:, None], 3, axis=1)
 
 
 def shape_by_name(name: str, **kwargs) -> AnalyticShape:

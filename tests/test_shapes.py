@@ -5,51 +5,65 @@ import varicurv as vc
 from varicurv.errors import InvalidInputError
 from varicurv.shapes import shape_by_name
 
+ALL_SHAPES = [
+    ("sphere", {"radius": 1.0}),
+    ("circle", {"radius": 2.0}),
+    ("torus", {"r_major": 2.0, "r_minor": 0.5}),
+    ("cylinder", {"radius": 1.0, "height": 2.0}),
+    ("plane", {"side": 1.0}),
+    ("cube", {"side": 1.0}),
+]
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
 
 class TestExactReports:
     def test_sphere_values(self):
-        r = vc.Sphere(2.0).exact_report([0.0, 0.0, 2.0])
-        assert np.allclose(r.kappas, [0.5, 0.5])
-        assert r.gauss == pytest.approx(0.25)
-        assert np.allclose(r.normal, [0, 0, -1])
-        assert np.allclose(r.mean_vector, [0, 0, -1.0])
+        kappas, normals, gauss, mean = vc.Sphere(2.0).exact_report([[0.0, 0.0, 2.0]])
+        assert np.allclose(kappas[0], [0.5, 0.5])
+        assert gauss[0] == pytest.approx(0.25)
+        assert np.allclose(normals[0], [0, 0, -1])
+        assert np.allclose(mean[0], [0, 0, -1.0])
 
     def test_torus_outer_equator(self):
         torus = vc.Torus(2.0, 0.5)
-        r = torus.exact_report([2.5, 0.0, 0.0])
-        assert np.allclose(sorted(r.kappas), [1.0 / 2.5, 2.0])
-        assert r.gauss == pytest.approx(0.8)
+        kappas, _, gauss, _ = torus.exact_report([[2.5, 0.0, 0.0]])
+        assert np.allclose(sorted(kappas[0]), [1.0 / 2.5, 2.0])
+        assert gauss[0] == pytest.approx(0.8)
 
     def test_torus_inner_equator_negative_gauss(self):
         torus = vc.Torus(2.0, 0.5)
-        r = torus.exact_report([1.5, 0.0, 0.0])
-        assert r.gauss < 0
+        _, _, gauss, _ = torus.exact_report([[1.5, 0.0, 0.0]])
+        assert gauss[0] < 0
 
     def test_plane_zeros(self):
-        r = vc.PlanePatch(1.0).exact_report([0.1, -0.2, 0.0])
-        assert np.all(r.kappas == 0)
-        assert r.gauss == 0.0
+        kappas, _, gauss, _ = vc.PlanePatch(1.0).exact_report([[0.1, -0.2, 0.0]])
+        assert np.all(kappas[0] == 0)
+        assert gauss[0] == 0.0
 
     def test_cylinder(self):
-        r = vc.Cylinder(2.0, 4.0).exact_report([2.0, 0.0, 1.0])
-        assert np.allclose(sorted(r.kappas), [0.0, 0.5])
-        assert r.gauss == 0.0
+        kappas, _, gauss, _ = vc.Cylinder(2.0, 4.0).exact_report([[2.0, 0.0, 1.0]])
+        assert np.allclose(sorted(kappas[0]), [0.0, 0.5])
+        assert gauss[0] == 0.0
 
     def test_circle(self):
-        r = vc.Circle(4.0).exact_report([4.0, 0.0])
-        assert r.kappas[0] == pytest.approx(0.25)
-        assert np.allclose(r.normal, [-1.0, 0.0])
+        kappas, normals, _, _ = vc.Circle(4.0).exact_report([[4.0, 0.0]])
+        assert kappas[0][0] == pytest.approx(0.25)
+        assert np.allclose(normals[0], [-1.0, 0.0])
 
     def test_rejects_off_shape_points(self):
         with pytest.raises(InvalidInputError):
-            vc.Sphere(1.0).exact_report([0.0, 0.0, 1.5])
+            vc.Sphere(1.0).exact_report([[0.0, 0.0, 1.5]])
 
     def test_cube_face_and_edge(self):
         cube = vc.Cube(1.0)
-        face = cube.exact_report([0.5, 0.1, 0.0])
-        assert np.all(face.kappas == 0)
-        edge = cube.exact_report([0.5, 0.5, 0.1])
-        assert np.all(np.isnan(edge.kappas))
+        face_kappas = cube.exact_report([[0.5, 0.1, 0.0]])[0]
+        assert np.all(face_kappas[0] == 0)
+        edge_kappas = cube.exact_report([[0.5, 0.5, 0.1]])[0]
+        assert np.all(np.isnan(edge_kappas[0]))
 
     def test_self_consistency(self):
         # gauss is the product, |H| the absolute sum, at every queried point
@@ -59,22 +73,87 @@ class TestExactReports:
             (vc.Cylinder(1.0, 2.0), [1.0, 0.0, 0.3]),
         ]
         for shape, point in shapes_points:
-            r = shape.exact_report(point)
-            assert r.gauss == pytest.approx(np.prod(r.kappas))
-            assert np.linalg.norm(r.mean_vector) == pytest.approx(
-                abs(np.sum(r.kappas))
+            kappas, _, gauss, mean = shape.exact_report([point])
+            assert gauss[0] == pytest.approx(np.prod(kappas[0]))
+            assert np.linalg.norm(mean[0]) == pytest.approx(
+                abs(np.sum(kappas[0]))
             )
 
 
-class TestSamplers:
-    @pytest.mark.parametrize("name,kwargs", [
-        ("sphere", {"radius": 1.0}),
-        ("circle", {"radius": 2.0}),
-        ("torus", {"r_major": 2.0, "r_minor": 0.5}),
-        ("cylinder", {"radius": 1.0, "height": 2.0}),
-        ("plane", {"side": 1.0}),
-        ("cube", {"side": 1.0}),
+class TestArrayOracle:
+    @pytest.mark.parametrize("name,kwargs", ALL_SHAPES)
+    def test_one_call_matches_row_calls_and_sample(self, name, kwargs):
+        shape = shape_by_name(name, **kwargs)
+        sample = shape.sample(500, seed=7)
+        base = sample.base_points
+        whole = shape.exact_report(base)
+        by_row = [np.concatenate(column) for column in zip(
+            *(shape.exact_report(base[i : i + 1]) for i in range(len(base)))
+        )]
+        fields = ("kappas", "normals", "gauss", "mean_vectors")
+        for got, rows, field in zip(whole, by_row, fields, strict=True):
+            assert_same_bits(got, rows)
+            assert_same_bits(got, getattr(sample, field))
+
+    @pytest.mark.parametrize("name,kwargs", ALL_SHAPES)
+    def test_sample_calls_the_oracle_once(self, name, kwargs, monkeypatch):
+        shape = shape_by_name(name, **kwargs)
+        original = type(shape).exact_report
+        calls = []
+
+        def counting(self, points):
+            calls.append(len(points))
+            return original(self, points)
+
+        monkeypatch.setattr(type(shape), "exact_report", counting)
+        shape.sample(500, seed=0)
+        assert calls == [500]
+
+    def test_cube_nan_exactly_on_edge_and_corner_rows(self):
+        points = [
+            [0.5, 0.1, 0.0],     # face
+            [0.5, 0.5, 0.1],     # edge
+            [-0.5, 0.5, -0.5],   # corner
+            [0.2, -0.5, 0.3],    # face
+        ]
+        kappas, normals, gauss, mean = vc.Cube(1.0).exact_report(points)
+        singular = np.array([False, True, True, False])
+        assert np.array_equal(np.isnan(gauss), singular)
+        assert np.all(np.isnan(kappas) == singular[:, None])
+        assert np.all(np.isnan(mean) == singular[:, None])
+        assert np.all(kappas[~singular] == 0) and np.all(mean[~singular] == 0)
+        assert np.array_equal(normals[~singular], [[1, 0, 0], [0, -1, 0]])
+
+    @pytest.mark.parametrize("shape,off_point", [
+        (vc.Sphere(1.0), [0.0, 0.0, 1.5]),
+        (vc.Torus(2.0, 0.5), [3.0, 0.0, 0.0]),
     ])
+    def test_rejection_names_the_first_off_shape_row(self, shape, off_point):
+        points = shape.sample(10, seed=0).base_points[:7].copy()
+        points[3] = off_point
+        points[5] = off_point
+        with pytest.raises(InvalidInputError,
+                           match=f"point 3 is 0.5 away from the {shape.name}"):
+            shape.exact_report(points)
+
+    @pytest.mark.parametrize("name,kwargs", ALL_SHAPES)
+    def test_rejects_non_finite_rows(self, name, kwargs):
+        shape = shape_by_name(name, **kwargs)
+        points = shape.sample(10, seed=0).base_points.copy()
+        points[4, 0] = np.nan
+        points[6, 1] = np.inf
+        with pytest.raises(InvalidInputError, match="point 4 has a NaN or Inf"):
+            shape.exact_report(points)
+
+    def test_rejects_a_single_point_that_is_not_a_row_array(self):
+        with pytest.raises(InvalidInputError, match=r"\(N, 3\) array"):
+            vc.Sphere(1.0).exact_report([0.0, 0.0, 1.0])
+        with pytest.raises(InvalidInputError, match=r"\(N, 2\) array"):
+            vc.Circle(1.0).exact_report([[1.0, 0.0, 0.0]])
+
+
+class TestSamplers:
+    @pytest.mark.parametrize("name,kwargs", ALL_SHAPES)
     def test_sample_validates_and_counts(self, name, kwargs):
         shape = shape_by_name(name, **kwargs)
         sample = shape.sample(500, seed=7)
@@ -145,7 +224,7 @@ class TestGradientTensor:
     def test_sphere_tensor_traces(self):
         sph = vc.Sphere(1.0)
         x = np.array([0.0, 0.0, 1.0])
-        a = sph.gradient_tensor(x)
+        a = sph.gradient_tensor(x[None])[0]
         # sum_q a_qiq = mean curvature vector = -d x / R^2
         h = np.einsum("qiq->i", a)
         assert np.allclose(h, -2.0 * x)
@@ -155,6 +234,6 @@ class TestGradientTensor:
     def test_circle_tensor_traces(self):
         circ = vc.Circle(2.0)
         x = np.array([2.0, 0.0])
-        a = circ.gradient_tensor(x)
+        a = circ.gradient_tensor(x[None])[0]
         h = np.einsum("qiq->i", a)
         assert np.allclose(h, -x / 4.0)
