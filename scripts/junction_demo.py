@@ -39,7 +39,9 @@ def main():
         indices, _ = NeighborIndex(cloud.positions).resolve_all(
             NeighborQuery.radius(args.eps)
         )
-        beta = variation_tensor(cloud, 0, kernels, args.eps, idx=indices[0])
+        # one-row call of the chunk function: point 0, its neighbor list
+        beta = variation_tensor(cloud, [0], kernels, args.eps, idx=indices[0],
+                                counts=[indices[0].size])[0]
         print(f"regular {n_rays}-junction: curvature-free="
               f"{junction_is_curvature_free(spec)}, "
               f"|t|_inf={np.max(np.abs(t)):.6f}, "

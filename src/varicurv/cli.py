@@ -8,8 +8,8 @@ Two subcommands:
 
 Exit codes: 0 success (per-point numeric failures downgrade to status flags
 and a warning count), 1 input/validation error, 2 numeric fatal error.
-The per-point pipeline runs serially, so output bytes depend only on the
-inputs.
+The pipeline runs serially, in fixed chunks of points, so output bytes
+depend only on the inputs.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 A schedule is a list of (sample size, neighbor query) rows over one analytic
 shape.  For each row the harness samples the shape, resolves the neighbor
 query once, optionally re-estimates tangent planes from the (noisy)
-positions, runs the per-point pipeline, and compares against the shape's
+positions, runs the curvature report, and compares against the shape's
 exact curvatures.  Principal-curvature errors are computed after aligning
 the arbitrary per-point sign of the estimate with the ground truth.
 """

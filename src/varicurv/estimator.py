@@ -1,4 +1,4 @@
-"""Per-point curvature estimation for point-cloud varifolds.
+"""Curvature estimation for point-cloud varifolds.
 
 Pipeline at a cloud point x0 with smoothing scale eps:
 
@@ -25,12 +25,21 @@ The summand at a zero-distance neighbor (the point itself, or a duplicate)
 is defined as 0: the raw expression is 0/0 there, and rho'(0) = 0 forces the
 limit to vanish along any approach.
 
-Tensors are plain (n, n, n) float64 arrays.  The per-point functions take
-the point's sorted neighbor list as the required keyword ``idx``, as
-:meth:`NeighborIndex.resolve_all` returns it.  The whole-cloud functions
-:func:`estimate_tangent_planes` and :func:`curvature_report` take the
-``(indices, eps)`` pair that ``resolve_all`` returns, so one resolution
-serves both.
+Tensors are plain float64 arrays, one (n, n, n) row per point.  The
+estimator runs on chunks of points: :func:`point_curvature`,
+:func:`variation_tensor`, :func:`orthogonal_sff` and
+:func:`smoothed_direction_matrix` take an (m,) array of points (locations
+for the last), their (m,) radii, and their sorted neighbor lists (as
+:meth:`NeighborIndex.resolve_all` returns them) concatenated end to end as
+the required keyword ``idx`` with the list lengths as ``counts``.  One pass
+over a chunk's pairs, on a padded (m, K) neighbor block, gives every
+variation tensor with one batched product; the tail (trace check,
+conversion, restriction, eigenvalues) runs on stacks.  An isolated point
+is a NaN row, flagged, never an exception.  A single point is a one-row
+chunk.  The whole-cloud functions :func:`estimate_tangent_planes` and
+:func:`curvature_report` take the ``(indices, eps)`` pair that
+``resolve_all`` returns, so one resolution serves both; the report calls
+the engine once per ``REPORT_CHUNK`` points.
 """
 
 from __future__ import annotations
@@ -44,11 +53,10 @@ from .errors import (
     CodimensionError,
     DegenerateNeighborhoodError,
     InvalidInputError,
-    IsolatedPointError,
     ZeroRadiusError,
 )
 from .kernels import KernelPair, bump_profile, natural_kernel_pair, unit_ball_volume
-from .tensors import solve_curvature_system, to_bilinear_form
+from .tensors import _at_row, solve_curvature_system, to_bilinear_form
 from .varifold import PointCloudVarifold
 
 # Below this the smoothed mass denominator counts as empty (isolated point).
@@ -61,6 +69,13 @@ STATUS_AMBIGUOUS = "ambiguous_tangent"
 # Points per batch of the tangent estimate: bounds the per-pair (n, n)
 # covariance terms at about 9 MB for k = 40 in R^3.
 TANGENT_CHUNK = 2048
+
+# Rows per k-nearest query of the neighbor resolution.
+RESOLVE_CHUNK = 2048
+
+# Points per call of the chunk engine :func:`point_curvature`: bounds the
+# padded (points, neighbors, n, n) plane block at about 3 MB for k = 40 in R^3.
+REPORT_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -119,15 +134,36 @@ class NeighborIndex:
         return dists[:, -1]
 
     def resolve_all(self, query: NeighborQuery) -> tuple[list[np.ndarray], np.ndarray]:
-        """Per-point neighbor index lists (sorted, self included) and radii."""
+        """Per-point neighbor index lists (sorted, self included) and radii.
+
+        The tree gives each ball's count; the list of point i is then the
+        first ``counts[i]`` columns of a k-nearest query, sorted by index.
+        The queries run over blocks of ``RESOLVE_CHUNK`` rows taken in order
+        of count, so that each asks for about as many neighbors as its rows
+        hold, and the lists are split out of one flat array (no Python lists
+        of Python ints).
+        """
         n = self.n_points
         if query.mode == "radius":
             eps = np.full(n, query.epsilon)
         else:
             eps = (1.0 + query.margin) * self.kth_distance(query.k)
-        raw = self.tree.query_ball_point(self.positions, eps)
-        indices = [np.sort(np.asarray(ix, dtype=np.intp)) for ix in raw]
-        return indices, eps
+        counts = self.tree.query_ball_point(self.positions, eps, return_length=True)
+        ends = np.cumsum(counts)
+        flat = np.empty(int(counts.sum()), dtype=np.intp)
+        order = np.argsort(counts, kind="stable")
+        for lo in range(0, n, RESOLVE_CHUNK):
+            rows = order[lo:lo + RESOLVE_CHUNK]
+            c = counts[rows]
+            _, nearest = self.tree.query(self.positions[rows], k=int(c[-1]))
+            nearest = nearest.reshape(rows.size, -1)
+            inside = np.arange(nearest.shape[1]) < c[:, None]
+            # slots past a row's count sort to its end
+            nearest = np.sort(np.where(inside, nearest, n), axis=1)
+            # row r's list goes to flat[ends[r] - counts[r]:ends[r]]
+            shift = ends[rows] - counts[rows] - (np.cumsum(c) - c)
+            flat[np.repeat(shift, c) + np.arange(int(c.sum()))] = nearest[inside]
+        return np.split(flat, ends[:-1]), eps
 
 
 def default_kernels(cloud: PointCloudVarifold) -> KernelPair:
@@ -150,111 +186,179 @@ def plane_frames(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return normals * signs[:, None], v[:, :, 1:]
 
 
-def _local_sums(cloud, l0, idx, kernels, eps):
-    """Kernel-weighted neighbor quantities shared by all tensor formulas.
-
-    Returns (planes_sub, weights, proj_units, xi_den) where weights carry
-    m_l * rho'(r/eps) and proj_units the rows P_l (x0 - x_l)/r; zero-distance
-    entries are dropped (their summand is defined as 0).  The xi denominator
-    keeps every neighbor, including zero-distance ones.
-    """
-    x0 = cloud.positions[l0]
-    d_vec = x0 - cloud.positions[idx]
-    r = np.sqrt(np.einsum("la,la->l", d_vec, d_vec))
-    m = cloud.masses[idx]
-    xi_den = float(m @ kernels.xi.eval(r / eps))
-    if xi_den < DENOM_GUARD:
-        raise IsolatedPointError(
-            f"point {l0}: no effective neighbors within eps={eps:.3g}"
+def _chunk(m, eps, idx, counts):
+    """The chunk contract as arrays: (m,) radii, the m neighbor lists end to
+    end and their (m,) lengths."""
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), (m,))
+    idx = np.asarray(idx, dtype=np.intp)
+    counts = np.asarray(counts, dtype=np.intp)
+    if counts.shape != (m,) or idx.shape != (int(counts.sum()),):
+        raise InvalidInputError(
+            f"{counts.size} neighbor counts summing to {int(counts.sum())} "
+            f"for {m} points and {idx.size} indices"
         )
-    keep = r > 0.0
-    sub = idx[keep]
-    d_vec = d_vec[keep]
-    r = r[keep]
-    planes_sub = cloud.planes[sub]
-    weights = cloud.masses[sub] * kernels.rho.deriv(r / eps)
-    proj_units = np.einsum("lab,lb->la", planes_sub, d_vec / r[:, None])
-    return planes_sub, weights, proj_units, xi_den
+    return eps, idx, counts
+
+
+def _flatten(indices) -> tuple[np.ndarray, np.ndarray]:
+    """CSR form of neighbor lists: the lists end to end and their lengths."""
+    counts = np.fromiter(map(len, indices), dtype=np.intp, count=len(indices))
+    return np.concatenate(indices), counts
+
+
+def _neighbor_block(cloud, x, idx, counts):
+    """A chunk's neighbor lists as a padded (m, K) block, K the longest list.
+
+    Returns (valid, pad, d_vec, r): the mask of real slots, the neighbor
+    index of each slot (0 in padding), the offsets x_i - x_l and their
+    lengths.  Callers mask padding out with ``valid``.
+    """
+    valid = np.arange(int(counts.max(initial=0))) < counts[:, None]
+    pad = np.zeros(valid.shape, dtype=np.intp)
+    pad[valid] = idx
+    d_vec = x[:, None, :] - np.take(cloud.positions, pad, axis=0)
+    r = np.sqrt(np.einsum("mla,mla->ml", d_vec, d_vec))
+    return valid, pad, d_vec, r
+
+
+def _nan_rows(stack: np.ndarray) -> np.ndarray:
+    """Rows of a stack that are NaN throughout: the isolated points."""
+    return np.all(np.isnan(stack.reshape(stack.shape[0], -1)), axis=1)
+
+
+def _local_sums(cloud, points, kernels, eps, idx, counts):
+    """Kernel-weighted neighbor quantities shared by all tensor formulas, for
+    one chunk of points in one pass over its pairs.
+
+    Returns (planes, weights, proj_units, xi_den) on the padded block:
+    planes (m, K, n, n) of the neighbors, weights m_l * rho'(r/eps) and
+    proj_units P_l (x0 - x_l)/r; weights are 0 on padding and at zero
+    distance (that summand is defined as 0).  The xi denominator (m,) keeps
+    every neighbor, including zero-distance ones.  The kernels see only the
+    real slots.
+    """
+    valid, pad, d_vec, r = _neighbor_block(cloud, cloud.positions[points], idx, counts)
+    t = r / eps[:, None]
+    mass = np.take(cloud.masses, pad)
+    xi_w = np.zeros(valid.shape)
+    xi_w[valid] = mass[valid] * kernels.xi.eval(t[valid])
+    keep = valid & (r > 0.0)
+    weights = np.zeros(valid.shape)
+    weights[keep] = mass[keep] * kernels.rho.deriv(t[keep])
+    planes = np.take(cloud.planes, pad, axis=0)
+    unit = d_vec / np.where(keep, r, 1.0)[..., None]
+    proj_units = np.einsum("mlab,mlb->mla", planes, unit)
+    return planes, weights, proj_units, xi_w.sum(axis=1)
+
+
+def _prefactor(kernels, eps, xi_den):
+    """(C_xi/C_rho) / (eps * xi_den) per point; NaN where the smoothed mass
+    denominator vanishes (isolated point)."""
+    isolated = xi_den < DENOM_GUARD
+    out = kernels.ratio / (eps * np.where(isolated, 1.0, xi_den))
+    out[isolated] = np.nan
+    return out
 
 
 def variation_tensor(
-    cloud: PointCloudVarifold, l0: int, kernels: KernelPair, eps: float,
-    *, idx: np.ndarray,
+    cloud: PointCloudVarifold, points, kernels: KernelPair, eps,
+    *, idx: np.ndarray, counts: np.ndarray,
 ) -> np.ndarray:
-    """Smoothed variation tensor at cloud point ``l0`` (gradient form).
+    """Smoothed variation tensors (gradient form) at cloud points ``points``.
 
-    Exactly (j,k)-symmetric since the stored planes are symmetric.  Raises
-    :class:`IsolatedPointError` when the smoothed mass denominator vanishes.
+    ``points`` is an (m,) index array, ``eps`` the (m,) radii, ``idx`` the
+    m sorted neighbor lists end to end and ``counts`` their lengths.
+    Returns (m, n, n, n), exactly (j,k)-symmetric; the row of an isolated
+    point (vanishing smoothed mass denominator) is NaN.  The neighbor sums
+    of all rows are one batched product (m, n, K) @ (m, K, n^2).
     """
-    planes_sub, w, pu, xi_den = _local_sums(cloud, l0, idx, kernels, eps)
-    num = np.einsum("l,ljk,li->ijk", w, planes_sub, pu)
-    return num * (kernels.ratio / (eps * xi_den))
+    points = np.atleast_1d(np.asarray(points, dtype=np.intp))
+    eps, idx, counts = _chunk(points.size, eps, idx, counts)
+    planes, w, pu, xi_den = _local_sums(cloud, points, kernels, eps, idx, counts)
+    m, k, n = pu.shape
+    s = (w[..., None] * pu).transpose(0, 2, 1)
+    beta = (s @ planes.reshape(m, k, n * n)).reshape(m, n, n, n)
+    # the stored planes are symmetric, so this only evens out rounding
+    beta = 0.5 * (beta + beta.swapaxes(-1, -2))
+    return beta * _prefactor(kernels, eps, xi_den)[:, None, None, None]
 
 
 def mean_curvature_vector(tensor: np.ndarray, dim_d: int | None = None) -> np.ndarray:
-    """Mean curvature vector H_i = sum_q t_qiq of a variation tensor.
+    """Mean curvature vector H_i = sum_q t_qiq of a variation tensor, or of
+    each row of a stack (..., n, n, n).
 
     When ``dim_d`` is given, also verifies the companion trace identity
     sum_q t_iqq = d * H_i, which holds to the projector tolerance for
     tensors produced by :func:`variation_tensor`; a deviation above
-    1e-10 * (1 + max|t|) raises :class:`InvalidInputError`.
+    1e-10 * (1 + max|t|) in any row raises :class:`InvalidInputError`
+    naming the first such row.
     """
     t = np.asarray(tensor, dtype=float)
-    h = np.einsum("qiq->i", t)
+    h = np.einsum("...qiq->...i", t)
     if dim_d is not None:
-        other = np.einsum("iqq->i", t)
-        scale = 1.0 + float(np.max(np.abs(t)))
-        if np.max(np.abs(other - dim_d * h)) > 1e-10 * scale:
+        other = np.einsum("...iqq->...i", t)
+        scale = 1.0 + np.max(np.abs(t), axis=(-3, -2, -1), initial=0.0)
+        gap = np.max(np.abs(other - dim_d * h), axis=-1, initial=0.0)
+        bad = gap > 1e-10 * scale
+        if np.any(bad):
             raise InvalidInputError(
                 "trace identity sum_q t_iqq = d * H_i violated; "
-                "tensor did not come from a rank-d cloud"
+                "tensor did not come from a rank-d cloud" + _at_row(bad)
             )
     return h
 
 
 def smoothed_direction_matrix(
-    cloud: PointCloudVarifold, x, kernels: KernelPair, eps: float,
-    *, idx: np.ndarray,
+    cloud: PointCloudVarifold, x, kernels: KernelPair, eps,
+    *, idx: np.ndarray, counts: np.ndarray,
 ) -> np.ndarray:
-    """Kernel-averaged direction matrix at an arbitrary location ``x``.
+    """Kernel-averaged direction matrices at arbitrary locations ``x`` (m, n).
 
-    Mass-weighted eta-average of the stored planes over the eps-ball,
-    symmetrized; PSD with trace d and entries in [-1, 1] up to rounding.
-    It is not validated here: :func:`solve_curvature_system` checks every
-    direction matrix it is given, so each point runs the check once.
+    ``eps``, ``idx`` and ``counts`` follow the chunk contract of
+    :func:`variation_tensor`, with the lists taken around ``x``.  Each row
+    is the mass-weighted eta-average of the stored planes over its eps-ball,
+    symmetrized; PSD with trace d and entries in [-1, 1] up to rounding.  A
+    row whose smoothed mass vanishes is NaN.  Rows are not validated here:
+    :func:`solve_curvature_system` checks the stack it is given.
     """
-    x = np.asarray(x, dtype=float)
-    if idx.size == 0:
-        raise IsolatedPointError("no neighbors in the eta-ball")
-    d_vec = x - cloud.positions[idx]
-    r = np.sqrt(np.einsum("la,la->l", d_vec, d_vec))
-    w = cloud.masses[idx] * kernels.eta.eval(r / eps)
-    w_sum = float(w.sum())
-    if w_sum < DENOM_GUARD:
-        raise IsolatedPointError("smoothed mass vanishes in the eta-ball")
-    c = np.einsum("l,lab->ab", w, cloud.planes[idx]) / w_sum
-    return 0.5 * (c + c.T)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    eps, idx, counts = _chunk(x.shape[0], eps, idx, counts)
+    valid, pad, _, r = _neighbor_block(cloud, x, idx, counts)
+    w = np.zeros(valid.shape)
+    w[valid] = np.take(cloud.masses, pad)[valid] * kernels.eta.eval(
+        (r / eps[:, None])[valid]
+    )
+    w_sum = w.sum(axis=1)
+    empty = w_sum < DENOM_GUARD
+    c = np.einsum("ml,mlab->mab", w, np.take(cloud.planes, pad, axis=0))
+    c /= np.where(empty, 1.0, w_sum)[:, None, None]
+    c[empty] = np.nan
+    return 0.5 * (c + c.swapaxes(-1, -2))
 
 
 def orthogonal_sff(
-    cloud: PointCloudVarifold, l0: int, kernels: KernelPair, eps: float,
-    *, idx: np.ndarray,
+    cloud: PointCloudVarifold, points, kernels: KernelPair, eps,
+    *, idx: np.ndarray, counts: np.ndarray,
 ) -> np.ndarray:
-    """Bilinear-form curvature tensor via the direct plane-difference sums.
+    """Bilinear-form curvature tensors via the direct plane-difference sums.
 
-    Reference path: algebraically equal to converting the orthogonal
-    gradient-form tensor a_perp = t - P_l0 (x) H with :func:`to_bilinear_form`,
-    which is what :func:`point_curvature` does, but summed independently over
-    the (P_l - P_l0) difference combination so the tests can cross-check the
+    Same chunk contract and NaN rows as :func:`variation_tensor`.  Reference
+    path: algebraically equal to converting the orthogonal gradient-form
+    tensor a_perp = t - P_l0 (x) H with :func:`to_bilinear_form`, which is
+    what :func:`point_curvature` does, but summed independently over the
+    (P_l - P_l0) difference combination so the tests can cross-check the
     two.
     """
-    planes_sub, w, pu, xi_den = _local_sums(cloud, l0, idx, kernels, eps)
-    dp = planes_sub - cloud.planes[l0][None]
-    s = w[:, None] * pu
-    t1 = np.einsum("ljk,li->ijk", dp, s)
-    t2 = np.einsum("lik,lj->ijk", dp, s)
-    t3 = np.einsum("lij,lk->ijk", dp, s)
-    return 0.5 * (t1 + t2 - t3) * (kernels.ratio / (eps * xi_den))
+    points = np.atleast_1d(np.asarray(points, dtype=np.intp))
+    eps, idx, counts = _chunk(points.size, eps, idx, counts)
+    planes, w, pu, xi_den = _local_sums(cloud, points, kernels, eps, idx, counts)
+    m, k, n = pu.shape
+    dp = planes - cloud.planes[points][:, None]
+    s = (w[..., None] * pu).transpose(0, 2, 1)
+    # t1[i,j,k] = sum_l dp_jk s_i; t2 reads it at [j,i,k] and t3 at [k,i,j]
+    t1 = (s @ dp.reshape(m, k, n * n)).reshape(m, n, n, n)
+    sff = 0.5 * (t1 + t1.swapaxes(-3, -2) - np.moveaxis(t1, -3, -1))
+    return sff * _prefactor(kernels, eps, xi_den)[:, None, None, None]
 
 
 def restrict_to_tangent(
@@ -265,106 +369,134 @@ def restrict_to_tangent(
 
     Contracts the vector-valued bilinear form with the unit normal of the
     stored plane, then restricts to an orthonormal tangent basis Q:
-    returns (Q^T (B . normal) Q, basis, normal).
+    returns (Q^T (B . normal) Q, basis, normal).  Every argument may carry
+    leading stack axes, one row per point.
     """
     plane = np.asarray(plane, dtype=float)
-    n = plane.shape[0]
-    dim_d = dim_d if dim_d is not None else int(round(np.trace(plane)))
+    n = plane.shape[-1]
+    planes = plane.reshape(-1, n, n)
+    dim_d = dim_d if dim_d is not None else int(round(np.trace(planes[0])))
     if dim_d != n - 1:
         raise CodimensionError(
             f"scalar restriction needs d = n-1, got d={dim_d}, n={n}; "
             "the vector-valued tensor is the final output in higher codimension"
         )
     if normal is None or basis is None:
-        normals, bases = plane_frames(plane[None])
-        normal = normals[0] if normal is None else normal
-        basis = bases[0] if basis is None else basis
-    scalar = np.einsum("ijk,k->ij", b_perp, normal)
-    scalar = 0.5 * (scalar + scalar.T)
-    restricted = basis.T @ scalar @ basis
-    return 0.5 * (restricted + restricted.T), basis, normal
+        normals, bases = plane_frames(planes)
+        normal = normals.reshape(plane.shape[:-1]) if normal is None else normal
+        basis = bases.reshape(plane.shape[:-1] + (n - 1,)) if basis is None else basis
+    scalar = np.einsum("...ijk,...k->...ij", b_perp, normal)
+    scalar = 0.5 * (scalar + scalar.swapaxes(-1, -2))
+    restricted = basis.swapaxes(-1, -2) @ scalar @ basis
+    return 0.5 * (restricted + restricted.swapaxes(-1, -2)), basis, normal
 
 
 @dataclass(frozen=True)
 class PointCurvature:
-    """Curvature description at one cloud point."""
+    """Curvature description of a chunk of m cloud points, one row each;
+    the rows of isolated points are NaN."""
 
     a_perp: np.ndarray
     mean_curv: np.ndarray
     kappas: np.ndarray
     directions: np.ndarray
-    gauss: float
-    abs_sum: float
+    gauss: np.ndarray
+    abs_sum: np.ndarray
+    isolated: np.ndarray
 
 
 def principal_curvatures(
     restricted: np.ndarray, basis: np.ndarray, normal: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Eigen-decompose the restricted form.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eigen-decompose the restricted form, or each row of a stack of them.
 
     Returns (kappas sorted descending, principal directions as rows in
     ambient coordinates, gauss = product of kappas, sum of |kappas|).  The
     overall sign of the kappas follows the arbitrary normal orientation; the
     product is orientation-free for d = 2.
     """
-    sym = 0.5 * (restricted + restricted.T)
+    sym = 0.5 * (restricted + restricted.swapaxes(-1, -2))
     w, v = np.linalg.eigh(sym)
-    order = np.argsort(w)[::-1]
-    kappas = w[order]
-    directions = (basis @ v[:, order]).T
-    return kappas, directions, float(np.prod(kappas)), float(np.sum(np.abs(kappas)))
+    order = np.argsort(w, axis=-1)[..., ::-1]
+    kappas = np.take_along_axis(w, order, axis=-1)
+    directions = basis @ np.take_along_axis(v, order[..., None, :], axis=-1)
+    return (kappas, directions.swapaxes(-1, -2), np.prod(kappas, axis=-1),
+            np.sum(np.abs(kappas), axis=-1))
 
 
 def point_curvature(
     cloud: PointCloudVarifold,
-    l0: int,
+    points,
     kernels: KernelPair | None = None,
     *,
-    scale: float,
+    scale,
     idx: np.ndarray,
-    normal: np.ndarray | None = None,
-    basis: np.ndarray | None = None,
+    counts: np.ndarray,
+    normals: np.ndarray | None = None,
+    bases: np.ndarray | None = None,
     variant: str = "orthogonal",
 ) -> PointCurvature:
-    """Curvature report at one point (codimension 1).
+    """Curvature report of a chunk of points (codimension 1): the engine
+    behind :func:`curvature_report`.
 
-    ``scale`` is the smoothing radius eps and ``idx`` the sorted neighbor
-    list of ``l0`` within it, as :meth:`NeighborIndex.resolve_all` returns.
-    ``variant`` selects the gradient-form curvature tensor: "orthogonal"
-    (default, a_perp = beta - P_l0 (x) H with the exact stored plane) or
-    "averaged" (kernel-averaged direction matrix fed to the linear-system
-    solve).  Either way the neighbor sums run once, and the tensor is
-    converted with :func:`to_bilinear_form` before restriction.
+    ``points`` is an (m,) index array and ``scale`` the (m,) smoothing
+    radii; ``idx`` holds the m sorted neighbor lists (self included, as
+    :meth:`NeighborIndex.resolve_all` returns them) end to end and
+    ``counts`` their lengths.  ``normals`` (m, n) and ``bases`` (m, n, n-1)
+    are the stored planes' frames, computed when not given.  ``variant``
+    selects the gradient-form curvature tensor: "orthogonal" (default,
+    a_perp = beta - P_l0 (x) H with the exact stored plane) or "averaged"
+    (kernel-averaged direction matrix fed to the linear-system solve).
+    Either way one pass over the chunk's pairs gives every variation tensor,
+    and the tail (conversion with :func:`to_bilinear_form`, restriction, one
+    stacked ``eigh``) runs on stacks.  Isolated points come back as NaN rows
+    flagged in ``isolated``; nothing is raised for them.
     """
     if cloud.dim_d != cloud.ambient_n - 1:
         raise CodimensionError("point_curvature needs codimension 1")
-    kernels = kernels or default_kernels(cloud)
-    eps = float(scale)
-
-    beta = variation_tensor(cloud, l0, kernels, eps, idx=idx)
-    h = mean_curvature_vector(beta, dim_d=cloud.dim_d)
-    p0 = cloud.planes[l0]
-    a_perp = beta - np.einsum("jk,i->ijk", p0, h)
-    if variant == "orthogonal":
-        a_form = a_perp
-    elif variant == "averaged":
-        c = smoothed_direction_matrix(cloud, cloud.positions[l0], kernels, eps, idx=idx)
-        a_form = solve_curvature_system(c, beta)
-    else:
+    if variant not in ("orthogonal", "averaged"):
         raise InvalidInputError(f"unknown variant {variant!r}")
-    b_form = to_bilinear_form(a_form)
+    kernels = kernels or default_kernels(cloud)
+    points = np.atleast_1d(np.asarray(points, dtype=np.intp))
+    eps, idx, counts = _chunk(points.size, scale, idx, counts)
+    if normals is None or bases is None:
+        frames = plane_frames(cloud.planes[points])
+        normals = frames[0] if normals is None else normals
+        bases = frames[1] if bases is None else bases
+    m, n, d = points.size, cloud.ambient_n, cloud.dim_d
+
+    beta = variation_tensor(cloud, points, kernels, eps, idx=idx, counts=counts)
+    isolated = _nan_rows(beta)
+    if variant == "averaged":
+        c = smoothed_direction_matrix(cloud, cloud.positions[points], kernels, eps,
+                                      idx=idx, counts=counts)
+        isolated |= _nan_rows(c)
+    out = PointCurvature(
+        a_perp=np.full((m, n, n, n), np.nan),
+        mean_curv=np.full((m, n), np.nan),
+        kappas=np.full((m, d), np.nan),
+        directions=np.full((m, d, n), np.nan),
+        gauss=np.full(m, np.nan),
+        abs_sum=np.full(m, np.nan),
+        isolated=isolated,
+    )
+    ok = ~isolated
+    beta = beta[ok]
+    h = mean_curvature_vector(beta, dim_d=d)
+    p0 = cloud.planes[points[ok]]
+    a_perp = beta - np.einsum("mjk,mi->mijk", p0, h)
+    a_form = a_perp if variant == "orthogonal" else solve_curvature_system(c[ok], beta)
     restricted, basis, normal = restrict_to_tangent(
-        b_form, p0, normal=normal, basis=basis, dim_d=cloud.dim_d
+        to_bilinear_form(a_form), p0, normal=normals[ok], basis=bases[ok], dim_d=d
     )
     kappas, directions, gauss, abs_sum = principal_curvatures(restricted, basis, normal)
-    return PointCurvature(
-        a_perp=a_perp,
-        mean_curv=h,
-        kappas=kappas,
-        directions=directions,
-        gauss=gauss,
-        abs_sum=abs_sum,
-    )
+    out.a_perp[ok] = a_perp
+    out.mean_curv[ok] = h
+    out.kappas[ok] = kappas
+    out.directions[ok] = directions
+    out.gauss[ok] = gauss
+    out.abs_sum[ok] = abs_sum
+    return out
 
 
 @dataclass
@@ -394,13 +526,14 @@ def curvature_report(
     ambiguous: np.ndarray | None = None,
     collect_a_perp: bool = False,
 ) -> CurvatureReport:
-    """Run :func:`point_curvature` over the whole cloud, one point at a time.
+    """Per-point curvatures over the whole cloud, ``REPORT_CHUNK`` points
+    per call of the engine :func:`point_curvature`.
 
     ``neighbors`` is the ``(indices, eps)`` pair that
     :meth:`NeighborIndex.resolve_all` returns for the cloud's positions: each
-    point's sorted neighbor list and its smoothing radius.  Per-point numeric
-    failures (isolated points) become NaN rows with a status flag rather
-    than exceptions.
+    point's sorted neighbor list and its smoothing radius.  Each chunk's
+    lists are flattened into one index array.  Isolated points become NaN
+    rows with a status flag rather than exceptions.
     """
     if cloud.dim_d != cloud.ambient_n - 1:
         raise CodimensionError("curvature_report needs codimension 1")
@@ -409,32 +542,30 @@ def curvature_report(
     indices, eps = _check_neighbors(neighbors, n)
     normals, bases = plane_frames(cloud.planes)
 
-    kappas = np.full((n, d), np.nan)
-    directions = np.full((n, d, nn), np.nan)
-    gauss = np.full(n, np.nan)
-    abs_sum = np.full(n, np.nan)
-    mean_norm = np.full(n, np.nan)
-    mean_vectors = np.full((n, nn), np.nan)
+    kappas = np.empty((n, d))
+    directions = np.empty((n, d, nn))
+    gauss = np.empty(n)
+    abs_sum = np.empty(n)
+    mean_vectors = np.empty((n, nn))
     status = np.full(n, STATUS_OK, dtype=object)
-    a_perp = np.full((n, nn, nn, nn), np.nan) if collect_a_perp else None
+    a_perp = np.empty((n, nn, nn, nn)) if collect_a_perp else None
 
-    for l0 in range(n):
-        try:
-            pc = point_curvature(
-                cloud, l0, kernels, scale=eps[l0], idx=indices[l0],
-                normal=normals[l0], basis=bases[l0], variant=variant,
-            )
-        except IsolatedPointError:
-            status[l0] = STATUS_ISOLATED
-            continue
-        kappas[l0] = pc.kappas
-        directions[l0] = pc.directions
-        gauss[l0] = pc.gauss
-        abs_sum[l0] = pc.abs_sum
-        mean_vectors[l0] = pc.mean_curv
-        mean_norm[l0] = np.linalg.norm(pc.mean_curv)
+    for lo in range(0, n, REPORT_CHUNK):
+        hi = min(lo + REPORT_CHUNK, n)
+        flat, counts = _flatten(indices[lo:hi])
+        pc = point_curvature(
+            cloud, np.arange(lo, hi), kernels, scale=eps[lo:hi], idx=flat,
+            counts=counts, normals=normals[lo:hi], bases=bases[lo:hi],
+            variant=variant,
+        )
+        kappas[lo:hi] = pc.kappas
+        directions[lo:hi] = pc.directions
+        gauss[lo:hi] = pc.gauss
+        abs_sum[lo:hi] = pc.abs_sum
+        mean_vectors[lo:hi] = pc.mean_curv
+        status[lo:hi][pc.isolated] = STATUS_ISOLATED
         if a_perp is not None:
-            a_perp[l0] = pc.a_perp
+            a_perp[lo:hi] = pc.a_perp
 
     if ambiguous is not None:
         flagged = (status == STATUS_OK) & np.asarray(ambiguous, dtype=bool)
@@ -444,7 +575,7 @@ def curvature_report(
         directions=directions,
         gauss=gauss,
         abs_sum=abs_sum,
-        mean_norm=mean_norm,
+        mean_norm=np.linalg.norm(mean_vectors, axis=1),
         mean_vectors=mean_vectors,
         eps=eps,
         status=status,
@@ -506,14 +637,14 @@ def _tangent_chunk(positions, indices, sigma, lo, dim_d):
     end, ``starts`` the offset of each) and reduced per point with
     ``np.add.reduceat``; per-owner rows are repeated ``counts`` times."""
     n = positions.shape[1]
-    counts = np.fromiter(map(len, indices), dtype=np.intp, count=len(indices))
+    flat, counts = _flatten(indices)
     # Points from the first one with too few neighbors on are never needed:
     # that point raises unless an earlier one does.
     few = np.flatnonzero(counts < dim_d + 1)
     m = int(few[0]) if few.size else len(indices)
     if m:
         counts = counts[:m]
-        flat = np.concatenate(indices[:m])
+        flat = flat[:int(counts.sum())]
         starts = np.concatenate(([0], np.cumsum(counts[:-1])))
         # np.take and np.repeat gather rows several times faster than
         # fancy indexing

@@ -46,37 +46,60 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise InvalidInputError(f"{what} contains NaN or Inf")
 
 
+def _at_row(bad: np.ndarray) -> str:
+    """" at row i" naming the first True entry of a stack's per-row flags,
+    or "" for a single (0-d) flag."""
+    if bad.ndim == 0:
+        return ""
+    first = tuple(int(i) for i in np.argwhere(bad)[0])
+    return f" at row {first[0] if len(first) == 1 else first}"
+
+
 def direction_matrix(mat) -> np.ndarray:
     """Validate a direction matrix: symmetric PSD with entries in [-1, 1].
 
     It arises as an average of tangent projectors; hence PSD with trace d
     and det(I + c) >= 2^d when the projectors share rank d.  Returns the
     symmetrized matrix, with eigenvalues in [-PSD_TOL, 0) clamped to zero.
+    A stack ``(..., n, n)`` is checked row by row with one stacked
+    eigendecomposition; an error names the first bad row.
     """
     mat = np.asarray(mat, dtype=float)
     _require_finite(mat, "direction matrix")
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
         raise InvalidDirectionMatrixError("direction matrix must be square")
-    if np.max(np.abs(mat - mat.T)) > SYMMETRY_TOL:
-        raise InvalidDirectionMatrixError("direction matrix is not symmetric")
-    mat = 0.5 * (mat + mat.T)
-    w, v = np.linalg.eigh(mat)
-    if w.min() < -PSD_TOL:
+    swapped = mat.swapaxes(-1, -2)
+    asym = np.max(np.abs(mat - swapped), axis=(-2, -1), initial=0.0) > SYMMETRY_TOL
+    if np.any(asym):
         raise InvalidDirectionMatrixError(
-            f"negative eigenvalue {w.min():.3g} below -{PSD_TOL:g}"
+            "direction matrix is not symmetric" + _at_row(asym)
         )
-    if w.min() < 0.0:
+    mat = 0.5 * (mat + swapped)
+    w, v = np.linalg.eigh(mat)
+    low = np.min(w, axis=-1, initial=np.inf)
+    neg = low < -PSD_TOL
+    if np.any(neg):
+        first = low[neg].flat[0]
+        raise InvalidDirectionMatrixError(
+            f"negative eigenvalue {first:.3g} below -{PSD_TOL:g}" + _at_row(neg)
+        )
+    clamp = low < 0.0
+    if np.any(clamp):
         # Rounding from averaged projectors; clamp tiny negatives to zero.
-        mat = (v * np.clip(w, 0.0, None)) @ v.T
-        mat = 0.5 * (mat + mat.T)
-    if np.max(np.abs(mat)) > 1.0 + SYMMETRY_TOL:
-        raise InvalidDirectionMatrixError("entries exceed 1 in absolute value")
+        vc, wc = v[clamp], np.clip(w[clamp], 0.0, None)
+        fixed = (vc * wc[..., None, :]) @ vc.swapaxes(-1, -2)
+        mat[clamp] = 0.5 * (fixed + fixed.swapaxes(-1, -2))
+    big = np.max(np.abs(mat), axis=(-2, -1), initial=0.0) > 1.0 + SYMMETRY_TOL
+    if np.any(big):
+        raise InvalidDirectionMatrixError(
+            "entries exceed 1 in absolute value" + _at_row(big)
+        )
     return mat
 
 
 def _as_tensor_entries(t) -> np.ndarray:
     entries = np.asarray(t, dtype=float)
-    if entries.ndim != 3 or len(set(entries.shape)) != 1:
+    if entries.ndim < 3 or len(set(entries.shape[-3:])) != 1:
         raise InvalidInputError("rank-3 tensor must have shape (n, n, n)")
     return entries
 
@@ -84,33 +107,39 @@ def _as_tensor_entries(t) -> np.ndarray:
 def solve_curvature_system(c, b) -> np.ndarray:
     """Solve a_ijk + c_jk * sum_q a_qiq = b_ijk via the closed form.
 
-    ``c`` is an (n, n) array; it is checked by :func:`direction_matrix`,
-    which is the one place the PSD check runs.  ``b`` is an (n, n, n)
-    array.  The (I + c) solve uses a direct dense factorization; systems are
-    tiny (n <= ~10), so runtime is dominated by call count, not size.
+    ``c`` is an (n, n) array or a stack (..., n, n); it is checked by
+    :func:`direction_matrix`, which is the one place the PSD check runs.
+    ``b`` is an (n, n, n) array, or a stack (..., n, n, n) matching ``c``.
+    The (I + c) solves run as one stacked dense factorization; systems are
+    tiny (n <= ~10).
     """
     c = direction_matrix(c)
     bt = _as_tensor_entries(b)
     _require_finite(bt, "right-hand side tensor")
-    n = c.shape[0]
-    if bt.shape[0] != n:
+    n = c.shape[-1]
+    if bt.shape[-1] != n or bt.shape[:-3] != c.shape[:-2]:
         raise InvalidInputError("tensor and direction matrix sizes disagree")
-    h = np.einsum("qiq->i", bt)
-    g = np.linalg.solve(np.eye(n) + c, h)
-    return bt - np.einsum("i,jk->ijk", g, c)
+    h = np.einsum("...qiq->...i", bt)
+    g = np.linalg.solve(np.eye(n) + c, h[..., None])[..., 0]
+    return bt - np.einsum("...i,...jk->...ijk", g, c)
 
 
 def to_bilinear_form(a) -> np.ndarray:
     """Convert gradient form to bilinear form: B_ij^k = (a_ijk + a_jik - a_kij)/2.
 
     Requires (j, k)-symmetry of ``a``; the input is symmetrized before use
-    when within ``SYMMETRY_TOL`` and rejected beyond it.
+    when within ``SYMMETRY_TOL`` and rejected beyond it.  A stack
+    (..., n, n, n) converts row by row; an error names the first bad row.
     """
     at = _as_tensor_entries(a)
     _require_finite(at, "gradient-form tensor")
-    if np.max(np.abs(at - at.transpose(0, 2, 1))) > SYMMETRY_TOL:
-        raise AsymmetricInputError("gradient-form tensor is not (j,k)-symmetric")
-    at = 0.5 * (at + at.transpose(0, 2, 1))
-    # transpose(1, 0, 2) reads a[j, i, k]; transpose(1, 2, 0) reads a[k, i, j]
-    return 0.5 * (at + at.transpose(1, 0, 2) - at.transpose(1, 2, 0))
-
+    swapped = at.swapaxes(-1, -2)
+    asym = np.max(np.abs(at - swapped), axis=(-3, -2, -1), initial=0.0) > SYMMETRY_TOL
+    if np.any(asym):
+        raise AsymmetricInputError(
+            "gradient-form tensor is not (j,k)-symmetric" + _at_row(asym)
+        )
+    at = 0.5 * (at + swapped)
+    # on the last three axes (i, j, k): swapaxes(-3, -2) reads a[j, i, k]
+    # and moveaxis(-3, -1) reads a[k, i, j]
+    return 0.5 * (at + at.swapaxes(-3, -2) - np.moveaxis(at, -3, -1))

@@ -4,11 +4,13 @@ The library solves a_ijk + c_jk * sum_q a_qiq = b_ijk in closed form; these
 helpers assemble the same system as an explicit n^3 x n^3 matrix, measure a
 candidate's residual, and bound ||(I + c)^{-1}|| so the tests can check the
 closed form against independent arithmetic.  ``ball`` gives single-point
-tests the neighbor list that the per-point estimator functions take as
-``idx=``.  The per-point curvature tensors of both variants, the inverse
-form conversion and the kernel constants by quadrature are cross-checks no
-library path needs.  ``reference_tangent_planes`` is the one-point-at-a-time
-tangent estimate that the batched library version is tested against.
+tests a neighbor list, and ``one_row`` runs a chunk function of the
+estimator on that one point.  The per-point curvature tensors of both
+variants, the inverse form conversion and the kernel constants by
+quadrature are cross-checks no library path needs.  ``reference_report``
+(with the per-point estimator it loops over) and
+``reference_tangent_planes`` are the one-point-at-a-time versions that the
+batched library code is tested against.
 """
 
 from math import factorial
@@ -17,15 +19,34 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
-from varicurv.errors import AsymmetricInputError, DegenerateNeighborhoodError
+from varicurv.errors import (
+    AsymmetricInputError,
+    DegenerateNeighborhoodError,
+    InvalidInputError,
+    IsolatedPointError,
+)
 from varicurv.estimator import (
+    DENOM_GUARD,
+    STATUS_AMBIGUOUS,
+    STATUS_ISOLATED,
+    STATUS_OK,
+    CurvatureReport,
     TangentEstimate,
+    default_kernels,
     mean_curvature_vector,
+    plane_frames,
+    principal_curvatures,
+    restrict_to_tangent,
     smoothed_direction_matrix,
     variation_tensor,
 )
 from varicurv.kernels import bump_profile, unit_ball_volume
-from varicurv.tensors import SYMMETRY_TOL, direction_matrix, solve_curvature_system
+from varicurv.tensors import (
+    SYMMETRY_TOL,
+    direction_matrix,
+    solve_curvature_system,
+    to_bilinear_form,
+)
 
 
 def ball(cloud, x, eps: float) -> np.ndarray:
@@ -34,11 +55,18 @@ def ball(cloud, x, eps: float) -> np.ndarray:
     return np.sort(np.asarray(idx, dtype=np.intp))
 
 
+def one_row(fn, cloud, l0, kernels, eps, idx):
+    """``fn`` (a chunk function of the estimator) at the single point or
+    location ``l0``: a one-row chunk call, returning its row."""
+    return fn(cloud, [l0], kernels, eps, idx=idx, counts=[len(idx)])[0]
+
+
 def curvature_tensor(cloud, l0, kernels, eps, *, idx) -> np.ndarray:
     """Regularized curvature tensor: solve the system against the averaged
     direction matrix.  Equals t_ijk - c_jk ((I+c)^{-1} H)_i."""
-    t = variation_tensor(cloud, l0, kernels, eps, idx=idx)
-    c = smoothed_direction_matrix(cloud, cloud.positions[l0], kernels, eps, idx=idx)
+    t = one_row(variation_tensor, cloud, l0, kernels, eps, idx)
+    c = one_row(smoothed_direction_matrix, cloud, cloud.positions[l0], kernels,
+                eps, idx)
     return solve_curvature_system(c, t)
 
 
@@ -49,9 +77,132 @@ def orthogonal_curvature_tensor(cloud, l0, kernels, eps, *, idx) -> np.ndarray:
     sum_q a_qiq = ((I - P) H)_i and sum_q a_iqq = 0 up to the projector
     tolerance.
     """
-    t = variation_tensor(cloud, l0, kernels, eps, idx=idx)
+    t = one_row(variation_tensor, cloud, l0, kernels, eps, idx)
     h = mean_curvature_vector(t, dim_d=cloud.dim_d)
     return t - np.einsum("jk,i->ijk", cloud.planes[l0], h)
+
+
+# ---------------------------------------------------------------- per-point
+# The estimator one point at a time: the reference the chunk engine behind
+# ``point_curvature`` and ``curvature_report`` is tested against.
+
+
+def reference_local_sums(cloud, l0, idx, kernels, eps):
+    """Kernel-weighted neighbor quantities at one point.
+
+    Returns (planes_sub, weights, proj_units, xi_den) where weights carry
+    m_l * rho'(r/eps) and proj_units the rows P_l (x0 - x_l)/r; zero-distance
+    entries are dropped (their summand is defined as 0).  The xi denominator
+    keeps every neighbor, including zero-distance ones.
+    """
+    x0 = cloud.positions[l0]
+    d_vec = x0 - cloud.positions[idx]
+    r = np.sqrt(np.einsum("la,la->l", d_vec, d_vec))
+    m = cloud.masses[idx]
+    xi_den = float(m @ kernels.xi.eval(r / eps))
+    if xi_den < DENOM_GUARD:
+        raise IsolatedPointError(
+            f"point {l0}: no effective neighbors within eps={eps:.3g}"
+        )
+    keep = r > 0.0
+    sub = idx[keep]
+    d_vec = d_vec[keep]
+    r = r[keep]
+    planes_sub = cloud.planes[sub]
+    weights = cloud.masses[sub] * kernels.rho.deriv(r / eps)
+    proj_units = np.einsum("lab,lb->la", planes_sub, d_vec / r[:, None])
+    return planes_sub, weights, proj_units, xi_den
+
+
+def reference_variation_tensor(cloud, l0, kernels, eps, *, idx) -> np.ndarray:
+    """Smoothed variation tensor at one point; raises
+    :class:`IsolatedPointError` when the smoothed mass denominator
+    vanishes."""
+    planes_sub, w, pu, xi_den = reference_local_sums(cloud, l0, idx, kernels, eps)
+    num = np.einsum("l,ljk,li->ijk", w, planes_sub, pu)
+    return num * (kernels.ratio / (eps * xi_den))
+
+
+def reference_direction_matrix(cloud, x, kernels, eps, *, idx) -> np.ndarray:
+    """Kernel-averaged direction matrix at one location ``x``."""
+    x = np.asarray(x, dtype=float)
+    if idx.size == 0:
+        raise IsolatedPointError("no neighbors in the eta-ball")
+    d_vec = x - cloud.positions[idx]
+    r = np.sqrt(np.einsum("la,la->l", d_vec, d_vec))
+    w = cloud.masses[idx] * kernels.eta.eval(r / eps)
+    w_sum = float(w.sum())
+    if w_sum < DENOM_GUARD:
+        raise IsolatedPointError("smoothed mass vanishes in the eta-ball")
+    c = np.einsum("l,lab->ab", w, cloud.planes[idx]) / w_sum
+    return 0.5 * (c + c.T)
+
+
+def reference_point_curvature(cloud, l0, kernels=None, *, scale, idx, normal=None,
+                              basis=None, variant="orthogonal") -> dict:
+    """Curvature at one point, as a dict with the keys a_perp, mean_curv,
+    kappas, directions, gauss and abs_sum; raises
+    :class:`IsolatedPointError` for an isolated point."""
+    kernels = kernels or default_kernels(cloud)
+    eps = float(scale)
+    beta = reference_variation_tensor(cloud, l0, kernels, eps, idx=idx)
+    h = mean_curvature_vector(beta, dim_d=cloud.dim_d)
+    p0 = cloud.planes[l0]
+    a_perp = beta - np.einsum("jk,i->ijk", p0, h)
+    if variant == "orthogonal":
+        a_form = a_perp
+    elif variant == "averaged":
+        c = reference_direction_matrix(cloud, cloud.positions[l0], kernels, eps,
+                                       idx=idx)
+        a_form = solve_curvature_system(c, beta)
+    else:
+        raise InvalidInputError(f"unknown variant {variant!r}")
+    restricted, basis, normal = restrict_to_tangent(
+        to_bilinear_form(a_form), p0, normal=normal, basis=basis, dim_d=cloud.dim_d
+    )
+    kappas, directions, gauss, abs_sum = principal_curvatures(restricted, basis, normal)
+    return dict(a_perp=a_perp, mean_curv=h, kappas=kappas, directions=directions,
+                gauss=gauss, abs_sum=abs_sum)
+
+
+def reference_report(cloud, neighbors, kernels=None, variant="orthogonal",
+                     ambiguous=None) -> CurvatureReport:
+    """``curvature_report`` (with ``collect_a_perp``) one point at a time."""
+    kernels = kernels or default_kernels(cloud)
+    n, d, nn = cloud.n_points, cloud.dim_d, cloud.ambient_n
+    indices, eps = neighbors
+    normals, bases = plane_frames(cloud.planes)
+    rows = {
+        "kappas": np.full((n, d), np.nan),
+        "directions": np.full((n, d, nn), np.nan),
+        "gauss": np.full(n, np.nan),
+        "abs_sum": np.full(n, np.nan),
+        "mean_curv": np.full((n, nn), np.nan),
+        "a_perp": np.full((n, nn, nn, nn), np.nan),
+    }
+    mean_norm = np.full(n, np.nan)
+    status = np.full(n, STATUS_OK, dtype=object)
+    for l0 in range(n):
+        try:
+            pc = reference_point_curvature(
+                cloud, l0, kernels, scale=eps[l0], idx=indices[l0],
+                normal=normals[l0], basis=bases[l0], variant=variant,
+            )
+        except IsolatedPointError:
+            status[l0] = STATUS_ISOLATED
+            continue
+        for key, arr in rows.items():
+            arr[l0] = pc[key]
+        mean_norm[l0] = np.linalg.norm(pc["mean_curv"])
+    if ambiguous is not None:
+        status[(status == STATUS_OK) & np.asarray(ambiguous, dtype=bool)] = (
+            STATUS_AMBIGUOUS
+        )
+    return CurvatureReport(
+        kappas=rows["kappas"], directions=rows["directions"], gauss=rows["gauss"],
+        abs_sum=rows["abs_sum"], mean_norm=mean_norm, mean_vectors=rows["mean_curv"],
+        eps=np.asarray(eps, dtype=float), status=status, a_perp=rows["a_perp"],
+    )
 
 
 def reference_tangent_planes(positions, neighbors, dim_d: int) -> TangentEstimate:

@@ -28,6 +28,7 @@ from varicurv.tensors import solve_curvature_system
 from system_reference import (
     ball,
     build_full_system_matrix,
+    one_row,
     orthogonal_curvature_tensor,
     system_residual,
 )
@@ -100,7 +101,7 @@ def test_criterion_2_structural_identities():
         for l0 in rng.integers(0, cloud.n_points, 3):
             l0 = int(l0)
             idx = ball(cloud, cloud.positions[l0], eps)
-            beta = vc.variation_tensor(cloud, l0, kp, eps, idx=idx)
+            beta = one_row(vc.variation_tensor, cloud, l0, kp, eps, idx)
             h = np.einsum("qiq->i", beta)
             err_trace = np.max(np.abs(np.einsum("iqq->i", beta) - 2 * h))
             a_perp = orthogonal_curvature_tensor(cloud, l0, kp, eps, idx=idx)
@@ -129,7 +130,7 @@ def test_criterion_3_two_formula_equality():
         cloud = random_cloud(rng)
         l0 = int(rng.integers(0, cloud.n_points))
         idx = ball(cloud, cloud.positions[l0], eps)
-        direct = vc.orthogonal_sff(cloud, l0, kp, eps, idx=idx)
+        direct = one_row(vc.orthogonal_sff, cloud, l0, kp, eps, idx)
         converted = vc.to_bilinear_form(
             orthogonal_curvature_tensor(cloud, l0, kp, eps, idx=idx)
         )
@@ -149,10 +150,10 @@ def test_criterion_4_junction():
     cloud9 = vc.sample_junction(vc.JunctionSpec.regular(9), 100, spacing)
     cloud3 = vc.sample_junction(vc.JunctionSpec.regular(3), 100, spacing)
     origin = np.zeros(2)
-    mag9 = np.max(np.abs(vc.variation_tensor(cloud9, 0, kp, eps,
-                                             idx=ball(cloud9, origin, eps))))
-    mag3 = np.max(np.abs(vc.variation_tensor(cloud3, 0, kp, eps,
-                                             idx=ball(cloud3, origin, eps))))
+    mag9 = np.max(np.abs(one_row(vc.variation_tensor, cloud9, 0, kp, eps,
+                                 ball(cloud9, origin, eps))))
+    mag3 = np.max(np.abs(one_row(vc.variation_tensor, cloud3, 0, kp, eps,
+                                 ball(cloud3, origin, eps))))
     sampled_ok = mag9 <= 0.05 * mag3
     elapsed = time.perf_counter() - t0
     ok = exactly_zero and cosine_sum_exact and sampled_ok and elapsed <= 5.0
@@ -279,20 +280,18 @@ def test_criterion_8_equivariance_and_scaling():
         cloud.positions * 2.0, cloud.planes, cloud.masses, 2
     )
     worst_rigid = worst_scale = 0.0
+    def kappas_at(c, l0, eps):
+        idx = ball(c, c.positions[l0], eps)
+        pc = point_curvature(c, [l0], scale=eps, idx=idx, counts=[idx.size])
+        return pc.kappas[0]
+
     for l0 in range(0, 2000, 100):
-        k_base = point_curvature(
-            cloud, l0, scale=eps, idx=ball(cloud, cloud.positions[l0], eps)
-        ).kappas
-        k_move = point_curvature(
-            moved, l0, scale=eps, idx=ball(moved, moved.positions[l0], eps)
-        ).kappas
+        k_base = kappas_at(cloud, l0, eps)
+        k_move = kappas_at(moved, l0, eps)
         if k_base.sum() * k_move.sum() < 0:
             k_move = -k_move[::-1]
         worst_rigid = max(worst_rigid, float(np.max(np.abs(k_base - k_move))))
-        k_doubled = point_curvature(
-            doubled, l0, scale=2 * eps,
-            idx=ball(doubled, doubled.positions[l0], 2 * eps),
-        ).kappas
+        k_doubled = kappas_at(doubled, l0, 2 * eps)
         worst_scale = max(
             worst_scale, float(np.max(np.abs(k_doubled - 0.5 * k_base)))
         )

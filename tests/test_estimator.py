@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import varicurv as vc
 from varicurv import estimator, tensors
@@ -9,10 +10,11 @@ from varicurv.errors import (
     CodimensionError,
     DegenerateNeighborhoodError,
     InvalidInputError,
-    IsolatedPointError,
     ZeroRadiusError,
 )
 from varicurv.estimator import (
+    REPORT_CHUNK,
+    RESOLVE_CHUNK,
     STATUS_ISOLATED,
     TANGENT_CHUNK,
     NeighborIndex,
@@ -33,7 +35,9 @@ from varicurv.shapes import shape_by_name
 from system_reference import (
     ball,
     curvature_tensor,
+    one_row,
     orthogonal_curvature_tensor,
+    reference_report,
     reference_tangent_planes,
 )
 
@@ -92,12 +96,57 @@ class TestNeighborQuery:
         ]
 
 
+def ball_lists(positions, eps):
+    """Each point's sorted neighbor list straight from the tree's ball query."""
+    raw = cKDTree(positions).query_ball_point(positions, eps)
+    return [np.sort(np.asarray(ix, dtype=np.intp)) for ix in raw]
+
+
+class TestResolveAll:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        kind=st.sampled_from(["random", "lattice", "duplicates"]),
+        mode=st.sampled_from(["radius", "knn"]),
+        beyond_block=st.booleans(),
+        data=st.data(),
+    )
+    def test_lists_match_ball_query(self, seed, n, kind, mode, beyond_block, data):
+        rng = np.random.default_rng(seed)
+        if kind == "lattice":
+            # spacing h: neighbors sit exactly at radius h, 2h, h*sqrt(2), ...
+            side = int(rng.integers(2, 9 if n < 4 else 5))
+            h = float(data.draw(st.sampled_from([1.0, 0.5, 0.1, 0.3]), label="h"))
+            axes = np.meshgrid(*[np.arange(side) * h] * n, indexing="ij")
+            pts = np.column_stack([a.ravel() for a in axes])
+            radius = h * float(data.draw(st.sampled_from([1.0, 2.0, np.sqrt(2.0)]),
+                                         label="radius / h"))
+        else:
+            n_pts = RESOLVE_CHUNK + 300 if beyond_block else int(rng.integers(2, 300))
+            # past one query block, at most the density of 300 points
+            pts = rng.uniform(-1.0, 1.0, (n_pts, n)) * max(1.0, n_pts / 300) ** (1 / n)
+            if kind == "duplicates":
+                pts = np.vstack([pts, pts[rng.integers(0, len(pts), len(pts) // 2)]])
+            radius = float(rng.uniform(0.05, 1.0))
+        if mode == "knn":
+            query = NeighborQuery.knn(int(rng.integers(1, min(len(pts), 30))))
+        else:
+            query = NeighborQuery.radius(radius)
+        indices, eps = NeighborIndex(pts).resolve_all(query)
+        expected = ball_lists(pts, eps)
+        assert len(indices) == len(expected) == len(pts)
+        for got, want in zip(indices, expected):
+            assert got.dtype == np.intp
+            assert np.array_equal(got, want)
+
+
 class TestVariationTensor:
     def test_symmetric_pair_cancels(self):
         # neighbors in +/- pairs with equal masses and planes: odd symmetry
         cloud = line_cloud([-0.4, 0.0, 0.4])
-        beta = vc.variation_tensor(cloud, 1, pair_for(1, 2), 1.0,
-                                   idx=ball(cloud, cloud.positions[1], 1.0))
+        beta = one_row(vc.variation_tensor, cloud, 1, pair_for(1, 2), 1.0,
+                       ball(cloud, cloud.positions[1], 1.0))
         assert np.max(np.abs(beta)) == 0.0
 
     def test_two_point_hand_evaluation(self):
@@ -110,8 +159,8 @@ class TestVariationTensor:
         rho_d = float(kp.rho.deriv(t_dist / eps))
         xi_v = float(kp.xi.eval(t_dist / eps))
         by_hand = (1.0 / 2.0) * (1.0 / eps) * (-rho_d) / xi_v
-        beta = vc.variation_tensor(cloud, 0, kp, eps,
-                                   idx=ball(cloud, cloud.positions[0], eps))
+        beta = one_row(vc.variation_tensor, cloud, 0, kp, eps,
+                       ball(cloud, cloud.positions[0], eps))
         assert beta[0, 0, 0] == pytest.approx(by_hand, rel=1e-12)
         assert beta[0, 0, 0] == pytest.approx(1.0 / t_dist, rel=1e-12)
         others = beta.copy()
@@ -119,32 +168,37 @@ class TestVariationTensor:
         assert np.all(others == 0.0)
 
     def test_isolated_point_raises(self):
+        # an isolated point is a flagged NaN row, not an exception
         cloud = line_cloud([0.0, 10.0])
-        with pytest.raises(IsolatedPointError):
-            vc.variation_tensor(cloud, 0, pair_for(1, 2), 0.5,
-                                idx=ball(cloud, cloud.positions[0], 0.5))
+        idx = ball(cloud, cloud.positions[0], 0.5)
+        beta = one_row(vc.variation_tensor, cloud, 0, pair_for(1, 2), 0.5, idx)
+        assert np.all(np.isnan(beta))
+        pc = point_curvature(cloud, [0], pair_for(1, 2), scale=0.5, idx=idx,
+                             counts=[idx.size])
+        assert pc.isolated.tolist() == [True]
+        assert np.all(np.isnan(pc.kappas[0])) and np.all(np.isnan(pc.a_perp[0]))
 
     def test_exact_jk_symmetry(self):
         rng = np.random.default_rng(3)
         cloud = random_cloud(rng)
-        beta = vc.variation_tensor(cloud, 0, pair_for(2, 3), 0.6,
-                                   idx=ball(cloud, cloud.positions[0], 0.6))
+        beta = one_row(vc.variation_tensor, cloud, 0, pair_for(2, 3), 0.6,
+                       ball(cloud, cloud.positions[0], 0.6))
         assert np.max(np.abs(beta - beta.transpose(0, 2, 1))) == 0.0
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(5)
         cloud = random_cloud(rng, n_pts=150)
         kp = pair_for(2, 3)
-        beta = vc.variation_tensor(cloud, 7, kp, 0.6,
-                                   idx=ball(cloud, cloud.positions[7], 0.6))
+        beta = one_row(vc.variation_tensor, cloud, 7, kp, 0.6,
+                       ball(cloud, cloud.positions[7], 0.6))
         q, r = np.linalg.qr(rng.standard_normal((3, 3)))
         q *= np.sign(np.diag(r))
         rot_planes = np.einsum("ab,lbc,dc->lad", q, cloud.planes, q)
         rot_cloud = vc.validate_cloud(
             cloud.positions @ q.T, rot_planes, cloud.masses, 2
         )
-        beta_rot = vc.variation_tensor(rot_cloud, 7, kp, 0.6,
-                                       idx=ball(rot_cloud, rot_cloud.positions[7], 0.6))
+        beta_rot = one_row(vc.variation_tensor, rot_cloud, 7, kp, 0.6,
+                           ball(rot_cloud, rot_cloud.positions[7], 0.6))
         expected = np.einsum("ai,bj,ck,ijk->abc", q, q, q, beta)
         assert np.allclose(beta_rot, expected, atol=1e-9)
 
@@ -157,8 +211,8 @@ class TestMeanCurvature:
     def test_trace_identity_checked(self):
         rng = np.random.default_rng(11)
         cloud = random_cloud(rng)
-        beta = vc.variation_tensor(cloud, 0, pair_for(2, 3), 0.7,
-                                   idx=ball(cloud, cloud.positions[0], 0.7))
+        beta = one_row(vc.variation_tensor, cloud, 0, pair_for(2, 3), 0.7,
+                       ball(cloud, cloud.positions[0], 0.7))
         h = mean_curvature_vector(beta, dim_d=2)
         assert np.allclose(np.einsum("iqq->i", beta), 2 * h, atol=1e-10)
 
@@ -166,8 +220,8 @@ class TestMeanCurvature:
         # dense regular circle: |H| -> 1/R pointing inward
         cloud = circle_cloud(4000, radius=2.0)
         kp = pair_for(1, 2)
-        beta = vc.variation_tensor(cloud, 0, kp, 0.15,
-                                   idx=ball(cloud, cloud.positions[0], 0.15))
+        beta = one_row(vc.variation_tensor, cloud, 0, kp, 0.15,
+                       ball(cloud, cloud.positions[0], 0.15))
         h = mean_curvature_vector(beta, dim_d=1)
         x0 = cloud.positions[0]
         inward = -x0 / np.linalg.norm(x0)
@@ -183,24 +237,24 @@ class TestDirectionMatrix:
         p = q @ q.T
         planes = np.broadcast_to(p, (50, 3, 3)).copy()
         cloud = vc.validate_cloud(pts, planes, np.ones(50), 2)
-        c = smoothed_direction_matrix(cloud, pts[0], pair_for(2, 3), 0.7,
-                                      idx=ball(cloud, pts[0], 0.7))
+        c = one_row(smoothed_direction_matrix, cloud, pts[0], pair_for(2, 3), 0.7,
+                    ball(cloud, pts[0], 0.7))
         assert np.allclose(c, p, atol=1e-12)
 
     def test_two_point_average(self):
         pts = np.array([[0.2, 0.0], [-0.2, 0.0]])
         planes = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         cloud = vc.validate_cloud(pts, planes, [1.0, 1.0], 1)
-        c = smoothed_direction_matrix(cloud, [0.0, 0.0], pair_for(1, 2), 1.0,
-                                      idx=ball(cloud, [0.0, 0.0], 1.0))
+        c = one_row(smoothed_direction_matrix, cloud, [0.0, 0.0], pair_for(1, 2), 1.0,
+                    ball(cloud, [0.0, 0.0], 1.0))
         assert np.allclose(c, np.diag([0.5, 0.5]), atol=1e-12)
 
     def test_trace_is_d(self):
         rng = np.random.default_rng(17)
         cloud = random_cloud(rng)
         x = cloud.positions[3]
-        c = smoothed_direction_matrix(cloud, x, pair_for(2, 3), 0.8,
-                                      idx=ball(cloud, x, 0.8))
+        c = one_row(smoothed_direction_matrix, cloud, x, pair_for(2, 3), 0.8,
+                    ball(cloud, x, 0.8))
         assert np.trace(c) == pytest.approx(2.0, abs=1e-10)
 
 
@@ -218,9 +272,8 @@ class TestCurvatureTensors:
         kp = pair_for(2, 3)
         idx = ball(cloud, cloud.positions[0], 0.8)
         a = curvature_tensor(cloud, 0, kp, 0.8, idx=idx)
-        beta = vc.variation_tensor(cloud, 0, kp, 0.8, idx=idx)
-        c = smoothed_direction_matrix(cloud, cloud.positions[0], kp, 0.8,
-                                      idx=idx)
+        beta = one_row(vc.variation_tensor, cloud, 0, kp, 0.8, idx)
+        c = one_row(smoothed_direction_matrix, cloud, cloud.positions[0], kp, 0.8, idx)
         h = mean_curvature_vector(beta)
         g = np.linalg.solve(np.eye(3) + c, h)
         assert np.allclose(np.einsum("qiq->i", a), g, atol=1e-10)
@@ -231,9 +284,8 @@ class TestCurvatureTensors:
         kp = pair_for(2, 3)
         idx = ball(cloud, cloud.positions[5], 0.8)
         a = curvature_tensor(cloud, 5, kp, 0.8, idx=idx)
-        beta = vc.variation_tensor(cloud, 5, kp, 0.8, idx=idx)
-        c = smoothed_direction_matrix(cloud, cloud.positions[5], kp, 0.8,
-                                      idx=idx)
+        beta = one_row(vc.variation_tensor, cloud, 5, kp, 0.8, idx)
+        c = one_row(smoothed_direction_matrix, cloud, cloud.positions[5], kp, 0.8, idx)
         h = np.einsum("qiq->i", beta)
         closed = beta - np.einsum("jk,i->ijk", c,
                                   np.linalg.solve(np.eye(3) + c, h))
@@ -262,7 +314,7 @@ class TestCurvatureTensors:
         for l0 in (0, 50, 100):
             idx = ball(cloud, cloud.positions[l0], 0.7)
             a_perp = orthogonal_curvature_tensor(cloud, l0, kp, 0.7, idx=idx)
-            beta = vc.variation_tensor(cloud, l0, kp, 0.7, idx=idx)
+            beta = one_row(vc.variation_tensor, cloud, l0, kp, 0.7, idx)
             h = mean_curvature_vector(beta)
             p0 = cloud.planes[l0]
             scale = 1.0 + np.max(np.abs(beta))
@@ -278,8 +330,8 @@ class TestCurvatureTensors:
         p = q @ q.T
         planes = np.broadcast_to(p, (60, 3, 3)).copy()
         cloud = vc.validate_cloud(pts, planes, np.ones(60), 2)
-        b = vc.orthogonal_sff(cloud, 0, pair_for(2, 3), 0.9,
-                              idx=ball(cloud, pts[0], 0.9))
+        b = one_row(vc.orthogonal_sff, cloud, 0, pair_for(2, 3), 0.9,
+                    ball(cloud, pts[0], 0.9))
         assert np.max(np.abs(b)) == 0.0
 
     def test_two_path_equality(self):
@@ -288,7 +340,7 @@ class TestCurvatureTensors:
         for _ in range(10):
             cloud = random_cloud(rng, n_pts=120)
             idx = ball(cloud, cloud.positions[3], 0.8)
-            direct = vc.orthogonal_sff(cloud, 3, kp, 0.8, idx=idx)
+            direct = one_row(vc.orthogonal_sff, cloud, 3, kp, 0.8, idx)
             a_perp = orthogonal_curvature_tensor(cloud, 3, kp, 0.8, idx=idx)
             converted = vc.to_bilinear_form(a_perp)
             assert np.max(np.abs(direct - converted)) < 1e-12
@@ -323,8 +375,8 @@ class TestRestriction:
         sample = vc.Sphere(1.0).sample(800, seed=2)
         cloud = sample.cloud
         kp = pair_for(2, 3)
-        b = vc.orthogonal_sff(cloud, 10, kp, 0.4,
-                              idx=ball(cloud, cloud.positions[10], 0.4))
+        b = one_row(vc.orthogonal_sff, cloud, 10, kp, 0.4,
+                    ball(cloud, cloud.positions[10], 0.4))
         plane = cloud.planes[10]
         bbar, basis, normal = restrict_to_tangent(b, plane)
         k1, _, g1, s1 = principal_curvatures(bbar, basis, normal)
@@ -341,21 +393,22 @@ class TestPointPipeline:
         indices, eps = NeighborIndex(sample.cloud.positions).resolve_all(
             NeighborQuery.knn(40)
         )
-        pc = point_curvature(sample.cloud, 0, scale=eps[0], idx=indices[0])
-        kappas = pc.kappas if pc.kappas.sum() > 0 else -pc.kappas[::-1]
+        pc = point_curvature(sample.cloud, [0], scale=eps[0], idx=indices[0],
+                             counts=[indices[0].size])
+        kappas = pc.kappas[0] if pc.kappas[0].sum() > 0 else -pc.kappas[0][::-1]
         assert np.allclose(kappas, [1.0, 1.0], atol=0.12)
 
     def test_scaling_halves_curvatures(self):
         sample = vc.Sphere(1.0).sample(2000, seed=7)
         cloud = sample.cloud
         eps = 0.3
-        pc1 = point_curvature(cloud, 0, scale=eps,
-                              idx=ball(cloud, cloud.positions[0], eps))
+        idx = ball(cloud, cloud.positions[0], eps)
+        pc1 = point_curvature(cloud, [0], scale=eps, idx=idx, counts=[idx.size])
         scaled = vc.validate_cloud(
             cloud.positions * 2.0, cloud.planes, cloud.masses, 2
         )
-        pc2 = point_curvature(scaled, 0, scale=2 * eps,
-                              idx=ball(scaled, scaled.positions[0], 2 * eps))
+        idx = ball(scaled, scaled.positions[0], 2 * eps)
+        pc2 = point_curvature(scaled, [0], scale=2 * eps, idx=idx, counts=[idx.size])
         assert np.allclose(pc2.kappas, 0.5 * pc1.kappas, atol=1e-9)
 
     def test_rigid_motion_invariance(self):
@@ -372,10 +425,12 @@ class TestPointPipeline:
         )
         eps = 0.25
         for l0 in (0, 11, 500):
-            k_a = point_curvature(cloud, l0, scale=eps,
-                                  idx=ball(cloud, cloud.positions[l0], eps)).kappas
-            k_b = point_curvature(moved, l0, scale=eps,
-                                  idx=ball(moved, moved.positions[l0], eps)).kappas
+            idx = ball(cloud, cloud.positions[l0], eps)
+            k_a = point_curvature(cloud, [l0], scale=eps, idx=idx,
+                                  counts=[idx.size]).kappas[0]
+            idx = ball(moved, moved.positions[l0], eps)
+            k_b = point_curvature(moved, [l0], scale=eps, idx=idx,
+                                  counts=[idx.size]).kappas[0]
             if k_a.sum() * k_b.sum() < 0:
                 k_b = -k_b[::-1]
             assert np.allclose(k_a, k_b, atol=1e-9)
@@ -424,9 +479,9 @@ class TestContinuumOracle:
         kappa_cont = scalar[1, 1]
 
         cloud = circle_cloud(20000)
-        pc = point_curvature(cloud, 0, scale=eps,
-                             idx=ball(cloud, cloud.positions[0], eps))
-        assert pc.kappas[0] == pytest.approx(kappa_cont, abs=1e-10)
+        idx = ball(cloud, cloud.positions[0], eps)
+        pc = point_curvature(cloud, [0], scale=eps, idx=idx, counts=[idx.size])
+        assert pc.kappas[0, 0] == pytest.approx(kappa_cont, abs=1e-10)
         # the smoothed curvature of the unit circle carries the intrinsic
         # quadratic-in-eps shrinkage of the kernel average
         assert abs(kappa_cont) == pytest.approx(0.992027081, abs=1e-8)
@@ -453,7 +508,8 @@ class TestReport:
         assert rep.n_warnings == 1
 
     def test_averaged_variant_checks_direction_matrix_once_per_point(self):
-        # one PSD check per non-isolated point, inside solve_curvature_system
+        # one PSD check per non-isolated point, inside solve_curvature_system;
+        # the points of a chunk arrive as one stack
         cloud = sphere_with_outlier()
         query = NeighborQuery.radius(0.5)
         neighbors = NeighborIndex(cloud.positions).resolve_all(query)
@@ -461,7 +517,7 @@ class TestReport:
         calls = []
 
         def counting_check(mat):
-            calls.append(mat)
+            calls.extend(mat)
             return real_check(mat)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -497,9 +553,9 @@ class TestReport:
         for variant in ("orthogonal", "averaged"):
             calls = []
 
-            def counting_sums(cloud, l0, *args):
-                calls.append(l0)
-                return real_sums(cloud, l0, *args)
+            def counting_sums(cloud, points, *args):
+                calls.extend(points.tolist())
+                return real_sums(cloud, points, *args)
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(estimator, "_local_sums", counting_sums)
@@ -514,7 +570,7 @@ class TestReport:
         rows = np.nonzero(rep.status != STATUS_ISOLATED)[0]
         assert rows.size > 0
         for l0 in rows:
-            b = vc.orthogonal_sff(cloud, l0, kp, radius, idx=indices[l0])
+            b = one_row(vc.orthogonal_sff, cloud, l0, kp, radius, indices[l0])
             restricted, _, _ = restrict_to_tangent(
                 b, cloud.planes[l0], normal=normals[l0], basis=bases[l0]
             )
@@ -563,6 +619,97 @@ class TestReport:
             curvature_report(
                 cloud, NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(2))
             )
+
+
+def far_points(rows, n):
+    """Points far from the unit cube and from each other: isolated."""
+    return 100.0 * (1.0 + np.arange(rows))[:, None] * np.eye(n)[0]
+
+
+class TestEngine:
+    """The chunk engine behind ``curvature_report`` against the per-point
+    reference in ``system_reference``."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([2, 3, 4, 6, 10]),
+        eps=st.floats(0.35, 0.9),
+        kernel=st.sampled_from(["bump", "tent", "box"]),
+        variant=st.sampled_from(["orthogonal", "averaged"]),
+        beyond_chunk=st.booleans(),
+    )
+    def test_report_matches_per_point_reference(self, seed, n, eps, kernel,
+                                                variant, beyond_chunk):
+        rng = np.random.default_rng(seed)
+        n_pts = REPORT_CHUNK + 60 if beyond_chunk else int(rng.integers(20, 120))
+        cloud = random_cloud(rng, n_pts=n_pts, n=n, d=n - 1)
+        # the same density as 80 points in the unit cube, and as in
+        # test_one_sum_per_point_matches_reference_sff the radius grows with
+        # sqrt(n) past n = 4
+        positions = cloud.positions * (n_pts / 80) ** (1.0 / n)
+        if beyond_chunk:
+            # isolated points on both sides of the first chunk boundary
+            positions[REPORT_CHUNK - 1:REPORT_CHUNK + 1] = far_points(2, n)
+        cloud = vc.validate_cloud(positions, cloud.planes, cloud.masses, n - 1)
+        kp = kernel_pair_by_name(kernel, n - 1, n)
+        radius = eps * np.sqrt(n / 2) if n > 4 else eps
+        query = NeighborQuery.radius(radius)
+        neighbors = NeighborIndex(cloud.positions).resolve_all(query)
+        rep = curvature_report(cloud, neighbors, kp, variant=variant,
+                               collect_a_perp=True)
+        ref = reference_report(cloud, neighbors, kp, variant=variant)
+        assert np.array_equal(rep.status, ref.status)
+        if beyond_chunk:
+            assert np.all(rep.status[REPORT_CHUNK - 1:REPORT_CHUNK + 1]
+                          == STATUS_ISOLATED)
+        for name in ("kappas", "mean_vectors", "a_perp", "gauss", "abs_sum",
+                     "mean_norm"):
+            got, want = getattr(rep, name), getattr(ref, name)
+            assert np.array_equal(np.isnan(got), np.isnan(want)), name
+            tol = 1e-12 * (1.0 + np.nanmax(np.abs(want), initial=0.0))
+            assert np.allclose(got, want, rtol=0, atol=tol, equal_nan=True), name
+
+        perm = rng.permutation(n_pts)
+        shuffled = vc.validate_cloud(cloud.positions[perm], cloud.planes[perm],
+                                     cloud.masses[perm], n - 1)
+        moved = curvature_report(
+            shuffled, NeighborIndex(shuffled.positions).resolve_all(query), kp,
+            variant=variant,
+        )
+        assert np.array_equal(moved.status, rep.status[perm])
+        tol = 1e-12 * (1.0 + np.nanmax(np.abs(rep.kappas), initial=0.0))
+        assert np.allclose(moved.kappas, rep.kappas[perm], rtol=0, atol=tol,
+                           equal_nan=True)
+
+    def test_one_engine_call_per_chunk(self):
+        sample = vc.Sphere(1.0).sample(2 * REPORT_CHUNK + 10, seed=4)
+        neighbors = NeighborIndex(sample.cloud.positions).resolve_all(
+            NeighborQuery.knn(20)
+        )
+        real = estimator.point_curvature
+        chunks = []
+
+        def counting(cloud, points, *args, **kwargs):
+            chunks.append((points.tolist(), kwargs["idx"].size))
+            return real(cloud, points, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "point_curvature", counting)
+            curvature_report(sample.cloud, neighbors)
+        indices, _ = neighbors
+        assert [len(p) for p, _ in chunks] == [REPORT_CHUNK, REPORT_CHUNK, 10]
+        assert sum((p for p, _ in chunks), []) == list(range(2 * REPORT_CHUNK + 10))
+        assert sum(size for _, size in chunks) == sum(len(ix) for ix in indices)
+
+    def test_chunk_contract_checked(self):
+        cloud = sphere_with_outlier()
+        with pytest.raises(InvalidInputError, match="2 neighbor counts"):
+            point_curvature(cloud, [0, 1, 2], scale=0.5, idx=np.arange(5),
+                            counts=[2, 3])
+        with pytest.raises(InvalidInputError, match="summing to 5 for 2 points and 4"):
+            vc.variation_tensor(cloud, [0, 1], None, 0.5, idx=np.arange(4),
+                                counts=[2, 3])
 
 
 class TestTangentEstimation:

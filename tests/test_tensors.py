@@ -9,6 +9,7 @@ from varicurv.errors import (
     InvalidDirectionMatrixError,
     InvalidInputError,
 )
+from varicurv.estimator import mean_curvature_vector
 from varicurv.tensors import direction_matrix, solve_curvature_system
 
 from system_reference import (
@@ -216,6 +217,79 @@ class TestFormConversions:
         t[0, 1, 0] = 1.0
         with pytest.raises(AsymmetricInputError):
             to_gradient_form(t)
+
+
+def symmetric_stack(rng, m, n):
+    """``m`` random (j,k)-symmetric gradient-form tensors."""
+    t = rng.standard_normal((m, n, n, n))
+    return 0.5 * (t + t.transpose(0, 1, 3, 2))
+
+
+class TestStacks:
+    """Every tensor function takes a stack of rows and checks each row as it
+    checks a single input; an error names the first bad row."""
+
+    def test_rows_match_single_calls(self):
+        rng = np.random.default_rng(43)
+        for n in (2, 3, 4, 6):
+            d = int(rng.integers(1, n))
+            c = np.array([random_direction_matrix(rng, n, d) for _ in range(7)])
+            b = rng.standard_normal((7, n, n, n))
+            t = symmetric_stack(rng, 7, n)
+            stacked = (direction_matrix(c), solve_curvature_system(c, b),
+                       vc.to_bilinear_form(t), mean_curvature_vector(t))
+            for i in range(7):
+                single = (direction_matrix(c[i]), solve_curvature_system(c[i], b[i]),
+                          vc.to_bilinear_form(t[i]), mean_curvature_vector(t[i]))
+                for got, want in zip(stacked, single):
+                    assert np.max(np.abs(got[i] - want)) <= 1e-14 * (
+                        1.0 + np.max(np.abs(want)))
+
+    def test_bad_direction_row_named(self):
+        rng = np.random.default_rng(47)
+        good = np.array([random_direction_matrix(rng, 3, 2) for _ in range(5)])
+        asym, neg, big = good.copy(), good.copy(), good.copy()
+        asym[2, 0, 1] += 1e-6
+        neg[2] = np.diag([0.5, 0.5, -0.5])
+        big[2] = np.diag([1.5, 0.5, 0.0])
+        for bad, message in ((asym, "not symmetric at row 2"),
+                             (neg, "negative eigenvalue -0.5 below -1e-10 at row 2"),
+                             (big, "exceed 1 in absolute value at row 2")):
+            with pytest.raises(InvalidDirectionMatrixError, match=message):
+                direction_matrix(bad)
+            with pytest.raises(InvalidDirectionMatrixError, match=message):
+                solve_curvature_system(bad, np.zeros((5, 3, 3, 3)))
+
+    def test_tiny_negative_row_clamped_alone(self):
+        c = np.array([np.diag([0.5, 0.25]), np.diag([0.5, -5e-11]),
+                      np.diag([0.75, 0.0])])
+        out = direction_matrix(c)
+        assert np.array_equal(out[0], c[0]) and np.array_equal(out[2], c[2])
+        assert np.min(np.linalg.eigvalsh(out[1])) >= 0.0
+
+    def test_asymmetric_tensor_row_named(self):
+        t = symmetric_stack(np.random.default_rng(53), 5, 3)
+        t[3, 0, 0, 1] += 1e-6
+        with pytest.raises(AsymmetricInputError, match="symmetric at row 3"):
+            vc.to_bilinear_form(t)
+
+    def test_trace_identity_row_named(self):
+        # rows with sum_q t_iqq = 2 * sum_q t_qiq, then one broken row
+        t = np.zeros((5, 3, 3, 3))
+        t[:, 0, 1, 1] = t[:, 0, 2, 2] = 1.0
+        t[:, 1, 1, 0] = t[:, 1, 0, 1] = t[:, 2, 2, 0] = t[:, 2, 0, 2] = 0.5
+        assert np.array_equal(mean_curvature_vector(t, dim_d=2), [[1.0, 0.0, 0.0]] * 5)
+        t[2, 0, 1, 1] += 1e-6
+        with pytest.raises(InvalidInputError, match="violated.*at row 2"):
+            mean_curvature_vector(t, dim_d=2)
+
+    def test_non_finite_row_rejected(self):
+        t = symmetric_stack(np.random.default_rng(59), 4, 3)
+        t[1, 2, 2, 2] = np.nan
+        with pytest.raises(InvalidInputError, match="NaN or Inf"):
+            vc.to_bilinear_form(t)
+        with pytest.raises(InvalidInputError, match="sizes disagree"):
+            solve_curvature_system(np.zeros((3, 3, 3)), t[2:])
 
 
 @st.composite

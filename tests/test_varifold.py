@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import varicurv as vc
 from varicurv.errors import CloudValidationError, InvalidInputError
 
-from system_reference import ball
+from system_reference import ball, one_row
 
 
 class TestValidateCloud:
@@ -134,8 +134,8 @@ class TestSampleJunction:
         mags3 = {}
         for eps in (0.03, 0.05):
             origin = np.zeros(2)
-            b9 = vc.variation_tensor(c9, 0, kp, eps, idx=ball(c9, origin, eps))
-            b3 = vc.variation_tensor(c3, 0, kp, eps, idx=ball(c3, origin, eps))
+            b9 = one_row(vc.variation_tensor, c9, 0, kp, eps, ball(c9, origin, eps))
+            b3 = one_row(vc.variation_tensor, c3, 0, kp, eps, ball(c3, origin, eps))
             assert np.max(np.abs(b9)) <= 0.05 * np.max(np.abs(b3))
             mags3[eps] = np.max(np.abs(b3))
         ratio = mags3[0.03] / mags3[0.05]
