@@ -44,6 +44,7 @@ the engine once per ``REPORT_CHUNK`` points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +71,14 @@ STATUS_AMBIGUOUS = "ambiguous_tangent"
 # covariance terms at about 9 MB for k = 40 in R^3.
 TANGENT_CHUNK = 2048
 
-# Rows per k-nearest query of the neighbor resolution.
+# Rows per tree walk of the neighbor resolution: bounds a block's k-nearest
+# window (distances and indices) at about 2.3 MB for k = 40 in R^3.
 RESOLVE_CHUNK = 2048
+
+# A neighbor this many ulps from a row's radius may fall on either side of
+# the tree's ball test, which compares squared distances where the k-nearest
+# query returns their square roots; such a row takes the ball path.
+EDGE_ULPS = 4
 
 # Points per call of the chunk engine :func:`point_curvature`: bounds the
 # padded (points, neighbors, n, n) plane block at about 3 MB for k = 40 in R^3.
@@ -125,45 +132,73 @@ class NeighborIndex:
     def n_points(self) -> int:
         return self.positions.shape[0]
 
-    def kth_distance(self, k: int) -> np.ndarray:
-        """Distance from each point to its k-th nearest neighbor (self excluded)."""
-        k_eff = min(k + 1, self.n_points)
-        if k_eff < 2:
-            raise InvalidInputError("k-mode needs at least two points")
-        dists, _ = self.tree.query(self.positions, k=k_eff)
-        return dists[:, -1]
-
     def resolve_all(self, query: NeighborQuery) -> tuple[list[np.ndarray], np.ndarray]:
         """Per-point neighbor index lists (sorted, self included) and radii.
 
-        The tree gives each ball's count; the list of point i is then the
-        first ``counts[i]`` columns of a k-nearest query, sorted by index.
-        The queries run over blocks of ``RESOLVE_CHUNK`` rows taken in order
-        of count, so that each asks for about as many neighbors as its rows
-        hold, and the lists are split out of one flat array (no Python lists
-        of Python ints).
+        In knn mode each block of ``RESOLVE_CHUNK`` rows makes one k-nearest
+        query of ``K0 = min(N, ceil((1 + margin)**n * (k + 1)))`` columns,
+        the count a ball of radius (1 + margin) r_k holds at uniform density
+        in R^n.  A row's eps is (1 + margin) times its distance in column k,
+        and its list is its columns within eps, sorted by index.  A row
+        whose window may miss part of its ball takes the ball path instead:
+        its last column lies within eps (while K0 < N), or a column lies
+        within ``EDGE_ULPS`` ulps of eps.  The ball path, which is also the
+        whole of radius mode, asks the tree for each ball's count; a list is
+        then the first ``counts[i]`` columns of a k-nearest query over
+        blocks of rows taken in order of count, so that each block asks for
+        about as many neighbors as its rows hold.  Lists are split out of
+        flat arrays, never built from Python lists of Python ints.
         """
-        n = self.n_points
+        n_pts = self.n_points
         if query.mode == "radius":
-            eps = np.full(n, query.epsilon)
-        else:
-            eps = (1.0 + query.margin) * self.kth_distance(query.k)
-        counts = self.tree.query_ball_point(self.positions, eps, return_length=True)
+            eps = np.full(n_pts, query.epsilon)
+            return self._ball_lists(np.arange(n_pts), eps), eps
+        dim = self.positions.shape[1]
+        width = min(n_pts, math.ceil((1.0 + query.margin) ** dim * (query.k + 1)))
+        if width < 2:
+            raise InvalidInputError("k-mode needs at least two points")
+        eps = np.empty(n_pts)
+        lists = []
+        unsure = []
+        for lo in range(0, n_pts, RESOLVE_CHUNK):
+            dist, nearest = self.tree.query(
+                self.positions[lo:lo + RESOLVE_CHUNK], k=width
+            )
+            e = eps[lo:lo + RESOLVE_CHUNK] = (
+                (1.0 + query.margin) * dist[:, min(query.k, width - 1)]
+            )
+            # distances ascend along a row, so the columns inside form a prefix
+            inside = dist <= e[:, None]
+            near = np.abs(dist - e[:, None]) <= EDGE_ULPS * np.spacing(e)[:, None]
+            ball = near.any(axis=1) | (inside[:, -1] & (width < n_pts))
+            unsure.append(lo + np.flatnonzero(ball))
+            nearest = np.sort(np.where(inside, nearest, n_pts), axis=1)[inside]
+            lists += np.split(nearest, np.cumsum(inside.sum(axis=1))[:-1])
+        unsure = np.concatenate(unsure)
+        if unsure.size:
+            for i, ix in zip(unsure, self._ball_lists(unsure, eps[unsure])):
+                lists[i] = ix
+        return lists, eps
+
+    def _ball_lists(self, rows: np.ndarray, eps: np.ndarray) -> list[np.ndarray]:
+        """Sorted lists of the points ``rows`` within their radii ``eps``."""
+        x = self.positions[rows]
+        counts = self.tree.query_ball_point(x, eps, return_length=True)
         ends = np.cumsum(counts)
         flat = np.empty(int(counts.sum()), dtype=np.intp)
         order = np.argsort(counts, kind="stable")
-        for lo in range(0, n, RESOLVE_CHUNK):
-            rows = order[lo:lo + RESOLVE_CHUNK]
-            c = counts[rows]
-            _, nearest = self.tree.query(self.positions[rows], k=int(c[-1]))
-            nearest = nearest.reshape(rows.size, -1)
+        for lo in range(0, rows.size, RESOLVE_CHUNK):
+            sel = order[lo:lo + RESOLVE_CHUNK]
+            c = counts[sel]
+            _, nearest = self.tree.query(x[sel], k=int(c[-1]))
+            nearest = nearest.reshape(sel.size, -1)
             inside = np.arange(nearest.shape[1]) < c[:, None]
             # slots past a row's count sort to its end
-            nearest = np.sort(np.where(inside, nearest, n), axis=1)
+            nearest = np.sort(np.where(inside, nearest, self.n_points), axis=1)
             # row r's list goes to flat[ends[r] - counts[r]:ends[r]]
-            shift = ends[rows] - counts[rows] - (np.cumsum(c) - c)
+            shift = ends[sel] - c - (np.cumsum(c) - c)
             flat[np.repeat(shift, c) + np.arange(int(c.sum()))] = nearest[inside]
-        return np.split(flat, ends[:-1]), eps
+        return np.split(flat, ends[:-1])
 
 
 def default_kernels(cloud: PointCloudVarifold) -> KernelPair:

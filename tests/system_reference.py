@@ -10,9 +10,11 @@ variants, the inverse form conversion and the kernel constants by
 quadrature are cross-checks no library path needs.  ``reference_report``
 (with the per-point estimator it loops over) and
 ``reference_tangent_planes`` are the one-point-at-a-time versions that the
-batched library code is tested against.
+batched library code is tested against; the tangent reference also says
+how close the batched planes can be asked to come.
 """
 
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -31,7 +33,6 @@ from varicurv.estimator import (
     STATUS_ISOLATED,
     STATUS_OK,
     CurvatureReport,
-    TangentEstimate,
     default_kernels,
     mean_curvature_vector,
     plane_frames,
@@ -205,7 +206,18 @@ def reference_report(cloud, neighbors, kernels=None, variant="orthogonal",
     )
 
 
-def reference_tangent_planes(positions, neighbors, dim_d: int) -> TangentEstimate:
+@dataclass(frozen=True)
+class ReferenceTangents:
+    """Reference tangent planes, ambiguity flags, and per point the bound
+    max(1e-12, 4 eps_mach lambda_1 / (lambda_d - lambda_{d+1})) on how far
+    rounding moves a plane: the covariance's rounding over its eigen-gap."""
+
+    planes: np.ndarray
+    ambiguous: np.ndarray
+    rounding: np.ndarray
+
+
+def reference_tangent_planes(positions, neighbors, dim_d: int) -> ReferenceTangents:
     """Tangent planes by bump-weighted local covariance, one point at a time.
 
     Same rules, tolerances and errors as
@@ -217,6 +229,8 @@ def reference_tangent_planes(positions, neighbors, dim_d: int) -> TangentEstimat
     indices, sigma = neighbors
     planes = np.empty((n_pts, n, n))
     ambiguous = np.zeros(n_pts, dtype=bool)
+    rounding = np.zeros(n_pts)
+    eps_mach = np.finfo(float).eps
     for i in range(n_pts):
         idx = indices[i]
         if idx.size < dim_d + 1:
@@ -236,11 +250,13 @@ def reference_tangent_planes(positions, neighbors, dim_d: int) -> TangentEstimat
         evecs = evecs[:, ::-1]
         if evals[0] <= 0.0 or evals[dim_d - 1] <= 1e-12 * evals[0]:
             raise DegenerateNeighborhoodError(i)
-        if dim_d < n and evals[dim_d - 1] - evals[dim_d] <= 1e-9 * evals[0]:
-            ambiguous[i] = True
+        if dim_d < n:
+            gap = evals[dim_d - 1] - evals[dim_d]
+            ambiguous[i] = gap <= 1e-9 * evals[0]
+            rounding[i] = 4 * eps_mach * evals[0] / gap if gap > 0.0 else np.inf
         top = evecs[:, :dim_d]
         planes[i] = top @ top.T
-    return TangentEstimate(planes=planes, ambiguous=ambiguous)
+    return ReferenceTangents(planes, ambiguous, np.maximum(1e-12, rounding))
 
 
 def to_gradient_form(b) -> np.ndarray:
