@@ -152,14 +152,16 @@ def _run(args) -> int:
         raise InvalidInputError(
             "--tangent-mode exact needs a shape input or ply normals"
         )
-    # one resolution serves the tangent estimate and the report
-    neighbors = NeighborIndex(positions).resolve_all(query)
+    # one tree and one resolution serve the tangent estimate, the masses
+    # and the report
+    index = NeighborIndex(positions)
+    neighbors = index.resolve_all(query)
     ambiguous = None
     if planes is None:
         est = estimate_tangent_planes(positions, neighbors, d)
         planes = est.planes
         ambiguous = est.ambiguous
-    masses = estimate_masses(positions, args.n_mass, d, mode=args.mass_mode)
+    masses = estimate_masses(index, args.n_mass, d, mode=args.mass_mode)
     cloud = validate_cloud(positions, planes, masses, d)
     kernels = kernel_pair_by_name(args.kernel, d, n)
     report = curvature_report(cloud, neighbors, kernels=kernels,

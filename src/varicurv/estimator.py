@@ -38,8 +38,10 @@ conversion, restriction, eigenvalues) runs on stacks.  An isolated point
 is a NaN row, flagged, never an exception.  A single point is a one-row
 chunk.  The whole-cloud functions :func:`estimate_tangent_planes` and
 :func:`curvature_report` take the ``(indices, eps)`` pair that
-``resolve_all`` returns, so one resolution serves both; the report calls
-the engine once per ``REPORT_CHUNK`` points.
+``resolve_all`` returns, so one resolution serves both; each runs
+``REPORT_CHUNK`` points at a time on the same padded block.
+:func:`estimate_masses` queries the tree of the :class:`NeighborIndex`
+that resolved them, so a run builds one kd-tree.
 """
 
 from __future__ import annotations
@@ -66,10 +68,6 @@ DENOM_GUARD = 1e-300
 STATUS_OK = "ok"
 STATUS_ISOLATED = "isolated"
 STATUS_AMBIGUOUS = "ambiguous_tangent"
-
-# Points per batch of the tangent estimate: bounds the per-pair (n, n)
-# covariance terms at about 9 MB for k = 40 in R^3.
-TANGENT_CHUNK = 2048
 
 # Rows per tree walk of the neighbor resolution: bounds a block's k-nearest
 # window (distances and indices) at about 2.3 MB for k = 40 in R^3.
@@ -241,8 +239,9 @@ def _flatten(indices) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(indices), counts
 
 
-def _neighbor_block(cloud, x, idx, counts):
-    """A chunk's neighbor lists as a padded (m, K) block, K the longest list.
+def _neighbor_block(positions, x, idx, counts):
+    """A chunk's neighbor lists as a padded (m, K) block, K the longest list,
+    around the locations ``x`` (m, n); ``idx`` indexes ``positions``.
 
     Returns (valid, pad, d_vec, r): the mask of real slots, the neighbor
     index of each slot (0 in padding), the offsets x_i - x_l and their
@@ -251,7 +250,7 @@ def _neighbor_block(cloud, x, idx, counts):
     valid = np.arange(int(counts.max(initial=0))) < counts[:, None]
     pad = np.zeros(valid.shape, dtype=np.intp)
     pad[valid] = idx
-    d_vec = x[:, None, :] - np.take(cloud.positions, pad, axis=0)
+    d_vec = x[:, None, :] - np.take(positions, pad, axis=0)
     r = np.sqrt(np.einsum("mla,mla->ml", d_vec, d_vec))
     return valid, pad, d_vec, r
 
@@ -272,7 +271,9 @@ def _local_sums(cloud, points, kernels, eps, idx, counts):
     every neighbor, including zero-distance ones.  The kernels see only the
     real slots.
     """
-    valid, pad, d_vec, r = _neighbor_block(cloud, cloud.positions[points], idx, counts)
+    valid, pad, d_vec, r = _neighbor_block(
+        cloud.positions, cloud.positions[points], idx, counts
+    )
     t = r / eps[:, None]
     mass = np.take(cloud.masses, pad)
     xi_w = np.zeros(valid.shape)
@@ -358,7 +359,7 @@ def smoothed_direction_matrix(
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     eps, idx, counts = _chunk(x.shape[0], eps, idx, counts)
-    valid, pad, _, r = _neighbor_block(cloud, x, idx, counts)
+    valid, pad, _, r = _neighbor_block(cloud.positions, x, idx, counts)
     w = np.zeros(valid.shape)
     w[valid] = np.take(cloud.masses, pad)[valid] * kernels.eta.eval(
         (r / eps[:, None])[valid]
@@ -650,69 +651,52 @@ def estimate_tangent_planes(
     (relative 1e-12) raises :class:`DegenerateNeighborhoodError`, for the
     first such point in point order; a near-tie between the d-th and
     (d+1)-th eigenvalues (within 1e-9 of the largest) flags the point as
-    ambiguous instead of failing.  The points run in batches of
-    ``TANGENT_CHUNK``, with one stacked eigendecomposition per batch.
+    ambiguous instead of failing.  The points run ``REPORT_CHUNK`` at a
+    time on the report's padded neighbor block, with one batched covariance
+    product and one stacked eigendecomposition per chunk.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     n_pts, n = positions.shape
     indices, sigma = _check_neighbors(neighbors, n_pts)
     planes = np.empty((n_pts, n, n))
     ambiguous = np.zeros(n_pts, dtype=bool)
-    for lo in range(0, n_pts, TANGENT_CHUNK):
-        hi = min(lo + TANGENT_CHUNK, n_pts)
+    for lo in range(0, n_pts, REPORT_CHUNK):
+        hi = min(lo + REPORT_CHUNK, n_pts)
+        flat, counts = _flatten(indices[lo:hi])
         planes[lo:hi], ambiguous[lo:hi] = _tangent_chunk(
-            positions, indices[lo:hi], sigma[lo:hi], lo, dim_d
+            positions, lo, sigma[lo:hi], flat, counts, dim_d
         )
     return TangentEstimate(planes=planes, ambiguous=ambiguous)
 
 
-def _tangent_chunk(positions, indices, sigma, lo, dim_d):
+def _tangent_chunk(positions, lo, sigma, idx, counts, dim_d):
     """Planes and ambiguity flags of points lo, lo+1, ... from their
-    neighbor lists, flattened into CSR form (``flat`` holds the lists end to
-    end, ``starts`` the offset of each) and reduced per point with
-    ``np.add.reduceat``; per-owner rows are repeated ``counts`` times."""
+    neighbor lists (``idx`` end to end, ``counts`` their lengths)."""
     n = positions.shape[1]
-    flat, counts = _flatten(indices)
-    # Points from the first one with too few neighbors on are never needed:
-    # that point raises unless an earlier one does.
-    few = np.flatnonzero(counts < dim_d + 1)
-    m = int(few[0]) if few.size else len(indices)
-    if m:
-        counts = counts[:m]
-        flat = flat[:int(counts.sum())]
-        starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-        # np.take and np.repeat gather rows several times faster than
-        # fancy indexing
-        pts = np.take(positions, flat, axis=0)
-        d_vec = pts - np.repeat(positions[lo:lo + m], counts, axis=0)
-        r = np.sqrt(np.einsum("la,la->l", d_vec, d_vec))
-        w = bump_profile().eval(r / np.repeat(sigma[:m], counts))
-        w_sum = np.add.reduceat(w, starts)
-        zero_w = w_sum <= 0.0
-        bary = np.add.reduceat(w[:, None] * pts, starts)
-        bary /= np.where(zero_w, 1.0, w_sum)[:, None]
-        centered = pts - np.repeat(bary, counts, axis=0)
-        weighted = w[:, None] * centered
-        # one entry at a time: a (pairs, n, n) product would be the largest
-        # array of the pass
-        cov = np.empty((m, n, n))
-        for a, b in zip(*np.triu_indices(n)):
-            cov[:, a, b] = cov[:, b, a] = np.add.reduceat(
-                weighted[:, a] * centered[:, b], starts
-            )
-        evals, evecs = np.linalg.eigh(cov)
-        evals = evals[:, ::-1]
-        evecs = evecs[:, :, ::-1]
-        low_rank = (evals[:, 0] <= 0.0) | (evals[:, dim_d - 1] <= 1e-12 * evals[:, 0])
-        bad = np.flatnonzero(zero_w | low_rank)
-        if bad.size:
-            i = lo + int(bad[0])
-            raise DegenerateNeighborhoodError(
-                i, f"zero covariance weights at {i}" if zero_w[bad[0]] else None
-            )
-    if few.size:
-        i = lo + m
-        raise DegenerateNeighborhoodError(i, f"only {len(indices[m])} points near {i}")
+    m = counts.size
+    valid, _, d_vec, r = _neighbor_block(positions, positions[lo:lo + m], idx, counts)
+    w = np.zeros(valid.shape)
+    w[valid] = bump_profile().eval((r / sigma[:, None])[valid])
+    w_sum = w.sum(axis=1)
+    zero_w = w_sum <= 0.0
+    # the covariance of the offsets x_i - x_l is that of the neighbors
+    bary = np.einsum("ml,mla->ma", w, d_vec) / np.where(zero_w, 1.0, w_sum)[:, None]
+    centered = d_vec - bary[:, None]
+    cov = (w[..., None] * centered).transpose(0, 2, 1) @ centered
+    evals, evecs = np.linalg.eigh(cov)
+    evals = evals[:, ::-1]
+    evecs = evecs[:, :, ::-1]
+    few = counts < dim_d + 1
+    low_rank = (evals[:, 0] <= 0.0) | (evals[:, dim_d - 1] <= 1e-12 * evals[:, 0])
+    bad = np.flatnonzero(few | zero_w | low_rank)
+    if bad.size:
+        b = int(bad[0])
+        i = lo + b
+        if few[b]:
+            raise DegenerateNeighborhoodError(i, f"only {counts[b]} points near {i}")
+        raise DegenerateNeighborhoodError(
+            i, f"zero covariance weights at {i}" if zero_w[b] else None
+        )
     ambiguous = np.zeros(m, dtype=bool)
     if dim_d < n:
         ambiguous = evals[:, dim_d - 1] - evals[:, dim_d] <= 1e-9 * evals[:, 0]
@@ -721,27 +705,23 @@ def _tangent_chunk(positions, indices, sigma, lo, dim_d):
 
 
 def estimate_masses(
-    positions, n_mass: int, dim_d: int, mode: str = "nmass"
+    index: NeighborIndex, n_mass: int, dim_d: int, mode: str = "nmass"
 ) -> np.ndarray:
     """Per-point masses from the radius of the smallest n_mass-point ball.
 
     r_i is the smallest radius whose closed ball around x_i holds at least
-    ``n_mass`` cloud points, the point itself included.  Modes:
-    "nmass" gives omega_d r_i^d / n_mass, "rd" the simplified r_i^d,
-    "uniform" all ones.
+    ``n_mass`` cloud points, the point itself included, found on the tree
+    of ``index``.  Modes: "nmass" gives omega_d r_i^d / n_mass, "rd" the
+    simplified r_i^d, "uniform" all ones.
     """
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    n_pts = positions.shape[0]
+    n_pts = index.n_points
     if mode == "uniform":
         return np.ones(n_pts)
     if mode not in ("nmass", "rd"):
         raise InvalidInputError(f"unknown mass mode {mode!r}")
     if not 1 <= n_mass <= n_pts:
         raise InvalidInputError("need 1 <= n_mass <= number of points")
-    tree = cKDTree(positions)
-    dists, _ = tree.query(positions, k=n_mass)
-    dists = np.atleast_2d(dists)
-    radii = dists[:, -1]
+    radii = index.tree.query(index.positions, k=[n_mass])[0][:, 0]
     if np.any(radii <= 0.0):
         bad = int(np.argmax(radii <= 0.0))
         raise ZeroRadiusError(

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import varicurv as vc
+from varicurv import estimator
 from varicurv.cli import main
 from varicurv.estimator import NeighborIndex
 
@@ -67,23 +69,31 @@ class TestRunFromFile:
         assert np.nanmax(np.abs(gauss)) < 1e-8
 
     def test_estimated_tangents_resolve_neighbors_once(self, tmp_path):
-        # the tangent estimate and the report share one resolution
+        # the tangent estimate, the masses and the report share one tree
+        # and one resolution
         sample = vc.Cube(1.0).sample(600, noise_sigma=0.01, seed=2)
         xyz = tmp_path / "cube.xyz"
         vc.io.write_xyz(xyz, sample.cloud.positions)
         real_resolve = NeighborIndex.resolve_all
         calls = []
+        trees = []
 
         def counting_resolve(self, query):
             calls.append(query)
             return real_resolve(self, query)
 
+        def counting_tree(positions):
+            trees.append(positions)
+            return cKDTree(positions)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(NeighborIndex, "resolve_all", counting_resolve)
+            mp.setattr(estimator, "cKDTree", counting_tree)
             code = run_cli("run", "--input", str(xyz), "--k", "16",
                            "--mass-mode", "nmass", "--csv", str(tmp_path / "c.csv"))
         assert code == 0
         assert len(calls) == 1
+        assert len(trees) == 1
 
     def test_ply_normals_used_as_planes(self, tmp_path):
         sample = vc.Sphere(1.0).sample(600, seed=5)

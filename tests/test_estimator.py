@@ -18,7 +18,6 @@ from varicurv.estimator import (
     REPORT_CHUNK,
     RESOLVE_CHUNK,
     STATUS_ISOLATED,
-    TANGENT_CHUNK,
     NeighborIndex,
     NeighborQuery,
     curvature_report,
@@ -31,7 +30,7 @@ from varicurv.estimator import (
     restrict_to_tangent,
     smoothed_direction_matrix,
 )
-from varicurv.kernels import kernel_pair_by_name, paired_mass_profile
+from varicurv.kernels import kernel_pair_by_name, paired_mass_profile, unit_ball_volume
 from varicurv.shapes import shape_by_name
 
 from system_reference import (
@@ -877,7 +876,7 @@ class TestBatchedTangents:
         d = min(d, n - 1)
         k = d + extra
         rng = np.random.default_rng(seed)
-        n_pts = TANGENT_CHUNK + 150 if beyond_chunk else int(rng.integers(30, 300))
+        n_pts = REPORT_CHUNK + 150 if beyond_chunk else int(rng.integers(30, 300))
         # a noisy d-dimensional sheet: the planes are far from ambiguous
         pts = np.zeros((n_pts, n))
         pts[:, :d] = rng.uniform(-1.0, 1.0, (n_pts, d))
@@ -918,8 +917,8 @@ class TestBatchedTangents:
         lone = np.array([[10.0, 10.0, 10.0]])
         line = np.column_stack([20.0 + 0.01 * np.arange(5), np.full(5, 20.0),
                                 np.full(5, 20.0)])
-        grid = plane_grid(TANGENT_CHUNK + 200)
-        at = TANGENT_CHUNK + 50
+        grid = plane_grid(REPORT_CHUNK + 200)
+        at = REPORT_CHUNK + 50
         odd = [lone, line] if first == "few" else [line, lone]
         pts = np.vstack([grid[:at], *odd, grid[at:]])
         neighbors = NeighborIndex(pts).resolve_all(NeighborQuery.radius(0.05))
@@ -939,25 +938,31 @@ class TestMassEstimation:
         # radius h, mass = omega_1 h / 3 = 2h/3
         h = 0.25
         pts = np.arange(10.0)[:, None] * h
-        masses = estimate_masses(pts, 3, 1)
+        masses = estimate_masses(NeighborIndex(pts), 3, 1)
         assert masses[5] == pytest.approx(2.0 * h / 3.0)
+        # any cloud: omega_d r^d / n_mass, r from an independent tree
+        cloud = np.random.default_rng(3).uniform(0.0, 1.0, (500, 3))
+        r = cKDTree(cloud).query(cloud, k=8)[0][:, -1]
+        assert np.array_equal(estimate_masses(NeighborIndex(cloud), 8, 2),
+                              unit_ball_volume(2) * r**2 / 8)
 
     def test_uniform_mode(self):
         pts = np.random.default_rng(1).uniform(0, 1, (20, 2))
-        assert np.all(estimate_masses(pts, 3, 1, mode="uniform") == 1.0)
+        masses = estimate_masses(NeighborIndex(pts), 3, 1, mode="uniform")
+        assert np.all(masses == 1.0)
 
     def test_simplified_mode(self):
         h = 0.5
         pts = np.arange(6.0)[:, None] * h
-        masses = estimate_masses(pts, 2, 1, mode="rd")
+        masses = estimate_masses(NeighborIndex(pts), 2, 1, mode="rd")
         assert masses[2] == pytest.approx(h)
 
     def test_nmass_one_zero_radius(self):
         pts = np.arange(5.0)[:, None]
         with pytest.raises(ZeroRadiusError):
-            estimate_masses(pts, 1, 1)
+            estimate_masses(NeighborIndex(pts), 1, 1)
 
     def test_duplicates_zero_radius(self):
         pts = np.array([[0.0], [0.0], [1.0]])
         with pytest.raises(ZeroRadiusError):
-            estimate_masses(pts, 2, 1)
+            estimate_masses(NeighborIndex(pts), 2, 1)
