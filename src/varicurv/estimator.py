@@ -17,9 +17,10 @@ Pipeline at a cloud point x0 with smoothing scale eps:
    a_ijk = t_ijk - (P_x0)_jk H_i, which enforces mean-curvature
    orthogonality and is the numerically preferred default;
 4. in codimension 1, contract the bilinear form with the unit normal of the
-   stored plane and restrict to an orthonormal tangent basis; eigenvalues of
-   the restricted matrix are the principal curvatures (sign known only up to
-   the arbitrary normal orientation).
+   stored plane and restrict to an orthonormal tangent basis, both read from
+   the frames the cloud carries (:func:`validate_cloud` decomposes each
+   plane once); eigenvalues of the restricted matrix are the principal
+   curvatures (sign known only up to the arbitrary normal orientation).
 
 The summand at a zero-distance neighbor (the point itself, or a duplicate)
 is defined as 0: the raw expression is 0/0 there, and rho'(0) = 0 forces the
@@ -203,22 +204,6 @@ def default_kernels(cloud: PointCloudVarifold) -> KernelPair:
     return natural_kernel_pair(bump_profile(), cloud.dim_d, cloud.ambient_n)
 
 
-def plane_frames(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit normals (N, n) and orthonormal tangent bases (N, n, n-1) of a
-    stack of codimension-1 projectors, from one eigendecomposition.
-
-    Normal signs are fixed by lexicographic positivity of the first component
-    exceeding 1e-9; no global orientation is attempted.
-    """
-    _, v = np.linalg.eigh(planes)
-    normals = v[:, :, 0]
-    big = np.abs(normals) > 1e-9
-    first = np.argmax(big, axis=1)
-    signs = np.sign(normals[np.arange(normals.shape[0]), first])
-    signs[signs == 0] = 1.0
-    return normals * signs[:, None], v[:, :, 1:]
-
-
 def _chunk(m, eps, idx, counts):
     """The chunk contract as arrays: (m,) radii, the m neighbor lists end to
     end and their (m,) lengths."""
@@ -239,20 +224,22 @@ def _flatten(indices) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(indices), counts
 
 
-def _neighbor_block(positions, x, idx, counts):
+def _neighbor_block(positions, x, idx, counts, eps):
     """A chunk's neighbor lists as a padded (m, K) block, K the longest list,
-    around the locations ``x`` (m, n); ``idx`` indexes ``positions``.
+    around the locations ``x`` (m, n) with radii ``eps`` (m,); ``idx``
+    indexes ``positions``.
 
-    Returns (valid, pad, d_vec, r): the mask of real slots, the neighbor
-    index of each slot (0 in padding), the offsets x_i - x_l and their
-    lengths.  Callers mask padding out with ``valid``.
+    Returns (valid, pad, d_vec, r, t): the mask of real slots, the neighbor
+    index of each slot (0 in padding), the offsets x_i - x_l, their lengths
+    and their lengths over the row's radius.  A row of radius 0 holds only
+    zero offsets, and its t is 0.  Callers mask padding out with ``valid``.
     """
     valid = np.arange(int(counts.max(initial=0))) < counts[:, None]
     pad = np.zeros(valid.shape, dtype=np.intp)
     pad[valid] = idx
     d_vec = x[:, None, :] - np.take(positions, pad, axis=0)
     r = np.sqrt(np.einsum("mla,mla->ml", d_vec, d_vec))
-    return valid, pad, d_vec, r
+    return valid, pad, d_vec, r, r / np.where(eps > 0.0, eps, 1.0)[:, None]
 
 
 def _nan_rows(stack: np.ndarray) -> np.ndarray:
@@ -271,10 +258,9 @@ def _local_sums(cloud, points, kernels, eps, idx, counts):
     every neighbor, including zero-distance ones.  The kernels see only the
     real slots.
     """
-    valid, pad, d_vec, r = _neighbor_block(
-        cloud.positions, cloud.positions[points], idx, counts
+    valid, pad, d_vec, r, t = _neighbor_block(
+        cloud.positions, cloud.positions[points], idx, counts, eps
     )
-    t = r / eps[:, None]
     mass = np.take(cloud.masses, pad)
     xi_w = np.zeros(valid.shape)
     xi_w[valid] = mass[valid] * kernels.xi.eval(t[valid])
@@ -289,9 +275,9 @@ def _local_sums(cloud, points, kernels, eps, idx, counts):
 
 def _prefactor(kernels, eps, xi_den):
     """(C_xi/C_rho) / (eps * xi_den) per point; NaN where the smoothed mass
-    denominator vanishes (isolated point)."""
-    isolated = xi_den < DENOM_GUARD
-    out = kernels.ratio / (eps * np.where(isolated, 1.0, xi_den))
+    denominator or the radius vanishes (isolated point)."""
+    isolated = (xi_den < DENOM_GUARD) | (eps <= 0.0)
+    out = kernels.ratio / np.where(isolated, 1.0, eps * xi_den)
     out[isolated] = np.nan
     return out
 
@@ -359,11 +345,9 @@ def smoothed_direction_matrix(
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     eps, idx, counts = _chunk(x.shape[0], eps, idx, counts)
-    valid, pad, _, r = _neighbor_block(cloud.positions, x, idx, counts)
+    valid, pad, _, _, t = _neighbor_block(cloud.positions, x, idx, counts, eps)
     w = np.zeros(valid.shape)
-    w[valid] = np.take(cloud.masses, pad)[valid] * kernels.eta.eval(
-        (r / eps[:, None])[valid]
-    )
+    w[valid] = np.take(cloud.masses, pad)[valid] * kernels.eta.eval(t[valid])
     w_sum = w.sum(axis=1)
     empty = w_sum < DENOM_GUARD
     c = np.einsum("ml,mlab->mab", w, np.take(cloud.planes, pad, axis=0))
@@ -398,33 +382,25 @@ def orthogonal_sff(
 
 
 def restrict_to_tangent(
-    b_perp: np.ndarray, plane: np.ndarray, normal: np.ndarray | None = None,
-    basis: np.ndarray | None = None, dim_d: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    b_perp: np.ndarray, normal: np.ndarray, basis: np.ndarray
+) -> np.ndarray:
     """Scalar-valued restricted form (codimension 1 only).
 
-    Contracts the vector-valued bilinear form with the unit normal of the
-    stored plane, then restricts to an orthonormal tangent basis Q:
-    returns (Q^T (B . normal) Q, basis, normal).  Every argument may carry
-    leading stack axes, one row per point.
+    Contracts the vector-valued bilinear form with the unit ``normal`` (n,)
+    of the stored plane, then restricts to its orthonormal tangent
+    ``basis`` Q (n, d): returns Q^T (B . normal) Q.  Every argument may
+    carry leading stack axes, one row per point.
     """
-    plane = np.asarray(plane, dtype=float)
-    n = plane.shape[-1]
-    planes = plane.reshape(-1, n, n)
-    dim_d = dim_d if dim_d is not None else int(round(np.trace(planes[0])))
+    n, dim_d = basis.shape[-2:]
     if dim_d != n - 1:
         raise CodimensionError(
             f"scalar restriction needs d = n-1, got d={dim_d}, n={n}; "
             "the vector-valued tensor is the final output in higher codimension"
         )
-    if normal is None or basis is None:
-        normals, bases = plane_frames(planes)
-        normal = normals.reshape(plane.shape[:-1]) if normal is None else normal
-        basis = bases.reshape(plane.shape[:-1] + (n - 1,)) if basis is None else basis
     scalar = np.einsum("...ijk,...k->...ij", b_perp, normal)
     scalar = 0.5 * (scalar + scalar.swapaxes(-1, -2))
     restricted = basis.swapaxes(-1, -2) @ scalar @ basis
-    return 0.5 * (restricted + restricted.swapaxes(-1, -2)), basis, normal
+    return 0.5 * (restricted + restricted.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -442,7 +418,7 @@ class PointCurvature:
 
 
 def principal_curvatures(
-    restricted: np.ndarray, basis: np.ndarray, normal: np.ndarray
+    restricted: np.ndarray, basis: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Eigen-decompose the restricted form, or each row of a stack of them.
 
@@ -468,8 +444,6 @@ def point_curvature(
     scale,
     idx: np.ndarray,
     counts: np.ndarray,
-    normals: np.ndarray | None = None,
-    bases: np.ndarray | None = None,
     variant: str = "orthogonal",
 ) -> PointCurvature:
     """Curvature report of a chunk of points (codimension 1): the engine
@@ -478,8 +452,8 @@ def point_curvature(
     ``points`` is an (m,) index array and ``scale`` the (m,) smoothing
     radii; ``idx`` holds the m sorted neighbor lists (self included, as
     :meth:`NeighborIndex.resolve_all` returns them) end to end and
-    ``counts`` their lengths.  ``normals`` (m, n) and ``bases`` (m, n, n-1)
-    are the stored planes' frames, computed when not given.  ``variant``
+    ``counts`` their lengths.  The restriction reads the stored planes'
+    frames from ``cloud.normals`` and ``cloud.bases``.  ``variant``
     selects the gradient-form curvature tensor: "orthogonal" (default,
     a_perp = beta - P_l0 (x) H with the exact stored plane) or "averaged"
     (kernel-averaged direction matrix fed to the linear-system solve).
@@ -495,10 +469,6 @@ def point_curvature(
     kernels = kernels or default_kernels(cloud)
     points = np.atleast_1d(np.asarray(points, dtype=np.intp))
     eps, idx, counts = _chunk(points.size, scale, idx, counts)
-    if normals is None or bases is None:
-        frames = plane_frames(cloud.planes[points])
-        normals = frames[0] if normals is None else normals
-        bases = frames[1] if bases is None else bases
     m, n, d = points.size, cloud.ambient_n, cloud.dim_d
 
     beta = variation_tensor(cloud, points, kernels, eps, idx=idx, counts=counts)
@@ -519,13 +489,14 @@ def point_curvature(
     ok = ~isolated
     beta = beta[ok]
     h = mean_curvature_vector(beta, dim_d=d)
-    p0 = cloud.planes[points[ok]]
-    a_perp = beta - np.einsum("mjk,mi->mijk", p0, h)
+    rows = points[ok]
+    a_perp = beta - np.einsum("mjk,mi->mijk", cloud.planes[rows], h)
     a_form = a_perp if variant == "orthogonal" else solve_curvature_system(c[ok], beta)
-    restricted, basis, normal = restrict_to_tangent(
-        to_bilinear_form(a_form), p0, normal=normals[ok], basis=bases[ok], dim_d=d
+    basis = cloud.bases[rows]
+    restricted = restrict_to_tangent(
+        to_bilinear_form(a_form), cloud.normals[rows, :, 0], basis
     )
-    kappas, directions, gauss, abs_sum = principal_curvatures(restricted, basis, normal)
+    kappas, directions, gauss, abs_sum = principal_curvatures(restricted, basis)
     out.a_perp[ok] = a_perp
     out.mean_curv[ok] = h
     out.kappas[ok] = kappas
@@ -576,7 +547,6 @@ def curvature_report(
     kernels = kernels or default_kernels(cloud)
     n, d, nn = cloud.n_points, cloud.dim_d, cloud.ambient_n
     indices, eps = _check_neighbors(neighbors, n)
-    normals, bases = plane_frames(cloud.planes)
 
     kappas = np.empty((n, d))
     directions = np.empty((n, d, nn))
@@ -591,8 +561,7 @@ def curvature_report(
         flat, counts = _flatten(indices[lo:hi])
         pc = point_curvature(
             cloud, np.arange(lo, hi), kernels, scale=eps[lo:hi], idx=flat,
-            counts=counts, normals=normals[lo:hi], bases=bases[lo:hi],
-            variant=variant,
+            counts=counts, variant=variant,
         )
         kappas[lo:hi] = pc.kappas
         directions[lo:hi] = pc.directions
@@ -647,9 +616,9 @@ def estimate_tangent_planes(
     bump's radius at each point.  At each point the covariance of neighbor
     offsets from the kernel-weighted barycenter is eigen-decomposed; the
     span of the d dominant eigenvectors gives the plane.  A point with fewer
-    than d+1 neighbors, zero weight sum, or a covariance of rank < d
-    (relative 1e-12) raises :class:`DegenerateNeighborhoodError`, for the
-    first such point in point order; a near-tie between the d-th and
+    than d+1 neighbors, a zero radius, zero weight sum, or a covariance of
+    rank < d (relative 1e-12) raises :class:`DegenerateNeighborhoodError`,
+    for the first such point in point order; a near-tie between the d-th and
     (d+1)-th eigenvalues (within 1e-9 of the largest) flags the point as
     ambiguous instead of failing.  The points run ``REPORT_CHUNK`` at a
     time on the report's padded neighbor block, with one batched covariance
@@ -674,9 +643,11 @@ def _tangent_chunk(positions, lo, sigma, idx, counts, dim_d):
     neighbor lists (``idx`` end to end, ``counts`` their lengths)."""
     n = positions.shape[1]
     m = counts.size
-    valid, _, d_vec, r = _neighbor_block(positions, positions[lo:lo + m], idx, counts)
+    valid, _, d_vec, _, t = _neighbor_block(
+        positions, positions[lo:lo + m], idx, counts, sigma
+    )
     w = np.zeros(valid.shape)
-    w[valid] = bump_profile().eval((r / sigma[:, None])[valid])
+    w[valid] = bump_profile().eval(t[valid])
     w_sum = w.sum(axis=1)
     zero_w = w_sum <= 0.0
     # the covariance of the offsets x_i - x_l is that of the neighbors
@@ -687,13 +658,18 @@ def _tangent_chunk(positions, lo, sigma, idx, counts, dim_d):
     evals = evals[:, ::-1]
     evecs = evecs[:, :, ::-1]
     few = counts < dim_d + 1
+    zero_r = sigma <= 0.0
     low_rank = (evals[:, 0] <= 0.0) | (evals[:, dim_d - 1] <= 1e-12 * evals[:, 0])
-    bad = np.flatnonzero(few | zero_w | low_rank)
+    bad = np.flatnonzero(few | zero_r | zero_w | low_rank)
     if bad.size:
         b = int(bad[0])
         i = lo + b
         if few[b]:
             raise DegenerateNeighborhoodError(i, f"only {counts[b]} points near {i}")
+        if zero_r[b]:
+            raise DegenerateNeighborhoodError(
+                i, f"zero smoothing radius at {i} (more than k points coincide)"
+            )
         raise DegenerateNeighborhoodError(
             i, f"zero covariance weights at {i}" if zero_w[b] else None
         )

@@ -20,19 +20,26 @@ PLANE_PROJECT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class PointCloudVarifold:
-    """Validated point cloud with tangent planes and masses.
+    """Validated point cloud with tangent planes, their frames and masses.
 
     positions: (N, n) float array
     planes:    (N, n, n) stack of rank-d orthogonal projection matrices
     masses:    (N,) strictly positive weights
+    normals:   (N, n, n-d) orthonormal columns spanning each plane's
+               complement; the first component above 1e-9 in magnitude of
+               each column is positive
+    bases:     (N, n, d) orthonormal columns spanning each plane
 
-    Immutable after validation.  Construct through :func:`validate_cloud`.
+    Immutable after validation.  Construct through :func:`validate_cloud`,
+    whose eigendecomposition of the planes gives the frames.
     """
 
     positions: np.ndarray
     planes: np.ndarray
     masses: np.ndarray
     dim_d: int
+    normals: np.ndarray
+    bases: np.ndarray
 
     @property
     def n_points(self) -> int:
@@ -47,9 +54,12 @@ def validate_cloud(positions, planes, masses, dim_d: int) -> PointCloudVarifold:
     """Validate raw arrays into a PointCloudVarifold.
 
     Planes are symmetrized and re-projected onto the nearest rank-d
-    projector when within 1e-6 (entrywise), rejected beyond that.  Masses
+    projector when within 1e-6 (entrywise), rejected beyond that.  The same
+    eigendecomposition gives the cloud its frames: the d top eigenvectors
+    are the tangent basis and the others the normals, each normal signed so
+    that its first component above 1e-9 in magnitude is positive.  Masses
     must be strictly positive; coordinates finite.  Idempotent: feeding a
-    validated cloud's arrays back in reproduces them.
+    validated cloud's arrays back in reproduces them and their frames.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     planes = np.asarray(planes, dtype=float)
@@ -90,7 +100,12 @@ def validate_cloud(positions, planes, masses, dim_d: int) -> PointCloudVarifold:
     # the eigendecomposition round trip is not bitwise stable.
     exact = drift <= 1e-12
     projected[exact] = sym[exact]
-    return PointCloudVarifold(positions, projected, masses, dim_d)
+    normals = v[:, :, :n - dim_d]
+    first = np.argmax(np.abs(normals) > 1e-9, axis=1)
+    signs = np.sign(np.take_along_axis(normals, first[:, None], axis=1))
+    signs[signs == 0] = 1.0
+    return PointCloudVarifold(positions, projected, masses, dim_d,
+                              normals * signs, v[:, :, n - dim_d:])
 
 
 @dataclass(frozen=True)

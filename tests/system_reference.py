@@ -11,7 +11,9 @@ quadrature are cross-checks no library path needs.  ``reference_report``
 (with the per-point estimator it loops over) and
 ``reference_tangent_planes`` are the one-point-at-a-time versions that the
 batched library code is tested against; the tangent reference also says
-how close the batched planes can be asked to come.
+how close the batched planes can be asked to come.  ``plane_frames``
+decomposes codimension-1 planes on its own, as the check of the frames
+that ``validate_cloud`` gives a cloud.
 """
 
 from dataclasses import dataclass
@@ -35,7 +37,6 @@ from varicurv.estimator import (
     CurvatureReport,
     default_kernels,
     mean_curvature_vector,
-    plane_frames,
     principal_curvatures,
     restrict_to_tangent,
     smoothed_direction_matrix,
@@ -139,8 +140,24 @@ def reference_direction_matrix(cloud, x, kernels, eps, *, idx) -> np.ndarray:
     return 0.5 * (c + c.T)
 
 
-def reference_point_curvature(cloud, l0, kernels=None, *, scale, idx, normal=None,
-                              basis=None, variant="orthogonal") -> dict:
+def plane_frames(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals (N, n) and orthonormal tangent bases (N, n, n-1) of a
+    stack of codimension-1 projectors, from one eigendecomposition.
+
+    Normal signs are fixed by lexicographic positivity of the first component
+    exceeding 1e-9; no global orientation is attempted.
+    """
+    _, v = np.linalg.eigh(planes)
+    normals = v[:, :, 0]
+    big = np.abs(normals) > 1e-9
+    first = np.argmax(big, axis=1)
+    signs = np.sign(normals[np.arange(normals.shape[0]), first])
+    signs[signs == 0] = 1.0
+    return normals * signs[:, None], v[:, :, 1:]
+
+
+def reference_point_curvature(cloud, l0, kernels=None, *, scale, idx, normal,
+                              basis, variant="orthogonal") -> dict:
     """Curvature at one point, as a dict with the keys a_perp, mean_curv,
     kappas, directions, gauss and abs_sum; raises
     :class:`IsolatedPointError` for an isolated point."""
@@ -158,10 +175,8 @@ def reference_point_curvature(cloud, l0, kernels=None, *, scale, idx, normal=Non
         a_form = solve_curvature_system(c, beta)
     else:
         raise InvalidInputError(f"unknown variant {variant!r}")
-    restricted, basis, normal = restrict_to_tangent(
-        to_bilinear_form(a_form), p0, normal=normal, basis=basis, dim_d=cloud.dim_d
-    )
-    kappas, directions, gauss, abs_sum = principal_curvatures(restricted, basis, normal)
+    restricted = restrict_to_tangent(to_bilinear_form(a_form), normal, basis)
+    kappas, directions, gauss, abs_sum = principal_curvatures(restricted, basis)
     return dict(a_perp=a_perp, mean_curv=h, kappas=kappas, directions=directions,
                 gauss=gauss, abs_sum=abs_sum)
 

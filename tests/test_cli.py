@@ -168,6 +168,29 @@ class TestRunFromFile:
                        "--tangent-mode", "exact",
                        "--csv", str(tmp_path / "o.csv")) == 1
 
+    def test_zero_knn_radius(self, tmp_path, capsys):
+        # 46 copies of point 0 give each of them a k-th neighbor at distance 0
+        sample = vc.Sphere(1.0).sample(2000, seed=2)
+        keep = np.r_[np.arange(2000), np.zeros(45, dtype=int)]
+        xyz = tmp_path / "dup.xyz"
+        vc.io.write_xyz(xyz, sample.cloud.positions[keep])
+        capsys.readouterr()
+        assert run_cli("run", "--input", str(xyz), "--k", "40",
+                       "--csv", str(tmp_path / "o.csv")) == 2
+        assert capsys.readouterr().err == (
+            "numeric error: zero smoothing radius at 0 "
+            "(more than k points coincide)\n"
+        )
+
+        ply = tmp_path / "dup.ply"
+        vc.io.write_ply(ply, sample.cloud.positions[keep],
+                        normals=sample.normals[keep])
+        out = tmp_path / "p.csv"
+        assert run_cli("run", "--input", str(ply), "--format", "ply",
+                       "--k", "40", "--csv", str(out)) == 0
+        status = [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()]
+        assert status.count("isolated") == 46
+
     def test_numeric_fatal_exit_code(self, tmp_path):
         # collinear points cannot support a rank-2 tangent estimate
         xyz = tmp_path / "line.xyz"

@@ -24,7 +24,6 @@ from varicurv.estimator import (
     estimate_masses,
     estimate_tangent_planes,
     mean_curvature_vector,
-    plane_frames,
     point_curvature,
     principal_curvatures,
     restrict_to_tangent,
@@ -38,6 +37,7 @@ from system_reference import (
     curvature_tensor,
     one_row,
     orthogonal_curvature_tensor,
+    plane_frames,
     reference_report,
     reference_tangent_planes,
 )
@@ -431,15 +431,14 @@ class TestCurvatureTensors:
 class TestRestriction:
     def test_codimension_guard(self):
         b = np.zeros((4, 4, 4))
-        plane = np.diag([1.0, 1.0, 0.0, 0.0])
+        basis = np.eye(4)[:, :2]
         with pytest.raises(CodimensionError):
-            restrict_to_tangent(b, plane)
+            restrict_to_tangent(b, np.eye(4)[:, 3], basis)
 
     def test_principal_curvature_values(self):
         bbar = np.diag([2.0, -1.0])
         basis = np.eye(3)[:, :2]
-        normal = np.array([0.0, 0.0, 1.0])
-        kappas, dirs, gauss, abs_sum = principal_curvatures(bbar, basis, normal)
+        kappas, dirs, gauss, abs_sum = principal_curvatures(bbar, basis)
         assert np.allclose(kappas, [2.0, -1.0])
         assert gauss == pytest.approx(-2.0)
         assert abs_sum == pytest.approx(3.0)
@@ -447,7 +446,7 @@ class TestRestriction:
 
     def test_zero_matrix(self):
         kappas, _, gauss, abs_sum = principal_curvatures(
-            np.zeros((2, 2)), np.eye(3)[:, :2], np.array([0.0, 0.0, 1.0])
+            np.zeros((2, 2)), np.eye(3)[:, :2]
         )
         assert np.all(kappas == 0)
         assert gauss == 0.0
@@ -459,11 +458,11 @@ class TestRestriction:
         kp = pair_for(2, 3)
         b = one_row(vc.orthogonal_sff, cloud, 10, kp, 0.4,
                     ball(cloud, cloud.positions[10], 0.4))
-        plane = cloud.planes[10]
-        bbar, basis, normal = restrict_to_tangent(b, plane)
-        k1, _, g1, s1 = principal_curvatures(bbar, basis, normal)
-        bbar2, _, _ = restrict_to_tangent(b, plane, normal=-normal, basis=basis)
-        k2, _, g2, s2 = principal_curvatures(bbar2, basis, -normal)
+        normal, basis = cloud.normals[10, :, 0], cloud.bases[10]
+        bbar = restrict_to_tangent(b, normal, basis)
+        k1, _, g1, s1 = principal_curvatures(bbar, basis)
+        bbar2 = restrict_to_tangent(b, -normal, basis)
+        k2, _, g2, s2 = principal_curvatures(bbar2, basis)
         assert g1 == pytest.approx(g2, rel=1e-12)
         assert s1 == pytest.approx(s2, rel=1e-12)
         assert np.allclose(np.sort(k1), np.sort(-k2))
@@ -589,6 +588,24 @@ class TestReport:
         assert np.all(np.isnan(rep.kappas[-1]))
         assert rep.n_warnings == 1
 
+    def test_one_eigendecomposition_per_chunk(self):
+        # the cloud carries its frames, so an orthogonal report decomposes
+        # only each chunk's restricted forms for the principal curvatures
+        cloud = vc.Sphere(1.0).sample(300, seed=3).cloud
+        neighbors = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(20))
+        real_eigh = np.linalg.eigh
+        calls = []
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_eigh(a, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigh", counting_eigh)
+            curvature_report(cloud, neighbors)
+        sizes = np.diff(np.r_[0:cloud.n_points:REPORT_CHUNK, cloud.n_points])
+        assert calls == [(int(m), 2, 2) for m in sizes]
+
     def test_averaged_variant_checks_direction_matrix_once_per_point(self):
         # one PSD check per non-isolated point, inside solve_curvature_system;
         # the points of a chunk arrive as one stack
@@ -653,12 +670,8 @@ class TestReport:
         assert rows.size > 0
         for l0 in rows:
             b = one_row(vc.orthogonal_sff, cloud, l0, kp, radius, indices[l0])
-            restricted, _, _ = restrict_to_tangent(
-                b, cloud.planes[l0], normal=normals[l0], basis=bases[l0]
-            )
-            kappas, _, _, _ = principal_curvatures(
-                restricted, bases[l0], normals[l0]
-            )
+            restricted = restrict_to_tangent(b, normals[l0], bases[l0])
+            kappas, _, _, _ = principal_curvatures(restricted, bases[l0])
             scale = 1.0 + np.max(np.abs(b))
             assert np.max(np.abs(rep.kappas[l0] - kappas)) <= 1e-12 * scale
 

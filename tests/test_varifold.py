@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import varicurv as vc
 from varicurv.errors import CloudValidationError, InvalidInputError
 
-from system_reference import ball, one_row
+from system_reference import ball, one_row, plane_frames
 
 
 class TestValidateCloud:
@@ -47,6 +47,42 @@ class TestValidateCloud:
         c2 = vc.validate_cloud(c1.positions, c1.planes, c1.masses, 2)
         assert np.array_equal(c1.planes, c2.planes)
         assert np.array_equal(c1.positions, c2.positions)
+        assert np.array_equal(c1.normals, c2.normals)
+        assert np.array_equal(c1.bases, c2.bases)
+
+
+class TestFrames:
+    @settings(max_examples=80, deadline=None)
+    @example(seed=0, n=3, codim=1, n_pts=5, perturbed=False)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([2, 3, 4, 6, 10]),
+        codim=st.integers(0, 9),
+        n_pts=st.integers(1, 20),
+        perturbed=st.booleans(),
+    )
+    def test_frames_decompose_planes(self, seed, n, codim, n_pts, perturbed):
+        d = max(1, n - codim)
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n_pts, n, n)))
+        planes = q[:, :, :d] @ q[:, :, :d].transpose(0, 2, 1)
+        if perturbed:
+            planes = planes + rng.uniform(-1e-8, 1e-8, planes.shape)
+        cloud = vc.validate_cloud(rng.standard_normal((n_pts, n)), planes,
+                                  np.ones(n_pts), d)
+        normals, bases = cloud.normals, cloud.bases
+        assert normals.shape == (n_pts, n, n - d)
+        assert bases.shape == (n_pts, n, d)
+        frame = np.concatenate([normals, bases], axis=2)
+        assert np.max(np.abs(frame.transpose(0, 2, 1) @ frame - np.eye(n))) < 1e-12
+        assert np.max(np.abs(bases @ bases.transpose(0, 2, 1) - cloud.planes)) < 1e-12
+        # sign rule: the first component above 1e-9 of each normal is positive
+        first = np.argmax(np.abs(normals) > 1e-9, axis=1)
+        assert np.all(np.take_along_axis(normals, first[:, None], axis=1) > 0.0)
+        if d == n - 1 and not perturbed:
+            ref_normals, ref_bases = plane_frames(cloud.planes)
+            assert np.array_equal(normals[..., 0], ref_normals)
+            assert np.array_equal(bases, ref_bases)
 
 
 class TestJunctionCoefficients:
