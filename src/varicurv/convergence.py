@@ -160,7 +160,9 @@ def run_convergence(
     ``collect_aperp_error`` additionally compares the orthogonal curvature
     tensor against the shape's exact gradient-form tensor (shapes that
     provide one), enabling a log-log rate fit.  ``compare_variants`` also
-    runs the averaged-direction pipeline for a paired comparison.
+    runs the averaged-direction pipeline for a paired comparison; both
+    variants come from one :func:`curvature_report` call per row, which sums
+    each chunk's pairs once for the two.
     """
     shape = schedule.shape
     if kernels is None:
@@ -183,10 +185,13 @@ def _row_result(
     kernels: KernelPair, collect_aperp_error: bool, compare_variants: bool,
 ) -> RowResult:
     cloud, sample, ambiguous, neighbors = _row_cloud(schedule, row, row_id)
+    variants = ("orthogonal", "averaged") if compare_variants else "orthogonal"
     report = curvature_report(
-        cloud, neighbors, kernels=kernels, ambiguous=ambiguous,
+        cloud, neighbors, kernels=kernels, variant=variants, ambiguous=ambiguous,
         collect_a_perp=collect_aperp_error,
     )
+    if compare_variants:
+        report, alt = report
     ok = report.status != STATUS_ISOLATED
     ok &= np.all(np.isfinite(report.kappas), axis=1)
     k_err = aligned_kappa_errors(report.kappas[ok], sample.kappas[ok])
@@ -215,8 +220,6 @@ def _row_result(
         row_res.aperp_median = float(np.median(diffs))
         row_res.aperp_p90 = float(np.percentile(diffs, 90))
     if compare_variants:
-        alt = curvature_report(cloud, neighbors, kernels=kernels,
-                               variant="averaged")
         alt_ok = ok & np.all(np.isfinite(alt.kappas), axis=1)
         alt_err = aligned_kappa_errors(alt.kappas[alt_ok], sample.kappas[alt_ok])
         row_res.kappa_median_averaged = np.median(alt_err, axis=0)

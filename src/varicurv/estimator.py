@@ -35,7 +35,11 @@ for the last), their (m,) radii, and their sorted neighbor lists (as
 the required keyword ``idx`` with the list lengths as ``counts``.  One pass
 over a chunk's pairs, on a padded (m, K) neighbor block, gives every
 variation tensor with one batched product; the tail (trace check,
-conversion, restriction, eigenvalues) runs on stacks.  An isolated point
+conversion, restriction, eigenvalues) runs on stacks.
+:func:`point_curvature` and :func:`curvature_report` take ``variant`` as
+one name or as a tuple of names: a tuple shares that one pass, the
+direction matrices and the trace check among its variants, and each
+variant runs only its own tail on the shared tensors.  An isolated point
 is a NaN row, flagged, never an exception.  A single point is a one-row
 chunk.  The whole-cloud functions :func:`estimate_tangent_planes` and
 :func:`curvature_report` take the ``(indices, eps)`` pair that
@@ -232,14 +236,17 @@ def _neighbor_block(positions, x, idx, counts, eps):
     Returns (valid, pad, d_vec, r, t): the mask of real slots, the neighbor
     index of each slot (0 in padding), the offsets x_i - x_l, their lengths
     and their lengths over the row's radius.  A row of radius 0 holds only
-    zero offsets, and its t is 0.  Callers mask padding out with ``valid``.
+    zero offsets, and its t is 0.  Padding has t = 1, where every kernel
+    profile and its derivative vanish, so kernel weights evaluated on the
+    whole block are exactly 0 there.
     """
     valid = np.arange(int(counts.max(initial=0))) < counts[:, None]
     pad = np.zeros(valid.shape, dtype=np.intp)
     pad[valid] = idx
     d_vec = x[:, None, :] - np.take(positions, pad, axis=0)
     r = np.sqrt(np.einsum("mla,mla->ml", d_vec, d_vec))
-    return valid, pad, d_vec, r, r / np.where(eps > 0.0, eps, 1.0)[:, None]
+    t = np.where(valid, r / np.where(eps > 0.0, eps, 1.0)[:, None], 1.0)
+    return valid, pad, d_vec, r, t
 
 
 def _nan_rows(stack: np.ndarray) -> np.ndarray:
@@ -255,18 +262,16 @@ def _local_sums(cloud, points, kernels, eps, idx, counts):
     planes (m, K, n, n) of the neighbors, weights m_l * rho'(r/eps) and
     proj_units P_l (x0 - x_l)/r; weights are 0 on padding and at zero
     distance (that summand is defined as 0).  The xi denominator (m,) keeps
-    every neighbor, including zero-distance ones.  The kernels see only the
-    real slots.
+    every neighbor, including zero-distance ones.  The kernels run on the
+    whole block; padding sits at t = 1, where they vanish.
     """
     valid, pad, d_vec, r, t = _neighbor_block(
         cloud.positions, cloud.positions[points], idx, counts, eps
     )
     mass = np.take(cloud.masses, pad)
-    xi_w = np.zeros(valid.shape)
-    xi_w[valid] = mass[valid] * kernels.xi.eval(t[valid])
+    xi_w = mass * kernels.xi.eval(t)
     keep = valid & (r > 0.0)
-    weights = np.zeros(valid.shape)
-    weights[keep] = mass[keep] * kernels.rho.deriv(t[keep])
+    weights = np.where(keep, mass * kernels.rho.deriv(t), 0.0)
     planes = np.take(cloud.planes, pad, axis=0)
     unit = d_vec / np.where(keep, r, 1.0)[..., None]
     proj_units = np.einsum("mlab,mlb->mla", planes, unit)
@@ -345,9 +350,8 @@ def smoothed_direction_matrix(
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     eps, idx, counts = _chunk(x.shape[0], eps, idx, counts)
-    valid, pad, _, _, t = _neighbor_block(cloud.positions, x, idx, counts, eps)
-    w = np.zeros(valid.shape)
-    w[valid] = np.take(cloud.masses, pad)[valid] * kernels.eta.eval(t[valid])
+    _, pad, _, _, t = _neighbor_block(cloud.positions, x, idx, counts, eps)
+    w = np.take(cloud.masses, pad) * kernels.eta.eval(t)
     w_sum = w.sum(axis=1)
     empty = w_sum < DENOM_GUARD
     c = np.einsum("ml,mlab->mab", w, np.take(cloud.planes, pad, axis=0))
@@ -436,6 +440,20 @@ def principal_curvatures(
             np.sum(np.abs(kappas), axis=-1))
 
 
+def _variant_names(variant) -> tuple[str, ...]:
+    """The variants a ``variant`` argument asks for: one name, or a tuple of
+    distinct names."""
+    names = variant if isinstance(variant, tuple) else (variant,)
+    if not names:
+        raise InvalidInputError("empty variant tuple")
+    for i, v in enumerate(names):
+        if v not in ("orthogonal", "averaged"):
+            raise InvalidInputError(f"unknown variant {v!r}")
+        if v in names[:i]:
+            raise InvalidInputError(f"variant {v!r} repeated in {variant!r}")
+    return names
+
+
 def point_curvature(
     cloud: PointCloudVarifold,
     points,
@@ -444,8 +462,8 @@ def point_curvature(
     scale,
     idx: np.ndarray,
     counts: np.ndarray,
-    variant: str = "orthogonal",
-) -> PointCurvature:
+    variant: str | tuple[str, ...] = "orthogonal",
+) -> PointCurvature | tuple[PointCurvature, ...]:
     """Curvature report of a chunk of points (codimension 1): the engine
     behind :func:`curvature_report`.
 
@@ -456,54 +474,67 @@ def point_curvature(
     frames from ``cloud.normals`` and ``cloud.bases``.  ``variant``
     selects the gradient-form curvature tensor: "orthogonal" (default,
     a_perp = beta - P_l0 (x) H with the exact stored plane) or "averaged"
-    (kernel-averaged direction matrix fed to the linear-system solve).
-    Either way one pass over the chunk's pairs gives every variation tensor,
-    and the tail (conversion with :func:`to_bilinear_form`, restriction, one
-    stacked ``eigh``) runs on stacks.  Isolated points come back as NaN rows
-    flagged in ``isolated``; nothing is raised for them.
+    (kernel-averaged direction matrix fed to the linear-system solve).  A
+    tuple of distinct names returns a tuple of results in that order.
+
+    One pass over the chunk's pairs gives every variation tensor beta,
+    shared by all variants asked for, as are the direction matrices (only
+    when "averaged" is asked for) and the trace-checked H.  Each variant
+    then runs its own tail on stacks: the P (x) H subtraction or the
+    linear-system solve, conversion with :func:`to_bilinear_form`,
+    restriction and one stacked ``eigh``.  Isolated points come back as
+    NaN rows flagged in ``isolated``, per variant (the averaged variant also
+    flags rows whose eta weights vanish); nothing is raised for them.
     """
     if cloud.dim_d != cloud.ambient_n - 1:
         raise CodimensionError("point_curvature needs codimension 1")
-    if variant not in ("orthogonal", "averaged"):
-        raise InvalidInputError(f"unknown variant {variant!r}")
+    names = _variant_names(variant)
     kernels = kernels or default_kernels(cloud)
     points = np.atleast_1d(np.asarray(points, dtype=np.intp))
     eps, idx, counts = _chunk(points.size, scale, idx, counts)
     m, n, d = points.size, cloud.ambient_n, cloud.dim_d
 
     beta = variation_tensor(cloud, points, kernels, eps, idx=idx, counts=counts)
-    isolated = _nan_rows(beta)
-    if variant == "averaged":
+    isolated = {"orthogonal": _nan_rows(beta)}
+    if "averaged" in names:
         c = smoothed_direction_matrix(cloud, cloud.positions[points], kernels, eps,
                                       idx=idx, counts=counts)
-        isolated |= _nan_rows(c)
-    out = PointCurvature(
-        a_perp=np.full((m, n, n, n), np.nan),
-        mean_curv=np.full((m, n), np.nan),
-        kappas=np.full((m, d), np.nan),
-        directions=np.full((m, d, n), np.nan),
-        gauss=np.full(m, np.nan),
-        abs_sum=np.full(m, np.nan),
-        isolated=isolated,
-    )
-    ok = ~isolated
-    beta = beta[ok]
-    h = mean_curvature_vector(beta, dim_d=d)
-    rows = points[ok]
-    a_perp = beta - np.einsum("mjk,mi->mijk", cloud.planes[rows], h)
-    a_form = a_perp if variant == "orthogonal" else solve_curvature_system(c[ok], beta)
-    basis = cloud.bases[rows]
-    restricted = restrict_to_tangent(
-        to_bilinear_form(a_form), cloud.normals[rows, :, 0], basis
-    )
-    kappas, directions, gauss, abs_sum = principal_curvatures(restricted, basis)
-    out.a_perp[ok] = a_perp
-    out.mean_curv[ok] = h
-    out.kappas[ok] = kappas
-    out.directions[ok] = directions
-    out.gauss[ok] = gauss
-    out.abs_sum[ok] = abs_sum
-    return out
+        isolated["averaged"] = isolated["orthogonal"] | _nan_rows(c)
+    # the rows some variant keeps: H and a_perp are summed once for them
+    live = ~np.logical_and.reduce([isolated[v] for v in names])
+    beta_live = beta[live]
+    h = mean_curvature_vector(beta_live, dim_d=d)
+    a_perp = beta_live - np.einsum("mjk,mi->mijk", cloud.planes[points[live]], h)
+
+    results = []
+    for v in names:
+        ok = ~isolated[v]
+        sub = ok[live]
+        rows = points[ok]
+        a_ok = a_perp[sub]
+        a_form = a_ok if v == "orthogonal" else solve_curvature_system(c[ok], beta[ok])
+        basis = cloud.bases[rows]
+        restricted = restrict_to_tangent(
+            to_bilinear_form(a_form), cloud.normals[rows, :, 0], basis
+        )
+        kappas, directions, gauss, abs_sum = principal_curvatures(restricted, basis)
+        out = PointCurvature(
+            a_perp=np.full((m, n, n, n), np.nan),
+            mean_curv=np.full((m, n), np.nan),
+            kappas=np.full((m, d), np.nan),
+            directions=np.full((m, d, n), np.nan),
+            gauss=np.full(m, np.nan),
+            abs_sum=np.full(m, np.nan),
+            isolated=isolated[v],
+        )
+        out.a_perp[ok] = a_ok
+        out.mean_curv[ok] = h[sub]
+        out.kappas[ok] = kappas
+        out.directions[ok] = directions
+        out.gauss[ok] = gauss
+        out.abs_sum[ok] = abs_sum
+        results.append(out)
+    return tuple(results) if isinstance(variant, tuple) else results[0]
 
 
 @dataclass
@@ -529,10 +560,10 @@ def curvature_report(
     cloud: PointCloudVarifold,
     neighbors: tuple[list[np.ndarray], np.ndarray],
     kernels: KernelPair | None = None,
-    variant: str = "orthogonal",
+    variant: str | tuple[str, ...] = "orthogonal",
     ambiguous: np.ndarray | None = None,
     collect_a_perp: bool = False,
-) -> CurvatureReport:
+) -> CurvatureReport | tuple[CurvatureReport, ...]:
     """Per-point curvatures over the whole cloud, ``REPORT_CHUNK`` points
     per call of the engine :func:`point_curvature`.
 
@@ -540,52 +571,55 @@ def curvature_report(
     :meth:`NeighborIndex.resolve_all` returns for the cloud's positions: each
     point's sorted neighbor list and its smoothing radius.  Each chunk's
     lists are flattened into one index array.  Isolated points become NaN
-    rows with a status flag rather than exceptions.
+    rows with a status flag rather than exceptions.  ``variant`` is one
+    name, or a tuple of distinct names that returns a tuple of reports in
+    that order from one pass over each chunk's pairs; ``ambiguous`` and
+    ``collect_a_perp`` then apply to every report.
     """
     if cloud.dim_d != cloud.ambient_n - 1:
         raise CodimensionError("curvature_report needs codimension 1")
+    names = _variant_names(variant)
     kernels = kernels or default_kernels(cloud)
     n, d, nn = cloud.n_points, cloud.dim_d, cloud.ambient_n
     indices, eps = _check_neighbors(neighbors, n)
 
-    kappas = np.empty((n, d))
-    directions = np.empty((n, d, nn))
-    gauss = np.empty(n)
-    abs_sum = np.empty(n)
-    mean_vectors = np.empty((n, nn))
-    status = np.full(n, STATUS_OK, dtype=object)
-    a_perp = np.empty((n, nn, nn, nn)) if collect_a_perp else None
-
+    reports = [
+        CurvatureReport(
+            kappas=np.empty((n, d)),
+            directions=np.empty((n, d, nn)),
+            gauss=np.empty(n),
+            abs_sum=np.empty(n),
+            mean_norm=np.empty(n),
+            mean_vectors=np.empty((n, nn)),
+            eps=eps,
+            status=np.full(n, STATUS_OK, dtype=object),
+            a_perp=np.empty((n, nn, nn, nn)) if collect_a_perp else None,
+        )
+        for _ in names
+    ]
     for lo in range(0, n, REPORT_CHUNK):
         hi = min(lo + REPORT_CHUNK, n)
         flat, counts = _flatten(indices[lo:hi])
-        pc = point_curvature(
+        pcs = point_curvature(
             cloud, np.arange(lo, hi), kernels, scale=eps[lo:hi], idx=flat,
-            counts=counts, variant=variant,
+            counts=counts, variant=names,
         )
-        kappas[lo:hi] = pc.kappas
-        directions[lo:hi] = pc.directions
-        gauss[lo:hi] = pc.gauss
-        abs_sum[lo:hi] = pc.abs_sum
-        mean_vectors[lo:hi] = pc.mean_curv
-        status[lo:hi][pc.isolated] = STATUS_ISOLATED
-        if a_perp is not None:
-            a_perp[lo:hi] = pc.a_perp
+        for rep, pc in zip(reports, pcs):
+            rep.kappas[lo:hi] = pc.kappas
+            rep.directions[lo:hi] = pc.directions
+            rep.gauss[lo:hi] = pc.gauss
+            rep.abs_sum[lo:hi] = pc.abs_sum
+            rep.mean_vectors[lo:hi] = pc.mean_curv
+            rep.status[lo:hi][pc.isolated] = STATUS_ISOLATED
+            if collect_a_perp:
+                rep.a_perp[lo:hi] = pc.a_perp
 
-    if ambiguous is not None:
-        flagged = (status == STATUS_OK) & np.asarray(ambiguous, dtype=bool)
-        status[flagged] = STATUS_AMBIGUOUS
-    return CurvatureReport(
-        kappas=kappas,
-        directions=directions,
-        gauss=gauss,
-        abs_sum=abs_sum,
-        mean_norm=np.linalg.norm(mean_vectors, axis=1),
-        mean_vectors=mean_vectors,
-        eps=eps,
-        status=status,
-        a_perp=a_perp,
-    )
+    for rep in reports:
+        rep.mean_norm[:] = np.linalg.norm(rep.mean_vectors, axis=1)
+        if ambiguous is not None:
+            flagged = (rep.status == STATUS_OK) & np.asarray(ambiguous, dtype=bool)
+            rep.status[flagged] = STATUS_AMBIGUOUS
+    return tuple(reports) if isinstance(variant, tuple) else reports[0]
 
 
 @dataclass(frozen=True)
@@ -643,11 +677,10 @@ def _tangent_chunk(positions, lo, sigma, idx, counts, dim_d):
     neighbor lists (``idx`` end to end, ``counts`` their lengths)."""
     n = positions.shape[1]
     m = counts.size
-    valid, _, d_vec, _, t = _neighbor_block(
+    _, _, d_vec, _, t = _neighbor_block(
         positions, positions[lo:lo + m], idx, counts, sigma
     )
-    w = np.zeros(valid.shape)
-    w[valid] = bump_profile().eval(t[valid])
+    w = bump_profile().eval(t)
     w_sum = w.sum(axis=1)
     zero_w = w_sum <= 0.0
     # the covariance of the offsets x_i - x_l is that of the neighbors

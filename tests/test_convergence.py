@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import varicurv as vc
+from varicurv import convergence
 from varicurv.convergence import (
     ConvergenceSchedule,
     ScheduleRow,
@@ -126,17 +127,26 @@ class TestPairedVariants:
     def test_both_variants_share_one_resolution_per_row(self):
         sched = ConvergenceSchedule(vc.Sphere(1.0), knn_rows([300, 600], k=20))
         real_resolve = NeighborIndex.resolve_all
+        real_report = convergence.curvature_report
         calls = []
+        reports = []
 
         def counting_resolve(self, query):
             calls.append(query)
             return real_resolve(self, query)
 
+        def counting_report(*args, **kwargs):
+            reports.append(kwargs["variant"])
+            return real_report(*args, **kwargs)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(NeighborIndex, "resolve_all", counting_resolve)
+            mp.setattr(convergence, "curvature_report", counting_report)
             res = run_convergence(sched, compare_variants=True)
         assert res.rows[-1].kappa_median_averaged is not None
         assert len(calls) == 2
+        # one report call per row serves both variants
+        assert reports == [("orthogonal", "averaged")] * 2
 
     def test_orthogonal_beats_averaged_with_noise(self):
         # noisy positions + estimated tangents: the exact-plane variant's

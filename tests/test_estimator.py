@@ -649,7 +649,7 @@ class TestReport:
         neighbors = NeighborIndex(cloud.positions).resolve_all(query)
         real_sums = estimator._local_sums
         reports = {}
-        for variant in ("orthogonal", "averaged"):
+        for variant in ("orthogonal", "averaged", ("orthogonal", "averaged")):
             calls = []
 
             def counting_sums(cloud, points, *args):
@@ -731,11 +731,14 @@ class TestEngine:
         n=st.sampled_from([2, 3, 4, 6, 10]),
         eps=st.floats(0.35, 0.9),
         kernel=st.sampled_from(["bump", "tent", "box"]),
-        variant=st.sampled_from(["orthogonal", "averaged"]),
+        variant=st.sampled_from(["orthogonal", "averaged",
+                                 ("orthogonal", "averaged")]),
         beyond_chunk=st.booleans(),
     )
     def test_report_matches_per_point_reference(self, seed, n, eps, kernel,
                                                 variant, beyond_chunk):
+        # a tuple of variants returns one report per name, each checked
+        # against the reference of its own variant
         rng = np.random.default_rng(seed)
         n_pts = REPORT_CHUNK + 60 if beyond_chunk else int(rng.integers(20, 120))
         cloud = random_cloud(rng, n_pts=n_pts, n=n, d=n - 1)
@@ -751,31 +754,37 @@ class TestEngine:
         radius = eps * np.sqrt(n / 2) if n > 4 else eps
         query = NeighborQuery.radius(radius)
         neighbors = NeighborIndex(cloud.positions).resolve_all(query)
-        rep = curvature_report(cloud, neighbors, kp, variant=variant,
-                               collect_a_perp=True)
-        ref = reference_report(cloud, neighbors, kp, variant=variant)
-        assert np.array_equal(rep.status, ref.status)
-        if beyond_chunk:
-            assert np.all(rep.status[REPORT_CHUNK - 1:REPORT_CHUNK + 1]
-                          == STATUS_ISOLATED)
-        for name in ("kappas", "mean_vectors", "a_perp", "gauss", "abs_sum",
-                     "mean_norm"):
-            got, want = getattr(rep, name), getattr(ref, name)
-            assert np.array_equal(np.isnan(got), np.isnan(want)), name
-            tol = 1e-12 * (1.0 + np.nanmax(np.abs(want), initial=0.0))
-            assert np.allclose(got, want, rtol=0, atol=tol, equal_nan=True), name
+        names = variant if isinstance(variant, tuple) else (variant,)
+
+        def reports(cloud, neighbors, **kwargs):
+            got = curvature_report(cloud, neighbors, kp, variant=variant, **kwargs)
+            return got if isinstance(variant, tuple) else (got,)
+
+        reps = reports(cloud, neighbors, collect_a_perp=True)
+        assert len(reps) == len(names)
+        for name, rep in zip(names, reps):
+            ref = reference_report(cloud, neighbors, kp, variant=name)
+            assert np.array_equal(rep.status, ref.status), name
+            if beyond_chunk:
+                assert np.all(rep.status[REPORT_CHUNK - 1:REPORT_CHUNK + 1]
+                              == STATUS_ISOLATED)
+            for field in ("kappas", "mean_vectors", "a_perp", "gauss", "abs_sum",
+                          "mean_norm"):
+                got, want = getattr(rep, field), getattr(ref, field)
+                assert np.array_equal(np.isnan(got), np.isnan(want)), (name, field)
+                tol = 1e-12 * (1.0 + np.nanmax(np.abs(want), initial=0.0))
+                assert np.allclose(got, want, rtol=0, atol=tol,
+                                   equal_nan=True), (name, field)
 
         perm = rng.permutation(n_pts)
         shuffled = vc.validate_cloud(cloud.positions[perm], cloud.planes[perm],
                                      cloud.masses[perm], n - 1)
-        moved = curvature_report(
-            shuffled, NeighborIndex(shuffled.positions).resolve_all(query), kp,
-            variant=variant,
-        )
-        assert np.array_equal(moved.status, rep.status[perm])
-        tol = 1e-12 * (1.0 + np.nanmax(np.abs(rep.kappas), initial=0.0))
-        assert np.allclose(moved.kappas, rep.kappas[perm], rtol=0, atol=tol,
-                           equal_nan=True)
+        moved = reports(shuffled, NeighborIndex(shuffled.positions).resolve_all(query))
+        for rep, mov in zip(reps, moved):
+            assert np.array_equal(mov.status, rep.status[perm])
+            tol = 1e-12 * (1.0 + np.nanmax(np.abs(rep.kappas), initial=0.0))
+            assert np.allclose(mov.kappas, rep.kappas[perm], rtol=0, atol=tol,
+                               equal_nan=True)
 
     def test_one_engine_call_per_chunk(self):
         sample = vc.Sphere(1.0).sample(2 * REPORT_CHUNK + 10, seed=4)
@@ -796,6 +805,58 @@ class TestEngine:
         assert [len(p) for p, _ in chunks] == [REPORT_CHUNK, REPORT_CHUNK, 10]
         assert sum((p for p, _ in chunks), []) == list(range(2 * REPORT_CHUNK + 10))
         assert sum(size for _, size in chunks) == sum(len(ix) for ix in indices)
+
+    def test_two_variants_sum_each_chunk_once(self):
+        # one variation tensor, one direction matrix and one trace check per
+        # chunk serve both reports, each equal to its single-variant report
+        cloud = vc.Sphere(1.0).sample(2 * REPORT_CHUNK + 10, seed=4).cloud
+        neighbors = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(20))
+        calls = []
+
+        def counting(name):
+            real = getattr(estimator, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        names = ("variation_tensor", "smoothed_direction_matrix",
+                 "mean_curvature_vector")
+        with pytest.MonkeyPatch.context() as mp:
+            for name in names:
+                mp.setattr(estimator, name, counting(name))
+            both = curvature_report(cloud, neighbors, variant=("averaged", "orthogonal"),
+                                    collect_a_perp=True)
+        assert sorted(calls) == sorted(3 * names)
+        for variant, rep in zip(("averaged", "orthogonal"), both):
+            alone = curvature_report(cloud, neighbors, variant=variant,
+                                     collect_a_perp=True)
+            for field in ("kappas", "directions", "gauss", "abs_sum", "mean_norm",
+                          "mean_vectors", "a_perp", "status"):
+                assert np.array_equal(getattr(rep, field), getattr(alone, field),
+                                      equal_nan=field != "status"), (variant, field)
+
+    @pytest.mark.parametrize("variant, match", [
+        ((), "empty variant tuple"),
+        (("orthogonal", "orthogonal"), "variant 'orthogonal' repeated"),
+        (("averaged", "mean"), "unknown variant 'mean'"),
+        ("mean", "unknown variant 'mean'"),
+    ])
+    def test_variants_checked_before_any_sum(self, variant, match):
+        cloud = sphere_with_outlier()
+        neighbors = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(10))
+        idx, counts = estimator._flatten(neighbors[0][:3])
+        sums = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "_local_sums", lambda *args: sums.append(args))
+            with pytest.raises(InvalidInputError, match=match):
+                point_curvature(cloud, [0, 1, 2], scale=neighbors[1][:3], idx=idx,
+                                counts=counts, variant=variant)
+            with pytest.raises(InvalidInputError, match=match):
+                curvature_report(cloud, neighbors, variant=variant)
+        assert sums == []
 
     def test_chunk_contract_checked(self):
         cloud = sphere_with_outlier()
