@@ -8,8 +8,9 @@ Two subcommands:
 
 Exit codes: 0 success (per-point numeric failures downgrade to status flags
 and a warning count), 1 input/validation error, 2 numeric fatal error.
-The pipeline runs serially, in fixed chunks of points, so output bytes
-depend only on the inputs.
+The pipeline runs in fixed chunks of points on every CPU the process may
+use; each chunk writes only its own rows, so output bytes depend only on
+the inputs, not on the thread count or the schedule.
 """
 
 from __future__ import annotations

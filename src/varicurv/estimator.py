@@ -47,11 +47,20 @@ chunk.  The whole-cloud functions :func:`estimate_tangent_planes` and
 ``REPORT_CHUNK`` points at a time on the same padded block.
 :func:`estimate_masses` queries the tree of the :class:`NeighborIndex`
 that resolved them, so a run builds one kd-tree.
+
+The chunks of both whole-cloud functions run on ``WORKERS`` threads, one
+per CPU the process may use, and every kd-tree query asks for as many.
+numpy's gathers, products and decompositions and the tree's walks release
+the interpreter lock.  The chunk bounds are fixed and each chunk writes only
+its own rows of preallocated outputs, so results are bitwise the same for
+any thread count; when chunks fail, the earliest one's error is raised.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +95,12 @@ EDGE_ULPS = 4
 # Points per call of the chunk engine :func:`point_curvature`: bounds the
 # padded (points, neighbors, n, n) plane block at about 3 MB for k = 40 in R^3.
 REPORT_CHUNK = 256
+
+# Threads for the chunk engines and the kd-tree queries: the CPUs this
+# process may run on.  Every chunk keeps its arithmetic and writes only its
+# own rows, so the results do not depend on this count.
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -165,7 +180,7 @@ class NeighborIndex:
         unsure = []
         for lo in range(0, n_pts, RESOLVE_CHUNK):
             dist, nearest = self.tree.query(
-                self.positions[lo:lo + RESOLVE_CHUNK], k=width
+                self.positions[lo:lo + RESOLVE_CHUNK], k=width, workers=WORKERS
             )
             e = eps[lo:lo + RESOLVE_CHUNK] = (
                 (1.0 + query.margin) * dist[:, min(query.k, width - 1)]
@@ -186,14 +201,15 @@ class NeighborIndex:
     def _ball_lists(self, rows: np.ndarray, eps: np.ndarray) -> list[np.ndarray]:
         """Sorted lists of the points ``rows`` within their radii ``eps``."""
         x = self.positions[rows]
-        counts = self.tree.query_ball_point(x, eps, return_length=True)
+        counts = self.tree.query_ball_point(x, eps, return_length=True,
+                                            workers=WORKERS)
         ends = np.cumsum(counts)
         flat = np.empty(int(counts.sum()), dtype=np.intp)
         order = np.argsort(counts, kind="stable")
         for lo in range(0, rows.size, RESOLVE_CHUNK):
             sel = order[lo:lo + RESOLVE_CHUNK]
             c = counts[sel]
-            _, nearest = self.tree.query(x[sel], k=int(c[-1]))
+            _, nearest = self.tree.query(x[sel], k=int(c[-1]), workers=WORKERS)
             nearest = nearest.reshape(sel.size, -1)
             inside = np.arange(nearest.shape[1]) < c[:, None]
             # slots past a row's count sort to its end
@@ -228,6 +244,22 @@ def _flatten(indices) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(indices), counts
 
 
+def _map_chunks(fn, n_pts):
+    """``fn(lo, hi)`` over consecutive ``REPORT_CHUNK`` slices of the n_pts
+    points, on ``WORKERS`` threads (serially for one worker or one chunk).
+
+    Returns the results in chunk order.  Every chunk runs; when some fail,
+    the error of the earliest failing chunk in point order is raised.
+    """
+    bounds = [(lo, min(lo + REPORT_CHUNK, n_pts))
+              for lo in range(0, n_pts, REPORT_CHUNK)]
+    if WORKERS == 1 or len(bounds) <= 1:
+        return [fn(lo, hi) for lo, hi in bounds]
+    with ThreadPoolExecutor(max_workers=min(WORKERS, len(bounds))) as pool:
+        futures = [pool.submit(fn, lo, hi) for lo, hi in bounds]
+    return [f.result() for f in futures]
+
+
 def _neighbor_block(positions, x, idx, counts, eps):
     """A chunk's neighbor lists as a padded (m, K) block, K the longest list,
     around the locations ``x`` (m, n) with radii ``eps`` (m,); ``idx``
@@ -243,7 +275,8 @@ def _neighbor_block(positions, x, idx, counts, eps):
     valid = np.arange(int(counts.max(initial=0))) < counts[:, None]
     pad = np.zeros(valid.shape, dtype=np.intp)
     pad[valid] = idx
-    d_vec = x[:, None, :] - np.take(positions, pad, axis=0)
+    d_vec = np.take(positions, pad, axis=0)
+    np.subtract(x[:, None, :], d_vec, out=d_vec)
     r = np.sqrt(np.einsum("mla,mla->ml", d_vec, d_vec))
     t = np.where(valid, r / np.where(eps > 0.0, eps, 1.0)[:, None], 1.0)
     return valid, pad, d_vec, r, t
@@ -273,8 +306,8 @@ def _local_sums(cloud, points, kernels, eps, idx, counts):
     keep = valid & (r > 0.0)
     weights = np.where(keep, mass * kernels.rho.deriv(t), 0.0)
     planes = np.take(cloud.planes, pad, axis=0)
-    unit = d_vec / np.where(keep, r, 1.0)[..., None]
-    proj_units = np.einsum("mlab,mlb->mla", planes, unit)
+    d_vec /= np.where(keep, r, 1.0)[..., None]  # now the unit offsets
+    proj_units = np.einsum("mlab,mlb->mla", planes, d_vec)
     return planes, weights, proj_units, xi_w.sum(axis=1)
 
 
@@ -303,8 +336,8 @@ def variation_tensor(
     eps, idx, counts = _chunk(points.size, eps, idx, counts)
     planes, w, pu, xi_den = _local_sums(cloud, points, kernels, eps, idx, counts)
     m, k, n = pu.shape
-    s = (w[..., None] * pu).transpose(0, 2, 1)
-    beta = (s @ planes.reshape(m, k, n * n)).reshape(m, n, n, n)
+    pu *= w[..., None]
+    beta = (pu.transpose(0, 2, 1) @ planes.reshape(m, k, n * n)).reshape(m, n, n, n)
     # the stored planes are symmetric, so this only evens out rounding
     beta = 0.5 * (beta + beta.swapaxes(-1, -2))
     return beta * _prefactor(kernels, eps, xi_den)[:, None, None, None]
@@ -597,8 +630,8 @@ def curvature_report(
         )
         for _ in names
     ]
-    for lo in range(0, n, REPORT_CHUNK):
-        hi = min(lo + REPORT_CHUNK, n)
+
+    def run_chunk(lo, hi):
         flat, counts = _flatten(indices[lo:hi])
         pcs = point_curvature(
             cloud, np.arange(lo, hi), kernels, scale=eps[lo:hi], idx=flat,
@@ -614,6 +647,7 @@ def curvature_report(
             if collect_a_perp:
                 rep.a_perp[lo:hi] = pc.a_perp
 
+    _map_chunks(run_chunk, n)
     for rep in reports:
         rep.mean_norm[:] = np.linalg.norm(rep.mean_vectors, axis=1)
         if ambiguous is not None:
@@ -663,12 +697,14 @@ def estimate_tangent_planes(
     indices, sigma = _check_neighbors(neighbors, n_pts)
     planes = np.empty((n_pts, n, n))
     ambiguous = np.zeros(n_pts, dtype=bool)
-    for lo in range(0, n_pts, REPORT_CHUNK):
-        hi = min(lo + REPORT_CHUNK, n_pts)
+
+    def run_chunk(lo, hi):
         flat, counts = _flatten(indices[lo:hi])
         planes[lo:hi], ambiguous[lo:hi] = _tangent_chunk(
             positions, lo, sigma[lo:hi], flat, counts, dim_d
         )
+
+    _map_chunks(run_chunk, n_pts)
     return TangentEstimate(planes=planes, ambiguous=ambiguous)
 
 
@@ -730,7 +766,7 @@ def estimate_masses(
         raise InvalidInputError(f"unknown mass mode {mode!r}")
     if not 1 <= n_mass <= n_pts:
         raise InvalidInputError("need 1 <= n_mass <= number of points")
-    radii = index.tree.query(index.positions, k=[n_mass])[0][:, 0]
+    radii = index.tree.query(index.positions, k=[n_mass], workers=WORKERS)[0][:, 0]
     if np.any(radii <= 0.0):
         bad = int(np.argmax(radii <= 0.0))
         raise ZeroRadiusError(

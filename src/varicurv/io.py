@@ -24,10 +24,24 @@ from .errors import FileFormatError
 
 FLOAT_FMT = "%.9g"
 
+# Rows formatted per write: bounds the Python floats and the text held at
+# once to a block's worth, not the whole file's.
+WRITE_ROWS = 2048
 
-def _write_rows(fh, row_fmt: str, rows) -> None:
-    """Write every row with one %-format string, in a single write."""
-    fh.write("".join(row_fmt % tuple(row) for row in rows))
+
+def _write_rows(fh, row_fmt: str, values: np.ndarray, status=None) -> None:
+    """Write the rows of the float stack ``values`` with one %-format string,
+    ``WRITE_ROWS`` rows per write.  With ``status`` each row is led by its
+    index and ends with its status."""
+    for lo in range(0, len(values), WRITE_ROWS):
+        block = values[lo:lo + WRITE_ROWS].tolist()
+        if status is None:
+            rows = map(tuple, block)
+        else:
+            labels = status[lo:lo + WRITE_ROWS]
+            rows = ((i, *numbers, s)
+                    for i, (numbers, s) in enumerate(zip(block, labels), start=lo))
+        fh.write("".join(row_fmt % row for row in rows))
 
 
 # ---------------------------------------------------------------- xyz
@@ -68,7 +82,7 @@ def write_xyz(path, positions: np.ndarray) -> None:
     positions = np.atleast_2d(positions)
     row_fmt = " ".join([FLOAT_FMT] * positions.shape[1]) + "\n"
     with open(path, "w") as fh:
-        _write_rows(fh, row_fmt, positions.tolist())
+        _write_rows(fh, row_fmt, positions)
 
 
 # ---------------------------------------------------------------- ply
@@ -172,7 +186,7 @@ def write_ply(
     header.append("end_header")
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
-        _write_rows(fh, " ".join(formats) + "\n", np.column_stack(columns).tolist())
+        _write_rows(fh, " ".join(formats) + "\n", np.column_stack(columns))
 
 
 # ---------------------------------------------------------------- csv
@@ -193,15 +207,11 @@ def write_report_csv(path, positions: np.ndarray, report) -> None:
         + ["gauss", "abs_sum", "mean_norm", "status"]
     )
     values = np.column_stack([positions, report.kappas, report.gauss,
-                              report.abs_sum, report.mean_norm]).tolist()
-    rows = (
-        (i, *numbers, status)
-        for i, (numbers, status) in enumerate(zip(values, report.status))
-    )
+                              report.abs_sum, report.mean_norm])
     row_fmt = "%d," + ",".join([FLOAT_FMT] * (amb + d + 3)) + ",%s\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        _write_rows(fh, row_fmt, rows)
+        _write_rows(fh, row_fmt, values, report.status)
 
 
 # ---------------------------------------------------------------- colors

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -604,7 +606,8 @@ class TestReport:
             mp.setattr(np.linalg, "eigh", counting_eigh)
             curvature_report(cloud, neighbors)
         sizes = np.diff(np.r_[0:cloud.n_points:REPORT_CHUNK, cloud.n_points])
-        assert calls == [(int(m), 2, 2) for m in sizes]
+        # the chunks may run on several threads, so only the multiset is fixed
+        assert sorted(calls) == sorted((int(m), 2, 2) for m in sizes)
 
     def test_averaged_variant_checks_direction_matrix_once_per_point(self):
         # one PSD check per non-isolated point, inside solve_curvature_system;
@@ -802,8 +805,10 @@ class TestEngine:
             mp.setattr(estimator, "point_curvature", counting)
             curvature_report(sample.cloud, neighbors)
         indices, _ = neighbors
-        assert [len(p) for p, _ in chunks] == [REPORT_CHUNK, REPORT_CHUNK, 10]
-        assert sum((p for p, _ in chunks), []) == list(range(2 * REPORT_CHUNK + 10))
+        # the chunks may run on several threads, so only the multisets are fixed
+        assert sorted(len(p) for p, _ in chunks) == [10, REPORT_CHUNK, REPORT_CHUNK]
+        points = sorted(sum((p for p, _ in chunks), []))
+        assert points == list(range(2 * REPORT_CHUNK + 10))
         assert sum(size for _, size in chunks) == sum(len(ix) for ix in indices)
 
     def test_two_variants_sum_each_chunk_once(self):
@@ -866,6 +871,87 @@ class TestEngine:
         with pytest.raises(InvalidInputError, match="summing to 5 for 2 points and 4"):
             vc.variation_tensor(cloud, [0, 1], None, 0.5, idx=np.arange(4),
                                 counts=[2, 3])
+
+
+class TestThreadedChunks:
+    """The chunk engines on ``WORKERS`` threads against the serial path."""
+
+    def runs(self, workers, fn):
+        """``fn()`` with ``estimator.WORKERS`` set to ``workers``; the
+        threads it starts are gone when it returns."""
+        before = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "WORKERS", workers)
+            out = fn()
+        assert threading.active_count() == before
+        return out
+
+    def test_threads_match_serial_bitwise(self):
+        # over three chunks, with isolated rows on both sides of the first
+        # chunk boundary; more threads than most hosts have cores
+        rng = np.random.default_rng(11)
+        n_pts = 2 * REPORT_CHUNK + 70
+        cloud = random_cloud(rng, n_pts=n_pts)
+        positions = cloud.positions * (n_pts / 80) ** (1.0 / 3)
+        positions[REPORT_CHUNK - 1:REPORT_CHUNK + 1] = far_points(2, 3)
+        cloud = vc.validate_cloud(positions, cloud.planes, cloud.masses, 2)
+        neighbors = NeighborIndex(positions).resolve_all(NeighborQuery.radius(0.5))
+
+        def report():
+            return curvature_report(cloud, neighbors, collect_a_perp=True,
+                                    variant=("orthogonal", "averaged"))
+
+        serial, threaded = self.runs(1, report), self.runs(4, report)
+        for one, many in zip(serial, threaded):
+            boundary = one.status[REPORT_CHUNK - 1:REPORT_CHUNK + 1]
+            assert np.all(boundary == STATUS_ISOLATED)
+            assert np.array_equal(one.status, many.status)
+            for field in ("kappas", "directions", "gauss", "abs_sum", "mean_norm",
+                          "mean_vectors", "eps", "a_perp"):
+                assert getattr(one, field).tobytes() == getattr(many, field).tobytes()
+
+        sheet = plane_grid(2 * REPORT_CHUNK + 70)
+        sheet[:, 2] = 0.003 * rng.standard_normal(len(sheet))
+        sheet_neighbors = NeighborIndex(sheet).resolve_all(NeighborQuery.knn(12))
+
+        def tangents():
+            return estimate_tangent_planes(sheet, sheet_neighbors, 2)
+
+        one, many = self.runs(1, tangents), self.runs(4, tangents)
+        assert one.planes.tobytes() == many.planes.tobytes()
+        assert np.array_equal(one.ambiguous, many.ambiguous)
+
+    def test_earliest_failing_chunk_wins(self):
+        # lone points in chunks 0 and 2; chunk 0 is held back until chunk 2
+        # has failed, and its error is the one raised
+        pts = plane_grid(3 * REPORT_CHUNK)
+        lone = [10, 2 * REPORT_CHUNK + 10]
+        for i, at in enumerate(lone):
+            pts[at] = [10.0 * (i + 1), 10.0, 10.0]
+        neighbors = NeighborIndex(pts).resolve_all(NeighborQuery.radius(0.05))
+        real = estimator._tangent_chunk
+        failed = []
+
+        def delayed(positions, lo, *args):
+            if lo == 0:
+                deadline = time.monotonic() + 10.0
+                while not failed and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            try:
+                return real(positions, lo, *args)
+            except DegenerateNeighborhoodError:
+                failed.append(lo)
+                raise
+
+        def estimate():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(estimator, "_tangent_chunk", delayed)
+                return tangent_outcome(estimate_tangent_planes, pts, neighbors, 2)
+
+        assert self.runs(4, estimate) == (
+            DegenerateNeighborhoodError, lone[0], f"only 1 points near {lone[0]}"
+        )
+        assert failed == [2 * REPORT_CHUNK, 0]
 
 
 class TestTangentEstimation:
