@@ -6,8 +6,18 @@ Two subcommands:
              pipeline, and write a CSV report and/or a colorized ply;
 * ``sample`` synthesize a shape sample and write the bare cloud.
 
-Exit codes: 0 success (per-point numeric failures downgrade to status flags
-and a warning count), 1 input/validation error, 2 numeric fatal error.
+Exit codes: 0 success, 1 bad input, 2 broken numeric invariant.  A badly
+sampled point does not stop a run: a point whose kernel ball holds no mass,
+or whose radius is zero, is reported ``isolated``, and a point whose
+neighbors do not determine a d-plane (too few of them, duplicates,
+collinear or flat in fewer than d dimensions) is reported
+``ambiguous_tangent``; stderr counts the flagged points.  Exit 1 covers
+unreadable or malformed files, bad options, clouds that fail validation and
+a zero mass radius (``--n-mass`` or more coincident points under
+``--mass-mode nmass``/``rd``).  Exit 2 means an invariant the estimator
+guarantees failed: the trace identity, the direction-matrix PSD check or a
+tensor symmetry check.
+
 The pipeline runs in fixed chunks of points on every CPU the process may
 use; each chunk writes only its own rows, so output bytes depend only on
 the inputs, not on the thread count or the schedule.
@@ -21,12 +31,7 @@ import sys
 import numpy as np
 
 from . import io as vio
-from .errors import (
-    CloudValidationError,
-    FileFormatError,
-    InvalidInputError,
-    VaricurvError,
-)
+from .errors import InvalidInputError, VaricurvError
 from .estimator import NeighborIndex, NeighborQuery, curvature_report, \
     estimate_masses, estimate_tangent_planes
 from .kernels import kernel_pair_by_name
@@ -212,7 +217,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _run(args)
         return _sample(args)
-    except (FileFormatError, CloudValidationError, InvalidInputError, OSError) as e:
+    except (InvalidInputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except VaricurvError as e:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ScheduleError
+from .errors import InvalidInputError
 from .estimator import (
     STATUS_ISOLATED,
     NeighborIndex,
@@ -50,12 +50,12 @@ class ConvergenceSchedule:
     def __post_init__(self):
         sizes = [row.n_points for row in self.rows]
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ScheduleError("sample sizes must increase strictly")
+            raise InvalidInputError("sample sizes must increase strictly")
         radii = [row.query.epsilon for row in self.rows if row.query.mode == "radius"]
         if any(b >= a for a, b in zip(radii, radii[1:])):
-            raise ScheduleError("fixed radii must decrease strictly")
+            raise InvalidInputError("fixed radii must decrease strictly")
         if self.tangent_mode not in ("exact", "estimated"):
-            raise ScheduleError(f"unknown tangent mode {self.tangent_mode!r}")
+            raise InvalidInputError(f"unknown tangent mode {self.tangent_mode!r}")
 
 
 def relative_errors(estimated: np.ndarray, exact: np.ndarray) -> np.ndarray:
@@ -168,7 +168,7 @@ def run_convergence(
     if kernels is None:
         kernels = natural_kernel_pair(bump_profile(), shape.dim_d, shape.ambient_n)
     if collect_aperp_error and not hasattr(shape, "gradient_tensor"):
-        raise ScheduleError(
+        raise InvalidInputError(
             f"shape {shape.name!r} has no exact gradient-form tensor to compare"
         )
     result = ConvergenceResult()

@@ -39,12 +39,14 @@ conversion, restriction, eigenvalues) runs on stacks.
 :func:`point_curvature` and :func:`curvature_report` take ``variant`` as
 one name or as a tuple of names: a tuple shares that one pass, the
 direction matrices and the trace check among its variants, and each
-variant runs only its own tail on the shared tensors.  An isolated point
-is a NaN row, flagged, never an exception.  A single point is a one-row
-chunk.  The whole-cloud functions :func:`estimate_tangent_planes` and
-:func:`curvature_report` take the ``(indices, eps)`` pair that
-``resolve_all`` returns, so one resolution serves both; each runs
-``REPORT_CHUNK`` points at a time on the same padded block.
+variant runs only its own tail on the shared tensors.  A badly sampled
+point is a flagged row, never an exception: an isolated point is a NaN
+row, and a neighborhood that cannot determine a d-plane gives an ambiguous
+tangent.  A single point is a one-row chunk.  The whole-cloud functions
+:func:`estimate_tangent_planes` and :func:`curvature_report` take the
+``(indices, eps)`` pair that ``resolve_all`` returns, so one resolution
+serves both; each runs ``REPORT_CHUNK`` points at a time on the same
+padded block.
 :func:`estimate_masses` queries the tree of the :class:`NeighborIndex`
 that resolved them, so a run builds one kd-tree.
 
@@ -66,12 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import (
-    CodimensionError,
-    DegenerateNeighborhoodError,
-    InvalidInputError,
-    ZeroRadiusError,
-)
+from .errors import InvalidInputError, VaricurvError
 from .kernels import KernelPair, bump_profile, natural_kernel_pair, unit_ball_volume
 from .tensors import _at_row, solve_curvature_system, to_bilinear_form
 from .varifold import PointCloudVarifold
@@ -350,8 +347,8 @@ def mean_curvature_vector(tensor: np.ndarray, dim_d: int | None = None) -> np.nd
     When ``dim_d`` is given, also verifies the companion trace identity
     sum_q t_iqq = d * H_i, which holds to the projector tolerance for
     tensors produced by :func:`variation_tensor`; a deviation above
-    1e-10 * (1 + max|t|) in any row raises :class:`InvalidInputError`
-    naming the first such row.
+    1e-10 * (1 + max|t|) in any row raises :class:`VaricurvError` naming
+    the first such row: a broken invariant, not bad input.
     """
     t = np.asarray(tensor, dtype=float)
     h = np.einsum("...qiq->...i", t)
@@ -361,7 +358,7 @@ def mean_curvature_vector(tensor: np.ndarray, dim_d: int | None = None) -> np.nd
         gap = np.max(np.abs(other - dim_d * h), axis=-1, initial=0.0)
         bad = gap > 1e-10 * scale
         if np.any(bad):
-            raise InvalidInputError(
+            raise VaricurvError(
                 "trace identity sum_q t_iqq = d * H_i violated; "
                 "tensor did not come from a rank-d cloud" + _at_row(bad)
             )
@@ -430,7 +427,7 @@ def restrict_to_tangent(
     """
     n, dim_d = basis.shape[-2:]
     if dim_d != n - 1:
-        raise CodimensionError(
+        raise InvalidInputError(
             f"scalar restriction needs d = n-1, got d={dim_d}, n={n}; "
             "the vector-valued tensor is the final output in higher codimension"
         )
@@ -520,7 +517,7 @@ def point_curvature(
     flags rows whose eta weights vanish); nothing is raised for them.
     """
     if cloud.dim_d != cloud.ambient_n - 1:
-        raise CodimensionError("point_curvature needs codimension 1")
+        raise InvalidInputError("point_curvature needs codimension 1")
     names = _variant_names(variant)
     kernels = kernels or default_kernels(cloud)
     points = np.atleast_1d(np.asarray(points, dtype=np.intp))
@@ -610,7 +607,7 @@ def curvature_report(
     ``collect_a_perp`` then apply to every report.
     """
     if cloud.dim_d != cloud.ambient_n - 1:
-        raise CodimensionError("curvature_report needs codimension 1")
+        raise InvalidInputError("curvature_report needs codimension 1")
     names = _variant_names(variant)
     kernels = kernels or default_kernels(cloud)
     n, d, nn = cloud.n_points, cloud.dim_d, cloud.ambient_n
@@ -683,14 +680,14 @@ def estimate_tangent_planes(
     :meth:`NeighborIndex.resolve_all` returns for ``positions``; eps is the
     bump's radius at each point.  At each point the covariance of neighbor
     offsets from the kernel-weighted barycenter is eigen-decomposed; the
-    span of the d dominant eigenvectors gives the plane.  A point with fewer
-    than d+1 neighbors, a zero radius, zero weight sum, or a covariance of
-    rank < d (relative 1e-12) raises :class:`DegenerateNeighborhoodError`,
-    for the first such point in point order; a near-tie between the d-th and
-    (d+1)-th eigenvalues (within 1e-9 of the largest) flags the point as
-    ambiguous instead of failing.  The points run ``REPORT_CHUNK`` at a
-    time on the report's padded neighbor block, with one batched covariance
-    product and one stacked eigendecomposition per chunk.
+    span of the d dominant eigenvectors gives the plane, always a rank-d
+    projector.  A near-tie between the d-th and (d+1)-th eigenvalues (within
+    1e-9 of the largest) flags the point as ambiguous.  Nothing is raised
+    for a badly sampled point: fewer than d+1 neighbors, a zero radius or a
+    covariance of rank < d all leave such a tie (all-zero eigenvalues at
+    worst), so the point is flagged too.  The points run ``REPORT_CHUNK`` at
+    a time on the report's padded neighbor block, with one batched
+    covariance product and one stacked eigendecomposition per chunk.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     n_pts, n = positions.shape
@@ -726,22 +723,6 @@ def _tangent_chunk(positions, lo, sigma, idx, counts, dim_d):
     evals, evecs = np.linalg.eigh(cov)
     evals = evals[:, ::-1]
     evecs = evecs[:, :, ::-1]
-    few = counts < dim_d + 1
-    zero_r = sigma <= 0.0
-    low_rank = (evals[:, 0] <= 0.0) | (evals[:, dim_d - 1] <= 1e-12 * evals[:, 0])
-    bad = np.flatnonzero(few | zero_r | zero_w | low_rank)
-    if bad.size:
-        b = int(bad[0])
-        i = lo + b
-        if few[b]:
-            raise DegenerateNeighborhoodError(i, f"only {counts[b]} points near {i}")
-        if zero_r[b]:
-            raise DegenerateNeighborhoodError(
-                i, f"zero smoothing radius at {i} (more than k points coincide)"
-            )
-        raise DegenerateNeighborhoodError(
-            i, f"zero covariance weights at {i}" if zero_w[b] else None
-        )
     ambiguous = np.zeros(m, dtype=bool)
     if dim_d < n:
         ambiguous = evals[:, dim_d - 1] - evals[:, dim_d] <= 1e-9 * evals[:, 0]
@@ -769,9 +750,10 @@ def estimate_masses(
     radii = index.tree.query(index.positions, k=[n_mass], workers=WORKERS)[0][:, 0]
     if np.any(radii <= 0.0):
         bad = int(np.argmax(radii <= 0.0))
-        raise ZeroRadiusError(
-            f"mass radius is zero at point {bad} "
-            f"(duplicate points or n_mass too small)"
+        raise InvalidInputError(
+            f"mass radius is zero at point {bad}: at least --n-mass = {n_mass} "
+            f"points sit at its location; --n-mass must exceed the number of "
+            f"coincident points"
         )
     if mode == "nmass":
         return unit_ball_volume(dim_d) * radii**dim_d / n_mass

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidProfileError
+from .errors import InvalidInputError
 
 
 def unit_ball_volume(d: int) -> float:
@@ -123,7 +123,7 @@ def paired_mass_profile(rho: KernelProfile, ambient_n: int) -> KernelProfile:
     grid = np.linspace(0.0, 1.0, 2001)
     dv = np.asarray(rho.deriv(grid))
     if np.any(dv > 1e-12):
-        raise InvalidProfileError(
+        raise InvalidInputError(
             f"profile {rho.name!r} increases on [0,1); cannot pair a mass profile"
         )
 

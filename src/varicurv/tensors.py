@@ -29,11 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    AsymmetricInputError,
-    InvalidDirectionMatrixError,
-    InvalidInputError,
-)
+from .errors import InvalidInputError, VaricurvError
 
 # Absolute tolerances for validation; all data handled here is O(1)..O(1/eps)
 # and produced in float64.
@@ -67,11 +63,11 @@ def direction_matrix(mat) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     _require_finite(mat, "direction matrix")
     if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
-        raise InvalidDirectionMatrixError("direction matrix must be square")
+        raise InvalidInputError("direction matrix must be square")
     swapped = mat.swapaxes(-1, -2)
     asym = np.max(np.abs(mat - swapped), axis=(-2, -1), initial=0.0) > SYMMETRY_TOL
     if np.any(asym):
-        raise InvalidDirectionMatrixError(
+        raise VaricurvError(
             "direction matrix is not symmetric" + _at_row(asym)
         )
     mat = 0.5 * (mat + swapped)
@@ -80,7 +76,7 @@ def direction_matrix(mat) -> np.ndarray:
     neg = low < -PSD_TOL
     if np.any(neg):
         first = low[neg].flat[0]
-        raise InvalidDirectionMatrixError(
+        raise VaricurvError(
             f"negative eigenvalue {first:.3g} below -{PSD_TOL:g}" + _at_row(neg)
         )
     clamp = low < 0.0
@@ -91,7 +87,7 @@ def direction_matrix(mat) -> np.ndarray:
         mat[clamp] = 0.5 * (fixed + fixed.swapaxes(-1, -2))
     big = np.max(np.abs(mat), axis=(-2, -1), initial=0.0) > 1.0 + SYMMETRY_TOL
     if np.any(big):
-        raise InvalidDirectionMatrixError(
+        raise VaricurvError(
             "entries exceed 1 in absolute value" + _at_row(big)
         )
     return mat
@@ -136,7 +132,7 @@ def to_bilinear_form(a) -> np.ndarray:
     swapped = at.swapaxes(-1, -2)
     asym = np.max(np.abs(at - swapped), axis=(-3, -2, -1), initial=0.0) > SYMMETRY_TOL
     if np.any(asym):
-        raise AsymmetricInputError(
+        raise VaricurvError(
             "gradient-form tensor is not (j,k)-symmetric" + _at_row(asym)
         )
     at = 0.5 * (at + swapped)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CloudValidationError, InvalidInputError
+from .errors import InvalidInputError
 
 PLANE_PROJECT_TOL = 1e-6
 
@@ -66,21 +66,21 @@ def validate_cloud(positions, planes, masses, dim_d: int) -> PointCloudVarifold:
     masses = np.atleast_1d(np.asarray(masses, dtype=float))
     n_pts, n = positions.shape
     if planes.shape != (n_pts, n, n):
-        raise CloudValidationError(
+        raise InvalidInputError(
             f"planes shape {planes.shape} != ({n_pts}, {n}, {n})"
         )
     if masses.shape != (n_pts,):
-        raise CloudValidationError("masses length does not match positions")
+        raise InvalidInputError("masses length does not match positions")
     if n_pts < 1:
-        raise CloudValidationError("cloud must contain at least one point")
+        raise InvalidInputError("cloud must contain at least one point")
     if not (1 <= dim_d <= n):
-        raise CloudValidationError(f"need 1 <= d <= n, got d={dim_d}, n={n}")
+        raise InvalidInputError(f"need 1 <= d <= n, got d={dim_d}, n={n}")
     if not np.all(np.isfinite(positions)):
-        raise CloudValidationError("positions contain NaN or Inf")
+        raise InvalidInputError("positions contain NaN or Inf")
     if not np.all(np.isfinite(planes)):
-        raise CloudValidationError("planes contain NaN or Inf")
+        raise InvalidInputError("planes contain NaN or Inf")
     if not np.all(np.isfinite(masses)) or np.any(masses <= 0.0):
-        raise CloudValidationError("masses must be finite and strictly positive")
+        raise InvalidInputError("masses must be finite and strictly positive")
 
     sym = 0.5 * (planes + planes.transpose(0, 2, 1))
     w, v = np.linalg.eigh(sym)
@@ -92,7 +92,7 @@ def validate_cloud(positions, planes, masses, dim_d: int) -> PointCloudVarifold:
     drift = np.max(np.abs(projected - planes), axis=(1, 2))
     bad = np.nonzero(drift > PLANE_PROJECT_TOL)[0]
     if bad.size:
-        raise CloudValidationError(
+        raise InvalidInputError(
             f"plane at index {bad[0]} is {drift[bad[0]]:.3g} away from a "
             f"rank-{dim_d} projector (tolerance {PLANE_PROJECT_TOL:g})"
         )

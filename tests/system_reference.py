@@ -11,7 +11,9 @@ quadrature are cross-checks no library path needs.  ``reference_report``
 (with the per-point estimator it loops over) and
 ``reference_tangent_planes`` are the one-point-at-a-time versions that the
 batched library code is tested against; the tangent reference also says
-how close the batched planes can be asked to come.  ``plane_frames``
+how close the batched planes can be asked to come.  The per-point
+estimator raises :class:`IsolatedPointError` where the batched engine
+flags a row.  ``plane_frames``
 decomposes codimension-1 planes on its own, as the check of the frames
 that ``validate_cloud`` gives a cloud.
 """
@@ -23,12 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
-from varicurv.errors import (
-    AsymmetricInputError,
-    DegenerateNeighborhoodError,
-    InvalidInputError,
-    IsolatedPointError,
-)
+from varicurv.errors import InvalidInputError, VaricurvError
 from varicurv.estimator import (
     DENOM_GUARD,
     STATUS_AMBIGUOUS,
@@ -61,6 +58,10 @@ def one_row(fn, cloud, l0, kernels, eps, idx):
     """``fn`` (a chunk function of the estimator) at the single point or
     location ``l0``: a one-row chunk call, returning its row."""
     return fn(cloud, [l0], kernels, eps, idx=idx, counts=[len(idx)])[0]
+
+
+class IsolatedPointError(VaricurvError):
+    """Empty effective neighborhood: the smoothed mass denominator vanishes."""
 
 
 def curvature_tensor(cloud, l0, kernels, eps, *, idx) -> np.ndarray:
@@ -225,18 +226,23 @@ def reference_report(cloud, neighbors, kernels=None, variant="orthogonal",
 class ReferenceTangents:
     """Reference tangent planes, ambiguity flags, and per point the bound
     max(1e-12, 4 eps_mach lambda_1 / (lambda_d - lambda_{d+1})) on how far
-    rounding moves a plane: the covariance's rounding over its eigen-gap."""
+    rounding moves a plane: the covariance's rounding over its eigen-gap.
+    ``degenerate`` marks the neighborhoods that cannot determine a d-plane:
+    fewer than d+1 points, a zero radius or weight sum, or a covariance of
+    rank < d (relative 1e-12)."""
 
     planes: np.ndarray
     ambiguous: np.ndarray
     rounding: np.ndarray
+    degenerate: np.ndarray
 
 
 def reference_tangent_planes(positions, neighbors, dim_d: int) -> ReferenceTangents:
     """Tangent planes by bump-weighted local covariance, one point at a time.
 
-    Same rules, tolerances and errors as
-    :func:`varicurv.estimator.estimate_tangent_planes`, which batches them.
+    Same rules and tolerances as
+    :func:`varicurv.estimator.estimate_tangent_planes`, which batches them;
+    a degenerate neighborhood is flagged ambiguous, never raised.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     n_pts, n = positions.shape
@@ -245,33 +251,33 @@ def reference_tangent_planes(positions, neighbors, dim_d: int) -> ReferenceTange
     planes = np.empty((n_pts, n, n))
     ambiguous = np.zeros(n_pts, dtype=bool)
     rounding = np.zeros(n_pts)
+    degenerate = np.zeros(n_pts, dtype=bool)
     eps_mach = np.finfo(float).eps
     for i in range(n_pts):
-        idx = indices[i]
-        if idx.size < dim_d + 1:
-            raise DegenerateNeighborhoodError(i, f"only {idx.size} points near {i}")
-        pts = positions[idx]
-        d_vec = pts - positions[i]
+        pts = positions[indices[i]]
+        d_vec = positions[i] - pts
         r = np.sqrt(np.einsum("la,la->l", d_vec, d_vec))
-        w = weight.eval(r / sigma[i])
+        # a zero radius leaves only zero offsets: t = 0, as in _neighbor_block
+        w = weight.eval(r / (sigma[i] if sigma[i] > 0.0 else 1.0))
         w_sum = w.sum()
-        if w_sum <= 0.0:
-            raise DegenerateNeighborhoodError(i, f"zero covariance weights at {i}")
-        bary = (w @ pts) / w_sum
-        centered = pts - bary
+        # the covariance of the offsets is that of the neighbors, and it is
+        # exactly 0 for a point alone in its ball
+        bary = (w @ d_vec) / (w_sum if w_sum > 0.0 else 1.0)
+        centered = d_vec - bary
         cov = np.einsum("l,la,lb->ab", w, centered, centered)
         evals, evecs = np.linalg.eigh(cov)
         evals = evals[::-1]
         evecs = evecs[:, ::-1]
-        if evals[0] <= 0.0 or evals[dim_d - 1] <= 1e-12 * evals[0]:
-            raise DegenerateNeighborhoodError(i)
+        degenerate[i] = (len(pts) < dim_d + 1 or sigma[i] <= 0.0 or w_sum <= 0.0
+                         or evals[0] <= 0.0 or evals[dim_d - 1] <= 1e-12 * evals[0])
         if dim_d < n:
             gap = evals[dim_d - 1] - evals[dim_d]
             ambiguous[i] = gap <= 1e-9 * evals[0]
             rounding[i] = 4 * eps_mach * evals[0] / gap if gap > 0.0 else np.inf
         top = evecs[:, :dim_d]
         planes[i] = top @ top.T
-    return ReferenceTangents(planes, ambiguous, np.maximum(1e-12, rounding))
+    return ReferenceTangents(planes, ambiguous, np.maximum(1e-12, rounding),
+                             degenerate)
 
 
 def to_gradient_form(b) -> np.ndarray:
@@ -282,7 +288,7 @@ def to_gradient_form(b) -> np.ndarray:
     """
     bt = np.asarray(b, dtype=float)
     if np.max(np.abs(bt - bt.transpose(1, 0, 2))) > SYMMETRY_TOL:
-        raise AsymmetricInputError("bilinear-form tensor is not (i,j)-symmetric")
+        raise VaricurvError("bilinear-form tensor is not (i,j)-symmetric")
     bt = 0.5 * (bt + bt.transpose(1, 0, 2))
     return bt + bt.transpose(0, 2, 1)
 

@@ -12,6 +12,11 @@ def run_cli(*args):
     return main(list(args))
 
 
+def csv_status(path):
+    """The status column of a CSV report, header excluded."""
+    return [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
+
+
 class TestRunFromShape:
     def test_sphere_defaults_csv(self, tmp_path):
         out = tmp_path / "sphere.csv"
@@ -169,17 +174,18 @@ class TestRunFromFile:
                        "--csv", str(tmp_path / "o.csv")) == 1
 
     def test_zero_knn_radius(self, tmp_path, capsys):
-        # 46 copies of point 0 give each of them a k-th neighbor at distance 0
+        # 46 copies of point 0 give each of them a k-th neighbor at distance
+        # 0: with estimated tangents or ply normals alike, they are isolated
         sample = vc.Sphere(1.0).sample(2000, seed=2)
         keep = np.r_[np.arange(2000), np.zeros(45, dtype=int)]
         xyz = tmp_path / "dup.xyz"
         vc.io.write_xyz(xyz, sample.cloud.positions[keep])
+        out_xyz = tmp_path / "x.csv"
         capsys.readouterr()
         assert run_cli("run", "--input", str(xyz), "--k", "40",
-                       "--csv", str(tmp_path / "o.csv")) == 2
+                       "--csv", str(out_xyz)) == 0
         assert capsys.readouterr().err == (
-            "numeric error: zero smoothing radius at 0 "
-            "(more than k points coincide)\n"
+            "warning: 46 points flagged (isolated or ambiguous tangent)\n"
         )
 
         ply = tmp_path / "dup.ply"
@@ -188,15 +194,77 @@ class TestRunFromFile:
         out = tmp_path / "p.csv"
         assert run_cli("run", "--input", str(ply), "--format", "ply",
                        "--k", "40", "--csv", str(out)) == 0
-        status = [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()]
+        status = csv_status(out)
         assert status.count("isolated") == 46
+        assert csv_status(out_xyz) == status
+
+    def test_zero_mass_radius_exit_code(self, tmp_path, capsys):
+        # the same 46 copies under --mass-mode nmass, and --n-mass 1 on any
+        # cloud, leave a mass radius of 0: bad input, named with its point
+        sample = vc.Sphere(1.0).sample(2000, seed=2)
+        keep = np.r_[np.arange(2000), np.zeros(45, dtype=int)]
+        dup, clean = tmp_path / "dup.xyz", tmp_path / "clean.xyz"
+        vc.io.write_xyz(dup, sample.cloud.positions[keep])
+        vc.io.write_xyz(clean, sample.cloud.positions)
+        for xyz, n_mass in ((dup, "8"), (clean, "1")):
+            capsys.readouterr()
+            assert run_cli("run", "--input", str(xyz), "--mass-mode", "nmass",
+                           "--n-mass", n_mass, "--csv", str(tmp_path / "o.csv")) == 1
+            assert capsys.readouterr().err == (
+                f"error: mass radius is zero at point 0: at least --n-mass = "
+                f"{n_mass} points sit at its location; --n-mass must exceed "
+                f"the number of coincident points\n"
+            )
+            assert not (tmp_path / "o.csv").exists()
 
     def test_numeric_fatal_exit_code(self, tmp_path):
-        # collinear points cannot support a rank-2 tangent estimate
+        # collinear points cannot support a rank-2 tangent estimate: once a
+        # numeric-fatal input, now every point is flagged
         xyz = tmp_path / "line.xyz"
         xyz.write_text("".join(f"{0.1 * i} 0 0\n" for i in range(30)))
+        out = tmp_path / "o.csv"
         assert run_cli("run", "--input", str(xyz), "--d", "2",
-                       "--csv", str(tmp_path / "o.csv")) == 2
+                       "--csv", str(out)) == 0
+        assert csv_status(out) == ["ambiguous_tangent"] * 30
+
+    def test_radius_outlier_flagged(self, tmp_path, capsys):
+        # an outlier 0.9 eps off the sphere holds one other point in its
+        # eps-ball: its row alone is flagged, the run goes on
+        sample = vc.Sphere(1.0).sample(2000, seed=3)
+        pts = sample.cloud.positions
+        outlier = pts[0] * (1.0 + 0.9 * 0.15)
+        assert cKDTree(pts).query_ball_point(outlier, 0.15) == [0]
+        xyz = tmp_path / "outlier.xyz"
+        vc.io.write_xyz(xyz, np.vstack([pts, outlier]))
+        out = tmp_path / "o.csv"
+        capsys.readouterr()
+        assert run_cli("run", "--input", str(xyz), "--epsilon", "0.15",
+                       "--csv", str(out)) == 0
+        assert capsys.readouterr().err == (
+            "warning: 1 points flagged (isolated or ambiguous tangent)\n"
+        )
+        assert csv_status(out) == ["ok"] * 2000 + ["ambiguous_tangent"]
+
+    def test_trace_identity_exit_code(self, tmp_path, capsys):
+        # a variation tensor that breaks sum_q t_iqq = d * H_i in one row is
+        # a broken invariant, not bad input
+        real = estimator.variation_tensor
+
+        def broken(*args, **kwargs):
+            t = real(*args, **kwargs)
+            t[0, 0, 1, 1] += 1.0
+            return t
+
+        capsys.readouterr()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "variation_tensor", broken)
+            assert run_cli("run", "--shape", "sphere", "--n-points", "500",
+                           "--csv", str(tmp_path / "o.csv")) == 2
+        assert capsys.readouterr().err.startswith(
+            "numeric error: trace identity sum_q t_iqq = d * H_i violated; "
+            "tensor did not come from a rank-d cloud at row 0\n"
+        )
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestSample:

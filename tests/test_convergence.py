@@ -11,7 +11,7 @@ from varicurv.convergence import (
     relative_errors,
     run_convergence,
 )
-from varicurv.errors import ScheduleError
+from varicurv.errors import InvalidInputError
 from varicurv.estimator import NeighborIndex, NeighborQuery
 
 
@@ -21,7 +21,7 @@ def knn_rows(sizes, k=40):
 
 class TestScheduleValidation:
     def test_sizes_must_increase(self):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(InvalidInputError, match="sample sizes must increase strictly"):
             ConvergenceSchedule(vc.Sphere(1.0), knn_rows([1000, 1000]))
 
     def test_radii_must_decrease(self):
@@ -29,11 +29,11 @@ class TestScheduleValidation:
             ScheduleRow(100, NeighborQuery.radius(0.1)),
             ScheduleRow(200, NeighborQuery.radius(0.2)),
         )
-        with pytest.raises(ScheduleError):
+        with pytest.raises(InvalidInputError, match="fixed radii must decrease strictly"):
             ConvergenceSchedule(vc.Sphere(1.0), rows)
 
     def test_unknown_tangent_mode(self):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(InvalidInputError, match="unknown tangent mode 'guessed'"):
             ConvergenceSchedule(
                 vc.Sphere(1.0), knn_rows([100, 200]), tangent_mode="guessed"
             )
@@ -106,7 +106,8 @@ class TestRunConvergence:
 
     def test_aperp_requires_tensor_oracle(self):
         sched = ConvergenceSchedule(vc.Torus(2.0, 0.5), knn_rows([400, 900], k=20))
-        with pytest.raises(ScheduleError):
+        with pytest.raises(InvalidInputError,
+                           match="shape 'torus' has no exact gradient-form tensor"):
             run_convergence(sched, collect_aperp_error=True)
 
     def test_estimated_tangents_run(self):

@@ -10,15 +10,11 @@ from scipy.spatial import cKDTree
 
 import varicurv as vc
 from varicurv import estimator, tensors
-from varicurv.errors import (
-    CodimensionError,
-    DegenerateNeighborhoodError,
-    InvalidInputError,
-    ZeroRadiusError,
-)
+from varicurv.errors import InvalidInputError, VaricurvError
 from varicurv.estimator import (
     REPORT_CHUNK,
     RESOLVE_CHUNK,
+    STATUS_AMBIGUOUS,
     STATUS_ISOLATED,
     NeighborIndex,
     NeighborQuery,
@@ -434,7 +430,7 @@ class TestRestriction:
     def test_codimension_guard(self):
         b = np.zeros((4, 4, 4))
         basis = np.eye(4)[:, :2]
-        with pytest.raises(CodimensionError):
+        with pytest.raises(InvalidInputError, match="scalar restriction needs d = n-1"):
             restrict_to_tangent(b, np.eye(4)[:, 3], basis)
 
     def test_principal_curvature_values(self):
@@ -713,7 +709,8 @@ class TestReport:
 
     def test_codimension_guard(self):
         cloud = line_cloud([0.0, 0.1, 0.2], n=3)
-        with pytest.raises(CodimensionError):
+        with pytest.raises(InvalidInputError,
+                           match="curvature_report needs codimension 1"):
             curvature_report(
                 cloud, NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(2))
             )
@@ -922,35 +919,32 @@ class TestThreadedChunks:
         assert np.array_equal(one.ambiguous, many.ambiguous)
 
     def test_earliest_failing_chunk_wins(self):
-        # lone points in chunks 0 and 2; chunk 0 is held back until chunk 2
-        # has failed, and its error is the one raised
+        # chunks 0 and 2 fail; chunk 0 is held back until chunk 2 has
+        # failed, and its error is the one raised
         pts = plane_grid(3 * REPORT_CHUNK)
-        lone = [10, 2 * REPORT_CHUNK + 10]
-        for i, at in enumerate(lone):
-            pts[at] = [10.0 * (i + 1), 10.0, 10.0]
         neighbors = NeighborIndex(pts).resolve_all(NeighborQuery.radius(0.05))
         real = estimator._tangent_chunk
         failed = []
 
-        def delayed(positions, lo, *args):
+        def failing(positions, lo, *args):
             if lo == 0:
                 deadline = time.monotonic() + 10.0
                 while not failed and time.monotonic() < deadline:
                     time.sleep(0.01)
-            try:
-                return real(positions, lo, *args)
-            except DegenerateNeighborhoodError:
+            out = real(positions, lo, *args)
+            if lo in (0, 2 * REPORT_CHUNK):
                 failed.append(lo)
-                raise
+                raise VaricurvError(f"broken chunk at {lo}")
+            return out
 
         def estimate():
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(estimator, "_tangent_chunk", delayed)
-                return tangent_outcome(estimate_tangent_planes, pts, neighbors, 2)
+                mp.setattr(estimator, "_tangent_chunk", failing)
+                with pytest.raises(VaricurvError) as err:
+                    estimate_tangent_planes(pts, neighbors, 2)
+            return str(err.value)
 
-        assert self.runs(4, estimate) == (
-            DegenerateNeighborhoodError, lone[0], f"only 1 points near {lone[0]}"
-        )
+        assert self.runs(4, estimate) == "broken chunk at 0"
         assert failed == [2 * REPORT_CHUNK, 0]
 
 
@@ -986,13 +980,17 @@ class TestTangentEstimation:
         assert errs[10000] < errs[2500]
 
     def test_degenerate_neighborhood(self):
+        # a line cannot pick a 2-plane: every point is flagged, and its plane
+        # is a rank-2 projector that holds the line
         pts = np.zeros((5, 3))
         pts[:, 0] = np.arange(5.0)
-        with pytest.raises(DegenerateNeighborhoodError) as err:
-            estimate_tangent_planes(
-                pts, NeighborIndex(pts).resolve_all(NeighborQuery.knn(3)), 2
-            )
-        assert err.value.index == 0
+        est = estimate_tangent_planes(
+            pts, NeighborIndex(pts).resolve_all(NeighborQuery.knn(3)), 2
+        )
+        assert est.ambiguous.all()
+        assert np.allclose(est.planes @ est.planes, est.planes, atol=1e-12)
+        assert np.allclose(np.trace(est.planes, axis1=1, axis2=2), 2.0, atol=1e-12)
+        assert np.allclose(est.planes[:, :, 0], [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_ambiguous_flag_on_isotropic_data(self):
         rng = np.random.default_rng(53)
@@ -1001,14 +999,6 @@ class TestTangentEstimation:
         neighbors = NeighborIndex(positions).resolve_all(NeighborQuery.knn(30))
         est = estimate_tangent_planes(positions, neighbors, 2)
         assert not est.ambiguous.all()
-
-
-def tangent_outcome(estimate, positions, neighbors, dim_d):
-    """The estimate, or the (class, index, message) of the error it raised."""
-    try:
-        return estimate(positions, neighbors, dim_d)
-    except DegenerateNeighborhoodError as e:
-        return type(e), e.index, str(e)
 
 
 def plane_grid(n_pts):
@@ -1046,15 +1036,12 @@ class TestBatchedTangents:
         if mode == "knn":
             query = NeighborQuery.knn(k)
         else:
-            # past every point's k-th neighbor, so that most examples succeed
+            # past every point's k-th neighbor, so that most planes are sure
             kth = index.tree.query(pts, k=min(k + 1, n_pts))[0][:, -1]
             query = NeighborQuery.radius(1.3 * float(kth.max()))
         neighbors = index.resolve_all(query)
-        est = tangent_outcome(estimate_tangent_planes, pts, neighbors, d)
-        ref = tangent_outcome(reference_tangent_planes, pts, neighbors, d)
-        if isinstance(ref, tuple):
-            assert est == ref
-            return
+        est = estimate_tangent_planes(pts, neighbors, d)
+        ref = reference_tangent_planes(pts, neighbors, d)
         # summation order moves a plane by the covariance's rounding over
         # its eigen-gap, per point
         err = np.max(np.abs(est.planes - ref.planes), axis=(1, 2))
@@ -1072,8 +1059,9 @@ class TestBatchedTangents:
     @pytest.mark.parametrize("first", ["few", "collinear"])
     def test_first_degenerate_point_in_second_chunk(self, first):
         # a grid of good points, then (far from the grid and from each
-        # other) a lone point with one neighbor and five collinear points;
-        # whichever comes first in point order decides the error
+        # other) a lone point with no neighbor but itself and five collinear
+        # points: in either order exactly those six are flagged, each with a
+        # rank-2 plane
         lone = np.array([[10.0, 10.0, 10.0]])
         line = np.column_stack([20.0 + 0.01 * np.arange(5), np.full(5, 20.0),
                                 np.full(5, 20.0)])
@@ -1082,14 +1070,91 @@ class TestBatchedTangents:
         odd = [lone, line] if first == "few" else [line, lone]
         pts = np.vstack([grid[:at], *odd, grid[at:]])
         neighbors = NeighborIndex(pts).resolve_all(NeighborQuery.radius(0.05))
-        est = tangent_outcome(estimate_tangent_planes, pts, neighbors, 2)
-        ref = tangent_outcome(reference_tangent_planes, pts, neighbors, 2)
-        assert est == ref
-        assert est[:2] == (DegenerateNeighborhoodError, at)
-        if first == "few":
-            assert est[2] == f"only 1 points near {at}"
-        else:
-            assert est[2] == f"degenerate neighborhood at point {at}"
+        est = estimate_tangent_planes(pts, neighbors, 2)
+        ref = reference_tangent_planes(pts, neighbors, 2)
+        assert np.array_equal(est.ambiguous, ref.ambiguous)
+        assert np.array_equal(np.flatnonzero(est.ambiguous), at + np.arange(6))
+        assert np.array_equal(np.flatnonzero(ref.degenerate), at + np.arange(6))
+        odd_planes = est.planes[at:at + 6]
+        assert np.allclose(odd_planes @ odd_planes, odd_planes, atol=1e-12)
+        assert np.allclose(np.trace(odd_planes, axis1=1, axis2=2), 2.0, atol=1e-12)
+
+
+def degenerate_cloud(rng, n, d, dups, line, flat, lone):
+    """A noisy d-sheet of 40 points in R^n followed by ``dups`` copies of its
+    point 0, ``line`` collinear points, ``flat`` points on a (d-1)-flat (one
+    location when d = 1) and ``lone`` points far from all others; shuffled,
+    so that the odd points land in several chunks."""
+    sheet = np.zeros((40, n))
+    sheet[:, :d] = rng.uniform(-1.0, 1.0, (40, d))
+    sheet[:, d:] = 0.05 * rng.standard_normal((40, n - d))
+    frame = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    segment = 0.05 * np.arange(line)[:, None] * frame[0]
+    flat_pts = rng.uniform(-0.3, 0.3, (flat, d - 1)) @ frame[1:d]
+    pts = np.vstack([sheet, np.repeat(sheet[:1], dups, axis=0),
+                     3.0 + segment, -3.0 + flat_pts, far_points(lone, n)])
+    return pts[rng.permutation(len(pts))]
+
+
+class TestDegenerateInputs:
+    """Duplicates, collinear points, (d-1)-flats and lone points become
+    flagged rows: nothing raises or warns, every neighborhood that cannot
+    determine a d-plane is flagged, and the thread count changes no bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([2, 3, 4, 6]),
+        d=st.integers(1, 5),
+        knn=st.booleans(),
+        k=st.integers(1, 12),
+        epsilon=st.floats(0.02, 0.6),
+        dups=st.integers(0, 15),
+        line=st.integers(0, 10),
+        flat=st.integers(0, 10),
+        lone=st.integers(0, 3),
+    )
+    def test_flagged_not_raised(self, seed, n, d, knn, k, epsilon, dups, line,
+                                flat, lone):
+        d = min(d, n - 1)
+        pts = degenerate_cloud(np.random.default_rng(seed), n, d, dups, line,
+                               flat, lone)
+        query = NeighborQuery.knn(k) if knn else NeighborQuery.radius(epsilon)
+        neighbors = NeighborIndex(pts).resolve_all(query)
+
+        def run(workers):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(estimator, "WORKERS", workers)
+                # several chunks from a small cloud
+                mp.setattr(estimator, "REPORT_CHUNK", 16)
+                est = estimate_tangent_planes(pts, neighbors, d)
+                cloud = vc.validate_cloud(pts, est.planes, np.ones(len(pts)), d)
+                reports = ()
+                if d == n - 1:
+                    reports = curvature_report(
+                        cloud, neighbors, variant=("orthogonal", "averaged"),
+                        ambiguous=est.ambiguous, collect_a_perp=True,
+                    )
+            return est, cloud, reports
+
+        est, cloud, reports = run(1)
+        ref = reference_tangent_planes(pts, neighbors, d)
+        assert np.array_equal(est.ambiguous, ref.ambiguous)
+        assert not np.any(ref.degenerate & ~est.ambiguous)
+        for rep in reports:
+            assert set(rep.status[ref.degenerate]) <= {STATUS_AMBIGUOUS,
+                                                       STATUS_ISOLATED}
+
+        est4, cloud4, reports4 = run(4)
+        assert est.planes.tobytes() == est4.planes.tobytes()
+        assert np.array_equal(est.ambiguous, est4.ambiguous)
+        for field in ("planes", "normals", "bases"):
+            assert getattr(cloud, field).tobytes() == getattr(cloud4, field).tobytes()
+        for one, many in zip(reports, reports4):
+            assert np.array_equal(one.status, many.status)
+            for field in ("kappas", "directions", "gauss", "abs_sum", "mean_norm",
+                          "mean_vectors", "eps", "a_perp"):
+                assert getattr(one, field).tobytes() == getattr(many, field).tobytes()
 
 
 class TestMassEstimation:
@@ -1119,10 +1184,16 @@ class TestMassEstimation:
 
     def test_nmass_one_zero_radius(self):
         pts = np.arange(5.0)[:, None]
-        with pytest.raises(ZeroRadiusError):
+        with pytest.raises(InvalidInputError,
+                           match="mass radius is zero at point 0: at least "
+                                 "--n-mass = 1 points sit at its location"):
             estimate_masses(NeighborIndex(pts), 1, 1)
 
     def test_duplicates_zero_radius(self):
-        pts = np.array([[0.0], [0.0], [1.0]])
-        with pytest.raises(ZeroRadiusError):
+        pts = np.array([[1.0], [0.0], [0.0]])
+        with pytest.raises(InvalidInputError,
+                           match="mass radius is zero at point 1: at least "
+                                 "--n-mass = 2 points sit at its location"):
             estimate_masses(NeighborIndex(pts), 2, 1)
+        # three points reach past the two copies
+        assert np.all(estimate_masses(NeighborIndex(pts), 3, 1) > 0.0)

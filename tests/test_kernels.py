@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import varicurv as vc
-from varicurv.errors import InvalidInputError, InvalidProfileError
+from varicurv.errors import InvalidInputError
 from varicurv.kernels import (
     KernelProfile,
     box_profile,
@@ -74,7 +74,8 @@ class TestPairedMassProfile:
             return np.where(t < 1.0, 1.0, 0.0)
 
         rising = KernelProfile("rising", ev, dv)
-        with pytest.raises(InvalidProfileError):
+        with pytest.raises(InvalidInputError,
+                           match="profile 'rising' increases on \\[0,1\\); cannot pair"):
             paired_mass_profile(rising, 2)
 
 

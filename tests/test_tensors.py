@@ -4,11 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import varicurv as vc
-from varicurv.errors import (
-    AsymmetricInputError,
-    InvalidDirectionMatrixError,
-    InvalidInputError,
-)
+from varicurv.errors import InvalidInputError, VaricurvError
 from varicurv.estimator import mean_curvature_vector
 from varicurv.tensors import direction_matrix, solve_curvature_system
 
@@ -113,12 +109,14 @@ class TestSolveCurvatureSystem:
 
     def test_rejects_asymmetric_direction(self):
         c = np.array([[0.5, 0.3], [0.0, 0.5]])
-        with pytest.raises(InvalidDirectionMatrixError):
+        with pytest.raises(VaricurvError, match="direction matrix is not symmetric") as err:
             solve_curvature_system(c, np.zeros((2, 2, 2)))
+        assert type(err.value) is VaricurvError
 
     def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(InvalidDirectionMatrixError):
+        with pytest.raises(VaricurvError, match="negative eigenvalue -0.5") as err:
             direction_matrix(np.diag([0.5, -0.5]))
+        assert type(err.value) is VaricurvError
 
     def test_clamps_tiny_negative_eigenvalue(self):
         c = direction_matrix(np.diag([0.5, -5e-11]))
@@ -209,14 +207,16 @@ class TestFormConversions:
     def test_rejects_jk_asymmetric(self):
         t = np.zeros((2, 2, 2))
         t[0, 0, 1] = 1.0
-        with pytest.raises(AsymmetricInputError):
+        with pytest.raises(VaricurvError, match="not \\(j,k\\)-symmetric") as err:
             vc.to_bilinear_form(t)
+        assert type(err.value) is VaricurvError
 
     def test_rejects_ij_asymmetric(self):
         t = np.zeros((2, 2, 2))
         t[0, 1, 0] = 1.0
-        with pytest.raises(AsymmetricInputError):
+        with pytest.raises(VaricurvError, match="not \\(i,j\\)-symmetric") as err:
             to_gradient_form(t)
+        assert type(err.value) is VaricurvError
 
 
 def symmetric_stack(rng, m, n):
@@ -255,10 +255,12 @@ class TestStacks:
         for bad, message in ((asym, "not symmetric at row 2"),
                              (neg, "negative eigenvalue -0.5 below -1e-10 at row 2"),
                              (big, "exceed 1 in absolute value at row 2")):
-            with pytest.raises(InvalidDirectionMatrixError, match=message):
+            with pytest.raises(VaricurvError, match=message) as err:
                 direction_matrix(bad)
-            with pytest.raises(InvalidDirectionMatrixError, match=message):
+            assert type(err.value) is VaricurvError
+            with pytest.raises(VaricurvError, match=message) as err:
                 solve_curvature_system(bad, np.zeros((5, 3, 3, 3)))
+            assert type(err.value) is VaricurvError
 
     def test_tiny_negative_row_clamped_alone(self):
         c = np.array([np.diag([0.5, 0.25]), np.diag([0.5, -5e-11]),
@@ -270,8 +272,9 @@ class TestStacks:
     def test_asymmetric_tensor_row_named(self):
         t = symmetric_stack(np.random.default_rng(53), 5, 3)
         t[3, 0, 0, 1] += 1e-6
-        with pytest.raises(AsymmetricInputError, match="symmetric at row 3"):
+        with pytest.raises(VaricurvError, match="symmetric at row 3") as err:
             vc.to_bilinear_form(t)
+        assert type(err.value) is VaricurvError
 
     def test_trace_identity_row_named(self):
         # rows with sum_q t_iqq = 2 * sum_q t_qiq, then one broken row
@@ -280,8 +283,9 @@ class TestStacks:
         t[:, 1, 1, 0] = t[:, 1, 0, 1] = t[:, 2, 2, 0] = t[:, 2, 0, 2] = 0.5
         assert np.array_equal(mean_curvature_vector(t, dim_d=2), [[1.0, 0.0, 0.0]] * 5)
         t[2, 0, 1, 1] += 1e-6
-        with pytest.raises(InvalidInputError, match="violated.*at row 2"):
+        with pytest.raises(VaricurvError, match="violated.*at row 2") as err:
             mean_curvature_vector(t, dim_d=2)
+        assert type(err.value) is VaricurvError
 
     def test_non_finite_row_rejected(self):
         t = symmetric_stack(np.random.default_rng(59), 4, 3)

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import varicurv as vc
-from varicurv.errors import CloudValidationError, InvalidInputError
+from varicurv.errors import InvalidInputError
 
 from system_reference import ball, one_row, plane_frames
 
@@ -18,18 +18,20 @@ class TestValidateCloud:
 
     def test_rejects_zero_mass(self):
         plane = np.array([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(CloudValidationError):
+        with pytest.raises(InvalidInputError,
+                           match="masses must be finite and strictly positive"):
             vc.validate_cloud([[0.0, 0.0]], [plane], [0.0], 1)
 
     def test_rejects_wrong_trace(self):
         # trace 1.5 cannot be a rank-2 projector
         plane = np.diag([1.0, 0.5, 0.0])
-        with pytest.raises(CloudValidationError):
+        with pytest.raises(InvalidInputError,
+                           match="plane at index 0 is 0.5 away from a rank-2 projector"):
             vc.validate_cloud([[0.0, 0.0, 0.0]], [plane], [1.0], 2)
 
     def test_rejects_nan_positions(self):
         plane = np.array([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(CloudValidationError):
+        with pytest.raises(InvalidInputError, match="positions contain NaN or Inf"):
             vc.validate_cloud([[np.nan, 0.0]], [plane], [1.0], 1)
 
     def test_reprojects_slightly_off_planes(self):
