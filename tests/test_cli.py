@@ -218,8 +218,8 @@ class TestRunFromFile:
             assert not (tmp_path / "o.csv").exists()
 
     def test_numeric_fatal_exit_code(self, tmp_path):
-        # collinear points cannot support a rank-2 tangent estimate: once a
-        # numeric-fatal input, now every point is flagged
+        # collinear points cannot support a rank-2 tangent estimate: every
+        # point is flagged, and the run goes on
         xyz = tmp_path / "line.xyz"
         xyz.write_text("".join(f"{0.1 * i} 0 0\n" for i in range(30)))
         out = tmp_path / "o.csv"
