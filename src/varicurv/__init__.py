@@ -13,7 +13,6 @@ from .estimator import (
     NeighborIndex,
     NeighborQuery,
     curvature_report,
-    orthogonal_sff,
     point_curvature,
     variation_tensor,
 )

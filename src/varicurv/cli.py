@@ -6,17 +6,23 @@ Two subcommands:
              pipeline, and write a CSV report and/or a colorized ply;
 * ``sample`` synthesize a shape sample and write the bare cloud.
 
-Exit codes: 0 success, 1 bad input, 2 broken numeric invariant.  A badly
-sampled point does not stop a run: a point whose kernel ball holds no mass,
-or whose radius is zero, is reported ``isolated``, and a point whose
-neighbors do not determine a d-plane (too few of them, duplicates,
-collinear or flat in fewer than d dimensions) is reported
+Masses are all ones (``--mass-mode uniform``, the default) or
+omega_d r^d / n_mass from each point's ``--n-mass``-point ball (``nmass``);
+kernels are ``bump`` (the default) or ``tent``.
+
+Exit codes: 0 success (``--help`` included), 1 bad input, 2 broken numeric
+invariant.  A badly sampled point does not stop a run: a point whose kernel
+ball holds no mass, or whose radius is zero, is reported ``isolated``, and
+a point whose neighbors do not determine a d-plane (too few of them,
+duplicates, collinear or flat in fewer than d dimensions) is reported
 ``ambiguous_tangent``; stderr counts the flagged points.  Exit 1 covers
-unreadable or malformed files, bad options, clouds that fail validation and
-a zero mass radius (``--n-mass`` or more coincident points under
-``--mass-mode nmass``/``rd``).  Exit 2 means an invariant the estimator
-guarantees failed: the trace identity, the direction-matrix PSD check or a
-tensor symmetry check.
+bad options or values (argparse's usage errors included), unreadable or
+malformed files, clouds that fail validation and a zero mass radius
+(``--n-mass`` or more coincident points under ``--mass-mode nmass``).  The
+options are checked against the cloud's dimensions before any estimation
+runs, so a rejected run writes nothing.  Exit 2 means an invariant the
+estimator guarantees failed: the trace identity, the direction-matrix PSD
+check or a tensor symmetry check.
 
 The pipeline runs in fixed chunks of points on every CPU the process may
 use; each chunk writes only its own rows, so output bytes depend only on
@@ -85,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="neighbors per point (default 40)")
     grp.add_argument("--epsilon", type=float, default=None,
                      help="fixed smoothing radius")
-    run.add_argument("--kernel", default="bump", help="bump (default), tent, box")
-    run.add_argument("--mass-mode", choices=["uniform", "nmass", "rd"],
+    run.add_argument("--kernel", default="bump", help="bump (default) or tent")
+    run.add_argument("--mass-mode", choices=["uniform", "nmass"],
                      default="uniform")
     run.add_argument("--n-mass", type=int, default=8)
     run.add_argument("--tangent-mode", choices=["auto", "exact", "estimated"],
@@ -158,6 +164,9 @@ def _run(args) -> int:
         raise InvalidInputError(
             "--tangent-mode exact needs a shape input or ply normals"
         )
+    if args.ply and n != 3:
+        raise InvalidInputError("ply output needs 3-dimensional positions")
+    kernels = kernel_pair_by_name(args.kernel, d, n)
     # one tree and one resolution serve the tangent estimate, the masses
     # and the report
     index = NeighborIndex(positions)
@@ -167,9 +176,11 @@ def _run(args) -> int:
         est = estimate_tangent_planes(positions, neighbors, d)
         planes = est.planes
         ambiguous = est.ambiguous
-    masses = estimate_masses(index, args.n_mass, d, mode=args.mass_mode)
+    if args.mass_mode == "uniform":
+        masses = np.ones(len(positions))
+    else:
+        masses = estimate_masses(index, args.n_mass, d)
     cloud = validate_cloud(positions, planes, masses, d)
-    kernels = kernel_pair_by_name(args.kernel, d, n)
     report = curvature_report(cloud, neighbors, kernels=kernels,
                               ambiguous=ambiguous)
     if report.n_warnings:
@@ -178,8 +189,6 @@ def _run(args) -> int:
     if args.csv:
         vio.write_report_csv(args.csv, positions, report)
     if args.ply:
-        if n != 3:
-            raise InvalidInputError("ply output needs 3-dimensional positions")
         values = {
             "gauss": report.gauss,
             "abs-sum": report.abs_sum,
@@ -198,21 +207,24 @@ def _run(args) -> int:
 def _sample(args) -> int:
     if args.shape is None:
         raise InvalidInputError("sample requires --shape")
-    shape = _build_shape(args)
-    result = shape.sample(args.n_points, noise_sigma=args.noise, seed=args.seed)
     if not args.xyz and not args.ply:
         raise InvalidInputError("sample requires --xyz or --ply output path")
+    shape = _build_shape(args)
+    if args.ply and shape.ambient_n != 3:
+        raise InvalidInputError("ply output needs 3-dimensional shapes")
+    result = shape.sample(args.n_points, noise_sigma=args.noise, seed=args.seed)
     if args.xyz:
         vio.write_xyz(args.xyz, result.cloud.positions)
     if args.ply:
-        if shape.ambient_n != 3:
-            raise InvalidInputError("ply output needs 3-dimensional shapes")
         vio.write_ply(args.ply, result.cloud.positions, normals=result.normals)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if e.code == 0 else EXIT_INPUT
     try:
         if args.command == "run":
             return _run(args)

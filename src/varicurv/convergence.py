@@ -22,7 +22,7 @@ from .estimator import (
     curvature_report,
     estimate_tangent_planes,
 )
-from .kernels import KernelPair, bump_profile, natural_kernel_pair
+from .kernels import KernelPair
 from .shapes import AnalyticShape
 from .varifold import validate_cloud
 
@@ -162,11 +162,10 @@ def run_convergence(
     provide one), enabling a log-log rate fit.  ``compare_variants`` also
     runs the averaged-direction pipeline for a paired comparison; both
     variants come from one :func:`curvature_report` call per row, which sums
-    each chunk's pairs once for the two.
+    each chunk's pairs once for the two.  ``kernels`` of None takes the
+    report's default pair for each row's cloud.
     """
     shape = schedule.shape
-    if kernels is None:
-        kernels = natural_kernel_pair(bump_profile(), shape.dim_d, shape.ambient_n)
     if collect_aperp_error and not hasattr(shape, "gradient_tensor"):
         raise InvalidInputError(
             f"shape {shape.name!r} has no exact gradient-form tensor to compare"
@@ -182,7 +181,7 @@ def run_convergence(
 
 def _row_result(
     schedule: ConvergenceSchedule, row: ScheduleRow, row_id: int,
-    kernels: KernelPair, collect_aperp_error: bool, compare_variants: bool,
+    kernels: KernelPair | None, collect_aperp_error: bool, compare_variants: bool,
 ) -> RowResult:
     cloud, sample, ambiguous, neighbors = _row_cloud(schedule, row, row_id)
     variants = ("orthogonal", "averaged") if compare_variants else "orthogonal"

@@ -42,9 +42,11 @@ direction matrices and the trace check among its variants, and each
 variant runs only its own tail on the shared tensors.  A badly sampled
 point is a flagged row, never an exception: an isolated point is a NaN
 row, and a neighborhood that cannot determine a d-plane gives an ambiguous
-tangent.  A single point is a one-row chunk.  The whole-cloud functions
-:func:`estimate_tangent_planes` and :func:`curvature_report` take the
-``(indices, eps)`` pair that ``resolve_all`` returns, so one resolution
+tangent.  A single point is a one-row chunk.  :func:`point_curvature`
+gives each variant a :class:`CurvatureReport` of its chunk's rows, which
+:func:`curvature_report` copies into the whole cloud's.  The whole-cloud
+functions :func:`estimate_tangent_planes` and :func:`curvature_report` take
+the ``(indices, eps)`` pair that ``resolve_all`` returns, so one resolution
 serves both; each runs ``REPORT_CHUNK`` points at a time on the same
 padded block.
 :func:`estimate_masses` queries the tree of the :class:`NeighborIndex`
@@ -63,7 +65,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -105,17 +107,17 @@ class NeighborQuery:
     """Neighborhood selection: fixed radius or k nearest neighbors.
 
     In k-mode the per-point radius resolves to (1 + margin) times the
-    distance to the k-th neighbor (self excluded).  The margin of 0.2
-    spreads the k neighbors over the kernel's active shell; with a tight
-    margin the bump profile concentrates nearly all weight on a third of the
-    stencil, and the resulting quadrature noise floor drowns the estimator's
-    eps-rate on smooth shapes.
+    distance to the k-th neighbor (self excluded).  The margin, a class
+    constant of 0.2, spreads the k neighbors over the kernel's active shell;
+    with a tight margin the bump profile concentrates nearly all weight on a
+    third of the stencil, and the resulting quadrature noise floor drowns
+    the estimator's eps-rate on smooth shapes.
     """
 
     mode: str
     epsilon: float | None = None
     k: int | None = None
-    margin: float = 0.2
+    margin = 0.2  # not a field: no query sets it
 
     def __post_init__(self):
         if self.mode == "radius":
@@ -437,18 +439,39 @@ def restrict_to_tangent(
     return 0.5 * (restricted + restricted.swapaxes(-1, -2))
 
 
-@dataclass(frozen=True)
-class PointCurvature:
-    """Curvature description of a chunk of m cloud points, one row each;
-    the rows of isolated points are NaN."""
+@dataclass
+class CurvatureReport:
+    """Arrays of per-point curvature quantities, one row per point of a
+    cloud or of a chunk."""
 
-    a_perp: np.ndarray
-    mean_curv: np.ndarray
     kappas: np.ndarray
     directions: np.ndarray
     gauss: np.ndarray
     abs_sum: np.ndarray
-    isolated: np.ndarray
+    mean_norm: np.ndarray
+    mean_vectors: np.ndarray
+    eps: np.ndarray
+    status: np.ndarray
+    a_perp: np.ndarray | None = None
+
+    @property
+    def n_warnings(self) -> int:
+        return int(np.sum(self.status != STATUS_OK))
+
+
+def _nan_report(m, d, n, eps, status, a_perp=True) -> CurvatureReport:
+    """A report of m NaN rows: d principal curvatures of a point in R^n."""
+    return CurvatureReport(
+        kappas=np.full((m, d), np.nan),
+        directions=np.full((m, d, n), np.nan),
+        gauss=np.full(m, np.nan),
+        abs_sum=np.full(m, np.nan),
+        mean_norm=np.full(m, np.nan),
+        mean_vectors=np.full((m, n), np.nan),
+        eps=eps,
+        status=status,
+        a_perp=np.full((m, n, n, n), np.nan) if a_perp else None,
+    )
 
 
 def principal_curvatures(
@@ -493,7 +516,7 @@ def point_curvature(
     idx: np.ndarray,
     counts: np.ndarray,
     variant: str | tuple[str, ...] = "orthogonal",
-) -> PointCurvature | tuple[PointCurvature, ...]:
+) -> CurvatureReport | tuple[CurvatureReport, ...]:
     """Curvature report of a chunk of points (codimension 1): the engine
     behind :func:`curvature_report`.
 
@@ -512,9 +535,11 @@ def point_curvature(
     when "averaged" is asked for) and the trace-checked H.  Each variant
     then runs its own tail on stacks: the P (x) H subtraction or the
     linear-system solve, conversion with :func:`to_bilinear_form`,
-    restriction and one stacked ``eigh``.  Isolated points come back as
-    NaN rows flagged in ``isolated``, per variant (the averaged variant also
-    flags rows whose eta weights vanish); nothing is raised for them.
+    restriction and one stacked ``eigh``.  Each result is a
+    :class:`CurvatureReport` of the chunk's m rows, with ``a_perp`` always
+    filled.  Isolated points come back as NaN rows with status
+    ``isolated``, per variant (the averaged variant also flags rows whose
+    eta weights vanish); nothing is raised for them.
     """
     if cloud.dim_d != cloud.ambient_n - 1:
         raise InvalidInputError("point_curvature needs codimension 1")
@@ -548,42 +573,17 @@ def point_curvature(
             to_bilinear_form(a_form), cloud.normals[rows, :, 0], basis
         )
         kappas, directions, gauss, abs_sum = principal_curvatures(restricted, basis)
-        out = PointCurvature(
-            a_perp=np.full((m, n, n, n), np.nan),
-            mean_curv=np.full((m, n), np.nan),
-            kappas=np.full((m, d), np.nan),
-            directions=np.full((m, d, n), np.nan),
-            gauss=np.full(m, np.nan),
-            abs_sum=np.full(m, np.nan),
-            isolated=isolated[v],
-        )
+        status = np.where(isolated[v], STATUS_ISOLATED, STATUS_OK).astype(object)
+        out = _nan_report(m, d, n, eps, status)
         out.a_perp[ok] = a_ok
-        out.mean_curv[ok] = h[sub]
+        out.mean_vectors[ok] = h[sub]
+        out.mean_norm[ok] = np.linalg.norm(h[sub], axis=1)
         out.kappas[ok] = kappas
         out.directions[ok] = directions
         out.gauss[ok] = gauss
         out.abs_sum[ok] = abs_sum
         results.append(out)
     return tuple(results) if isinstance(variant, tuple) else results[0]
-
-
-@dataclass
-class CurvatureReport:
-    """Arrays of per-point curvature quantities over a whole cloud."""
-
-    kappas: np.ndarray
-    directions: np.ndarray
-    gauss: np.ndarray
-    abs_sum: np.ndarray
-    mean_norm: np.ndarray
-    mean_vectors: np.ndarray
-    eps: np.ndarray
-    status: np.ndarray
-    a_perp: np.ndarray | None = None
-
-    @property
-    def n_warnings(self) -> int:
-        return int(np.sum(self.status != STATUS_OK))
 
 
 def curvature_report(
@@ -600,8 +600,9 @@ def curvature_report(
     ``neighbors`` is the ``(indices, eps)`` pair that
     :meth:`NeighborIndex.resolve_all` returns for the cloud's positions: each
     point's sorted neighbor list and its smoothing radius.  Each chunk's
-    lists are flattened into one index array.  Isolated points become NaN
-    rows with a status flag rather than exceptions.  ``variant`` is one
+    lists are flattened into one index array, and the chunk's reports are
+    copied into the whole cloud's rows.  Isolated points become NaN rows
+    with a status flag rather than exceptions.  ``variant`` is one
     name, or a tuple of distinct names that returns a tuple of reports in
     that order from one pass over each chunk's pairs; ``ambiguous`` and
     ``collect_a_perp`` then apply to every report.
@@ -613,40 +614,23 @@ def curvature_report(
     n, d, nn = cloud.n_points, cloud.dim_d, cloud.ambient_n
     indices, eps = _check_neighbors(neighbors, n)
 
-    reports = [
-        CurvatureReport(
-            kappas=np.empty((n, d)),
-            directions=np.empty((n, d, nn)),
-            gauss=np.empty(n),
-            abs_sum=np.empty(n),
-            mean_norm=np.empty(n),
-            mean_vectors=np.empty((n, nn)),
-            eps=eps,
-            status=np.full(n, STATUS_OK, dtype=object),
-            a_perp=np.empty((n, nn, nn, nn)) if collect_a_perp else None,
-        )
-        for _ in names
-    ]
+    reports = [_nan_report(n, d, nn, np.empty(n), np.empty(n, dtype=object),
+                           collect_a_perp) for _ in names]
 
     def run_chunk(lo, hi):
         flat, counts = _flatten(indices[lo:hi])
-        pcs = point_curvature(
+        chunk = point_curvature(
             cloud, np.arange(lo, hi), kernels, scale=eps[lo:hi], idx=flat,
             counts=counts, variant=names,
         )
-        for rep, pc in zip(reports, pcs):
-            rep.kappas[lo:hi] = pc.kappas
-            rep.directions[lo:hi] = pc.directions
-            rep.gauss[lo:hi] = pc.gauss
-            rep.abs_sum[lo:hi] = pc.abs_sum
-            rep.mean_vectors[lo:hi] = pc.mean_curv
-            rep.status[lo:hi][pc.isolated] = STATUS_ISOLATED
-            if collect_a_perp:
-                rep.a_perp[lo:hi] = pc.a_perp
+        for rep, part in zip(reports, chunk):
+            for f in fields(CurvatureReport):
+                rows = getattr(rep, f.name)
+                if rows is not None:
+                    rows[lo:hi] = getattr(part, f.name)
 
     _map_chunks(run_chunk, n)
     for rep in reports:
-        rep.mean_norm[:] = np.linalg.norm(rep.mean_vectors, axis=1)
         if ambiguous is not None:
             flagged = (rep.status == STATUS_OK) & np.asarray(ambiguous, dtype=bool)
             rep.status[flagged] = STATUS_AMBIGUOUS
@@ -730,22 +714,15 @@ def _tangent_chunk(positions, lo, sigma, idx, counts, dim_d):
     return top @ top.transpose(0, 2, 1), ambiguous
 
 
-def estimate_masses(
-    index: NeighborIndex, n_mass: int, dim_d: int, mode: str = "nmass"
-) -> np.ndarray:
-    """Per-point masses from the radius of the smallest n_mass-point ball.
+def estimate_masses(index: NeighborIndex, n_mass: int, dim_d: int) -> np.ndarray:
+    """Per-point masses omega_d r_i^d / n_mass.
 
     r_i is the smallest radius whose closed ball around x_i holds at least
     ``n_mass`` cloud points, the point itself included, found on the tree
-    of ``index``.  Modes: "nmass" gives omega_d r_i^d / n_mass, "rd" the
-    simplified r_i^d, "uniform" all ones.
+    of ``index``.  Every curvature is a ratio of mass-weighted sums, so a
+    global mass factor (omega_d / n_mass among them) cancels up to rounding.
     """
-    n_pts = index.n_points
-    if mode == "uniform":
-        return np.ones(n_pts)
-    if mode not in ("nmass", "rd"):
-        raise InvalidInputError(f"unknown mass mode {mode!r}")
-    if not 1 <= n_mass <= n_pts:
+    if not 1 <= n_mass <= index.n_points:
         raise InvalidInputError("need 1 <= n_mass <= number of points")
     radii = index.tree.query(index.positions, k=[n_mass], workers=WORKERS)[0][:, 0]
     if np.any(radii <= 0.0):
@@ -755,6 +732,4 @@ def estimate_masses(
             f"points sit at its location; --n-mass must exceed the number of "
             f"coincident points"
         )
-    if mode == "nmass":
-        return unit_ball_volume(dim_d) * radii**dim_d / n_mass
-    return radii**dim_d
+    return unit_ball_volume(dim_d) * radii**dim_d / n_mass

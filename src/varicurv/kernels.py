@@ -10,7 +10,10 @@ roles appear in the estimator:
 
 Pairing xi to rho through  n * xi(s) = -s * rho'(s)  makes the ratio of the
 normalizing constants come out to exactly d/n, which is the prefactor used in
-all the point-cloud formulas.
+all the point-cloud formulas.  A profile with rho' = 0 throughout (an
+indicator) would pair to xi = 0 and leave every point isolated, so pairing
+rejects it.  By name the estimator offers ``bump`` (the default) and ``tent``
+(testing only).
 """
 
 from __future__ import annotations
@@ -89,20 +92,7 @@ def tent_profile() -> KernelProfile:
     return KernelProfile("tent", ev, dv)
 
 
-def box_profile() -> KernelProfile:
-    """Indicator of [0,1); testing only (its paired mass profile is zero)."""
-
-    def ev(t):
-        t = np.asarray(t, dtype=float)
-        return np.where((t >= 0.0) & (t < 1.0), 1.0, 0.0)
-
-    def dv(t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    return KernelProfile("box", ev, dv)
-
-
-_PROFILES = {"bump": bump_profile, "tent": tent_profile, "box": box_profile}
+_PROFILES = {"bump": bump_profile, "tent": tent_profile}
 
 
 def profile_by_name(name: str) -> KernelProfile:
@@ -118,13 +108,20 @@ def paired_mass_profile(rho: KernelProfile, ambient_n: int) -> KernelProfile:
     """Mass-smoothing profile xi with n * xi(s) = -s * rho'(s).
 
     Nonnegative whenever ``rho`` is decreasing; rejects profiles that
-    increase anywhere on a sample grid.  Vanishes on [1, inf) as rho' does.
+    increase anywhere on a sample grid, or whose derivative vanishes on the
+    whole grid (xi would be zero, and every point isolated).  Vanishes on
+    [1, inf) as rho' does.
     """
     grid = np.linspace(0.0, 1.0, 2001)
     dv = np.asarray(rho.deriv(grid))
     if np.any(dv > 1e-12):
         raise InvalidInputError(
             f"profile {rho.name!r} increases on [0,1); cannot pair a mass profile"
+        )
+    if not np.any(dv < 0.0):
+        raise InvalidInputError(
+            f"profile {rho.name!r} is flat on [0,1); its paired mass profile "
+            f"would be zero"
         )
 
     def ev(t):
@@ -148,16 +145,12 @@ class KernelPair:
     xi: KernelProfile
     eta: KernelProfile
     ratio: float
-    dim_d: int
-    ambient_n: int
 
 
 def natural_kernel_pair(rho: KernelProfile, d: int, n: int) -> KernelPair:
     """Build the kernel pair with xi tied to rho and eta defaulting to rho."""
-    return KernelPair(
-        rho=rho, xi=paired_mass_profile(rho, n), eta=rho,
-        ratio=d / n, dim_d=d, ambient_n=n,
-    )
+    return KernelPair(rho=rho, xi=paired_mass_profile(rho, n), eta=rho,
+                      ratio=d / n)
 
 
 def kernel_pair_by_name(name: str, d: int, n: int) -> KernelPair:

@@ -96,14 +96,17 @@ def reference_local_sums(cloud, l0, idx, kernels, eps):
     Returns (planes_sub, weights, proj_units, xi_den) where weights carry
     m_l * rho'(r/eps) and proj_units the rows P_l (x0 - x_l)/r; zero-distance
     entries are dropped (their summand is defined as 0).  The xi denominator
-    keeps every neighbor, including zero-distance ones.
+    keeps every neighbor, including zero-distance ones.  A zero radius
+    leaves only zero offsets, whose t is 0 as in ``_neighbor_block``, and
+    the point is isolated.
     """
     x0 = cloud.positions[l0]
     d_vec = x0 - cloud.positions[idx]
     r = np.sqrt(np.einsum("la,la->l", d_vec, d_vec))
+    t = r / (eps if eps > 0.0 else 1.0)
     m = cloud.masses[idx]
-    xi_den = float(m @ kernels.xi.eval(r / eps))
-    if xi_den < DENOM_GUARD:
+    xi_den = float(m @ kernels.xi.eval(t))
+    if xi_den < DENOM_GUARD or eps <= 0.0:
         raise IsolatedPointError(
             f"point {l0}: no effective neighbors within eps={eps:.3g}"
         )

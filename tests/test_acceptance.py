@@ -21,6 +21,7 @@ from varicurv.estimator import (
     NeighborQuery,
     curvature_report,
     estimate_tangent_planes,
+    orthogonal_sff,
     point_curvature,
 )
 from varicurv.tensors import solve_curvature_system
@@ -130,7 +131,7 @@ def test_criterion_3_two_formula_equality():
         cloud = random_cloud(rng)
         l0 = int(rng.integers(0, cloud.n_points))
         idx = ball(cloud, cloud.positions[l0], eps)
-        direct = one_row(vc.orthogonal_sff, cloud, l0, kp, eps, idx)
+        direct = one_row(orthogonal_sff, cloud, l0, kp, eps, idx)
         converted = vc.to_bilinear_form(
             orthogonal_curvature_tensor(cloud, l0, kp, eps, idx=idx)
         )

@@ -60,6 +60,29 @@ class TestRunFromShape:
         assert any("property uchar red" in l for l in text[:12])
 
 
+class TestUsage:
+    @pytest.mark.parametrize("args, named", [
+        (["--mass-mode", "foo"], "'foo'"),
+        (["--mass-mode", "rd"], "'rd'"),
+        (["--k", "x"], "'x'"),
+        (["--kernel", "box"], "'box'"),
+    ])
+    def test_bad_value_exit_code(self, tmp_path, capsys, args, named):
+        # argparse's usage errors are bad input (exit 1), not exit 2, which
+        # means a broken numeric invariant
+        out = tmp_path / "o.csv"
+        capsys.readouterr()
+        assert run_cli("run", "--shape", "sphere", "--n-points", "300", *args,
+                       "--csv", str(out)) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_exit_code(self, capsys):
+        assert run_cli("--help") == 0
+        assert run_cli("run", "--help") == 0
+        assert "--mass-mode {uniform,nmass}" in capsys.readouterr().out
+
+
 class TestRunFromFile:
     def test_plane_xyz_gauss_near_zero(self, tmp_path):
         sample = vc.PlanePatch(1.0).sample(900, seed=3)
@@ -108,6 +131,41 @@ class TestRunFromFile:
         code = run_cli("run", "--input", str(ply), "--format", "ply",
                        "--d", "2", "--csv", str(out))
         assert code == 0
+
+    def test_uniform_mass_mode(self, tmp_path):
+        # uniform masses are all ones: the CSV equals the library's report
+        # on a cloud of unit masses
+        sample = vc.Cube(1.0).sample(600, noise_sigma=0.01, seed=2)
+        xyz = tmp_path / "cube.xyz"
+        vc.io.write_xyz(xyz, sample.cloud.positions)
+        out = tmp_path / "u.csv"
+        assert run_cli("run", "--input", str(xyz), "--k", "16",
+                       "--mass-mode", "uniform", "--csv", str(out)) == 0
+        positions = vc.io.read_xyz(xyz)
+        neighbors = NeighborIndex(positions).resolve_all(vc.NeighborQuery.knn(16))
+        est = estimator.estimate_tangent_planes(positions, neighbors, 2)
+        cloud = vc.validate_cloud(positions, est.planes, np.ones(600), 2)
+        report = vc.curvature_report(cloud, neighbors, ambiguous=est.ambiguous)
+        want = tmp_path / "lib.csv"
+        vc.io.write_report_csv(want, positions, report)
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_ply_output_checked_before_run(self, tmp_path, capsys):
+        # ply output needs 3-d positions: a 4-d input is refused before any
+        # estimation, and no CSV is left behind
+        xyz = tmp_path / "c4.xyz"
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, (300, 4))
+        vc.io.write_xyz(xyz, pts)
+        out = tmp_path / "o.csv"
+        capsys.readouterr()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "cKDTree", None)  # any estimation would fail
+            assert run_cli("run", "--input", str(xyz), "--d", "3", "--k", "10",
+                           "--csv", str(out), "--ply", str(tmp_path / "o.ply")) == 1
+        assert capsys.readouterr().err == (
+            "error: ply output needs 3-dimensional positions\n"
+        )
+        assert not out.exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         assert run_cli("run", "--input", str(tmp_path / "nope.xyz"),

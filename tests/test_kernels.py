@@ -7,7 +7,6 @@ import varicurv as vc
 from varicurv.errors import InvalidInputError
 from varicurv.kernels import (
     KernelProfile,
-    box_profile,
     kernel_pair_by_name,
     paired_mass_profile,
     tent_profile,
@@ -15,6 +14,19 @@ from varicurv.kernels import (
 )
 
 from system_reference import kernel_constant
+
+
+def box_profile():
+    """Indicator of [0,1): flat, so it pairs to a zero mass profile."""
+
+    def ev(t):
+        t = np.asarray(t, dtype=float)
+        return np.where((t >= 0.0) & (t < 1.0), 1.0, 0.0)
+
+    def dv(t):
+        return np.zeros_like(np.asarray(t, dtype=float))
+
+    return KernelProfile("box", ev, dv)
 
 
 class TestBumpProfile:
@@ -78,6 +90,13 @@ class TestPairedMassProfile:
                            match="profile 'rising' increases on \\[0,1\\); cannot pair"):
             paired_mass_profile(rising, 2)
 
+    def test_rejects_flat_profile(self):
+        # rho' = 0 pairs to xi = 0, which would leave every point isolated
+        with pytest.raises(InvalidInputError,
+                           match="profile 'box' is flat on \\[0,1\\); its paired "
+                                 "mass profile would be zero"):
+            vc.natural_kernel_pair(box_profile(), 2, 3)
+
 
 class TestKernelConstant:
     def test_box_profile_d2(self):
@@ -115,5 +134,8 @@ class TestNaturalKernelPair:
     def test_by_name(self):
         pair = kernel_pair_by_name("bump", 2, 3)
         assert pair.rho.name == "bump"
-        with pytest.raises(InvalidInputError):
-            kernel_pair_by_name("gaussian", 2, 3)
+        for name in ("gaussian", "box"):
+            with pytest.raises(InvalidInputError,
+                               match=f"unknown kernel profile '{name}'; choose "
+                                     f"from \\['bump', 'tent'\\]"):
+                kernel_pair_by_name(name, 2, 3)
