@@ -478,6 +478,44 @@ class TestPointPipeline:
         kappas = pc.kappas[0] if pc.kappas[0].sum() > 0 else -pc.kappas[0][::-1]
         assert np.allclose(kappas, [1.0, 1.0], atol=0.12)
 
+    def test_scaling_halves_curvatures(self):
+        sample = vc.Sphere(1.0).sample(2000, seed=7)
+        cloud = sample.cloud
+        eps = 0.3
+        idx = ball(cloud, cloud.positions[0], eps)
+        pc1 = point_curvature(cloud, [0], scale=eps, idx=idx, counts=[idx.size])
+        scaled = vc.validate_cloud(
+            cloud.positions * 2.0, cloud.planes, cloud.masses, 2
+        )
+        idx = ball(scaled, scaled.positions[0], 2 * eps)
+        pc2 = point_curvature(scaled, [0], scale=2 * eps, idx=idx, counts=[idx.size])
+        assert np.allclose(pc2.kappas, 0.5 * pc1.kappas, atol=1e-9)
+
+    def test_rigid_motion_invariance(self):
+        rng = np.random.default_rng(43)
+        sample = vc.Sphere(1.0).sample(2000, seed=9)
+        cloud = sample.cloud
+        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+        q *= np.sign(np.diag(r))
+        shift = rng.standard_normal(3)
+        moved = vc.validate_cloud(
+            cloud.positions @ q.T + shift,
+            np.einsum("ab,lbc,dc->lad", q, cloud.planes, q),
+            cloud.masses, 2,
+        )
+        eps = 0.25
+        for l0 in (0, 11, 500):
+            idx = ball(cloud, cloud.positions[l0], eps)
+            k_a = point_curvature(cloud, [l0], scale=eps, idx=idx,
+                                  counts=[idx.size]).kappas[0]
+            idx = ball(moved, moved.positions[l0], eps)
+            k_b = point_curvature(moved, [l0], scale=eps, idx=idx,
+                                  counts=[idx.size]).kappas[0]
+            if k_a.sum() * k_b.sum() < 0:
+                k_b = -k_b[::-1]
+            assert np.allclose(k_a, k_b, atol=1e-9)
+
+
 
 class TestContinuumOracle:
     def test_circle_matches_quadrature(self):
