@@ -6,6 +6,10 @@ Two subcommands:
              pipeline, and write a CSV report and/or a colorized ply;
 * ``sample`` synthesize a shape sample and write the bare cloud.
 
+``run --input`` reads ply when the file's first line is ``ply``, else xyz
+with as many dimensions as columns.  ``--tangent-mode auto`` takes the
+planes of a shape or of ply normals and estimates them otherwise.
+
 Masses are all ones (``--mass-mode uniform``, the default) or
 omega_d r^d / n_mass from each point's ``--n-mass``-point ball (``nmass``);
 kernels are ``bump`` (the default) or ``tent``.
@@ -81,11 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="estimate curvatures and write reports")
-    run.add_argument("--input", help="input cloud path")
-    run.add_argument("--format", choices=["xyz", "ply"], default="xyz")
+    run.add_argument("--input", help="input cloud path (xyz or ply)")
     _add_shape_args(run)
     run.add_argument("--d", type=int, default=2, help="intrinsic dimension")
-    run.add_argument("--n", type=int, help="ambient dimension (default: infer)")
     grp = run.add_mutually_exclusive_group()
     grp.add_argument("--k", type=int, default=None,
                      help="neighbors per point (default 40)")
@@ -95,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mass-mode", choices=["uniform", "nmass"],
                      default="uniform")
     run.add_argument("--n-mass", type=int, default=8)
-    run.add_argument("--tangent-mode", choices=["auto", "exact", "estimated"],
+    run.add_argument("--tangent-mode", choices=["auto", "estimated"],
                      default="auto")
     run.add_argument("--quantity", choices=QUANTITIES, default="gauss",
                      help="scalar mapped to ply colors")
@@ -134,18 +136,15 @@ def _load_cloud(args):
         return positions, planes, query, d
 
     d = args.d
-    normals = None
-    if args.format == "xyz":
-        positions = vio.read_xyz(args.input, ambient_n=args.n)
-    else:
-        positions, normals = vio.read_ply(args.input)
+    with open(args.input) as fh:
+        ply = fh.readline().strip() == "ply"
+    positions, normals = (vio.read_ply(args.input) if ply
+                          else (vio.read_xyz(args.input), None))
     n = positions.shape[1]
-    if args.n is not None and args.n != n:
-        raise InvalidInputError(f"--n {args.n} but data has {n} columns")
     if not 1 <= d <= n <= 10:
         raise InvalidInputError(f"need 1 <= d <= n <= 10, got d={d}, n={n}")
     planes = None
-    if normals is not None and d == n - 1 and args.tangent_mode != "estimated":
+    if normals is not None and d == n - 1 and args.tangent_mode == "auto":
         unit = normals / np.linalg.norm(normals, axis=1, keepdims=True)
         planes = np.eye(n)[None] - np.einsum("li,lj->lij", unit, unit)
     return positions, planes, query, d
@@ -159,10 +158,6 @@ def _run(args) -> int:
     if d != n - 1:
         raise InvalidInputError(
             "the scalar curvature pipeline needs codimension 1 (d = n-1)"
-        )
-    if planes is None and args.tangent_mode == "exact":
-        raise InvalidInputError(
-            "--tangent-mode exact needs a shape input or ply normals"
         )
     if args.ply and n != 3:
         raise InvalidInputError("ply output needs 3-dimensional positions")

@@ -66,6 +66,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -83,7 +84,7 @@ STATUS_ISOLATED = "isolated"
 STATUS_AMBIGUOUS = "ambiguous_tangent"
 
 # Rows per tree walk of the neighbor resolution: bounds a block's k-nearest
-# window (distances and indices) at about 2.3 MB for k = 40 in R^3.
+# window at about 2.3 MB for k = 40 in R^3, and its ball lists' Python ints.
 RESOLVE_CHUNK = 2048
 
 # A neighbor this many ulps from a row's radius may fall on either side of
@@ -160,11 +161,8 @@ class NeighborIndex:
         whose window may miss part of its ball takes the ball path instead:
         its last column lies within eps (while K0 < N), or a column lies
         within ``EDGE_ULPS`` ulps of eps.  The ball path, which is also the
-        whole of radius mode, asks the tree for each ball's count; a list is
-        then the first ``counts[i]`` columns of a k-nearest query over
-        blocks of rows taken in order of count, so that each block asks for
-        about as many neighbors as its rows hold.  Lists are split out of
-        flat arrays, never built from Python lists of Python ints.
+        whole of radius mode, makes one sorted ball query per block of rows
+        and splits the block's lists out of one flat array.
         """
         n_pts = self.n_points
         if query.mode == "radius":
@@ -199,24 +197,16 @@ class NeighborIndex:
 
     def _ball_lists(self, rows: np.ndarray, eps: np.ndarray) -> list[np.ndarray]:
         """Sorted lists of the points ``rows`` within their radii ``eps``."""
-        x = self.positions[rows]
-        counts = self.tree.query_ball_point(x, eps, return_length=True,
-                                            workers=WORKERS)
-        ends = np.cumsum(counts)
-        flat = np.empty(int(counts.sum()), dtype=np.intp)
-        order = np.argsort(counts, kind="stable")
+        lists = []
         for lo in range(0, rows.size, RESOLVE_CHUNK):
-            sel = order[lo:lo + RESOLVE_CHUNK]
-            c = counts[sel]
-            _, nearest = self.tree.query(x[sel], k=int(c[-1]), workers=WORKERS)
-            nearest = nearest.reshape(sel.size, -1)
-            inside = np.arange(nearest.shape[1]) < c[:, None]
-            # slots past a row's count sort to its end
-            nearest = np.sort(np.where(inside, nearest, self.n_points), axis=1)
-            # row r's list goes to flat[ends[r] - counts[r]:ends[r]]
-            shift = ends[sel] - c - (np.cumsum(c) - c)
-            flat[np.repeat(shift, c) + np.arange(int(c.sum()))] = nearest[inside]
-        return np.split(flat, ends[:-1])
+            block = slice(lo, lo + RESOLVE_CHUNK)
+            balls = self.tree.query_ball_point(self.positions[rows[block]], eps[block],
+                                               return_sorted=True, workers=WORKERS)
+            counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+            flat = np.fromiter(chain.from_iterable(balls), dtype=np.intp,
+                               count=int(counts.sum()))
+            lists += np.split(flat, np.cumsum(counts)[:-1])
+        return lists
 
 
 def default_kernels(cloud: PointCloudVarifold) -> KernelPair:
@@ -555,19 +545,16 @@ def point_curvature(
         c = smoothed_direction_matrix(cloud, cloud.positions[points], kernels, eps,
                                       idx=idx, counts=counts)
         isolated["averaged"] = isolated["orthogonal"] | _nan_rows(c)
-    # the rows some variant keeps: H and a_perp are summed once for them
-    live = ~np.logical_and.reduce([isolated[v] for v in names])
-    beta_live = beta[live]
-    h = mean_curvature_vector(beta_live, dim_d=d)
-    a_perp = beta_live - np.einsum("mjk,mi->mijk", cloud.planes[points[live]], h)
+    # isolated rows of beta are NaN, and stay NaN in H and a_perp
+    h = mean_curvature_vector(beta, dim_d=d)
+    a_perp = beta - np.einsum("mjk,mi->mijk", cloud.planes[points], h)
 
     results = []
     for v in names:
         ok = ~isolated[v]
-        sub = ok[live]
         rows = points[ok]
-        a_ok = a_perp[sub]
-        a_form = a_ok if v == "orthogonal" else solve_curvature_system(c[ok], beta[ok])
+        a_form = (a_perp[ok] if v == "orthogonal"
+                  else solve_curvature_system(c[ok], beta[ok]))
         basis = cloud.bases[rows]
         restricted = restrict_to_tangent(
             to_bilinear_form(a_form), cloud.normals[rows, :, 0], basis
@@ -575,9 +562,9 @@ def point_curvature(
         kappas, directions, gauss, abs_sum = principal_curvatures(restricted, basis)
         status = np.where(isolated[v], STATUS_ISOLATED, STATUS_OK).astype(object)
         out = _nan_report(m, d, n, eps, status)
-        out.a_perp[ok] = a_ok
-        out.mean_vectors[ok] = h[sub]
-        out.mean_norm[ok] = np.linalg.norm(h[sub], axis=1)
+        out.a_perp[ok] = a_perp[ok]
+        out.mean_vectors[ok] = h[ok]
+        out.mean_norm[ok] = np.linalg.norm(h[ok], axis=1)
         out.kappas[ok] = kappas
         out.directions[ok] = directions
         out.gauss[ok] = gauss
@@ -723,7 +710,8 @@ def estimate_masses(index: NeighborIndex, n_mass: int, dim_d: int) -> np.ndarray
     global mass factor (omega_d / n_mass among them) cancels up to rounding.
     """
     if not 1 <= n_mass <= index.n_points:
-        raise InvalidInputError("need 1 <= n_mass <= number of points")
+        raise InvalidInputError(f"--n-mass = {n_mass} is outside "
+                                f"1..{index.n_points}, the number of points")
     radii = index.tree.query(index.positions, k=[n_mass], workers=WORKERS)[0][:, 0]
     if np.any(radii <= 0.0):
         bad = int(np.argmax(radii <= 0.0))

@@ -47,13 +47,13 @@ def _write_rows(fh, row_fmt: str, values: np.ndarray, status=None) -> None:
 # ---------------------------------------------------------------- xyz
 
 
-def read_xyz(path, ambient_n: int | None = None) -> np.ndarray:
-    """Read an xyz cloud; returns (N, n) positions.
+def read_xyz(path) -> np.ndarray:
+    """Read an xyz cloud; returns (N, n) positions, n its column count.
 
     NaN or infinite values are rejected with the line they occur on.
     """
     rows = []
-    width = ambient_n
+    width = None
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             body = line.split("#", 1)[0].strip()

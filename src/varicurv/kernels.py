@@ -107,11 +107,15 @@ def profile_by_name(name: str) -> KernelProfile:
 def paired_mass_profile(rho: KernelProfile, ambient_n: int) -> KernelProfile:
     """Mass-smoothing profile xi with n * xi(s) = -s * rho'(s).
 
-    Nonnegative whenever ``rho`` is decreasing; rejects profiles that
-    increase anywhere on a sample grid, or whose derivative vanishes on the
-    whole grid (xi would be zero, and every point isolated).  Vanishes on
-    [1, inf) as rho' does.
+    Nonnegative whenever ``rho`` is decreasing; rejects profiles without a
+    derivative, profiles that increase anywhere on a sample grid, and
+    profiles whose derivative vanishes on the whole grid (xi would be zero,
+    and every point isolated).  Vanishes on [1, inf) as rho' does.
     """
+    if rho.deriv is None:
+        raise InvalidInputError(
+            f"profile {rho.name!r} has no derivative; cannot pair a mass profile"
+        )
     grid = np.linspace(0.0, 1.0, 2001)
     dv = np.asarray(rho.deriv(grid))
     if np.any(dv > 1e-12):

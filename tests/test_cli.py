@@ -128,8 +128,7 @@ class TestRunFromFile:
         ply = tmp_path / "sphere.ply"
         vc.io.write_ply(ply, sample.cloud.positions, normals=sample.normals)
         out = tmp_path / "s.csv"
-        code = run_cli("run", "--input", str(ply), "--format", "ply",
-                       "--d", "2", "--csv", str(out))
+        code = run_cli("run", "--input", str(ply), "--d", "2", "--csv", str(out))
         assert code == 0
 
     def test_uniform_mass_mode(self, tmp_path):
@@ -197,7 +196,7 @@ class TestRunFromFile:
                        "property float x\nproperty float y\nproperty float z\n"
                        "end_header\n")
         capsys.readouterr()
-        assert run_cli("run", "--input", str(ply), "--format", "ply",
+        assert run_cli("run", "--input", str(ply),
                        "--csv", str(tmp_path / "o.csv")) == 1
         assert capsys.readouterr().err.startswith("error: line 3:")
         assert not (tmp_path / "o.csv").exists()
@@ -209,27 +208,40 @@ class TestRunFromFile:
         ply = tmp_path / "torus.ply"
         vc.io.write_ply(ply, sample.cloud.positions, normals=normals)
         capsys.readouterr()
-        assert run_cli("run", "--input", str(ply), "--format", "ply",
-                       "--k", "10", "--csv", str(tmp_path / "o.csv")) == 1
+        assert run_cli("run", "--input", str(ply), "--k", "10",
+                       "--csv", str(tmp_path / "o.csv")) == 1
         # ten header lines, then the seventh vertex line
         assert capsys.readouterr().err.startswith("error: line 17:")
         assert not (tmp_path / "o.csv").exists()
 
-    def test_dimension_mismatch(self, tmp_path):
+    def test_dimension_mismatch(self, tmp_path, capsys):
+        # the column count is the ambient dimension: --n and --format are
+        # no options of run
         xyz = tmp_path / "c.xyz"
-        xyz.write_text("1 2 3\n4 5 6\n")
-        assert run_cli("run", "--input", str(xyz), "--d", "2", "--n", "4",
-                       "--csv", str(tmp_path / "o.csv")) == 1
+        xyz.write_text("".join(f"{i} {i % 3} {i % 2}\n" for i in range(20)))
+        out = tmp_path / "o.csv"
+        for removed in (["--n", "3"], ["--format", "xyz"], ["--format", "ply"]):
+            capsys.readouterr()
+            assert run_cli("run", "--input", str(xyz), "--d", "2", *removed,
+                           "--csv", str(out)) == 1
+            assert removed[0] in capsys.readouterr().err
+            assert not out.exists()
 
     def test_requires_input_or_shape(self, tmp_path):
         assert run_cli("run", "--csv", str(tmp_path / "o.csv")) == 1
 
-    def test_exact_tangents_need_source(self, tmp_path):
-        xyz = tmp_path / "c.xyz"
-        xyz.write_text("".join(f"{i} {i % 3} 0\n" for i in range(20)))
-        assert run_cli("run", "--input", str(xyz), "--d", "2",
-                       "--tangent-mode", "exact",
-                       "--csv", str(tmp_path / "o.csv")) == 1
+    def test_exact_tangents_need_source(self, tmp_path, capsys):
+        # "exact" is what "auto" does with a shape or ply normals: no mode
+        sample = vc.Sphere(1.0).sample(300, seed=5)
+        ply = tmp_path / "sphere.ply"
+        vc.io.write_ply(ply, sample.cloud.positions, normals=sample.normals)
+        out = tmp_path / "o.csv"
+        for source in (["--input", str(ply)], ["--shape", "sphere"]):
+            capsys.readouterr()
+            assert run_cli("run", *source, "--tangent-mode", "exact",
+                           "--csv", str(out)) == 1
+            assert "'exact'" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_zero_knn_radius(self, tmp_path, capsys):
         # 46 copies of point 0 give each of them a k-th neighbor at distance
@@ -250,8 +262,8 @@ class TestRunFromFile:
         vc.io.write_ply(ply, sample.cloud.positions[keep],
                         normals=sample.normals[keep])
         out = tmp_path / "p.csv"
-        assert run_cli("run", "--input", str(ply), "--format", "ply",
-                       "--k", "40", "--csv", str(out)) == 0
+        assert run_cli("run", "--input", str(ply), "--k", "40",
+                       "--csv", str(out)) == 0
         status = csv_status(out)
         assert status.count("isolated") == 46
         assert csv_status(out_xyz) == status
@@ -274,6 +286,17 @@ class TestRunFromFile:
                 f"the number of coincident points\n"
             )
             assert not (tmp_path / "o.csv").exists()
+
+    def test_n_mass_past_point_count_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        capsys.readouterr()
+        assert run_cli("run", "--shape", "sphere", "--n-points", "50",
+                       "--mass-mode", "nmass", "--n-mass", "80",
+                       "--csv", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: --n-mass = 80 is outside 1..50, the number of points\n"
+        )
+        assert not out.exists()
 
     def test_numeric_fatal_exit_code(self, tmp_path):
         # collinear points cannot support a rank-2 tangent estimate: every

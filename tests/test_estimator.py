@@ -97,8 +97,9 @@ class TestNeighborQuery:
 
 
 def ball_lists(positions, eps):
-    """Each point's sorted neighbor list straight from the tree's ball query."""
-    raw = cKDTree(positions).query_ball_point(positions, eps)
+    """Each point's sorted neighbor list: the tree's unsorted ball query,
+    sorted here."""
+    raw = cKDTree(positions).query_ball_point(positions, eps, return_sorted=False)
     return [np.sort(np.asarray(ix, dtype=np.intp)) for ix in raw]
 
 
@@ -217,8 +218,8 @@ class TestResolveAll:
         assert 0 < full.sum() < len(pts) // 2
         balls = [x for name, x in calls if name == "ball"]
         assert len(balls) == 1 and np.array_equal(balls[0], pts[full])
-        # one walk per block, then one k-nearest query for the ball rows
-        assert [name for name, _ in calls] == ["query", "query", "ball", "query"]
+        # one walk per block, then one ball query for the rows past their window
+        assert [name for name, _ in calls] == ["query", "query", "ball"]
         assert all(np.array_equal(a, b) for a, b in zip(indices, ball_lists(pts, eps)))
 
 
@@ -832,6 +833,22 @@ class TestEngine:
                 tol = 1e-12 * (1.0 + np.nanmax(np.abs(want), initial=0.0))
                 assert np.allclose(got, want, rtol=0, atol=tol,
                                    equal_nan=True), (name, field)
+            # the principal directions are orthonormal rows orthogonal to the
+            # normal, and the reference's up to sign where their kappa is
+            # apart from the others
+            dirs, want = rep.directions, ref.directions
+            assert np.array_equal(np.isnan(dirs), np.isnan(want)), name
+            ok = rep.status != STATUS_ISOLATED
+            dirs, want, kappas = dirs[ok], want[ok], rep.kappas[ok]
+            assert np.allclose(dirs @ dirs.swapaxes(-1, -2), np.eye(n - 1),
+                               rtol=0, atol=1e-12), name
+            assert np.allclose(dirs @ cloud.normals[ok], 0.0, rtol=0, atol=1e-12), name
+            gaps = np.pad(-np.diff(kappas, axis=1), ((0, 0), (1, 1)),
+                          constant_values=np.inf)
+            apart = np.minimum(gaps[:, :-1], gaps[:, 1:]) > 1e-6 * (
+                1.0 + np.max(np.abs(kappas), initial=0.0))
+            cosines = np.abs(np.einsum("mja,mja->mj", dirs, want))
+            assert np.allclose(cosines[apart], 1.0, rtol=0, atol=1e-9), name
 
         perm = rng.permutation(n_pts)
         shuffled = vc.validate_cloud(cloud.positions[perm], cloud.planes[perm],

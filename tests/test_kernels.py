@@ -97,6 +97,13 @@ class TestPairedMassProfile:
                                  "mass profile would be zero"):
             vc.natural_kernel_pair(box_profile(), 2, 3)
 
+    def test_rejects_profile_without_derivative(self):
+        # xi is built from rho', so a profile without one cannot pair
+        plain = KernelProfile("plain", tent_profile().eval)
+        with pytest.raises(InvalidInputError,
+                           match="profile 'plain' has no derivative; cannot pair"):
+            paired_mass_profile(plain, 3)
+
 
 class TestKernelConstant:
     def test_box_profile_d2(self):
