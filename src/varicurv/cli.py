@@ -20,13 +20,13 @@ ball holds no mass, or whose radius is zero, is reported ``isolated``, and
 a point whose neighbors do not determine a d-plane (too few of them,
 duplicates, collinear or flat in fewer than d dimensions) is reported
 ``ambiguous_tangent``; stderr counts the flagged points.  Exit 1 covers
-bad options or values (argparse's usage errors included), unreadable or
-malformed files, clouds that fail validation and a zero mass radius
-(``--n-mass`` or more coincident points under ``--mass-mode nmass``).  The
-options are checked against the cloud's dimensions before any estimation
-runs, so a rejected run writes nothing.  Exit 2 means an invariant the
-estimator guarantees failed: the trace identity, the direction-matrix PSD
-check or a tensor symmetry check.
+bad options or values (argparse's usage errors included), unreadable,
+non-text or malformed files, clouds that fail validation and a zero mass
+radius (``--n-mass`` or more coincident points under ``--mass-mode
+nmass``).  The options are checked against the cloud's dimensions before
+any estimation runs, so a rejected run writes nothing.  Exit 2 means an
+invariant the estimator guarantees failed: the trace identity, the
+direction-matrix PSD check or a tensor symmetry check.
 
 The pipeline runs in fixed chunks of points on every CPU the process may
 use; each chunk writes only its own rows, so output bytes depend only on
@@ -224,7 +224,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _run(args)
         return _sample(args)
-    except (InvalidInputError, OSError) as e:
+    except (InvalidInputError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except VaricurvError as e:

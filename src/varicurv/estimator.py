@@ -58,12 +58,20 @@ numpy's gathers, products and decompositions and the tree's walks release
 the interpreter lock.  The chunk bounds are fixed and each chunk writes only
 its own rows of preallocated outputs, so results are bitwise the same for
 any thread count; when chunks fail, the earliest one's error is raised.
+The chunks one thread runs in a stage share one set of scratch buffers,
+allocated at the stage's largest padded block and dropped when the stage
+returns: each chunk writes its lists, index map, mask, offsets, distances,
+gathered masses and planes and projected units into contiguous views of
+them, in the same operation order as into fresh arrays.  Nothing a chunk
+function returns is a view of scratch.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -188,7 +196,7 @@ class NeighborIndex:
             ball = near.any(axis=1) | (inside[:, -1] & (width < n_pts))
             unsure.append(lo + np.flatnonzero(ball))
             nearest = np.sort(np.where(inside, nearest, n_pts), axis=1)[inside]
-            lists += np.split(nearest, np.cumsum(inside.sum(axis=1))[:-1])
+            lists += _split(nearest, inside.sum(axis=1))
         unsure = np.concatenate(unsure)
         if unsure.size:
             for i, ix in zip(unsure, self._ball_lists(unsure, eps[unsure])):
@@ -205,8 +213,14 @@ class NeighborIndex:
             counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
             flat = np.fromiter(chain.from_iterable(balls), dtype=np.intp,
                                count=int(counts.sum()))
-            lists += np.split(flat, np.cumsum(counts)[:-1])
+            lists += _split(flat, counts)
         return lists
+
+
+def _split(flat, counts):
+    """The consecutive slices of ``flat`` whose lengths are ``counts``."""
+    ends = np.cumsum(counts).tolist()
+    return [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def default_kernels(cloud: PointCloudVarifold) -> KernelPair:
@@ -227,32 +241,85 @@ def _chunk(m, eps, idx, counts):
     return eps, idx, counts
 
 
-def _flatten(indices) -> tuple[np.ndarray, np.ndarray]:
-    """CSR form of neighbor lists: the lists end to end and their lengths."""
-    counts = np.fromiter(map(len, indices), dtype=np.intp, count=len(indices))
-    return np.concatenate(indices), counts
+class _Scratch:
+    """The padded-block buffers of the chunks that one thread runs in one
+    stage.  Each chunk writes into contiguous views of their leading
+    entries, so a stage allocates, and faults in, each buffer once per
+    thread instead of once per chunk."""
+
+    def __init__(self, slots=0):
+        self.slots = slots  # m * K of the stage's largest padded block
+        self._buffers = {}
+
+    def view(self, name, shape, dtype=np.float64):
+        """An uninitialized ``shape`` array in buffer ``name``, whose leading
+        two axes are a block's (m, K)."""
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            width = math.prod(shape[2:])
+            buf = self._buffers[name] = np.empty(max(size, self.slots * width), dtype)
+        return buf[:size].reshape(shape)
 
 
-def _map_chunks(fn, n_pts):
-    """``fn(lo, hi)`` over consecutive ``REPORT_CHUNK`` slices of the n_pts
-    points, on ``WORKERS`` threads (serially for one worker or one chunk).
+# The scratch of the stage chunk this thread is running, set by _map_chunks
+# around each chunk.  Outside a stage every block gets buffers of its own.
+_SCRATCH = contextvars.ContextVar("varicurv_scratch")
 
-    Returns the results in chunk order.  Every chunk runs; when some fail,
-    the error of the earliest failing chunk in point order is raised.
+
+def _scratch() -> _Scratch:
+    return _SCRATCH.get(None) or _Scratch()
+
+
+def _map_chunks(fn, indices):
+    """``fn(lo, hi, idx, counts)`` over consecutive ``REPORT_CHUNK`` slices of
+    the points whose neighbor lists are ``indices``; ``idx`` holds the
+    slice's lists end to end and ``counts`` their lengths.  Runs on
+    ``WORKERS`` threads (serially for one worker or one chunk).
+
+    The chunks that run on one thread share one :class:`_Scratch`, sized
+    for the largest chunk's padded block; it is dropped on return.  Returns
+    the results in chunk order.  Every chunk runs; when some fail, the
+    error of the earliest failing chunk in point order is raised.
     """
+    n_pts = len(indices)
+    counts = np.fromiter(map(len, indices), dtype=np.intp, count=n_pts)
     bounds = [(lo, min(lo + REPORT_CHUNK, n_pts))
               for lo in range(0, n_pts, REPORT_CHUNK)]
+    slots = max(((hi - lo) * int(counts[lo:hi].max()) for lo, hi in bounds),
+                default=0)
+    per_thread = threading.local()
+
+    def run(lo, hi):
+        if not hasattr(per_thread, "scratch"):
+            per_thread.scratch = _Scratch(slots)
+        token = _SCRATCH.set(per_thread.scratch)
+        try:
+            chunk_counts = counts[lo:hi]
+            idx = per_thread.scratch.view("idx", (int(chunk_counts.sum()),), np.intp)
+            return fn(lo, hi, np.concatenate(indices[lo:hi], out=idx), chunk_counts)
+        finally:
+            _SCRATCH.reset(token)
+
     if WORKERS == 1 or len(bounds) <= 1:
-        return [fn(lo, hi) for lo, hi in bounds]
+        return [run(lo, hi) for lo, hi in bounds]
     with ThreadPoolExecutor(max_workers=min(WORKERS, len(bounds))) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in bounds]
+        futures = [pool.submit(run, lo, hi) for lo, hi in bounds]
     return [f.result() for f in futures]
 
 
-def _neighbor_block(positions, x, idx, counts, eps):
+def _gather(scratch, name, rows, pad):
+    """``rows[pad]`` (along the first axis) in the scratch buffer ``name``.
+    ``pad`` holds checked indices, so clipping never acts; under
+    ``mode="raise"`` numpy would gather into a temporary and copy."""
+    out = scratch.view(name, pad.shape + rows.shape[1:], rows.dtype)
+    return np.take(rows, pad, axis=0, out=out, mode="clip")
+
+
+def _neighbor_block(scratch, positions, x, idx, counts, eps):
     """A chunk's neighbor lists as a padded (m, K) block, K the longest list,
     around the locations ``x`` (m, n) with radii ``eps`` (m,); ``idx``
-    indexes ``positions``.
+    indexes ``positions``.  The arrays are views of ``scratch``.
 
     Returns (valid, pad, d_vec, r, t): the mask of real slots, the neighbor
     index of each slot (0 in padding), the offsets x_i - x_l, their lengths
@@ -261,13 +328,23 @@ def _neighbor_block(positions, x, idx, counts, eps):
     profile and its derivative vanish, so kernel weights evaluated on the
     whole block are exactly 0 there.
     """
-    valid = np.arange(int(counts.max(initial=0))) < counts[:, None]
-    pad = np.zeros(valid.shape, dtype=np.intp)
+    outside = (idx < 0) | (idx >= len(positions))
+    if outside.any():
+        raise InvalidInputError(f"neighbor index {idx[outside][0]} is outside "
+                                f"0..{len(positions) - 1}")
+    m, k = counts.size, int(counts.max(initial=0))
+    valid = np.less(np.arange(k), counts[:, None],
+                    out=scratch.view("valid", (m, k), bool))
+    pad = scratch.view("pad", (m, k), np.intp)
+    pad.fill(0)
     pad[valid] = idx
-    d_vec = np.take(positions, pad, axis=0)
+    d_vec = _gather(scratch, "offsets", positions, pad)
     np.subtract(x[:, None, :], d_vec, out=d_vec)
-    r = np.sqrt(np.einsum("mla,mla->ml", d_vec, d_vec))
-    t = np.where(valid, r / np.where(eps > 0.0, eps, 1.0)[:, None], 1.0)
+    r = np.einsum("mla,mla->ml", d_vec, d_vec, out=scratch.view("r", (m, k)))
+    np.sqrt(r, out=r)
+    t = np.divide(r, np.where(eps > 0.0, eps, 1.0)[:, None],
+                  out=scratch.view("t", (m, k)))
+    t[~valid] = 1.0
     return valid, pad, d_vec, r, t
 
 
@@ -285,19 +362,26 @@ def _local_sums(cloud, points, kernels, eps, idx, counts):
     proj_units P_l (x0 - x_l)/r; weights are 0 on padding and at zero
     distance (that summand is defined as 0).  The xi denominator (m,) keeps
     every neighbor, including zero-distance ones.  The kernels run on the
-    whole block; padding sits at t = 1, where they vanish.
+    whole block; padding sits at t = 1, where they vanish.  The three block
+    arrays are views of the thread's scratch, which the next block reuses.
     """
+    scratch = _scratch()
     valid, pad, d_vec, r, t = _neighbor_block(
-        cloud.positions, cloud.positions[points], idx, counts, eps
+        scratch, cloud.positions, cloud.positions[points], idx, counts, eps
     )
-    mass = np.take(cloud.masses, pad)
-    xi_w = mass * kernels.xi.eval(t)
+    mass = _gather(scratch, "mass", cloud.masses, pad)
+    weights = np.multiply(mass, kernels.xi.eval(t),
+                          out=scratch.view("weights", r.shape))
+    xi_den = weights.sum(axis=1)
     keep = valid & (r > 0.0)
-    weights = np.where(keep, mass * kernels.rho.deriv(t), 0.0)
-    planes = np.take(cloud.planes, pad, axis=0)
-    d_vec /= np.where(keep, r, 1.0)[..., None]  # now the unit offsets
-    proj_units = np.einsum("mlab,mlb->mla", planes, d_vec)
-    return planes, weights, proj_units, xi_w.sum(axis=1)
+    np.multiply(mass, kernels.rho.deriv(t), out=weights)
+    weights[~keep] = 0.0
+    planes = _gather(scratch, "planes", cloud.planes, pad)
+    r[~keep] = 1.0
+    d_vec /= r[..., None]  # now the unit offsets
+    proj_units = np.einsum("mlab,mlb->mla", planes, d_vec,
+                           out=scratch.view("vectors", d_vec.shape))
+    return planes, weights, proj_units, xi_den
 
 
 def _prefactor(kernels, eps, xi_den):
@@ -372,11 +456,13 @@ def smoothed_direction_matrix(
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     eps, idx, counts = _chunk(x.shape[0], eps, idx, counts)
-    _, pad, _, _, t = _neighbor_block(cloud.positions, x, idx, counts, eps)
-    w = np.take(cloud.masses, pad) * kernels.eta.eval(t)
+    scratch = _scratch()
+    _, pad, _, _, t = _neighbor_block(scratch, cloud.positions, x, idx, counts, eps)
+    w = np.multiply(_gather(scratch, "mass", cloud.masses, pad), kernels.eta.eval(t),
+                    out=scratch.view("weights", t.shape))
     w_sum = w.sum(axis=1)
     empty = w_sum < DENOM_GUARD
-    c = np.einsum("ml,mlab->mab", w, np.take(cloud.planes, pad, axis=0))
+    c = np.einsum("ml,mlab->mab", w, _gather(scratch, "planes", cloud.planes, pad))
     c /= np.where(empty, 1.0, w_sum)[:, None, None]
     c[empty] = np.nan
     return 0.5 * (c + c.swapaxes(-1, -2))
@@ -604,10 +690,9 @@ def curvature_report(
     reports = [_nan_report(n, d, nn, np.empty(n), np.empty(n, dtype=object),
                            collect_a_perp) for _ in names]
 
-    def run_chunk(lo, hi):
-        flat, counts = _flatten(indices[lo:hi])
+    def run_chunk(lo, hi, idx, counts):
         chunk = point_curvature(
-            cloud, np.arange(lo, hi), kernels, scale=eps[lo:hi], idx=flat,
+            cloud, np.arange(lo, hi), kernels, scale=eps[lo:hi], idx=idx,
             counts=counts, variant=names,
         )
         for rep, part in zip(reports, chunk):
@@ -616,7 +701,7 @@ def curvature_report(
                 if rows is not None:
                     rows[lo:hi] = getattr(part, f.name)
 
-    _map_chunks(run_chunk, n)
+    _map_chunks(run_chunk, indices)
     for rep in reports:
         if ambiguous is not None:
             flagged = (rep.status == STATUS_OK) & np.asarray(ambiguous, dtype=bool)
@@ -666,13 +751,12 @@ def estimate_tangent_planes(
     planes = np.empty((n_pts, n, n))
     ambiguous = np.zeros(n_pts, dtype=bool)
 
-    def run_chunk(lo, hi):
-        flat, counts = _flatten(indices[lo:hi])
+    def run_chunk(lo, hi, idx, counts):
         planes[lo:hi], ambiguous[lo:hi] = _tangent_chunk(
-            positions, lo, sigma[lo:hi], flat, counts, dim_d
+            positions, lo, sigma[lo:hi], idx, counts, dim_d
         )
 
-    _map_chunks(run_chunk, n_pts)
+    _map_chunks(run_chunk, indices)
     return TangentEstimate(planes=planes, ambiguous=ambiguous)
 
 
@@ -681,16 +765,19 @@ def _tangent_chunk(positions, lo, sigma, idx, counts, dim_d):
     neighbor lists (``idx`` end to end, ``counts`` their lengths)."""
     n = positions.shape[1]
     m = counts.size
+    scratch = _scratch()
     _, _, d_vec, _, t = _neighbor_block(
-        positions, positions[lo:lo + m], idx, counts, sigma
+        scratch, positions, positions[lo:lo + m], idx, counts, sigma
     )
     w = bump_profile().eval(t)
     w_sum = w.sum(axis=1)
     zero_w = w_sum <= 0.0
     # the covariance of the offsets x_i - x_l is that of the neighbors
     bary = np.einsum("ml,mla->ma", w, d_vec) / np.where(zero_w, 1.0, w_sum)[:, None]
-    centered = d_vec - bary[:, None]
-    cov = (w[..., None] * centered).transpose(0, 2, 1) @ centered
+    centered = np.subtract(d_vec, bary[:, None], out=d_vec)
+    weighted = np.multiply(w[..., None], centered,
+                           out=scratch.view("vectors", d_vec.shape))
+    cov = weighted.transpose(0, 2, 1) @ centered
     evals, evecs = np.linalg.eigh(cov)
     evals = evals[:, ::-1]
     evecs = evecs[:, :, ::-1]

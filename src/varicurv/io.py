@@ -3,7 +3,8 @@
 Formats:
 
 * xyz: one point per line, whitespace-separated floats (n columns),
-  '#' starts a comment;
+  '#' starts a comment; numpy's C reader parses a valid file, and a file it
+  rejects is parsed again line by line to name the first bad line;
 * ply (ascii 1.0): vertex element with float x, y, z; optional float
   nx, ny, nz normals, which must be non-zero (used as tangent-plane hints
   in codimension 1);
@@ -17,6 +18,8 @@ round trip reproduces positions to well below 1e-6.
 from __future__ import annotations
 
 import math
+import re
+from io import StringIO
 
 import numpy as np
 
@@ -50,29 +53,51 @@ def _write_rows(fh, row_fmt: str, values: np.ndarray, status=None) -> None:
 def read_xyz(path) -> np.ndarray:
     """Read an xyz cloud; returns (N, n) positions, n its column count.
 
-    NaN or infinite values are rejected with the line they occur on.
+    numpy's C reader parses the file.  A file it rejects, or one holding a
+    NaN or infinite value, is parsed again line by line, which names the
+    first bad line: a row of another width, a bad float or a non-finite
+    value.
     """
+    with open(path, "r") as fh:
+        text = fh.read()
+    # loadtxt warns on a file without data; the line parser reports it
+    if _DATA_LINE.search(text):
+        try:
+            values = np.loadtxt(StringIO(text), comments="#", ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return values
+    return _parse_xyz_lines(StringIO(text))
+
+
+# A line whose first non-blank character does not start a comment.
+_DATA_LINE = re.compile(r"^\s*[^\s#]", re.MULTILINE)
+
+
+def _parse_xyz_lines(lines) -> np.ndarray:
+    """The xyz rows of ``lines``; raises at the first malformed one."""
     rows = []
     width = None
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if width is None:
-                width = len(parts)
-            if len(parts) != width:
-                raise FileFormatError(
-                    f"expected {width} columns, found {len(parts)}", line=lineno
-                )
-            try:
-                row = [float(p) for p in parts]
-            except ValueError:
-                raise FileFormatError(f"bad float in {body!r}", line=lineno) from None
-            if not all(map(math.isfinite, row)):
-                raise FileFormatError(f"non-finite value in {body!r}", line=lineno)
-            rows.append(row)
+    for lineno, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if width is None:
+            width = len(parts)
+        if len(parts) != width:
+            raise FileFormatError(
+                f"expected {width} columns, found {len(parts)}", line=lineno
+            )
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            raise FileFormatError(f"bad float in {body!r}", line=lineno) from None
+        if not all(map(math.isfinite, row)):
+            raise FileFormatError(f"non-finite value in {body!r}", line=lineno)
+        rows.append(row)
     if not rows:
         raise FileFormatError("no points found in xyz file")
     return np.asarray(rows)

@@ -15,17 +15,18 @@ how close the batched planes can be asked to come.  The per-point
 estimator raises :class:`IsolatedPointError` where the batched engine
 flags a row.  ``plane_frames``
 decomposes codimension-1 planes on its own, as the check of the frames
-that ``validate_cloud`` gives a cloud.
+that ``validate_cloud`` gives a cloud.  ``reference_read_xyz`` parses an
+xyz file one line at a time, as the check of ``io.read_xyz``.
 """
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
-from varicurv.errors import InvalidInputError, VaricurvError
+from varicurv.errors import FileFormatError, InvalidInputError, VaricurvError
 from varicurv.estimator import (
     DENOM_GUARD,
     STATUS_AMBIGUOUS,
@@ -352,3 +353,32 @@ def comatrix_norm_bound(n: int, d: int) -> float:
     most (n-1)! * 2^(n-1), while det(I + c) >= 2^d.
     """
     return n * factorial(n - 1) * 2.0 ** (n - 1) / 2.0**d
+
+
+def reference_read_xyz(path) -> np.ndarray:
+    """An xyz cloud parsed one line at a time: (N, n) positions, or a
+    :class:`FileFormatError` naming the first bad line."""
+    rows = []
+    width = None
+    with open(path, "r") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            parts = body.split()
+            if width is None:
+                width = len(parts)
+            if len(parts) != width:
+                raise FileFormatError(
+                    f"expected {width} columns, found {len(parts)}", line=lineno
+                )
+            try:
+                row = [float(p) for p in parts]
+            except ValueError:
+                raise FileFormatError(f"bad float in {body!r}", line=lineno) from None
+            if not all(map(isfinite, row)):
+                raise FileFormatError(f"non-finite value in {body!r}", line=lineno)
+            rows.append(row)
+    if not rows:
+        raise FileFormatError("no points found in xyz file")
+    return np.asarray(rows)

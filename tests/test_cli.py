@@ -176,6 +176,16 @@ class TestRunFromFile:
         assert run_cli("run", "--input", str(bad), "--d", "2",
                        "--csv", str(tmp_path / "o.csv")) == 1
 
+    def test_non_text_file_exit_code(self, tmp_path, capsys):
+        # bytes that are not UTF-8 text: an error line, not a traceback
+        bad = tmp_path / "bad.xyz"
+        bad.write_bytes(b"\xff\xfe1 2 3\n")
+        capsys.readouterr()
+        assert run_cli("run", "--input", str(bad),
+                       "--csv", str(tmp_path / "o.csv")) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_coordinate_exit_code(self, tmp_path, capsys, bad):
         xyz = tmp_path / "c.xyz"

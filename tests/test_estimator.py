@@ -1,6 +1,9 @@
+import copy
+import gc
 import math
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from varicurv.estimator import (
     RESOLVE_CHUNK,
     STATUS_AMBIGUOUS,
     STATUS_ISOLATED,
+    CurvatureReport,
     NeighborIndex,
     NeighborQuery,
     curvature_report,
@@ -923,7 +927,8 @@ class TestEngine:
     def test_variants_checked_before_any_sum(self, variant, match):
         cloud = sphere_with_outlier()
         neighbors = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(10))
-        idx, counts = estimator._flatten(neighbors[0][:3])
+        lists = neighbors[0][:3]
+        idx, counts = np.concatenate(lists), [len(ix) for ix in lists]
         sums = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimator, "_local_sums", lambda *args: sums.append(args))
@@ -942,6 +947,12 @@ class TestEngine:
         with pytest.raises(InvalidInputError, match="summing to 5 for 2 points and 4"):
             vc.variation_tensor(cloud, [0, 1], None, 0.5, idx=np.arange(4),
                                 counts=[2, 3])
+        with pytest.raises(InvalidInputError, match="index 301 is outside 0..300"):
+            vc.variation_tensor(cloud, [0, 1], None, 0.5, idx=[0, 1, 301],
+                                counts=[2, 1])
+        with pytest.raises(InvalidInputError, match="index -1 is outside 0..300"):
+            smoothed_direction_matrix(cloud, cloud.positions[:1], None, 0.5,
+                                      idx=[-1], counts=[1])
 
 
 class TestThreadedChunks:
@@ -991,6 +1002,84 @@ class TestThreadedChunks:
         one, many = self.runs(1, tangents), self.runs(4, tangents)
         assert one.planes.tobytes() == many.planes.tobytes()
         assert np.array_equal(one.ambiguous, many.ambiguous)
+
+    def test_chunk_results_survive_later_chunks(self):
+        # the chunks that one thread runs write into the same scratch
+        # buffers, so nothing a chunk function returns may be a view of them
+        cloud = random_cloud(np.random.default_rng(12), n_pts=3 * REPORT_CHUNK + 5)
+        neighbors = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(12))
+        returned = []
+
+        def keeping(name):
+            real = getattr(estimator, name)
+
+            def wrapped(*args, **kwargs):
+                out = real(*args, **kwargs)
+                returned.append((name, out, copy.deepcopy(out)))
+                return out
+
+            return wrapped
+
+        def arrays(out):
+            if isinstance(out, np.ndarray):
+                return [out]
+            if isinstance(out, CurvatureReport):
+                return [v for v in vars(out).values() if v is not None]
+            return [a for part in out for a in arrays(part)]
+
+        def stages():
+            names = ("point_curvature", "variation_tensor",
+                     "smoothed_direction_matrix", "_tangent_chunk")
+            with pytest.MonkeyPatch.context() as mp:
+                for name in names:
+                    mp.setattr(estimator, name, keeping(name))
+                curvature_report(cloud, neighbors, variant=("orthogonal", "averaged"))
+                estimate_tangent_planes(cloud.positions, neighbors, 2)
+
+        self.runs(1, stages)
+        assert len(returned) == 4 * 4  # four chunks through each function
+        for name, out, snapshot in returned:
+            for now, then in zip(arrays(out), arrays(snapshot), strict=True):
+                if now.dtype == object:
+                    assert np.array_equal(now, then), name
+                else:
+                    assert now.tobytes() == then.tobytes(), name
+
+    def test_one_scratch_per_thread_reused_and_dropped(self):
+        # every block a thread builds in a stage lies in that thread's one
+        # scratch, sized up front for the stage's largest block; the scratch
+        # is gone when the stage returns
+        cloud = random_cloud(np.random.default_rng(13), n_pts=5 * REPORT_CHUNK + 9)
+        neighbors = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(12))
+        real = estimator._neighbor_block
+        blocks = []
+
+        def recording(scratch, *args):
+            out = real(scratch, *args)
+            blocks.append((threading.get_ident(), id(scratch), weakref.ref(scratch),
+                           out[2].base))
+            return out
+
+        for workers in (1, 2):
+            blocks.clear()
+
+            def report():
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(estimator, "_neighbor_block", recording)
+                    curvature_report(cloud, neighbors,
+                                     variant=("orthogonal", "averaged"))
+
+            self.runs(workers, report)
+            # six chunks, each with the tensor's and the direction matrix's block
+            assert len(blocks) == 12
+            scratch_of = {thread: sid for thread, sid, _, _ in blocks}
+            assert 1 <= len(scratch_of) <= workers
+            assert len(set(scratch_of.values())) == len(scratch_of)
+            for thread, sid, _, base in blocks:
+                first = next(b for t, _, _, b in blocks if t == thread)
+                assert sid == scratch_of[thread] and base is first
+            gc.collect()
+            assert all(ref() is None for _, _, ref, _ in blocks)
 
     def test_earliest_failing_chunk_wins(self):
         # chunks 0 and 2 fail; chunk 0 is held back until chunk 2 has

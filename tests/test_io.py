@@ -1,9 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import varicurv.io as vio
 from varicurv.errors import FileFormatError
 from varicurv.estimator import CurvatureReport
+
+from system_reference import reference_read_xyz
 
 NAN, INF = np.nan, np.inf
 # zeros of both signs, a subnormal, extreme exponents, more than 9 digits
@@ -71,6 +77,56 @@ class TestXyz:
         path.write_text("# nothing\n")
         with pytest.raises(FileFormatError):
             vio.read_xyz(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 10), n_rows=st.integers(1, 6),
+           flaw=st.sampled_from([None, "ragged", "bad float", "non-finite", "empty"]),
+           newline=st.sampled_from(["\n", "\r\n"]))
+    def test_matches_line_parser(self, tmp_path_factory, data, n, n_rows, flaw,
+                                 newline):
+        # the same array bit for bit, or the same error on the same line,
+        # and no warning either way
+        number = st.floats(-1e300, 1e300)  # finite however it is spelled
+        spelled = st.sampled_from([repr, "{:.17g}".format, "{:e}".format,
+                                   "{:.3E}".format, "{:+.0f}".format])
+        gap = st.sampled_from([" ", "\t", "  ", " \t "])
+        rows = []
+        for _ in range(n_rows):
+            tokens = [data.draw(spelled)(data.draw(number)) for _ in range(n)]
+            body = tokens[0] + "".join(data.draw(gap) + t for t in tokens[1:])
+            rows.append(data.draw(st.sampled_from(["", " ", "\t"])) + body
+                        + data.draw(st.sampled_from(["", " ", " # note", "#"])))
+        bad = data.draw(st.integers(0, n_rows - 1))
+        if flaw == "ragged":
+            rows.insert(bad + 1, " ".join(["1"] * (n + 1)))
+        elif flaw == "bad float":
+            rows[bad] = " ".join(["1"] * (n - 1) + [data.draw(
+                st.sampled_from(["x1", "1..2", "1e", "--3", "0x10"]))])
+        elif flaw == "non-finite":
+            rows[bad] = " ".join(["1"] * (n - 1) + [data.draw(
+                st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]))])
+        elif flaw == "empty":
+            rows = []
+        lines = []
+        for row in rows:
+            lines += data.draw(st.lists(st.sampled_from(["", "# c", "  ", "\t# c"]),
+                                        max_size=2))
+            lines.append(row)
+        path = tmp_path_factory.mktemp("xyz") / "c.xyz"
+        path.write_bytes(newline.join(lines + [""]).encode())
+
+        def outcome(read):
+            try:
+                values = read(path)
+                return values.shape, values.dtype, values.tobytes()
+            except FileFormatError as e:
+                return str(e), e.line
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(vio.read_xyz)
+        assert got == outcome(reference_read_xyz)
+        assert (len(got) == 3) == (flaw is None)
 
 
     def test_golden_bytes(self, tmp_path):
