@@ -6,9 +6,10 @@ Two subcommands:
              pipeline, and write a CSV report and/or a colorized ply;
 * ``sample`` synthesize a shape sample and write the bare cloud.
 
-``run --input`` reads ply when the file's first line is ``ply``, else xyz
-with as many dimensions as columns.  ``--tangent-mode auto`` takes the
-planes of a shape or of ply normals and estimates them otherwise.
+``run --input`` reads the file with ``io.read_cloud``: ply when its first
+line is ``ply``, else xyz with as many dimensions as columns; ply vertex
+lines follow the xyz field rule.  ``--tangent-mode auto`` takes the planes
+of a shape or of ply normals and estimates them otherwise.
 
 Masses are all ones (``--mass-mode uniform``, the default) or
 omega_d r^d / n_mass from each point's ``--n-mass``-point ball (``nmass``);
@@ -136,10 +137,7 @@ def _load_cloud(args):
         return positions, planes, query, d
 
     d = args.d
-    with open(args.input) as fh:
-        ply = fh.readline().strip() == "ply"
-    positions, normals = (vio.read_ply(args.input) if ply
-                          else (vio.read_xyz(args.input), None))
+    positions, normals = vio.read_cloud(args.input)
     n = positions.shape[1]
     if not 1 <= d <= n <= 10:
         raise InvalidInputError(f"need 1 <= d <= n <= 10, got d={d}, n={n}")

@@ -1,13 +1,13 @@
 """Point-cloud file formats and report output.
 
-Formats:
+Formats (``read_cloud`` reads ply if the first line, stripped, is ``ply``):
 
 * xyz: one point per line, whitespace-separated floats (n columns),
-  '#' starts a comment; numpy's C reader parses a valid file, and a file it
-  rejects is parsed again line by line to name the first bad line;
+  '#' starts a comment; a malformed row is rejected with its line;
 * ply (ascii 1.0): vertex element with float x, y, z; optional float
   nx, ny, nz normals, which must be non-zero (used as tangent-plane hints
-  in codimension 1);
+  in codimension 1); each vertex line is an xyz row with exactly as many
+  fields as the vertex element has properties;
   the writer adds uchar red, green, blue and float quality.
 
 CSV reports print floats with 9 significant digits so repeated runs are
@@ -17,9 +17,7 @@ round trip reproduces positions to well below 1e-6.
 
 from __future__ import annotations
 
-import math
 import re
-from io import StringIO
 
 import numpy as np
 
@@ -47,46 +45,43 @@ def _write_rows(fh, row_fmt: str, values: np.ndarray, status=None) -> None:
         fh.write("".join(row_fmt % row for row in rows))
 
 
-# ---------------------------------------------------------------- xyz
+# ---------------------------------------------------------------- input
 
 
-def read_xyz(path) -> np.ndarray:
-    """Read an xyz cloud; returns (N, n) positions, n its column count.
-
-    numpy's C reader parses the file.  A file it rejects, or one holding a
-    NaN or infinite value, is parsed again line by line, which names the
-    first bad line: a row of another width, a bad float or a non-finite
-    value.
-    """
+def read_cloud(path) -> tuple[np.ndarray, np.ndarray | None]:
+    """(positions, normals or None) of a ply file, one whose first line is
+    ``ply``, or else of an xyz file."""
     with open(path, "r") as fh:
-        text = fh.read()
-    # loadtxt warns on a file without data; the line parser reports it
-    if _DATA_LINE.search(text):
-        try:
-            values = np.loadtxt(StringIO(text), comments="#", ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(values).all():
-                return values
-    return _parse_xyz_lines(StringIO(text))
+        ply = fh.readline().strip() == "ply"
+    return read_ply(path) if ply else (read_xyz(path), None)
 
 
 # A line whose first non-blank character does not start a comment.
-_DATA_LINE = re.compile(r"^\s*[^\s#]", re.MULTILINE)
+_DATA_LINE = re.compile(r"\s*[^\s#]")
 
 
-def _parse_xyz_lines(lines) -> np.ndarray:
-    """The xyz rows of ``lines``; raises at the first malformed one."""
+def _parse_rows(lines, first: int) -> np.ndarray:
+    """The float rows of ``lines``, whose first is line ``first`` of its file:
+    (N, w), or (0, 0) without data.  Lines numpy's C reader rejects, or a NaN
+    or inf, are parsed again one by one to name the first bad line: another
+    width than the first row's, a bad float or a non-finite value."""
+    # loadtxt warns on lines without data
+    if not any(map(_DATA_LINE.match, lines)):
+        return np.empty((0, 0))
+    try:
+        values = np.loadtxt(lines, comments="#", ndmin=2)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
     rows = []
     width = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=first):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         parts = body.split()
-        if width is None:
-            width = len(parts)
+        width = width or len(parts)
         if len(parts) != width:
             raise FileFormatError(
                 f"expected {width} columns, found {len(parts)}", line=lineno
@@ -95,12 +90,19 @@ def _parse_xyz_lines(lines) -> np.ndarray:
             row = [float(p) for p in parts]
         except ValueError:
             raise FileFormatError(f"bad float in {body!r}", line=lineno) from None
-        if not all(map(math.isfinite, row)):
+        if not np.isfinite(row).all():
             raise FileFormatError(f"non-finite value in {body!r}", line=lineno)
         rows.append(row)
-    if not rows:
-        raise FileFormatError("no points found in xyz file")
     return np.asarray(rows)
+
+
+def read_xyz(path) -> np.ndarray:
+    """Read an xyz cloud; returns (N, n) positions, n its column count."""
+    with open(path, "r") as fh:
+        values = _parse_rows(fh.readlines(), 1)
+    if not len(values):
+        raise FileFormatError("no points found in xyz file")
+    return values
 
 
 def write_xyz(path, positions: np.ndarray) -> None:
@@ -116,16 +118,19 @@ def write_xyz(path, positions: np.ndarray) -> None:
 def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Read an ascii ply; returns (positions (N,3), normals (N,3) or None).
 
-    Malformed header lines, NaN or infinite coordinates or normals, and
-    zero-length normals are rejected with their line.
+    Vertex lines follow those of the elements declared before the vertex
+    element, one per instance.  Malformed header lines, an empty vertex
+    element, malformed or missing vertex lines and zero normals are rejected
+    with their line.
     """
     with open(path, "r") as fh:
         lines = fh.readlines()
     if not lines or lines[0].strip() != "ply":
         raise FileFormatError("missing 'ply' magic", line=1)
     n_vertex = None
+    before = 0  # lines of the elements declared before the vertex element
     props: list[str] = []
-    header_end = None
+    start = None  # lines before the vertex body
     in_vertex = False
     for i, line in enumerate(lines[1:], start=2):
         tok = line.split()
@@ -142,42 +147,38 @@ def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
             in_vertex = tok[1] == "vertex"
             if in_vertex:
                 n_vertex = int(tok[2])
+                if n_vertex == 0:
+                    raise FileFormatError("no points found in ply file", line=i)
+            elif n_vertex is None:
+                before += int(tok[2])
         elif tok[0] == "property" and in_vertex:
             props.append(tok[-1])
         elif tok[0] == "end_header":
-            header_end = i
+            start = i + before
             break
-    if header_end is None or n_vertex is None:
+    if start is None or n_vertex is None:
         raise FileFormatError("truncated ply header")
     for needed in ("x", "y", "z"):
         if needed not in props:
             raise FileFormatError(f"vertex element lacks property {needed!r}")
-    cols = {name: j for j, name in enumerate(props)}
-    has_normals = all(k in cols for k in ("nx", "ny", "nz"))
-    fields = ("x", "y", "z", "nx", "ny", "nz") if has_normals else ("x", "y", "z")
-    positions = np.empty((n_vertex, 3))
-    normals = np.empty((n_vertex, 3)) if has_normals else None
-    for row in range(n_vertex):
-        lineno = header_end + 1 + row
-        if lineno > len(lines):
-            raise FileFormatError("fewer vertex lines than declared", line=lineno)
-        parts = lines[lineno - 1].split()
-        if len(parts) < len(props):
-            raise FileFormatError(
-                f"expected {len(props)} fields, found {len(parts)}", line=lineno
-            )
-        try:
-            values = [float(parts[cols[k]]) for k in fields]
-        except ValueError:
-            raise FileFormatError("bad float in vertex line", line=lineno) from None
-        if not all(map(math.isfinite, values)):
-            raise FileFormatError("non-finite value in vertex line", line=lineno)
-        positions[row] = values[:3]
-        if has_normals:
-            # the squared length as the CLI computes it before normalizing
-            if sum(v * v for v in values[3:]) == 0.0:
-                raise FileFormatError("zero-length normal", line=lineno)
-            normals[row] = values[3:]
+    body = lines[start:start + n_vertex]
+    values = _parse_rows(body, start + 1)
+    if len(values) < n_vertex:  # a line without data, or the end of the file
+        row = [*map(_DATA_LINE.match, body), None].index(None)
+        raise FileFormatError("fewer vertex lines than declared", line=start + 1 + row)
+    if values.shape[1] != len(props):
+        raise FileFormatError(
+            f"expected {len(props)} fields, found {values.shape[1]}", line=start + 1
+        )
+    positions = values.take([props.index(k) for k in ("x", "y", "z")], axis=1)
+    if not all(k in props for k in ("nx", "ny", "nz")):
+        return positions, None
+    normals = values.take([props.index(k) for k in ("nx", "ny", "nz")], axis=1)
+    # the squared length as the CLI computes it before normalizing
+    with np.errstate(over="ignore"):  # inf is not zero
+        zero = np.flatnonzero((normals * normals).sum(axis=1) == 0.0)
+    if zero.size:
+        raise FileFormatError("zero-length normal", line=start + 1 + int(zero[0]))
     return positions, normals
 
 

@@ -15,8 +15,9 @@ how close the batched planes can be asked to come.  The per-point
 estimator raises :class:`IsolatedPointError` where the batched engine
 flags a row.  ``plane_frames``
 decomposes codimension-1 planes on its own, as the check of the frames
-that ``validate_cloud`` gives a cloud.  ``reference_read_xyz`` parses an
-xyz file one line at a time, as the check of ``io.read_xyz``.
+that ``validate_cloud`` gives a cloud.  ``reference_read_xyz`` and
+``reference_read_ply`` parse a file one line at a time, as the checks of
+``io.read_xyz`` and ``io.read_ply``.
 """
 
 from dataclasses import dataclass
@@ -382,3 +383,91 @@ def reference_read_xyz(path) -> np.ndarray:
     if not rows:
         raise FileFormatError("no points found in xyz file")
     return np.asarray(rows)
+
+
+def reference_read_ply(path):
+    """An ascii ply parsed one vertex line at a time: (positions (N,3),
+    normals (N,3) or None), or a :class:`FileFormatError` naming the first
+    bad line.  Each vertex line is held to the xyz rule: as many fields as
+    the first vertex line, then as many as the vertex element declares."""
+    with open(path, "r") as fh:
+        lines = fh.readlines()
+    if not lines or lines[0].strip() != "ply":
+        raise FileFormatError("missing 'ply' magic", line=1)
+    n_vertex = None
+    before = 0
+    props: list[str] = []
+    header_end = None
+    in_vertex = False
+    for i, line in enumerate(lines[1:], start=2):
+        tok = line.split()
+        if not tok:
+            continue
+        if tok[0] == "format":
+            if len(tok) < 2 or tok[1] != "ascii":
+                raise FileFormatError("only ascii 1.0 ply is supported", line=i)
+        elif tok[0] == "element":
+            if len(tok) != 3 or not tok[2].isdecimal():
+                raise FileFormatError(
+                    "expected 'element <name> <count>' with count >= 0", line=i
+                )
+            in_vertex = tok[1] == "vertex"
+            if in_vertex:
+                n_vertex = int(tok[2])
+                if n_vertex == 0:
+                    raise FileFormatError("no points found in ply file", line=i)
+            elif n_vertex is None:
+                before += int(tok[2])
+        elif tok[0] == "property" and in_vertex:
+            props.append(tok[-1])
+        elif tok[0] == "end_header":
+            header_end = i
+            break
+    if header_end is None or n_vertex is None:
+        raise FileFormatError("truncated ply header")
+    for needed in ("x", "y", "z"):
+        if needed not in props:
+            raise FileFormatError(f"vertex element lacks property {needed!r}")
+    cols = {name: j for j, name in enumerate(props)}
+    has_normals = all(k in cols for k in ("nx", "ny", "nz"))
+    first = header_end + before + 1
+    rows = []
+    width = None
+    missing = None  # the first body line that holds no vertex
+    for lineno in range(first, first + n_vertex):
+        if lineno > len(lines):
+            missing = missing or lineno
+            break
+        body = lines[lineno - 1].split("#", 1)[0].strip()
+        if not body:
+            missing = missing or lineno
+            continue
+        parts = body.split()
+        if width is None:
+            width = len(parts)
+        if len(parts) != width:
+            raise FileFormatError(
+                f"expected {width} columns, found {len(parts)}", line=lineno
+            )
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            raise FileFormatError(f"bad float in {body!r}", line=lineno) from None
+        if not all(map(isfinite, row)):
+            raise FileFormatError(f"non-finite value in {body!r}", line=lineno)
+        rows.append(row)
+    if missing is not None:
+        raise FileFormatError("fewer vertex lines than declared", line=missing)
+    if width != len(props):
+        raise FileFormatError(f"expected {len(props)} fields, found {width}",
+                              line=first)
+    positions = np.array([[row[cols[k]] for k in ("x", "y", "z")] for row in rows])
+    if not has_normals:
+        return positions, None
+    normals = np.empty((n_vertex, 3))
+    for r, row in enumerate(rows):
+        values = [row[cols[k]] for k in ("nx", "ny", "nz")]
+        if sum(v * v for v in values) == 0.0:
+            raise FileFormatError("zero-length normal", line=first + r)
+        normals[r] = values
+    return positions, normals

@@ -211,6 +211,36 @@ class TestRunFromFile:
         assert capsys.readouterr().err.startswith("error: line 3:")
         assert not (tmp_path / "o.csv").exists()
 
+    def test_empty_ply_exit_code(self, tmp_path, capsys):
+        ply = tmp_path / "c.ply"
+        ply.write_text("ply\nformat ascii 1.0\nelement vertex 0\n"
+                       "property float x\nproperty float y\nproperty float z\n"
+                       "end_header\n")
+        capsys.readouterr()
+        assert run_cli("run", "--input", str(ply),
+                       "--csv", str(tmp_path / "o.csv")) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: line 3: no points found in ply file")
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("magic", ["ply\r\n", "ply  \n", "plyx\n"])
+    def test_first_line_picks_reader(self, tmp_path, capsys, magic):
+        # the stripped first line 'ply' picks the ply reader, anything else xyz
+        sample = vc.Sphere(1.0).sample(100, seed=2)
+        ply = tmp_path / "c.ply"
+        vc.io.write_ply(ply, sample.cloud.positions, normals=sample.normals)
+        ply.write_bytes(magic.encode() + ply.read_bytes().split(b"\n", 1)[1])
+        out = tmp_path / "o.csv"
+        capsys.readouterr()
+        code = run_cli("run", "--input", str(ply), "--k", "10", "--csv", str(out))
+        if magic == "plyx\n":
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error: line 1: bad float")
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert len(csv_status(out)) == 100
+
     def test_zero_normal_exit_code(self, tmp_path, capsys):
         sample = vc.Torus(2.0, 0.5).sample(200, seed=4)
         normals = sample.normals.copy()

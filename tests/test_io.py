@@ -2,14 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import varicurv.io as vio
 from varicurv.errors import FileFormatError
 from varicurv.estimator import CurvatureReport
 
-from system_reference import reference_read_xyz
+from system_reference import reference_read_ply, reference_read_xyz
 
 NAN, INF = np.nan, np.inf
 # zeros of both signs, a subnormal, extreme exponents, more than 9 digits
@@ -284,6 +284,102 @@ class TestPly:
         with pytest.raises(FileFormatError) as err:
             vio.read_ply(path)
         assert err.value.line == slot + 1
+
+    def test_element_before_vertex(self, tmp_path):
+        # the face line comes first in the body and is not a vertex
+        path = tmp_path / "c.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement face 1\n"
+            "property list uchar int vertex_indices\nelement vertex 3\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n"
+            "3 0 1 2\n0 0 0\n1 0 0\n0 1 0\n"
+        )
+        positions, normals = vio.read_ply(path)
+        assert positions.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+        assert normals is None
+
+    def test_no_vertices(self, tmp_path):
+        path = tmp_path / "c.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 0\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FileFormatError, match="no points found") as err:
+                vio.read_ply(path)
+        assert err.value.line == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(1, 6), normals=st.booleans(),
+           extra=st.sampled_from([[], ["quality"], ["red", "green", "blue"]]),
+           face=st.sampled_from([None, "before", "after"]),
+           flaw=st.sampled_from([None, "ragged", "bad float", "non-finite",
+                                 "zero normal", "truncated"]),
+           newline=st.sampled_from(["\n", "\r\n"]))
+    def test_matches_line_parser(self, tmp_path_factory, data, n_rows, normals,
+                                 extra, face, flaw, newline):
+        # the same arrays bit for bit, or the same error on the same line,
+        # and no warning either way
+        assume(normals or flaw != "zero normal")
+        names = data.draw(st.permutations(
+            ["x", "y", "z"] + (["nx", "ny", "nz"] if normals else []) + extra))
+        spelled = st.sampled_from([repr, "{:.17g}".format, "{:e}".format,
+                                   "{:.3E}".format, "{:+.0f}".format])
+        # finite however spelled; nz keeps each normal's squared length non-zero
+        number = {"nz": st.floats(1, 1e150), "red": st.integers(0, 255),
+                  "green": st.integers(0, 255), "blue": st.integers(0, 255)}
+        rows = []
+        for _ in range(n_rows):
+            tokens = [data.draw(spelled)(data.draw(
+                number.get(k, st.floats(-1e300, 1e300)))) for k in names]
+            rows.append(tokens)
+        bad = data.draw(st.integers(0, n_rows - 1))
+        column = data.draw(st.integers(0, len(names) - 1))
+        if flaw == "ragged":
+            rows[bad] = rows[bad][:-1] if data.draw(st.booleans()) else rows[bad] + ["1"]
+        elif flaw == "bad float":
+            rows[bad][column] = data.draw(
+                st.sampled_from(["x1", "1..2", "1e", "--3", "0x10"]))
+        elif flaw == "non-finite":
+            rows[bad][column] = data.draw(
+                st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]))
+        elif flaw == "zero normal":
+            for k in ("nx", "ny", "nz"):
+                rows[bad][names.index(k)] = data.draw(
+                    st.sampled_from(["0", "-0", "0.0", "0e5"]))
+        gap = st.sampled_from([" ", "\t", "  "])
+        body = [data.draw(st.sampled_from(["", " "])) + tokens[0]
+                + "".join(data.draw(gap) + t for t in tokens[1:])
+                + data.draw(st.sampled_from(["", " ", " # note"])) for tokens in rows]
+        faces = ["3 0 1 2"] * data.draw(st.integers(1, 2))
+        header = ["ply", "format ascii 1.0", "comment drawn"]
+        face_header = [f"element face {len(faces)}",
+                       "property list uchar int vertex_indices"]
+        header += face_header if face == "before" else []
+        header += [f"element vertex {n_rows}"] + [f"property float {k}" for k in names]
+        header += face_header if face == "after" else []
+        header.append("end_header")
+        lines = header + (faces if face == "before" else []) + body
+        lines += faces if face == "after" else []
+        if flaw == "truncated":  # the file ends inside the vertex body
+            lines = lines[:len(lines) - len(faces) * (face == "after") - 1]
+        path = tmp_path_factory.mktemp("ply") / "c.ply"
+        path.write_bytes(newline.join(lines + [""]).encode())
+
+        def outcome(read):
+            try:
+                return [None if a is None else
+                        (a.shape, a.dtype, a.flags.c_contiguous, a.tobytes())
+                        for a in read(path)]
+            except FileFormatError as e:
+                return str(e), e.line
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(vio.read_ply)
+        assert got == outcome(reference_read_ply)
+        assert isinstance(got, list) == (flaw is None)
 
     def test_binary_rejected(self, tmp_path):
         path = tmp_path / "c.ply"
