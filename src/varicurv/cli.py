@@ -8,7 +8,8 @@ Two subcommands:
 
 ``run --input`` reads the file with ``io.read_cloud``: ply when its first
 line is ``ply``, else xyz with as many dimensions as columns; ply vertex
-lines follow the xyz field rule.  ``--tangent-mode auto`` takes the planes
+lines follow the xyz field rule, with NaN allowed in the fields not read,
+so a ``--ply`` output reads back.  ``--tangent-mode auto`` takes the planes
 of a shape or of ply normals and estimates them otherwise.
 
 Masses are all ones (``--mass-mode uniform``, the default) or
@@ -116,12 +117,10 @@ def _load_cloud(args):
     """Returns (positions, planes-or-None, query, d)."""
     if (args.input is None) == (args.shape is None):
         raise InvalidInputError("provide exactly one of --input or --shape")
-    if args.k is None and args.epsilon is None:
-        query = NeighborQuery.knn(40)
-    elif args.epsilon is not None:
+    if args.epsilon is not None:
         query = NeighborQuery.radius(args.epsilon)
     else:
-        query = NeighborQuery.knn(args.k)
+        query = NeighborQuery.knn(40 if args.k is None else args.k)
 
     if args.shape is not None:
         shape = _build_shape(args)

@@ -7,8 +7,9 @@ Formats (``read_cloud`` reads ply if the first line, stripped, is ``ply``):
 * ply (ascii 1.0): vertex element with float x, y, z; optional float
   nx, ny, nz normals, which must be non-zero (used as tangent-plane hints
   in codimension 1); each vertex line is an xyz row with exactly as many
-  fields as the vertex element has properties;
-  the writer adds uchar red, green, blue and float quality.
+  fields as the vertex element has properties, of which only x, y, z and
+  the normals must be finite; the writer adds uchar red, green, blue and
+  float quality.
 
 CSV reports print floats with 9 significant digits so repeated runs are
 byte-identical; xyz/ply writers use the same precision, so a write/read
@@ -60,37 +61,38 @@ def read_cloud(path) -> tuple[np.ndarray, np.ndarray | None]:
 _DATA_LINE = re.compile(r"\s*[^\s#]")
 
 
-def _parse_rows(lines, first: int) -> np.ndarray:
+def _parse_rows(lines, first: int, width=None, finite=slice(None)) -> np.ndarray:
     """The float rows of ``lines``, whose first is line ``first`` of its file:
-    (N, w), or (0, 0) without data.  Lines numpy's C reader rejects, or a NaN
-    or inf, are parsed again one by one to name the first bad line: another
-    width than the first row's, a bad float or a non-finite value."""
+    (N, w), or (0, 0) without data.  Lines numpy's C reader rejects, another
+    width than ``width`` (by default the first row's) or a NaN or inf in the
+    columns ``finite`` are parsed again one by one to name the first bad
+    line: a wrong column count, a bad float or a non-finite value."""
     # loadtxt warns on lines without data
     if not any(map(_DATA_LINE.match, lines)):
         return np.empty((0, 0))
     try:
         values = np.loadtxt(lines, comments="#", ndmin=2)
-        if np.isfinite(values).all():
+        if width in (None, values.shape[1]) and np.isfinite(values[:, finite]).all():
             return values
     except ValueError:
         pass
     rows = []
-    width = None
     for lineno, line in enumerate(lines, start=first):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         parts = body.split()
-        width = width or len(parts)
+        if width is None:
+            width = len(parts)
         if len(parts) != width:
             raise FileFormatError(
                 f"expected {width} columns, found {len(parts)}", line=lineno
             )
         try:
-            row = [float(p) for p in parts]
+            row = np.array([float(p) for p in parts])
         except ValueError:
             raise FileFormatError(f"bad float in {body!r}", line=lineno) from None
-        if not np.isfinite(row).all():
+        if not np.isfinite(row[finite]).all():
             raise FileFormatError(f"non-finite value in {body!r}", line=lineno)
         rows.append(row)
     return np.asarray(rows)
@@ -120,8 +122,8 @@ def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
 
     Vertex lines follow those of the elements declared before the vertex
     element, one per instance.  Malformed header lines, an empty vertex
-    element, malformed or missing vertex lines and zero normals are rejected
-    with their line.
+    element, malformed or missing vertex lines, a NaN or inf in a field
+    read (x, y, z, nx, ny, nz) and zero normals are rejected with their line.
     """
     with open(path, "r") as fh:
         lines = fh.readlines()
@@ -161,19 +163,21 @@ def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
     for needed in ("x", "y", "z"):
         if needed not in props:
             raise FileFormatError(f"vertex element lacks property {needed!r}")
+    names = ["x", "y", "z"]
+    if all(k in props for k in ("nx", "ny", "nz")):
+        names += ["nx", "ny", "nz"]
+    cols = [props.index(k) for k in names]
     body = lines[start:start + n_vertex]
-    values = _parse_rows(body, start + 1)
+    # only the fields read must be finite: the writer's quality may be NaN
+    values = _parse_rows(body, start + 1, len(props), cols)
     if len(values) < n_vertex:  # a line without data, or the end of the file
-        row = [*map(_DATA_LINE.match, body), None].index(None)
+        row = next((r for r, line in enumerate(body) if not _DATA_LINE.match(line)),
+                   len(body))
         raise FileFormatError("fewer vertex lines than declared", line=start + 1 + row)
-    if values.shape[1] != len(props):
-        raise FileFormatError(
-            f"expected {len(props)} fields, found {values.shape[1]}", line=start + 1
-        )
-    positions = values.take([props.index(k) for k in ("x", "y", "z")], axis=1)
-    if not all(k in props for k in ("nx", "ny", "nz")):
+    positions = values.take(cols[:3], axis=1)
+    if len(cols) == 3:
         return positions, None
-    normals = values.take([props.index(k) for k in ("nx", "ny", "nz")], axis=1)
+    normals = values.take(cols[3:], axis=1)
     # the squared length as the CLI computes it before normalizing
     with np.errstate(over="ignore"):  # inf is not zero
         zero = np.flatnonzero((normals * normals).sum(axis=1) == 0.0)
@@ -191,24 +195,20 @@ def write_ply(
 ) -> None:
     """Write an ascii ply with optional normals, uchar RGB, float quality."""
     positions = np.atleast_2d(positions)
-    n = positions.shape[0]
-    header = ["ply", "format ascii 1.0", f"element vertex {n}"]
-    header += [f"property float {k}" for k in ("x", "y", "z")]
-    columns = [positions]
-    formats = [FLOAT_FMT] * positions.shape[1]
-    if normals is not None:
-        header += [f"property float {k}" for k in ("nx", "ny", "nz")]
-        columns.append(normals)
-        formats += [FLOAT_FMT] * normals.shape[1]
-    if colors is not None:
-        header += [f"property uchar {k}" for k in ("red", "green", "blue")]
+    header = ["ply", "format ascii 1.0", f"element vertex {len(positions)}"]
+    columns = []
+    formats = []
+    for kind, fmt, names, column in [
+        ("float", FLOAT_FMT, ("x", "y", "z"), positions),
+        ("float", FLOAT_FMT, ("nx", "ny", "nz"), normals),
         # the float column stack holds uchar values exactly; %d prints them
-        columns.append(colors)
-        formats += ["%d"] * colors.shape[1]
-    if quality is not None:
-        header.append("property float quality")
-        columns.append(quality)
-        formats.append(FLOAT_FMT)
+        ("uchar", "%d", ("red", "green", "blue"), colors),
+        ("float", FLOAT_FMT, ("quality",), quality),
+    ]:
+        if column is not None:
+            header += [f"property {kind} {k}" for k in names]
+            formats += [fmt] * len(names)
+            columns.append(column)
     header.append("end_header")
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")

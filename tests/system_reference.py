@@ -388,8 +388,9 @@ def reference_read_xyz(path) -> np.ndarray:
 def reference_read_ply(path):
     """An ascii ply parsed one vertex line at a time: (positions (N,3),
     normals (N,3) or None), or a :class:`FileFormatError` naming the first
-    bad line.  Each vertex line is held to the xyz rule: as many fields as
-    the first vertex line, then as many as the vertex element declares."""
+    bad line.  Each vertex line is held to the xyz rule, with as many fields
+    as the vertex element declares; only the fields read (x, y, z and the
+    normals) must be finite."""
     with open(path, "r") as fh:
         lines = fh.readlines()
     if not lines or lines[0].strip() != "ply":
@@ -430,9 +431,9 @@ def reference_read_ply(path):
             raise FileFormatError(f"vertex element lacks property {needed!r}")
     cols = {name: j for j, name in enumerate(props)}
     has_normals = all(k in cols for k in ("nx", "ny", "nz"))
+    fields = ("x", "y", "z", "nx", "ny", "nz") if has_normals else ("x", "y", "z")
     first = header_end + before + 1
     rows = []
-    width = None
     missing = None  # the first body line that holds no vertex
     for lineno in range(first, first + n_vertex):
         if lineno > len(lines):
@@ -443,24 +444,19 @@ def reference_read_ply(path):
             missing = missing or lineno
             continue
         parts = body.split()
-        if width is None:
-            width = len(parts)
-        if len(parts) != width:
+        if len(parts) != len(props):
             raise FileFormatError(
-                f"expected {width} columns, found {len(parts)}", line=lineno
+                f"expected {len(props)} columns, found {len(parts)}", line=lineno
             )
         try:
             row = [float(p) for p in parts]
         except ValueError:
             raise FileFormatError(f"bad float in {body!r}", line=lineno) from None
-        if not all(map(isfinite, row)):
+        if not all(isfinite(row[cols[k]]) for k in fields):
             raise FileFormatError(f"non-finite value in {body!r}", line=lineno)
         rows.append(row)
     if missing is not None:
         raise FileFormatError("fewer vertex lines than declared", line=missing)
-    if width != len(props):
-        raise FileFormatError(f"expected {len(props)} fields, found {width}",
-                              line=first)
     positions = np.array([[row[cols[k]] for k in ("x", "y", "z")] for row in rows])
     if not has_normals:
         return positions, None

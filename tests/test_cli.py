@@ -223,6 +223,21 @@ class TestRunFromFile:
             "error: line 3: no points found in ply file")
         assert not (tmp_path / "o.csv").exists()
 
+    def test_colored_ply_reads_back(self, tmp_path, capsys):
+        # a flagged point's quality is written as nan; the output of one
+        # run is the input of the next
+        sample = vc.Sphere(1.0).sample(200, seed=3)
+        xyz = tmp_path / "far.xyz"
+        vc.io.write_xyz(xyz, np.vstack([sample.cloud.positions, [[5.0, 5.0, 5.0]]]))
+        ply = tmp_path / "far.ply"
+        assert run_cli("run", "--input", str(xyz), "--epsilon", "0.5",
+                       "--csv", str(tmp_path / "a.csv"), "--ply", str(ply)) == 0
+        assert ply.read_text().splitlines()[-1].endswith(" nan")
+        out = tmp_path / "b.csv"
+        assert run_cli("run", "--input", str(ply), "--epsilon", "0.5",
+                       "--csv", str(out)) == 0
+        assert (tmp_path / "a.csv").read_bytes() == out.read_bytes()
+
     @pytest.mark.parametrize("magic", ["ply\r\n", "ply  \n", "plyx\n"])
     def test_first_line_picks_reader(self, tmp_path, capsys, magic):
         # the stripped first line 'ply' picks the ply reader, anything else xyz
