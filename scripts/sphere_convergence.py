@@ -30,7 +30,7 @@ def main():
         tangent_mode=args.tangent_mode,
         seed=args.seed,
     )
-    result = run_convergence(schedule, collect_aperp_error=True)
+    result = run_convergence(schedule)
     print(result.table())
     print(f"orthogonal-tensor error rate (log-log slope): "
           f"{result.aperp_slope():.3f}")

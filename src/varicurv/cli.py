@@ -9,8 +9,10 @@ Two subcommands:
 ``run --input`` reads the file with ``io.read_cloud``: ply when its first
 line is ``ply``, else xyz with as many dimensions as columns; ply vertex
 lines follow the xyz field rule, with NaN allowed in the fields not read,
-so a ``--ply`` output reads back.  ``--tangent-mode auto`` takes the planes
-of a shape or of ply normals and estimates them otherwise.
+so a ``--ply`` output reads back.  ``--d`` defaults to the input's own
+dimension, the shape's or the file's columns minus one.  ``--tangent-mode
+auto`` takes the planes of a shape or of the unit ply normals ``io`` returns
+and estimates them otherwise.
 
 Masses are all ones (``--mass-mode uniform``, the default) or
 omega_d r^d / n_mass from each point's ``--n-mass``-point ball (``nmass``);
@@ -89,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="estimate curvatures and write reports")
     run.add_argument("--input", help="input cloud path (xyz or ply)")
     _add_shape_args(run)
-    run.add_argument("--d", type=int, default=2, help="intrinsic dimension")
+    run.add_argument("--d", type=int, help="intrinsic dimension (default: the input's)")
     grp = run.add_mutually_exclusive_group()
     grp.add_argument("--k", type=int, default=None,
                      help="neighbors per point (default 40)")
@@ -127,23 +129,20 @@ def _load_cloud(args):
         sample = shape.sample(args.n_points, noise_sigma=args.noise,
                               seed=args.seed)
         d = shape.dim_d
-        if args.d != d:
-            raise InvalidInputError(
-                f"--d {args.d} does not match shape dimension {d}"
-            )
+        if args.d not in (None, d):
+            raise InvalidInputError(f"--d {args.d} does not match shape dimension {d}")
         positions = sample.cloud.positions
         planes = None if args.tangent_mode == "estimated" else sample.cloud.planes
         return positions, planes, query, d
 
-    d = args.d
     positions, normals = vio.read_cloud(args.input)
     n = positions.shape[1]
+    d = n - 1 if args.d is None else args.d
     if not 1 <= d <= n <= 10:
         raise InvalidInputError(f"need 1 <= d <= n <= 10, got d={d}, n={n}")
     planes = None
     if normals is not None and d == n - 1 and args.tangent_mode == "auto":
-        unit = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-        planes = np.eye(n)[None] - np.einsum("li,lj->lij", unit, unit)
+        planes = np.eye(n)[None] - np.einsum("li,lj->lij", normals, normals)
     return positions, planes, query, d
 
 

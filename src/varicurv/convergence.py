@@ -4,8 +4,9 @@ A schedule is a list of (sample size, neighbor query) rows over one analytic
 shape.  For each row the harness samples the shape, resolves the neighbor
 query once, optionally re-estimates tangent planes from the (noisy)
 positions, runs the curvature report, and compares against the shape's
-exact curvatures.  Principal-curvature errors are computed after aligning
-the arbitrary per-point sign of the estimate with the ground truth.
+exact curvatures, and ``a_perp`` against its ``gradient_tensor`` if it has
+one.  Principal-curvature errors are computed after aligning the arbitrary
+per-point sign of the estimate with the ground truth.
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ class ConvergenceResult:
         return np.array([r.eps_median for r in self.rows])
 
     def aperp_slope(self) -> float:
+        if all(r.aperp_median is None for r in self.rows):
+            raise InvalidInputError("no row holds an a_perp error (no gradient_tensor)")
         errs = np.array([r.aperp_median for r in self.rows], dtype=float)
         return fit_loglog_slope(self.eps_values(), errs)
 
@@ -152,42 +155,36 @@ def _row_cloud(schedule: ConvergenceSchedule, row: ScheduleRow, row_id: int):
 def run_convergence(
     schedule: ConvergenceSchedule,
     kernels: KernelPair | None = None,
-    collect_aperp_error: bool = False,
     compare_variants: bool = False,
 ) -> ConvergenceResult:
     """Execute a schedule and collect error statistics per row.
 
-    ``collect_aperp_error`` additionally compares the orthogonal curvature
-    tensor against the shape's exact gradient-form tensor (shapes that
-    provide one), enabling a log-log rate fit.  ``compare_variants`` also
+    When the shape has an exact gradient-form tensor, each row also holds
+    the orthogonal tensor's error against it, for
+    :meth:`ConvergenceResult.aperp_slope`.  ``compare_variants`` also
     runs the averaged-direction pipeline for a paired comparison; both
     variants come from one :func:`curvature_report` call per row, which sums
     each chunk's pairs once for the two.  ``kernels`` of None takes the
     report's default pair for each row's cloud.
     """
-    shape = schedule.shape
-    if collect_aperp_error and not hasattr(shape, "gradient_tensor"):
-        raise InvalidInputError(
-            f"shape {shape.name!r} has no exact gradient-form tensor to compare"
-        )
     result = ConvergenceResult()
     for row_id, row in enumerate(schedule.rows):
         # one call per row: nothing of a row stays alive while the next runs
-        result.rows.append(_row_result(
-            schedule, row, row_id, kernels, collect_aperp_error, compare_variants
-        ))
+        result.rows.append(
+            _row_result(schedule, row, row_id, kernels, compare_variants))
     return result
 
 
 def _row_result(
     schedule: ConvergenceSchedule, row: ScheduleRow, row_id: int,
-    kernels: KernelPair | None, collect_aperp_error: bool, compare_variants: bool,
+    kernels: KernelPair | None, compare_variants: bool,
 ) -> RowResult:
     cloud, sample, ambiguous, neighbors = _row_cloud(schedule, row, row_id)
     variants = ("orthogonal", "averaged") if compare_variants else "orthogonal"
+    exact_tensor = getattr(schedule.shape, "gradient_tensor", None)
     report = curvature_report(
         cloud, neighbors, kernels=kernels, variant=variants, ambiguous=ambiguous,
-        collect_a_perp=collect_aperp_error,
+        collect_a_perp=exact_tensor is not None,
     )
     if compare_variants:
         report, alt = report
@@ -209,8 +206,8 @@ def _row_result(
         gauss_p90=float(np.percentile(g_err, 90)),
         n_warnings=report.n_warnings,
     )
-    if collect_aperp_error:
-        exact = schedule.shape.gradient_tensor(sample.base_points)
+    if exact_tensor is not None:
+        exact = exact_tensor(sample.base_points)
         # Frobenius norm: rotation-invariant, so the fitted rate does not
         # depend on the orientation of the sample
         diffs = np.linalg.norm((report.a_perp - exact).reshape(len(exact), -1),

@@ -5,11 +5,11 @@ Formats (``read_cloud`` reads ply if the first line, stripped, is ``ply``):
 * xyz: one point per line, whitespace-separated floats (n columns),
   '#' starts a comment; a malformed row is rejected with its line;
 * ply (ascii 1.0): vertex element with float x, y, z; optional float
-  nx, ny, nz normals, which must be non-zero (used as tangent-plane hints
-  in codimension 1); each vertex line is an xyz row with exactly as many
-  fields as the vertex element has properties, of which only x, y, z and
-  the normals must be finite; the writer adds uchar red, green, blue and
-  float quality.
+  nx, ny, nz normals, read back unit length (used as tangent-plane hints
+  in codimension 1), of which only an all-zero one is rejected; each
+  vertex line is an xyz row with exactly as many fields as the vertex
+  element has properties, of which only x, y, z and the normals must be
+  finite; the writer adds uchar red, green, blue and float quality.
 
 CSV reports print floats with 9 significant digits so repeated runs are
 byte-identical; xyz/ply writers use the same precision, so a write/read
@@ -123,7 +123,8 @@ def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
     Vertex lines follow those of the elements declared before the vertex
     element, one per instance.  Malformed header lines, an empty vertex
     element, malformed or missing vertex lines, a NaN or inf in a field
-    read (x, y, z, nx, ny, nz) and zero normals are rejected with their line.
+    read (x, y, z, nx, ny, nz) and all-zero normals are rejected with their
+    line.  Normals come back unit length, as ``n / |n|``.
     """
     with open(path, "r") as fh:
         lines = fh.readlines()
@@ -178,12 +179,14 @@ def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
     if len(cols) == 3:
         return positions, None
     normals = values.take(cols[3:], axis=1)
-    # the squared length as the CLI computes it before normalizing
-    with np.errstate(over="ignore"):  # inf is not zero
-        zero = np.flatnonzero((normals * normals).sum(axis=1) == 0.0)
+    scale = np.abs(normals).max(axis=1)
+    zero = np.flatnonzero(scale == 0.0)
     if zero.size:
         raise FileFormatError("zero-length normal", line=start + 1 + int(zero[0]))
-    return positions, normals
+    # scaled first where squaring the largest component over- or underflows
+    wide = (scale < 1e-150) | (scale > 1e150)
+    normals[wide] /= scale[wide, None]
+    return positions, normals / np.linalg.norm(normals, axis=1, keepdims=True)
 
 
 def write_ply(

@@ -21,7 +21,7 @@ that ``validate_cloud`` gives a cloud.  ``reference_read_xyz`` and
 """
 
 from dataclasses import dataclass
-from math import factorial, isfinite
+from math import factorial, isfinite, sqrt
 
 import numpy as np
 from scipy.integrate import quad
@@ -390,7 +390,9 @@ def reference_read_ply(path):
     normals (N,3) or None), or a :class:`FileFormatError` naming the first
     bad line.  Each vertex line is held to the xyz rule, with as many fields
     as the vertex element declares; only the fields read (x, y, z and the
-    normals) must be finite."""
+    normals) must be finite.  Each normal is divided by its Euclidean
+    length, after its largest |component| if that is below 1e-150 or above
+    1e150; only an all-zero normal is rejected."""
     with open(path, "r") as fh:
         lines = fh.readlines()
     if not lines or lines[0].strip() != "ply":
@@ -463,7 +465,12 @@ def reference_read_ply(path):
     normals = np.empty((n_vertex, 3))
     for r, row in enumerate(rows):
         values = [row[cols[k]] for k in ("nx", "ny", "nz")]
-        if sum(v * v for v in values) == 0.0:
+        scale = max(map(abs, values))
+        if scale == 0.0:
             raise FileFormatError("zero-length normal", line=first + r)
-        normals[r] = values
+        if not 1e-150 <= scale <= 1e150:
+            values = [v / scale for v in values]
+        norm = sqrt(values[0] * values[0] + values[1] * values[1]
+                    + values[2] * values[2])
+        normals[r] = [v / norm for v in values]
     return positions, normals

@@ -48,6 +48,20 @@ class TestRunFromShape:
                        "--seed", "1", "--kernel", "gaussian",
                        "--csv", str(out)) == 1
 
+    def test_d_defaults_to_shape_dimension(self, tmp_path, capsys):
+        # a circle is a curve: no --d needed, and a --d that differs is refused
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["run", "--shape", "circle", "--n-points", "500"]
+        assert run_cli(*args, "--csv", str(a)) == 0
+        assert run_cli(*args, "--d", "1", "--csv", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+        capsys.readouterr()
+        assert run_cli(*args, "--d", "2", "--csv", str(tmp_path / "c.csv")) == 1
+        assert capsys.readouterr().err == (
+            "error: --d 2 does not match shape dimension 1\n"
+        )
+        assert not (tmp_path / "c.csv").exists()
+
     def test_ply_output(self, tmp_path):
         out = tmp_path / "sphere.ply"
         code = run_cli(
@@ -96,6 +110,15 @@ class TestRunFromFile:
         gauss = np.array([float(r.split(",")[6]) for r in rows])
         assert np.nanmax(np.abs(gauss)) < 1e-8
 
+    def test_d_defaults_to_columns_minus_one(self, tmp_path):
+        xyz = tmp_path / "circle.xyz"
+        vc.io.write_xyz(xyz, vc.Circle(1.0).sample(500, seed=1).cloud.positions)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("run", "--input", str(xyz), "--csv", str(a)) == 0
+        assert run_cli("run", "--input", str(xyz), "--d", "1",
+                       "--csv", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_estimated_tangents_resolve_neighbors_once(self, tmp_path):
         # the tangent estimate, the masses and the report share one tree
         # and one resolution
@@ -130,6 +153,48 @@ class TestRunFromFile:
         out = tmp_path / "s.csv"
         code = run_cli("run", "--input", str(ply), "--d", "2", "--csv", str(out))
         assert code == 0
+
+    def test_estimated_tangents_ignore_normals(self, tmp_path):
+        # --tangent-mode estimated fits planes to the positions alone: the
+        # ply run equals the run on the same positions as xyz, and differs
+        # from the auto run on the ply's normals
+        sample = vc.Torus(2.0, 0.5).sample(500, seed=6)
+        ply, xyz = tmp_path / "torus.ply", tmp_path / "torus.xyz"
+        vc.io.write_ply(ply, sample.cloud.positions, normals=sample.normals)
+        vc.io.write_xyz(xyz, sample.cloud.positions)
+        est, pos, auto = (tmp_path / f"{k}.csv" for k in ("est", "pos", "auto"))
+        assert run_cli("run", "--input", str(ply), "--tangent-mode", "estimated",
+                       "--csv", str(est)) == 0
+        assert run_cli("run", "--input", str(xyz), "--csv", str(pos)) == 0
+        assert run_cli("run", "--input", str(ply), "--csv", str(auto)) == 0
+        assert est.read_bytes() == pos.read_bytes()
+        assert est.read_bytes() != auto.read_bytes()
+
+    @pytest.mark.parametrize("normal", ["1e200 0.3 -0.2", "1e-170 0 0"])
+    def test_ply_normal_of_any_size(self, tmp_path, normal):
+        # io returns unit normals: a normal whose squared length overflows
+        # or underflows is read without a warning, and the tiny one runs as
+        # "1 0 0" does
+        sample = vc.Torus(2.0, 0.5).sample(500, seed=4)
+        ply = tmp_path / "torus.ply"
+        vc.io.write_ply(ply, sample.cloud.positions, normals=sample.normals)
+        lines = ply.read_text().splitlines(keepends=True)
+
+        def with_normal(nx_ny_nz, path):
+            # ten header lines, then the second vertex line
+            fields = lines[11].split()
+            lines[11] = " ".join(fields[:3] + nx_ny_nz.split()) + "\n"
+            path.write_text("".join(lines))
+            return path
+
+        out, unit = tmp_path / "o.csv", tmp_path / "u.csv"
+        assert run_cli("run", "--input", str(with_normal(normal, ply)),
+                       "--csv", str(out)) == 0
+        if normal == "1e-170 0 0":
+            assert run_cli("run", "--input",
+                           str(with_normal("1 0 0", tmp_path / "unit.ply")),
+                           "--csv", str(unit)) == 0
+            assert out.read_bytes() == unit.read_bytes()
 
     def test_uniform_mass_mode(self, tmp_path):
         # uniform masses are all ones: the CSV equals the library's report

@@ -282,6 +282,26 @@ class TestPly:
         # ten header lines, then the second vertex line
         assert err.value.line == 12
 
+    def test_normals_come_back_unit(self, tmp_path):
+        # divided by their norm, or first by their largest |component| when
+        # its square would overflow or underflow, without a warning
+        names = ("x", "y", "z", "nx", "ny", "nz")
+        props = "".join(f"property float {k}\n" for k in names)
+        rows = ["0 0 0 0 0.6 0.8", "1 0 0 1e-170 0 0", "0 1 0 1e200 0.3 -4",
+                "0 0 1 0 3 4e-200"]
+        path = tmp_path / "c.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 4\n" + props + "end_header\n"
+            + "".join(r + "\n" for r in rows)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, normals = vio.read_ply(path)
+        assert normals[0].tolist() == [0.0, 0.6, 0.8]
+        assert normals[1].tolist() == [1.0, 0.0, 0.0]
+        assert np.max(np.abs(normals[2] - [1.0, 0.0, 0.0])) < 1e-15
+        assert normals[3].tolist() == [0.0, 1.0, 4e-200 / 3.0]
+
     @pytest.mark.parametrize("bad_line", [
         "element vertex abc", "format", "element vertex -2",
     ])
@@ -327,18 +347,20 @@ class TestPly:
            extra=st.sampled_from([[], ["quality"], ["red", "green", "blue"]]),
            face=st.sampled_from([None, "before", "after"]),
            flaw=st.sampled_from([None, "ragged", "bad float", "non-finite",
-                                 "zero normal", "truncated"]),
+                                 "zero normal", "huge normal", "tiny normal",
+                                 "truncated"]),
            newline=st.sampled_from(["\n", "\r\n"]))
     def test_matches_line_parser(self, tmp_path_factory, data, n_rows, normals,
                                  extra, face, flaw, newline):
         # the same arrays bit for bit, or the same error on the same line,
         # and no warning either way
-        assume(normals or flaw != "zero normal")
+        normal_flaws = ("zero normal", "huge normal", "tiny normal")
+        assume(normals or flaw not in normal_flaws)
         names = data.draw(st.permutations(
             ["x", "y", "z"] + (["nx", "ny", "nz"] if normals else []) + extra))
         spelled = st.sampled_from([repr, "{:.17g}".format, "{:e}".format,
                                    "{:.3E}".format, "{:+.0f}".format])
-        # finite however spelled; nz keeps each normal's squared length non-zero
+        # finite however spelled; nz keeps each normal non-zero
         number = {"nz": st.floats(1, 1e150), "red": st.integers(0, 255),
                   "green": st.integers(0, 255), "blue": st.integers(0, 255)}
         rows = []
@@ -360,6 +382,12 @@ class TestPly:
             for k in ("nx", "ny", "nz"):
                 rows[bad][names.index(k)] = data.draw(
                     st.sampled_from(["0", "-0", "0.0", "0e5"]))
+        elif flaw == "huge normal":  # its squared length overflows
+            rows[bad][names.index("nx")] = data.draw(
+                st.sampled_from(["1e200", "-1E+200"]))
+        elif flaw == "tiny normal":  # its squared length underflows
+            for k, v in zip(("nx", "ny", "nz"), ("1e-170", "0", "0")):
+                rows[bad][names.index(k)] = v
         gap = st.sampled_from([" ", "\t", "  "])
         body = [data.draw(st.sampled_from(["", " "])) + tokens[0]
                 + "".join(data.draw(gap) + t for t in tokens[1:])
@@ -391,9 +419,11 @@ class TestPly:
             warnings.simplefilter("error")
             got = outcome(vio.read_ply)
         assert got == outcome(reference_read_ply)
-        # a NaN or inf in a field the reader does not use is read past
+        # a NaN or inf in a field the reader does not use is read past, and
+        # a normal's size does not matter unless it is zero
         ignored = flaw == "non-finite" and names[column] in extra
-        assert isinstance(got, list) == (flaw is None or ignored)
+        read = flaw in (None, "huge normal", "tiny normal") or ignored
+        assert isinstance(got, list) == read
 
     def test_binary_rejected(self, tmp_path):
         path = tmp_path / "c.ply"
