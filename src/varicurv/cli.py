@@ -137,6 +137,9 @@ def _load_cloud(args):
 
     positions, normals = vio.read_cloud(args.input)
     n = positions.shape[1]
+    if args.d is None and n < 2:
+        raise InvalidInputError("a 1-column file holds no curve or surface of "
+                                "codimension 1")
     d = n - 1 if args.d is None else args.d
     if not 1 <= d <= n <= 10:
         raise InvalidInputError(f"need 1 <= d <= n <= 10, got d={d}, n={n}")

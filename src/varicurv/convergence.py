@@ -92,19 +92,17 @@ def fit_loglog_slope(x, y) -> float:
 
 @dataclass
 class RowResult:
-    """Error statistics of one schedule row (medians and 90th percentiles)."""
+    """Error statistics of one schedule row (medians, and the 90th
+    percentile of the kappa errors)."""
 
     n_points: int
     eps_median: float
     kappa_median: np.ndarray
     kappa_p90: np.ndarray
     mean_norm_median: float
-    mean_norm_p90: float
     gauss_median: float
-    gauss_p90: float
     n_warnings: int
     aperp_median: float | None = None
-    aperp_p90: float | None = None
     kappa_median_averaged: np.ndarray | None = None
 
 
@@ -201,9 +199,7 @@ def _row_result(
         kappa_median=np.median(k_err, axis=0),
         kappa_p90=np.percentile(k_err, 90, axis=0),
         mean_norm_median=float(np.median(h_err)),
-        mean_norm_p90=float(np.percentile(h_err, 90)),
         gauss_median=float(np.median(g_err)),
-        gauss_p90=float(np.percentile(g_err, 90)),
         n_warnings=report.n_warnings,
     )
     if exact_tensor is not None:
@@ -214,7 +210,6 @@ def _row_result(
                                axis=1)
         diffs = diffs[ok & np.isfinite(diffs)]
         row_res.aperp_median = float(np.median(diffs))
-        row_res.aperp_p90 = float(np.percentile(diffs, 90))
     if compare_variants:
         alt_ok = ok & np.all(np.isfinite(alt.kappas), axis=1)
         alt_err = aligned_kappa_errors(alt.kappas[alt_ok], sample.kappas[alt_ok])

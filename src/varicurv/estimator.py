@@ -52,23 +52,22 @@ padded block.
 :func:`estimate_masses` queries the tree of the :class:`NeighborIndex`
 that resolved them, so a run builds one kd-tree.
 
-The chunks of both whole-cloud functions run on ``WORKERS`` threads, one
-per CPU the process may use, and every kd-tree query asks for as many.
-numpy's gathers, products and decompositions and the tree's walks release
-the interpreter lock.  The chunk bounds are fixed and each chunk writes only
-its own rows of preallocated outputs, so results are bitwise the same for
-any thread count; when chunks fail, the earliest one's error is raised.
-The chunks one thread runs in a stage share one set of scratch buffers,
-allocated at the stage's largest padded block and dropped when the stage
-returns: each chunk writes its lists, index map, mask, offsets, distances,
-gathered masses and planes and projected units into contiguous views of
-them, in the same operation order as into fresh arrays.  Nothing a chunk
-function returns is a view of scratch.
+The chunks of both whole-cloud functions run on a pool of ``WORKERS``
+threads started for the stage, one per CPU the process may use, and every
+kd-tree query asks for as many.  numpy's gathers, products and
+decompositions and the tree's walks release the interpreter lock.  The
+chunk bounds are fixed and each chunk writes only its own rows of
+preallocated outputs, so results are bitwise the same for any thread count;
+when chunks fail, the earliest one's error is raised.  Each pool thread owns
+one set of scratch buffers, allocated at the stage's largest padded block,
+which ends with the thread: each chunk writes its lists, index map, mask,
+offsets, distances, gathered masses and planes and projected units into
+contiguous views of them, in the same operation order as into fresh
+arrays.  Nothing a chunk function returns is a view of scratch.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 import threading
@@ -195,8 +194,9 @@ class NeighborIndex:
             near = np.abs(dist - e[:, None]) <= EDGE_ULPS * np.spacing(e)[:, None]
             ball = near.any(axis=1) | (inside[:, -1] & (width < n_pts))
             unsure.append(lo + np.flatnonzero(ball))
-            nearest = np.sort(np.where(inside, nearest, n_pts), axis=1)[inside]
-            lists += _split(nearest, inside.sum(axis=1))
+            nearest[~inside] = n_pts  # sorts last
+            nearest.sort(axis=1)
+            lists += _split(nearest[inside], inside.sum(axis=1))
         unsure = np.concatenate(unsure)
         if unsure.size:
             for i, ix in zip(unsure, self._ball_lists(unsure, eps[unsure])):
@@ -262,25 +262,25 @@ class _Scratch:
         return buf[:size].reshape(shape)
 
 
-# The scratch of the stage chunk this thread is running, set by _map_chunks
-# around each chunk.  Outside a stage every block gets buffers of its own.
-_SCRATCH = contextvars.ContextVar("varicurv_scratch")
+# The scratch of a stage's pool thread, set by the pool's initializer; it
+# ends with the thread.  Any other thread gets fresh buffers for every block.
+_THREAD = threading.local()
 
 
 def _scratch() -> _Scratch:
-    return _SCRATCH.get(None) or _Scratch()
+    return getattr(_THREAD, "scratch", None) or _Scratch()
 
 
 def _map_chunks(fn, indices):
     """``fn(lo, hi, idx, counts)`` over consecutive ``REPORT_CHUNK`` slices of
     the points whose neighbor lists are ``indices``; ``idx`` holds the
-    slice's lists end to end and ``counts`` their lengths.  Runs on
-    ``WORKERS`` threads (serially for one worker or one chunk).
+    slice's lists end to end and ``counts`` their lengths.  The chunks run
+    on a pool of up to ``WORKERS`` threads, joined before this returns.
 
-    The chunks that run on one thread share one :class:`_Scratch`, sized
-    for the largest chunk's padded block; it is dropped on return.  Returns
-    the results in chunk order.  Every chunk runs; when some fail, the
-    error of the earliest failing chunk in point order is raised.
+    Each pool thread owns one :class:`_Scratch`, sized for the largest
+    chunk's padded block, which ends with the thread.  Every chunk runs;
+    when some fail, the error of the earliest failing chunk in point order
+    is raised.
     """
     n_pts = len(indices)
     counts = np.fromiter(map(len, indices), dtype=np.intp, count=n_pts)
@@ -288,24 +288,20 @@ def _map_chunks(fn, indices):
               for lo in range(0, n_pts, REPORT_CHUNK)]
     slots = max(((hi - lo) * int(counts[lo:hi].max()) for lo, hi in bounds),
                 default=0)
-    per_thread = threading.local()
+
+    def own_scratch():
+        _THREAD.scratch = _Scratch(slots)
 
     def run(lo, hi):
-        if not hasattr(per_thread, "scratch"):
-            per_thread.scratch = _Scratch(slots)
-        token = _SCRATCH.set(per_thread.scratch)
-        try:
-            chunk_counts = counts[lo:hi]
-            idx = per_thread.scratch.view("idx", (int(chunk_counts.sum()),), np.intp)
-            return fn(lo, hi, np.concatenate(indices[lo:hi], out=idx), chunk_counts)
-        finally:
-            _SCRATCH.reset(token)
+        chunk_counts = counts[lo:hi]
+        idx = _THREAD.scratch.view("idx", (int(chunk_counts.sum()),), np.intp)
+        fn(lo, hi, np.concatenate(indices[lo:hi], out=idx), chunk_counts)
 
-    if WORKERS == 1 or len(bounds) <= 1:
-        return [run(lo, hi) for lo, hi in bounds]
-    with ThreadPoolExecutor(max_workers=min(WORKERS, len(bounds))) as pool:
+    with ThreadPoolExecutor(max(1, min(WORKERS, len(bounds))),
+                            initializer=own_scratch) as pool:
         futures = [pool.submit(run, lo, hi) for lo, hi in bounds]
-    return [f.result() for f in futures]
+    for f in futures:
+        f.result()
 
 
 def _gather(scratch, name, rows, pad):
@@ -370,11 +366,13 @@ def _local_sums(cloud, points, kernels, eps, idx, counts):
         scratch, cloud.positions, cloud.positions[points], idx, counts, eps
     )
     mass = _gather(scratch, "mass", cloud.masses, pad)
-    weights = np.multiply(mass, kernels.xi.eval(t),
+    # one rho' serves both weights: xi = -t rho'(t) / n, as the pair ties it
+    dv = kernels.rho.deriv(t)
+    weights = np.multiply(mass, -t * dv / cloud.ambient_n,
                           out=scratch.view("weights", r.shape))
     xi_den = weights.sum(axis=1)
     keep = valid & (r > 0.0)
-    np.multiply(mass, kernels.rho.deriv(t), out=weights)
+    np.multiply(mass, dv, out=weights)
     weights[~keep] = 0.0
     planes = _gather(scratch, "planes", cloud.planes, pad)
     r[~keep] = 1.0

@@ -119,6 +119,20 @@ class TestRunFromFile:
                        "--csv", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_one_column_file_message(self, tmp_path, capsys):
+        # without --d a 1-column file has no d = n - 1 >= 1 to default to
+        xyz = tmp_path / "one.xyz"
+        xyz.write_text("1\n2\n3\n4\n")
+        out = tmp_path / "one.csv"
+        assert run_cli("run", "--input", str(xyz), "--csv", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: a 1-column file holds no curve or surface of codimension 1\n")
+        assert run_cli("run", "--input", str(xyz), "--d", "1",
+                       "--csv", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: the scalar curvature pipeline needs codimension 1 (d = n-1)\n")
+        assert not out.exists()
+
     def test_estimated_tangents_resolve_neighbors_once(self, tmp_path):
         # the tangent estimate, the masses and the report share one tree
         # and one resolution

@@ -956,7 +956,7 @@ class TestEngine:
 
 
 class TestThreadedChunks:
-    """The chunk engines on ``WORKERS`` threads against the serial path."""
+    """The chunk engines on ``WORKERS`` threads against one thread."""
 
     def runs(self, workers, fn):
         """``fn()`` with ``estimator.WORKERS`` set to ``workers``; the
@@ -1080,6 +1080,56 @@ class TestThreadedChunks:
                 assert sid == scratch_of[thread] and base is first
             gc.collect()
             assert all(ref() is None for _, _, ref, _ in blocks)
+
+    @pytest.mark.parametrize("n_pts, workers", [(3 * REPORT_CHUNK, 1),
+                                                (REPORT_CHUNK // 2, 4)])
+    def test_stage_runs_on_pool_threads(self, n_pts, workers):
+        # one worker or one chunk takes the same pool as any other stage:
+        # no chunk runs on the caller's thread, the caller holds no scratch
+        # afterwards, and the stage's scratch ended with its threads
+        cloud = random_cloud(np.random.default_rng(14), n_pts=n_pts)
+        neighbors = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(12))
+        real = estimator._neighbor_block
+        blocks = []
+
+        def recording(scratch, *args):
+            blocks.append((threading.get_ident(), weakref.ref(scratch)))
+            return real(scratch, *args)
+
+        def stages():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(estimator, "_neighbor_block", recording)
+                curvature_report(cloud, neighbors)
+                estimate_tangent_planes(cloud.positions, neighbors, 2)
+
+        self.runs(workers, stages)
+        assert blocks
+        assert threading.get_ident() not in {thread for thread, _ in blocks}
+        assert estimator._scratch() is not estimator._scratch()
+        gc.collect()
+        assert all(ref() is None for _, ref in blocks)
+
+    def test_direct_calls_get_fresh_buffers(self):
+        # outside a stage's pool every block gets buffers of its own
+        cloud = random_cloud(np.random.default_rng(15), n_pts=60)
+        indices, eps = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(8))
+        points = np.arange(10)
+        idx = np.concatenate(indices[:10])
+        counts = [len(ix) for ix in indices[:10]]
+        real = estimator._neighbor_block
+        scratches = []
+
+        def recording(scratch, *args):
+            scratches.append(scratch)
+            return real(scratch, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "_neighbor_block", recording)
+            first, second = (vc.variation_tensor(cloud, points, pair_for(2, 3),
+                                                 eps[points], idx=idx, counts=counts)
+                             for _ in range(2))
+        assert len(scratches) == 2 and scratches[0] is not scratches[1]
+        assert first.tobytes() == second.tobytes()
 
     def test_earliest_failing_chunk_wins(self):
         # chunks 0 and 2 fail; chunk 0 is held back until chunk 2 has
