@@ -16,7 +16,8 @@ and estimates them otherwise.
 
 Masses are all ones (``--mass-mode uniform``, the default) or
 omega_d r^d / n_mass from each point's ``--n-mass``-point ball (``nmass``);
-kernels are ``bump`` (the default) or ``tent``.
+``--kernel`` names a profile of ``kernels.PROFILES`` (bump by default) and
+``--shape`` one of ``shapes.SHAPES``, each parameter its own option.
 
 Exit codes: 0 success (``--help`` included), 1 bad input, 2 broken numeric
 invariant.  A badly sampled point does not stop a run: a point whose kernel
@@ -40,6 +41,7 @@ the inputs, not on the thread count or the schedule.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 import numpy as np
@@ -48,8 +50,8 @@ from . import io as vio
 from .errors import InvalidInputError, VaricurvError
 from .estimator import NeighborIndex, NeighborQuery, curvature_report, \
     estimate_masses, estimate_tangent_planes
-from .kernels import kernel_pair_by_name
-from .shapes import shape_by_name
+from .kernels import PROFILES, bump_profile, kernel_pair_by_name
+from .shapes import SHAPES
 from .varifold import validate_cloud
 
 EXIT_OK = 0
@@ -60,27 +62,21 @@ QUANTITIES = ("gauss", "abs-sum", "mean-norm", "k1", "k2")
 
 
 def _add_shape_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--shape", choices=["sphere", "circle", "torus", "cylinder",
-                                       "plane", "cube"])
+    p.add_argument("--shape", choices=sorted(SHAPES))
     p.add_argument("--n-points", type=int, default=10000)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--r-major", type=float, default=2.0)
-    p.add_argument("--r-minor", type=float, default=0.5)
-    p.add_argument("--height", type=float, default=2.0)
-    p.add_argument("--side", type=float, default=1.0)
+    for name in sorted({name for cls in SHAPES.values()
+                        for name in inspect.signature(cls).parameters}):
+        p.add_argument("--" + name.replace("_", "-"), type=float,
+                       help="shape parameter (default: the shape's own)")
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=42)
 
 
 def _build_shape(args):
-    name = args.shape
-    if name in ("sphere", "circle"):
-        return shape_by_name(name, radius=args.radius)
-    if name == "torus":
-        return shape_by_name(name, r_major=args.r_major, r_minor=args.r_minor)
-    if name == "cylinder":
-        return shape_by_name(name, radius=args.radius, height=args.height)
-    return shape_by_name(name, side=args.side)
+    """The ``--shape`` from the options named as its constructor's parameters."""
+    cls = SHAPES[args.shape]
+    return cls(**{name: value for name in inspect.signature(cls).parameters
+                  if (value := getattr(args, name)) is not None})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="neighbors per point (default 40)")
     grp.add_argument("--epsilon", type=float, default=None,
                      help="fixed smoothing radius")
-    run.add_argument("--kernel", default="bump", help="bump (default) or tent")
+    run.add_argument("--kernel", choices=sorted(PROFILES),
+                     default=bump_profile().name)
     run.add_argument("--mass-mode", choices=["uniform", "nmass"],
                      default="uniform")
     run.add_argument("--n-mass", type=int, default=8)

@@ -129,8 +129,10 @@ class NeighborQuery:
 
     def __post_init__(self):
         if self.mode == "radius":
-            if self.epsilon is None or self.epsilon <= 0.0 or self.k is not None:
-                raise InvalidInputError("radius mode needs epsilon > 0 and no k")
+            if self.epsilon is None or not 0.0 < self.epsilon < np.inf \
+                    or self.k is not None:
+                raise InvalidInputError(f"radius mode needs 0 < epsilon < inf and "
+                                        f"no k, got epsilon={self.epsilon}")
         elif self.mode == "knn":
             if self.k is None or self.k < 1 or self.epsilon is not None:
                 raise InvalidInputError("knn mode needs k >= 1 and no epsilon")

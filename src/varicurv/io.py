@@ -266,35 +266,26 @@ def clip_to_unit(values: np.ndarray, symmetric: bool = False) -> np.ndarray:
     return np.clip((values - lo) / (hi - lo), 0.0, 1.0)
 
 
-def diverging_rgb(t: np.ndarray) -> np.ndarray:
-    """Blue -> white -> red over t in [0, 1]; NaN maps to mid gray."""
-    t = np.asarray(t, dtype=float)
-    nan = ~np.isfinite(t)
-    t = np.where(nan, 0.5, np.clip(t, 0.0, 1.0))
-    low = t < 0.5
-    r = np.where(low, 2 * t, 1.0)
-    g = np.where(low, 2 * t, 2 - 2 * t)
-    b = np.where(low, 1.0, 2 - 2 * t)
-    rgb = np.stack([r, g, b], axis=-1)
-    rgb[nan] = [0.5, 0.5, 0.5]
-    return np.round(255 * rgb).astype(np.uint8)
+# Anchor colors of the two ramps, equally spaced over t in [0, 1].
+_DIVERGING = np.array([[0, 0, 1], [1, 1, 1], [1, 0, 0]], dtype=float)
+_SEQUENTIAL = np.array([[0, 0, 1], [0, 1, 0], [1, 1, 0], [1, 0, 0]], dtype=float)
 
 
-def sequential_rgb(t: np.ndarray) -> np.ndarray:
-    """Blue -> green -> yellow -> red over t in [0, 1]; NaN maps to gray."""
+def _ramp(t: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """uint8 RGB linear between the anchors over t clipped to [0, 1]; NaN
+    and +-inf map to mid gray."""
     t = np.asarray(t, dtype=float)
-    nan = ~np.isfinite(t)
-    t = np.where(nan, 0.0, np.clip(t, 0.0, 1.0))
-    r = np.clip(3.0 * t - 1.0, 0.0, 1.0)
-    g = np.clip(np.where(t < 1.0 / 3.0, 3.0 * t, np.where(t < 2.0 / 3.0, 1.0,
-                3.0 - 3.0 * t)), 0.0, 1.0)
-    b = np.clip(1.0 - 3.0 * t, 0.0, 1.0)
-    rgb = np.stack([r, g, b], axis=-1)
-    rgb[nan] = [0.5, 0.5, 0.5]
+    # anchors at the integers, so a segment is s - j or j + 1 - s and rounds
+    # as 3t - 1 or 2 - 2t does; anchors at j / (m - 1) would not
+    s = (len(anchors) - 1) * np.clip(t, 0.0, 1.0)
+    rgb = np.stack([np.interp(s, np.arange(len(anchors)), c) for c in anchors.T],
+                   axis=-1)
+    rgb[~np.isfinite(t)] = 0.5
     return np.round(255 * rgb).astype(np.uint8)
 
 
 def colorize(values: np.ndarray, diverging: bool) -> np.ndarray:
-    """Percentile-clipped color mapping; diverging maps center at 0."""
+    """Percentile-clipped color mapping: blue-white-red centered at 0 when
+    ``diverging``, else blue-green-yellow-red."""
     t = clip_to_unit(values, symmetric=diverging)
-    return diverging_rgb(t) if diverging else sequential_rgb(t)
+    return _ramp(t, _DIVERGING if diverging else _SEQUENTIAL)

@@ -12,8 +12,8 @@ Pairing xi to rho through  n * xi(s) = -s * rho'(s)  makes the ratio of the
 normalizing constants come out to exactly d/n, which is the prefactor used in
 all the point-cloud formulas.  A profile with rho' = 0 throughout (an
 indicator) would pair to xi = 0 and leave every point isolated, so pairing
-rejects it.  By name the estimator offers ``bump`` (the default) and ``tent``
-(testing only).
+rejects it.  ``PROFILES`` holds the profiles offered by name: the bump (the
+CLI's default) and the tent (testing only).
 """
 
 from __future__ import annotations
@@ -92,16 +92,8 @@ def tent_profile() -> KernelProfile:
     return KernelProfile("tent", ev, dv)
 
 
-_PROFILES = {"bump": bump_profile, "tent": tent_profile}
-
-
-def profile_by_name(name: str) -> KernelProfile:
-    try:
-        return _PROFILES[name]()
-    except KeyError:
-        raise InvalidInputError(
-            f"unknown kernel profile {name!r}; choose from {sorted(_PROFILES)}"
-        ) from None
+# The profiles the estimator offers by name.
+PROFILES = {p.name: p for p in (bump_profile(), tent_profile())}
 
 
 def paired_mass_profile(rho: KernelProfile, ambient_n: int) -> KernelProfile:
@@ -158,4 +150,8 @@ def natural_kernel_pair(rho: KernelProfile, d: int, n: int) -> KernelPair:
 
 
 def kernel_pair_by_name(name: str, d: int, n: int) -> KernelPair:
-    return natural_kernel_pair(profile_by_name(name), d, n)
+    if name not in PROFILES:
+        raise InvalidInputError(
+            f"unknown kernel profile {name!r}; choose from {sorted(PROFILES)}"
+        )
+    return natural_kernel_pair(PROFILES[name], d, n)

@@ -17,6 +17,7 @@ drowning the convergence rates this module exists to expose; quasi-uniform
 clouds match the mesh-derived datasets the estimator targets.
 
 Positions can be perturbed by isotropic Gaussian noise (planes stay exact).
+``SHAPES`` maps each shape's ``name`` to its class.
 """
 
 from __future__ import annotations
@@ -93,6 +94,11 @@ class AnalyticShape(abc.ABC):
     ) -> ShapeSample:
         if n_points < 10:
             raise InvalidInputError("need at least 10 sample points")
+        if not 0.0 <= noise_sigma < np.inf:
+            raise InvalidInputError(
+                f"noise must be finite and non-negative, got {noise_sigma}")
+        if seed < 0:
+            raise InvalidInputError(f"seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
         base, planes, extras = self._draw(n_points, rng)
         positions = base
@@ -135,8 +141,8 @@ class _RoundSphere(AnalyticShape):
     """The d-sphere of radius R in R^(d+1); subclasses fix d and the sampler."""
 
     def __init__(self, radius: float = 1.0):
-        if radius <= 0:
-            raise InvalidInputError("radius must be positive")
+        if not 0 < radius < np.inf:
+            raise InvalidInputError(f"radius must be positive and finite, got {radius}")
         self.radius = radius
 
     def exact_report(self, points):
@@ -194,15 +200,16 @@ class Circle(_RoundSphere):
 
 
 class Torus(AnalyticShape):
+    name = "torus"
     dim_d = 2
     ambient_n = 3
 
     def __init__(self, r_major: float = 2.0, r_minor: float = 0.5):
-        if not 0 < r_minor < r_major:
-            raise InvalidInputError("need 0 < r_minor < r_major")
+        if not 0 < r_minor < r_major < np.inf:
+            raise InvalidInputError(f"need 0 < r_minor < r_major < inf, got "
+                                    f"r_minor={r_minor}, r_major={r_major}")
         self.r_major = r_major
         self.r_minor = r_minor
-        self.name = "torus"
 
     def _point(self, theta, phi):
         ring = self.r_major + self.r_minor * np.cos(theta)
@@ -241,7 +248,7 @@ class Torus(AnalyticShape):
         phi = np.arctan2(p[:, 1], p[:, 0])
         theta = np.arctan2(p[:, 2], np.hypot(p[:, 0], p[:, 1]) - self.r_major)
         dev = np.linalg.norm(p - self._point(theta, phi), axis=1)
-        _require_on_shape(dev, "torus")
+        _require_on_shape(dev, self.name)
         cos_t = np.cos(theta)
         normals = -np.column_stack(
             [cos_t * np.cos(phi), cos_t * np.sin(phi), np.sin(theta)]
@@ -254,15 +261,16 @@ class Torus(AnalyticShape):
 
 
 class Cylinder(AnalyticShape):
+    name = "cylinder"
     dim_d = 2
     ambient_n = 3
 
     def __init__(self, radius: float = 1.0, height: float = 2.0):
-        if radius <= 0 or height <= 0:
-            raise InvalidInputError("radius and height must be positive")
+        if not (0 < radius < np.inf and 0 < height < np.inf):
+            raise InvalidInputError(f"radius and height must be positive and finite, "
+                                    f"got radius={radius}, height={height}")
         self.radius = radius
         self.height = height
-        self.name = "cylinder"
 
     def _draw(self, n_points, rng):
         i = np.arange(n_points)
@@ -279,7 +287,7 @@ class Cylinder(AnalyticShape):
     def exact_report(self, points):
         p = _rows(points, self.ambient_n)
         rho = np.hypot(p[:, 0], p[:, 1])
-        _require_on_shape(np.abs(rho - self.radius), "cylinder")
+        _require_on_shape(np.abs(rho - self.radius), self.name)
         zeros = np.zeros(len(p))
         normals = -np.column_stack([p[:, 0] / rho, p[:, 1] / rho, zeros])
         k = 1.0 / self.radius
@@ -288,14 +296,14 @@ class Cylinder(AnalyticShape):
 
 
 class PlanePatch(AnalyticShape):
+    name = "plane"
     dim_d = 2
     ambient_n = 3
 
     def __init__(self, side: float = 1.0):
-        if side <= 0:
-            raise InvalidInputError("side must be positive")
+        if not 0 < side < np.inf:
+            raise InvalidInputError(f"side must be positive and finite, got {side}")
         self.side = side
-        self.name = "plane"
 
     def _draw(self, n_points, rng):
         uv = _r2_sequence(n_points, rng.uniform(size=2))
@@ -306,7 +314,7 @@ class PlanePatch(AnalyticShape):
 
     def exact_report(self, points):
         p = _rows(points, self.ambient_n)
-        _require_on_shape(np.abs(p[:, 2]), "plane")
+        _require_on_shape(np.abs(p[:, 2]), self.name)
         n = len(p)
         normals = np.tile([0.0, 0.0, 1.0], (n, 1))
         return np.zeros((n, 2)), normals, np.zeros(n), np.zeros((n, 3))
@@ -315,14 +323,14 @@ class PlanePatch(AnalyticShape):
 class Cube(AnalyticShape):
     """Surface of an axis-aligned cube; faces are flat, edges are singular."""
 
+    name = "cube"
     dim_d = 2
     ambient_n = 3
 
     def __init__(self, side: float = 1.0):
-        if side <= 0:
-            raise InvalidInputError("side must be positive")
+        if not 0 < side < np.inf:
+            raise InvalidInputError(f"side must be positive and finite, got {side}")
         self.side = side
-        self.name = "cube"
 
     def _draw(self, n_points, rng):
         half = self.side / 2.0
@@ -354,7 +362,7 @@ class Cube(AnalyticShape):
         p = _rows(points, self.ambient_n)
         half = self.side / 2.0
         a = np.abs(p)
-        _require_on_shape(np.abs(a.max(axis=1) - half), "cube surface")
+        _require_on_shape(np.abs(a.max(axis=1) - half), f"{self.name} surface")
         rows = np.arange(len(p))
         axis = a.argmax(axis=1)
         normals = np.zeros_like(p)
@@ -365,20 +373,6 @@ class Cube(AnalyticShape):
         return kappas, normals, fill, np.repeat(fill[:, None], 3, axis=1)
 
 
-def shape_by_name(name: str, **kwargs) -> AnalyticShape:
-    """Construct a shape from its id; raises on unknown ids."""
-    registry = {
-        "sphere": Sphere,
-        "circle": Circle,
-        "torus": Torus,
-        "cylinder": Cylinder,
-        "plane": PlanePatch,
-        "cube": Cube,
-    }
-    try:
-        cls = registry[name]
-    except KeyError:
-        raise InvalidInputError(
-            f"unknown shape {name!r}; choose from {sorted(registry)}"
-        ) from None
-    return cls(**kwargs)
+# Every shape by its name; the CLI's --shape choices.
+SHAPES = {cls.name: cls for cls in (Sphere, Circle, Torus, Cylinder, PlanePatch,
+                                    Cube)}

@@ -17,7 +17,9 @@ flags a row.  ``plane_frames``
 decomposes codimension-1 planes on its own, as the check of the frames
 that ``validate_cloud`` gives a cloud.  ``reference_read_xyz`` and
 ``reference_read_ply`` parse a file one line at a time, as the checks of
-``io.read_xyz`` and ``io.read_ply``.
+``io.read_xyz`` and ``io.read_ply``.  ``reference_diverging_rgb`` and
+``reference_sequential_rgb`` spell the two color maps as per-segment
+formulas, as the check of the anchor ramp behind ``io.colorize``.
 """
 
 from dataclasses import dataclass
@@ -474,3 +476,33 @@ def reference_read_ply(path):
                     + values[2] * values[2])
         normals[r] = [v / norm for v in values]
     return positions, normals
+
+
+def reference_diverging_rgb(t: np.ndarray) -> np.ndarray:
+    """Blue -> white -> red over t in [0, 1], one formula per half; NaN and
+    +-inf map to mid gray."""
+    t = np.asarray(t, dtype=float)
+    nan = ~np.isfinite(t)
+    t = np.where(nan, 0.5, np.clip(t, 0.0, 1.0))
+    low = t < 0.5
+    r = np.where(low, 2 * t, 1.0)
+    g = np.where(low, 2 * t, 2 - 2 * t)
+    b = np.where(low, 1.0, 2 - 2 * t)
+    rgb = np.stack([r, g, b], axis=-1)
+    rgb[nan] = [0.5, 0.5, 0.5]
+    return np.round(255 * rgb).astype(np.uint8)
+
+
+def reference_sequential_rgb(t: np.ndarray) -> np.ndarray:
+    """Blue -> green -> yellow -> red over t in [0, 1], one clipped formula
+    per channel; NaN and +-inf map to mid gray."""
+    t = np.asarray(t, dtype=float)
+    nan = ~np.isfinite(t)
+    t = np.where(nan, 0.0, np.clip(t, 0.0, 1.0))
+    r = np.clip(3.0 * t - 1.0, 0.0, 1.0)
+    g = np.clip(np.where(t < 1.0 / 3.0, 3.0 * t, np.where(t < 2.0 / 3.0, 1.0,
+                3.0 - 3.0 * t)), 0.0, 1.0)
+    b = np.clip(1.0 - 3.0 * t, 0.0, 1.0)
+    rgb = np.stack([r, g, b], axis=-1)
+    rgb[nan] = [0.5, 0.5, 0.5]
+    return np.round(255 * rgb).astype(np.uint8)

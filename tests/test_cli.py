@@ -1,11 +1,16 @@
+import argparse
+import inspect
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
 import varicurv as vc
 from varicurv import estimator
-from varicurv.cli import main
+from varicurv.cli import _build_shape, build_parser, main
 from varicurv.estimator import NeighborIndex
+from varicurv.kernels import PROFILES
+from varicurv.shapes import SHAPES
 
 
 def run_cli(*args):
@@ -80,6 +85,15 @@ class TestUsage:
         (["--mass-mode", "rd"], "'rd'"),
         (["--k", "x"], "'x'"),
         (["--kernel", "box"], "'box'"),
+        (["--epsilon", "nan"], "epsilon=nan"),
+        (["--epsilon", "inf"], "epsilon=inf"),
+        (["--seed", "-1"], "seed must be non-negative, got -1"),
+        (["--noise", "-0.5"], "got -0.5"),
+        (["--noise", "nan"], "got nan"),
+        (["--radius", "nan"], "radius must be positive and finite, got nan"),
+        # the last --shape given wins over the leading sphere
+        (["--shape", "cube", "--side", "inf"], "side must be positive and finite, got inf"),
+        (["--shape", "klein"], "'klein'"),
     ])
     def test_bad_value_exit_code(self, tmp_path, capsys, args, named):
         # argparse's usage errors are bad input (exit 1), not exit 2, which
@@ -88,7 +102,9 @@ class TestUsage:
         capsys.readouterr()
         assert run_cli("run", "--shape", "sphere", "--n-points", "300", *args,
                        "--csv", str(out)) == 1
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert any("error:" in line and named in line for line in err.splitlines())
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_help_exit_code(self, capsys):
@@ -499,5 +515,50 @@ class TestSample:
         assert pts.shape == (300, 3)
         assert normals is not None
 
+    @pytest.mark.parametrize("args", [["--seed", "-1"], ["--shape", "klein"]])
+    def test_bad_value_exit_code(self, tmp_path, capsys, args):
+        out = tmp_path / "o.xyz"
+        assert run_cli("sample", "--shape", "sphere", *args, "--xyz", str(out)) == 1
+        err = capsys.readouterr().err
+        assert any("error:" in line and args[-1] in line for line in err.splitlines())
+        assert not out.exists()
+
     def test_requires_output(self):
         assert run_cli("sample", "--shape", "sphere", "--n-points", "100") == 1
+
+
+def subcommand_actions(command):
+    """The options of ``varicurv <command>`` by destination."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions}
+
+
+# a non-default value for every shape parameter
+SHAPE_OPTIONS = {"radius": 1.5, "r_major": 3.0, "r_minor": 1.0, "height": 3.0,
+                 "side": 2.0}
+
+
+class TestTables:
+    @pytest.mark.parametrize("command", ["run", "sample"])
+    def test_options_come_from_the_tables(self, command):
+        actions = subcommand_actions(command)
+        assert actions["shape"].choices == sorted(SHAPES)
+        for cls in SHAPES.values():
+            for name in inspect.signature(cls).parameters:
+                assert actions[name].option_strings == ["--" + name.replace("_", "-")]
+        if command == "run":
+            assert actions["kernel"].choices == sorted(PROFILES)
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_shape_built_as_by_its_constructor(self, name):
+        cls = SHAPES[name]
+        options = [f"--{k.replace('_', '-')}={v}" for k, v in SHAPE_OPTIONS.items()]
+        for command in ("run", "sample"):
+            built = _build_shape(build_parser().parse_args(
+                [command, "--shape", name, *options]))
+            own = {k: SHAPE_OPTIONS[k] for k in inspect.signature(cls).parameters}
+            assert type(built) is cls and vars(built) == vars(cls(**own))
+            # an option not given leaves the constructor's default
+            default = _build_shape(build_parser().parse_args([command, "--shape", name]))
+            assert vars(default) == vars(cls())

@@ -38,6 +38,15 @@ class TestScheduleValidation:
                 vc.Sphere(1.0), knn_rows([100, 200]), tangent_mode="guessed"
             )
 
+    @pytest.mark.parametrize("knobs, message", [
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+        ({"noise_sigma": float("nan")}, "noise must be finite and non-negative, got nan"),
+    ])
+    def test_sampling_knobs_follow_the_shape_rule(self, knobs, message):
+        schedule = ConvergenceSchedule(vc.Sphere(1.0), knn_rows([100, 200]), **knobs)
+        with pytest.raises(InvalidInputError, match=message):
+            vc.run_convergence(schedule)
+
 
 class TestErrorHelpers:
     def test_relative_errors_fall_back_to_absolute(self):

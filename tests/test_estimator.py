@@ -33,7 +33,7 @@ from varicurv.estimator import (
     smoothed_direction_matrix,
 )
 from varicurv.kernels import kernel_pair_by_name, paired_mass_profile, unit_ball_volume
-from varicurv.shapes import shape_by_name
+from varicurv.shapes import SHAPES
 
 from system_reference import (
     ball,
@@ -86,6 +86,14 @@ class TestNeighborQuery:
             NeighborQuery(mode="knn")
         with pytest.raises(InvalidInputError):
             NeighborQuery(mode="cube", epsilon=0.1)
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, 0.0, -0.1])
+    def test_radius_must_be_positive_and_finite(self, epsilon):
+        # a NaN passes an epsilon <= 0 test; it used to leave every point
+        # isolated, and inf ran into an invalid multiply
+        with pytest.raises(InvalidInputError,
+                           match=f"0 < epsilon < inf and no k, got epsilon={epsilon}"):
+            NeighborQuery.radius(epsilon)
 
     def test_knn_resolution_margin(self):
         cloud = line_cloud([0.0, 1.0, 2.0, 3.0])
@@ -688,7 +696,7 @@ class TestReport:
         shape=st.sampled_from(["sphere", "torus"]),
     )
     def test_point_order_permutes_rows(self, seed, n_pts, shape):
-        cloud = shape_by_name(shape).sample(n_pts, seed=seed % 2**16).cloud
+        cloud = SHAPES[shape]().sample(n_pts, seed=seed % 2**16).cloud
         perm = np.random.default_rng(seed).permutation(n_pts)
         shuffled = vc.validate_cloud(
             cloud.positions[perm], cloud.planes[perm], cloud.masses[perm], 2

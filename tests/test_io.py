@@ -9,7 +9,12 @@ import varicurv.io as vio
 from varicurv.errors import FileFormatError
 from varicurv.estimator import CurvatureReport
 
-from system_reference import reference_read_ply, reference_read_xyz
+from system_reference import (
+    reference_diverging_rgb,
+    reference_read_ply,
+    reference_read_xyz,
+    reference_sequential_rgb,
+)
 
 NAN, INF = np.nan, np.inf
 # zeros of both signs, a subnormal, extreme exponents, more than 9 digits
@@ -450,16 +455,27 @@ class TestColors:
         assert np.all(t >= 0) and np.all(t <= 1)
         assert np.all(np.isfinite(t))
 
-    def test_diverging_endpoints(self):
-        rgb = vio.diverging_rgb(np.array([0.0, 0.5, 1.0]))
-        assert rgb[0].tolist() == [0, 0, 255]
-        assert rgb[1].tolist() == [255, 255, 255]
-        assert rgb[2].tolist() == [255, 0, 0]
-
-    def test_sequential_endpoints(self):
-        rgb = vio.sequential_rgb(np.array([0.0, 1.0]))
-        assert rgb[0].tolist() == [0, 0, 255]
-        assert rgb[1].tolist() == [255, 0, 0]
+    @pytest.mark.parametrize("anchors, reference", [
+        (vio._DIVERGING, reference_diverging_rgb),
+        (vio._SEQUENTIAL, reference_sequential_rgb),
+    ], ids=["diverging", "sequential"])
+    def test_ramp_matches_reference(self, anchors, reference):
+        k = np.arange(-4, 260)
+        # anchors, channel steps k/255, half steps (where rounding ties) and
+        # their images under each segment's slope, each with +-1 ulp
+        points = np.concatenate([
+            [0.0, 1 / 3, 0.5, 2 / 3, 1.0, -0.0, 5e-324, 1e300],
+            k / 255, (k + 0.5) / 255,
+            np.add.outer([0.0, 1 / 3, 0.5, 2 / 3], (k + 0.5) / 255 / 3).ravel(),
+            np.add.outer([0.0, 0.5], (k + 0.5) / 255 / 2).ravel(),
+        ])
+        points = np.concatenate([points, -points])
+        t = np.concatenate([
+            points, np.nextafter(points, INF), np.nextafter(points, -INF),
+            np.linspace(-0.25, 1.25, 1_000_001),
+            [NAN, INF, -INF, np.finfo(float).max, np.finfo(float).min],
+        ])
+        assert vio._ramp(t, anchors).tobytes() == reference(t).tobytes()
 
     def test_nan_handling(self):
         rgb = vio.colorize(np.array([np.nan, 1.0, 2.0]), diverging=False)

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import varicurv as vc
 from varicurv.errors import InvalidInputError
-from varicurv.shapes import shape_by_name
+from varicurv.shapes import SHAPES
 
 ALL_SHAPES = [
     ("sphere", {"radius": 1.0}),
@@ -83,7 +85,7 @@ class TestExactReports:
 class TestArrayOracle:
     @pytest.mark.parametrize("name,kwargs", ALL_SHAPES)
     def test_one_call_matches_row_calls_and_sample(self, name, kwargs):
-        shape = shape_by_name(name, **kwargs)
+        shape = SHAPES[name](**kwargs)
         sample = shape.sample(500, seed=7)
         base = sample.base_points
         whole = shape.exact_report(base)
@@ -97,7 +99,7 @@ class TestArrayOracle:
 
     @pytest.mark.parametrize("name,kwargs", ALL_SHAPES)
     def test_sample_calls_the_oracle_once(self, name, kwargs, monkeypatch):
-        shape = shape_by_name(name, **kwargs)
+        shape = SHAPES[name](**kwargs)
         original = type(shape).exact_report
         calls = []
 
@@ -138,7 +140,7 @@ class TestArrayOracle:
 
     @pytest.mark.parametrize("name,kwargs", ALL_SHAPES)
     def test_rejects_non_finite_rows(self, name, kwargs):
-        shape = shape_by_name(name, **kwargs)
+        shape = SHAPES[name](**kwargs)
         points = shape.sample(10, seed=0).base_points.copy()
         points[4, 0] = np.nan
         points[6, 1] = np.inf
@@ -155,14 +157,45 @@ class TestArrayOracle:
 class TestSamplers:
     @pytest.mark.parametrize("name,kwargs", ALL_SHAPES)
     def test_sample_validates_and_counts(self, name, kwargs):
-        shape = shape_by_name(name, **kwargs)
+        shape = SHAPES[name](**kwargs)
         sample = shape.sample(500, seed=7)
         assert sample.cloud.n_points == 500
         assert sample.kappas.shape == (500, shape.dim_d)
 
-    def test_unknown_shape(self):
-        with pytest.raises(InvalidInputError):
-            shape_by_name("klein-bottle")
+    def test_table_keys_are_class_names(self):
+        assert [name for name, _ in ALL_SHAPES] == list(SHAPES)
+        # each name is set in its class body, so no instance is needed
+        for name, cls in SHAPES.items():
+            assert vars(cls)["name"] == name
+
+    @pytest.mark.parametrize("cls, kwargs, message", [
+        (vc.Sphere, {"radius": np.nan}, "radius must be positive and finite, got nan"),
+        (vc.Circle, {"radius": np.inf}, "radius must be positive and finite, got inf"),
+        (vc.Circle, {"radius": 0.0}, "radius must be positive and finite, got 0.0"),
+        (vc.Torus, {"r_major": np.inf},
+         "need 0 < r_minor < r_major < inf, got r_minor=0.5, r_major=inf"),
+        (vc.Torus, {"r_minor": np.nan},
+         "need 0 < r_minor < r_major < inf, got r_minor=nan, r_major=2.0"),
+        (vc.Torus, {"r_minor": 3.0}, "need 0 < r_minor < r_major"),
+        (vc.Cylinder, {"height": np.nan},
+         "radius and height must be positive and finite, got radius=1.0, height=nan"),
+        (vc.Cylinder, {"radius": -1.0}, "radius=-1.0"),
+        (vc.PlanePatch, {"side": np.inf}, "side must be positive and finite, got inf"),
+        (vc.Cube, {"side": np.nan}, "side must be positive and finite, got nan"),
+    ])
+    def test_rejects_non_finite_or_non_positive_parameters(self, cls, kwargs, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            cls(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+        ({"noise_sigma": -0.5}, "noise must be finite and non-negative, got -0.5"),
+        ({"noise_sigma": np.nan}, "noise must be finite and non-negative, got nan"),
+        ({"noise_sigma": np.inf}, "noise must be finite and non-negative, got inf"),
+    ])
+    def test_sample_rejects_negative_seed_and_bad_noise(self, kwargs, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            vc.Cube(1.0).sample(100, **kwargs)
 
     def test_determinism_under_seed(self):
         a = vc.Sphere(1.0).sample(300, seed=5)
