@@ -18,6 +18,9 @@ Masses are all ones (``--mass-mode uniform``, the default) or
 omega_d r^d / n_mass from each point's ``--n-mass``-point ball (``nmass``);
 ``--kernel`` names a profile of ``kernels.PROFILES`` (bump by default) and
 ``--shape`` one of ``shapes.SHAPES``, each parameter its own option.
+``--n-points``, ``--noise`` and ``--seed`` default to 10000, 0 and 42
+where a shape is sampled.  A parameter of another shape, or any shape
+option given with ``--input``, is bad input: the run would not use it.
 
 Exit codes: 0 success (``--help`` included), 1 bad input, 2 broken numeric
 invariant.  A badly sampled point does not stop a run: a point whose kernel
@@ -61,22 +64,54 @@ EXIT_NUMERIC = 2
 QUANTITIES = ("gauss", "abs-sum", "mean-norm", "k1", "k2")
 
 
+# The shape constructors' parameters, one option each, and the sampling
+# options with the values a sampled shape takes when they are not given.
+SHAPE_PARAMETERS = sorted({name for cls in SHAPES.values()
+                           for name in inspect.signature(cls).parameters})
+SAMPLING = {"n_points": 10000, "noise": 0.0, "seed": 42}
+
+
+def _option(name):
+    return "--" + name.replace("_", "-")
+
+
+def _given(args, names):
+    """The options among ``names`` that the command line sets, with their
+    values, as one string; empty when it sets none."""
+    return ", ".join(f"{_option(name)} {value}" for name in names
+                     if (value := getattr(args, name)) is not None)
+
+
 def _add_shape_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shape", choices=sorted(SHAPES))
-    p.add_argument("--n-points", type=int, default=10000)
-    for name in sorted({name for cls in SHAPES.values()
-                        for name in inspect.signature(cls).parameters}):
-        p.add_argument("--" + name.replace("_", "-"), type=float,
+    p.add_argument("--n-points", type=int,
+                   help=f"sample size (default {SAMPLING['n_points']})")
+    for name in SHAPE_PARAMETERS:
+        p.add_argument(_option(name), type=float,
                        help="shape parameter (default: the shape's own)")
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--noise", type=float,
+                   help=f"sample noise sigma (default {SAMPLING['noise']:g})")
+    p.add_argument("--seed", type=int,
+                   help=f"sample seed (default {SAMPLING['seed']})")
 
 
 def _build_shape(args):
-    """The ``--shape`` from the options named as its constructor's parameters."""
+    """The ``--shape`` from the options named as its constructor's
+    parameters; an option of another shape's parameter is bad input."""
     cls = SHAPES[args.shape]
-    return cls(**{name: value for name in inspect.signature(cls).parameters
+    own = inspect.signature(cls).parameters
+    foreign = _given(args, (name for name in SHAPE_PARAMETERS if name not in own))
+    if foreign:
+        raise InvalidInputError(f"shape {args.shape} takes no {foreign}")
+    return cls(**{name: value for name in own
                   if (value := getattr(args, name)) is not None})
+
+
+def _sampling(args):
+    """(n_points, noise, seed) for ``AnalyticShape.sample``: the sampling
+    options, each its default when not given."""
+    return [SAMPLING[name] if (value := getattr(args, name)) is None else value
+            for name in SAMPLING]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,6 +151,10 @@ def _load_cloud(args):
     """Returns (positions, planes-or-None, query, d)."""
     if (args.input is None) == (args.shape is None):
         raise InvalidInputError("provide exactly one of --input or --shape")
+    if args.input is not None:
+        given = _given(args, (*SAMPLING, *SHAPE_PARAMETERS))
+        if given:
+            raise InvalidInputError(f"--input takes no shape options, got {given}")
     if args.epsilon is not None:
         query = NeighborQuery.radius(args.epsilon)
     else:
@@ -123,8 +162,7 @@ def _load_cloud(args):
 
     if args.shape is not None:
         shape = _build_shape(args)
-        sample = shape.sample(args.n_points, noise_sigma=args.noise,
-                              seed=args.seed)
+        sample = shape.sample(*_sampling(args))
         d = shape.dim_d
         if args.d not in (None, d):
             raise InvalidInputError(f"--d {args.d} does not match shape dimension {d}")
@@ -203,7 +241,7 @@ def _sample(args) -> int:
     shape = _build_shape(args)
     if args.ply and shape.ambient_n != 3:
         raise InvalidInputError("ply output needs 3-dimensional shapes")
-    result = shape.sample(args.n_points, noise_sigma=args.noise, seed=args.seed)
+    result = shape.sample(*_sampling(args))
     if args.xyz:
         vio.write_xyz(args.xyz, result.cloud.positions)
     if args.ply:

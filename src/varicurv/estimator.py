@@ -37,9 +37,12 @@ over a chunk's pairs, on a padded (m, K) neighbor block, gives every
 variation tensor with one batched product; the tail (trace check,
 conversion, restriction, eigenvalues) runs on stacks.
 :func:`point_curvature` and :func:`curvature_report` take ``variant`` as
-one name or as a tuple of names: a tuple shares that one pass, the
-direction matrices and the trace check among its variants, and each
-variant runs only its own tail on the shared tensors.  A badly sampled
+one name or as a tuple of names.  The engine builds each chunk's padded
+block once, and that one block gives the variation tensors and, when
+"averaged" is asked for, the direction matrices too; the trace check runs
+once.  The variants' tensors then go through one tail, stacked: one
+conversion, one restriction and one ``eigh`` over the ok rows of all of
+them.  A badly sampled
 point is a flagged row, never an exception: an isolated point is a NaN
 row, and a neighborhood that cannot determine a d-plane gives an ambiguous
 tangent.  A single point is a one-row chunk.  :func:`point_curvature`
@@ -135,7 +138,8 @@ class NeighborQuery:
                                         f"no k, got epsilon={self.epsilon}")
         elif self.mode == "knn":
             if self.k is None or self.k < 1 or self.epsilon is not None:
-                raise InvalidInputError("knn mode needs k >= 1 and no epsilon")
+                raise InvalidInputError(f"knn mode needs k >= 1 and no epsilon, "
+                                        f"got k={self.k}")
         else:
             raise InvalidInputError(f"unknown neighbor mode {self.mode!r}")
 
@@ -355,13 +359,14 @@ def _local_sums(cloud, points, kernels, eps, idx, counts):
     """Kernel-weighted neighbor quantities shared by all tensor formulas, for
     one chunk of points in one pass over its pairs.
 
-    Returns (planes, weights, proj_units, xi_den) on the padded block:
-    planes (m, K, n, n) of the neighbors, weights m_l * rho'(r/eps) and
+    Returns (planes, mass, t, weights, proj_units, xi_den) on the padded
+    block: planes (m, K, n, n) and masses (m, K) of the neighbors, their
+    distances over the row's radius t (m, K), weights m_l * rho'(r/eps) and
     proj_units P_l (x0 - x_l)/r; weights are 0 on padding and at zero
     distance (that summand is defined as 0).  The xi denominator (m,) keeps
     every neighbor, including zero-distance ones.  The kernels run on the
-    whole block; padding sits at t = 1, where they vanish.  The three block
-    arrays are views of the thread's scratch, which the next block reuses.
+    whole block; padding sits at t = 1, where they vanish.  The block arrays
+    are views of the thread's scratch, which the next block reuses.
     """
     scratch = _scratch()
     valid, pad, d_vec, r, t = _neighbor_block(
@@ -381,7 +386,7 @@ def _local_sums(cloud, points, kernels, eps, idx, counts):
     d_vec /= r[..., None]  # now the unit offsets
     proj_units = np.einsum("mlab,mlb->mla", planes, d_vec,
                            out=scratch.view("vectors", d_vec.shape))
-    return planes, weights, proj_units, xi_den
+    return planes, mass, t, weights, proj_units, xi_den
 
 
 def _prefactor(kernels, eps, xi_den):
@@ -407,7 +412,13 @@ def variation_tensor(
     """
     points = np.atleast_1d(np.asarray(points, dtype=np.intp))
     eps, idx, counts = _chunk(points.size, eps, idx, counts)
-    planes, w, pu, xi_den = _local_sums(cloud, points, kernels, eps, idx, counts)
+    planes, _, _, w, pu, xi_den = _local_sums(cloud, points, kernels, eps, idx, counts)
+    return _variation_sums(kernels, eps, planes, w, pu, xi_den)
+
+
+def _variation_sums(kernels, eps, planes, w, pu, xi_den):
+    """The variation tensors of :func:`variation_tensor` from the block that
+    :func:`_local_sums` returns; scales ``pu`` by ``w`` in place."""
     m, k, n = pu.shape
     pu *= w[..., None]
     beta = (pu.transpose(0, 2, 1) @ planes.reshape(m, k, n * n)).reshape(m, n, n, n)
@@ -458,11 +469,20 @@ def smoothed_direction_matrix(
     eps, idx, counts = _chunk(x.shape[0], eps, idx, counts)
     scratch = _scratch()
     _, pad, _, _, t = _neighbor_block(scratch, cloud.positions, x, idx, counts, eps)
-    w = np.multiply(_gather(scratch, "mass", cloud.masses, pad), kernels.eta.eval(t),
-                    out=scratch.view("weights", t.shape))
+    return _direction_sums(scratch, kernels, t,
+                           _gather(scratch, "mass", cloud.masses, pad),
+                           _gather(scratch, "planes", cloud.planes, pad))
+
+
+def _direction_sums(scratch, kernels, t, mass, planes):
+    """The direction matrices of :func:`smoothed_direction_matrix` from a
+    padded block's t (m, K), gathered masses (m, K) and planes (m, K, n, n);
+    the eta weights go to ``scratch``."""
+    w = np.multiply(mass, kernels.eta.eval(t),
+                    out=scratch.view("eta_weights", t.shape))
     w_sum = w.sum(axis=1)
     empty = w_sum < DENOM_GUARD
-    c = np.einsum("ml,mlab->mab", w, _gather(scratch, "planes", cloud.planes, pad))
+    c = np.einsum("ml,mlab->mab", w, planes)
     c /= np.where(empty, 1.0, w_sum)[:, None, None]
     c[empty] = np.nan
     return 0.5 * (c + c.swapaxes(-1, -2))
@@ -483,7 +503,7 @@ def orthogonal_sff(
     """
     points = np.atleast_1d(np.asarray(points, dtype=np.intp))
     eps, idx, counts = _chunk(points.size, eps, idx, counts)
-    planes, w, pu, xi_den = _local_sums(cloud, points, kernels, eps, idx, counts)
+    planes, _, _, w, pu, xi_den = _local_sums(cloud, points, kernels, eps, idx, counts)
     m, k, n = pu.shape
     dp = planes - cloud.planes[points][:, None]
     s = (w[..., None] * pu).transpose(0, 2, 1)
@@ -606,12 +626,16 @@ def point_curvature(
     (kernel-averaged direction matrix fed to the linear-system solve).  A
     tuple of distinct names returns a tuple of results in that order.
 
-    One pass over the chunk's pairs gives every variation tensor beta,
-    shared by all variants asked for, as are the direction matrices (only
-    when "averaged" is asked for) and the trace-checked H.  Each variant
-    then runs its own tail on stacks: the P (x) H subtraction or the
-    linear-system solve, conversion with :func:`to_bilinear_form`,
-    restriction and one stacked ``eigh``.  Each result is a
+    One padded block of the chunk's pairs, built by :func:`_local_sums`,
+    serves every variant asked for: it gives the variation tensors beta,
+    and, only when "averaged" is asked for, the direction matrices from
+    the same distances, masses and planes; H is trace-checked once.  Each
+    variant forms its gradient-form tensor on its ok rows (the P (x) H
+    subtraction or the linear-system solve), and one tail runs on the
+    stack of all of them: conversion with :func:`to_bilinear_form`,
+    restriction and one ``eigh``.  Every row keeps the operation order of
+    a tail of its own variant alone, so the results do not depend on
+    which other variants are asked for.  Each result is a
     :class:`CurvatureReport` of the chunk's m rows, with ``a_perp`` always
     filled.  Isolated points come back as NaN rows with status
     ``isolated``, per variant (the averaged variant also flags rows whose
@@ -625,36 +649,40 @@ def point_curvature(
     eps, idx, counts = _chunk(points.size, scale, idx, counts)
     m, n, d = points.size, cloud.ambient_n, cloud.dim_d
 
-    beta = variation_tensor(cloud, points, kernels, eps, idx=idx, counts=counts)
-    isolated = {"orthogonal": _nan_rows(beta)}
+    planes, mass, t, w, pu, xi_den = _local_sums(cloud, points, kernels, eps, idx,
+                                                 counts)
+    beta = _variation_sums(kernels, eps, planes, w, pu, xi_den)
+    ok_beta = ~_nan_rows(beta)
     if "averaged" in names:
-        c = smoothed_direction_matrix(cloud, cloud.positions[points], kernels, eps,
-                                      idx=idx, counts=counts)
-        isolated["averaged"] = isolated["orthogonal"] | _nan_rows(c)
+        c = _direction_sums(_scratch(), kernels, t, mass, planes)
+    ok = [ok_beta if v == "orthogonal" else ok_beta & ~_nan_rows(c) for v in names]
     # isolated rows of beta are NaN, and stay NaN in H and a_perp
     h = mean_curvature_vector(beta, dim_d=d)
     a_perp = beta - np.einsum("mjk,mi->mijk", cloud.planes[points], h)
 
+    # one tail over the ok rows of every variant, stacked in the order asked
+    rows = np.concatenate([points[o] for o in ok])
+    a_form = np.concatenate([a_perp[o] if v == "orthogonal"
+                             else solve_curvature_system(c[o], beta[o])
+                             for v, o in zip(names, ok)])
+    basis = cloud.bases[rows]
+    restricted = restrict_to_tangent(
+        to_bilinear_form(a_form), cloud.normals[rows, :, 0], basis
+    )
+    splits = np.cumsum([np.count_nonzero(o) for o in ok])[:-1]
+    tails = zip(*(np.split(a, splits) for a in principal_curvatures(restricted, basis)))
+
     results = []
-    for v in names:
-        ok = ~isolated[v]
-        rows = points[ok]
-        a_form = (a_perp[ok] if v == "orthogonal"
-                  else solve_curvature_system(c[ok], beta[ok]))
-        basis = cloud.bases[rows]
-        restricted = restrict_to_tangent(
-            to_bilinear_form(a_form), cloud.normals[rows, :, 0], basis
-        )
-        kappas, directions, gauss, abs_sum = principal_curvatures(restricted, basis)
-        status = np.where(isolated[v], STATUS_ISOLATED, STATUS_OK).astype(object)
+    for o, (kappas, directions, gauss, abs_sum) in zip(ok, tails):
+        status = np.where(o, STATUS_OK, STATUS_ISOLATED).astype(object)
         out = _nan_report(m, d, n, eps, status)
-        out.a_perp[ok] = a_perp[ok]
-        out.mean_vectors[ok] = h[ok]
-        out.mean_norm[ok] = np.linalg.norm(h[ok], axis=1)
-        out.kappas[ok] = kappas
-        out.directions[ok] = directions
-        out.gauss[ok] = gauss
-        out.abs_sum[ok] = abs_sum
+        out.a_perp[o] = a_perp[o]
+        out.mean_vectors[o] = h[o]
+        out.mean_norm[o] = np.linalg.norm(h[o], axis=1)
+        out.kappas[o] = kappas
+        out.directions[o] = directions
+        out.gauss[o] = gauss
+        out.abs_sum[o] = abs_sum
         results.append(out)
     return tuple(results) if isinstance(variant, tuple) else results[0]
 

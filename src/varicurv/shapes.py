@@ -93,7 +93,7 @@ class AnalyticShape(abc.ABC):
         self, n_points: int, noise_sigma: float = 0.0, seed: int = 0
     ) -> ShapeSample:
         if n_points < 10:
-            raise InvalidInputError("need at least 10 sample points")
+            raise InvalidInputError(f"need at least 10 sample points, got {n_points}")
         if not 0.0 <= noise_sigma < np.inf:
             raise InvalidInputError(
                 f"noise must be finite and non-negative, got {noise_sigma}")

@@ -8,6 +8,7 @@ from scipy.spatial import cKDTree
 import varicurv as vc
 from varicurv import estimator
 from varicurv.cli import _build_shape, build_parser, main
+from varicurv.errors import InvalidInputError
 from varicurv.estimator import NeighborIndex
 from varicurv.kernels import PROFILES
 from varicurv.shapes import SHAPES
@@ -67,6 +68,16 @@ class TestRunFromShape:
         )
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("command, flag", [("run", "--csv"), ("sample", "--xyz")])
+    def test_sampling_defaults(self, tmp_path, command, flag):
+        # --n-points, --noise and --seed left out take 10000, 0 and 42
+        a, b = tmp_path / "a.out", tmp_path / "b.out"
+        args = [command, "--shape", "circle"]
+        assert run_cli(*args, flag, str(a)) == 0
+        assert run_cli(*args, "--n-points", "10000", "--noise", "0", "--seed", "42",
+                       flag, str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_ply_output(self, tmp_path):
         out = tmp_path / "sphere.ply"
         code = run_cli(
@@ -94,6 +105,8 @@ class TestUsage:
         # the last --shape given wins over the leading sphere
         (["--shape", "cube", "--side", "inf"], "side must be positive and finite, got inf"),
         (["--shape", "klein"], "'klein'"),
+        (["--k", "0"], "knn mode needs k >= 1 and no epsilon, got k=0"),
+        (["--n-points", "5"], "need at least 10 sample points, got 5"),
     ])
     def test_bad_value_exit_code(self, tmp_path, capsys, args, named):
         # argparse's usage errors are bad input (exit 1), not exit 2, which
@@ -105,6 +118,32 @@ class TestUsage:
         err = capsys.readouterr().err
         assert any("error:" in line and named in line for line in err.splitlines())
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["run", "--shape", "sphere", "--side", "inf"],
+         "shape sphere takes no --side inf"),
+        (["sample", "--shape", "sphere", "--side", "inf"],
+         "shape sphere takes no --side inf"),
+        (["run", "--shape", "torus", "--radius", "1", "--height", "2"],
+         "shape torus takes no --height 2.0, --radius 1.0"),
+        (["run", "--input", "{xyz}", "--seed", "-1", "--noise", "nan",
+          "--radius", "nan"],
+         "--input takes no shape options, got --noise nan, --seed -1, --radius nan"),
+        (["run", "--input", "{xyz}", "--n-points", "500"],
+         "--input takes no shape options, got --n-points 500"),
+    ])
+    def test_unused_shape_option_exit_code(self, tmp_path, capsys, args, message):
+        # an option the run would not use is refused and named, and
+        # nothing is written
+        xyz = tmp_path / "cube.xyz"
+        vc.io.write_xyz(xyz, vc.Cube(1.0).sample(300, seed=1).cloud.positions)
+        out = tmp_path / "o.out"
+        flag = "--csv" if args[0] == "run" else "--xyz"
+        args = [str(xyz) if a == "{xyz}" else a for a in args]
+        capsys.readouterr()
+        assert run_cli(*args, flag, str(out)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_help_exit_code(self, capsys):
@@ -478,8 +517,9 @@ class TestRunFromFile:
 
     def test_trace_identity_exit_code(self, tmp_path, capsys):
         # a variation tensor that breaks sum_q t_iqq = d * H_i in one row is
-        # a broken invariant, not bad input
-        real = estimator.variation_tensor
+        # a broken invariant, not bad input; the engine forms its tensors
+        # from the chunk's block with _variation_sums
+        real = estimator._variation_sums
 
         def broken(*args, **kwargs):
             t = real(*args, **kwargs)
@@ -488,7 +528,7 @@ class TestRunFromFile:
 
         capsys.readouterr()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimator, "variation_tensor", broken)
+            mp.setattr(estimator, "_variation_sums", broken)
             assert run_cli("run", "--shape", "sphere", "--n-points", "500",
                            "--csv", str(tmp_path / "o.csv")) == 2
         assert capsys.readouterr().err.startswith(
@@ -515,7 +555,8 @@ class TestSample:
         assert pts.shape == (300, 3)
         assert normals is not None
 
-    @pytest.mark.parametrize("args", [["--seed", "-1"], ["--shape", "klein"]])
+    @pytest.mark.parametrize("args", [["--seed", "-1"], ["--shape", "klein"],
+                                      ["--n-points", "5"]])
     def test_bad_value_exit_code(self, tmp_path, capsys, args):
         out = tmp_path / "o.xyz"
         assert run_cli("sample", "--shape", "sphere", *args, "--xyz", str(out)) == 1
@@ -553,12 +594,18 @@ class TestTables:
     @pytest.mark.parametrize("name", sorted(SHAPES))
     def test_shape_built_as_by_its_constructor(self, name):
         cls = SHAPES[name]
-        options = [f"--{k.replace('_', '-')}={v}" for k, v in SHAPE_OPTIONS.items()]
+        own = {k: SHAPE_OPTIONS[k] for k in inspect.signature(cls).parameters}
+        options = [f"--{k.replace('_', '-')}={v}" for k, v in own.items()]
         for command in ("run", "sample"):
             built = _build_shape(build_parser().parse_args(
                 [command, "--shape", name, *options]))
-            own = {k: SHAPE_OPTIONS[k] for k in inspect.signature(cls).parameters}
             assert type(built) is cls and vars(built) == vars(cls(**own))
+            # another shape's parameter is refused, not dropped
+            other = next(k for k in SHAPE_OPTIONS if k not in own)
+            other = "--" + other.replace("_", "-")
+            with pytest.raises(InvalidInputError, match=f"takes no {other} 1.0"):
+                _build_shape(build_parser().parse_args(
+                    [command, "--shape", name, *options, other, "1"]))
             # an option not given leaves the constructor's default
             default = _build_shape(build_parser().parse_args([command, "--shape", name]))
             assert vars(default) == vars(cls())

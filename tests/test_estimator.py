@@ -895,36 +895,79 @@ class TestEngine:
         assert sum(size for _, size in chunks) == sum(len(ix) for ix in indices)
 
     def test_two_variants_sum_each_chunk_once(self):
-        # one variation tensor, one direction matrix and one trace check per
-        # chunk serve both reports, each equal to its single-variant report
-        cloud = vc.Sphere(1.0).sample(2 * REPORT_CHUNK + 10, seed=4).cloud
-        neighbors = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(20))
-        calls = []
+        # one padded block, one trace check and one tail per chunk serve both
+        # reports, each equal to its single-variant report; the averaged one
+        # is also bitwise the public chain solve_curvature_system(
+        # smoothed_direction_matrix, variation_tensor) -> tail, chunk by
+        # chunk, also past isolated rows on both sides of a chunk boundary
+        sphere = vc.Sphere(1.0).sample(2 * REPORT_CHUNK + 10, seed=4).cloud
+        rng = np.random.default_rng(15)
+        n_pts = 2 * REPORT_CHUNK + 70
+        loose = random_cloud(rng, n_pts=n_pts)
+        positions = loose.positions * (n_pts / 80) ** (1.0 / 3)
+        positions[REPORT_CHUNK - 1:REPORT_CHUNK + 1] = far_points(2, 3)
+        loose = vc.validate_cloud(positions, loose.planes, loose.masses, 2)
+        for cloud, query in ((sphere, NeighborQuery.knn(20)),
+                             (loose, NeighborQuery.radius(0.5))):
+            neighbors = NeighborIndex(cloud.positions).resolve_all(query)
+            calls = []
 
-        def counting(name):
-            real = getattr(estimator, name)
+            def counting(name):
+                real = getattr(estimator, name)
 
-            def wrapped(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
+                def wrapped(*args, **kwargs):
+                    calls.append(name)
+                    return real(*args, **kwargs)
 
-            return wrapped
+                return wrapped
 
-        names = ("variation_tensor", "smoothed_direction_matrix",
-                 "mean_curvature_vector")
-        with pytest.MonkeyPatch.context() as mp:
-            for name in names:
-                mp.setattr(estimator, name, counting(name))
-            both = curvature_report(cloud, neighbors, variant=("averaged", "orthogonal"),
-                                    collect_a_perp=True)
-        assert sorted(calls) == sorted(3 * names)
-        for variant, rep in zip(("averaged", "orthogonal"), both):
-            alone = curvature_report(cloud, neighbors, variant=variant,
-                                     collect_a_perp=True)
-            for field in ("kappas", "directions", "gauss", "abs_sum", "mean_norm",
-                          "mean_vectors", "a_perp", "status"):
-                assert np.array_equal(getattr(rep, field), getattr(alone, field),
-                                      equal_nan=field != "status"), (variant, field)
+            names = ("_local_sums", "variation_tensor", "smoothed_direction_matrix",
+                     "mean_curvature_vector", "to_bilinear_form")
+            with pytest.MonkeyPatch.context() as mp:
+                for name in names:
+                    mp.setattr(estimator, name, counting(name))
+                both = curvature_report(cloud, neighbors,
+                                        variant=("averaged", "orthogonal"),
+                                        collect_a_perp=True)
+            assert sorted(calls) == sorted(
+                3 * ("_local_sums", "mean_curvature_vector", "to_bilinear_form"))
+            for variant, rep in zip(("averaged", "orthogonal"), both):
+                alone = curvature_report(cloud, neighbors, variant=variant,
+                                         collect_a_perp=True)
+                for field in ("kappas", "directions", "gauss", "abs_sum", "mean_norm",
+                              "mean_vectors", "a_perp", "status"):
+                    assert np.array_equal(getattr(rep, field), getattr(alone, field),
+                                          equal_nan=field != "status"), (variant, field)
+
+            averaged = both[0]
+            kp = estimator.default_kernels(cloud)
+            indices, eps = neighbors
+            for lo in range(0, cloud.n_points, REPORT_CHUNK):
+                points = np.arange(lo, min(lo + REPORT_CHUNK, cloud.n_points))
+                chunk = {"idx": np.concatenate(indices[points[0]:points[-1] + 1]),
+                         "counts": [len(indices[i]) for i in points]}
+                beta = vc.variation_tensor(cloud, points, kp, eps[points], **chunk)
+                c = smoothed_direction_matrix(cloud, cloud.positions[points], kp,
+                                              eps[points], **chunk)
+                ok = ~(np.isnan(beta).all(axis=(1, 2, 3))
+                       | np.isnan(c).all(axis=(1, 2)))
+                basis = cloud.bases[points[ok]]
+                restricted = restrict_to_tangent(
+                    tensors.to_bilinear_form(
+                        tensors.solve_curvature_system(c[ok], beta[ok])),
+                    cloud.normals[points[ok], :, 0], basis)
+                want = principal_curvatures(restricted, basis)
+                got = [averaged.kappas, averaged.directions, averaged.gauss,
+                       averaged.abs_sum]
+                for g, w in zip(got, want):
+                    assert g[points[ok]].tobytes() == w.tobytes()
+                    assert np.isnan(g[points[~ok]]).all()
+                assert np.all(averaged.status[points[~ok]] == STATUS_ISOLATED)
+                h = mean_curvature_vector(beta)
+                assert averaged.mean_vectors[points[ok]].tobytes() == h[ok].tobytes()
+            if cloud is loose:
+                assert np.all(averaged.status[REPORT_CHUNK - 1:REPORT_CHUNK + 1]
+                              == STATUS_ISOLATED)
 
     @pytest.mark.parametrize("variant, match", [
         ((), "empty variant tuple"),
@@ -1036,8 +1079,8 @@ class TestThreadedChunks:
             return [a for part in out for a in arrays(part)]
 
         def stages():
-            names = ("point_curvature", "variation_tensor",
-                     "smoothed_direction_matrix", "_tangent_chunk")
+            names = ("point_curvature", "_variation_sums", "_direction_sums",
+                     "_tangent_chunk")
             with pytest.MonkeyPatch.context() as mp:
                 for name in names:
                     mp.setattr(estimator, name, keeping(name))
@@ -1078,8 +1121,8 @@ class TestThreadedChunks:
                                      variant=("orthogonal", "averaged"))
 
             self.runs(workers, report)
-            # six chunks, each with the tensor's and the direction matrix's block
-            assert len(blocks) == 12
+            # six chunks, each with one block for both variants
+            assert len(blocks) == 6
             scratch_of = {thread: sid for thread, sid, _, _ in blocks}
             assert 1 <= len(scratch_of) <= workers
             assert len(set(scratch_of.values())) == len(scratch_of)
