@@ -19,8 +19,11 @@ omega_d r^d / n_mass from each point's ``--n-mass``-point ball (``nmass``);
 ``--kernel`` names a profile of ``kernels.PROFILES`` (bump by default) and
 ``--shape`` one of ``shapes.SHAPES``, each parameter its own option.
 ``--n-points``, ``--noise`` and ``--seed`` default to 10000, 0 and 42
-where a shape is sampled.  A parameter of another shape, or any shape
-option given with ``--input``, is bad input: the run would not use it.
+where a shape is sampled, ``--n-mass`` to 8 under ``--mass-mode nmass``
+and ``--quantity`` to gauss with ``--ply``.  An option the run would not
+use is bad input: a parameter of another shape, any shape option given
+with ``--input``, ``--n-mass`` without ``--mass-mode nmass`` and
+``--quantity`` without ``--ply``.
 
 Exit codes: 0 success (``--help`` included), 1 bad input, 2 broken numeric
 invariant.  A badly sampled point does not stop a run: a point whose kernel
@@ -69,6 +72,9 @@ QUANTITIES = ("gauss", "abs-sum", "mean-norm", "k1", "k2")
 SHAPE_PARAMETERS = sorted({name for cls in SHAPES.values()
                            for name in inspect.signature(cls).parameters})
 SAMPLING = {"n_points": 10000, "noise": 0.0, "seed": 42}
+# Options of ``run`` that only one output or mass mode uses, with the value
+# that mode takes when they are not given.
+RUN_DEFAULTS = {"n_mass": 8, "quantity": "gauss"}
 
 
 def _option(name):
@@ -132,11 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
                      default=bump_profile().name)
     run.add_argument("--mass-mode", choices=["uniform", "nmass"],
                      default="uniform")
-    run.add_argument("--n-mass", type=int, default=8)
+    run.add_argument("--n-mass", type=int,
+                     help=f"points per mass ball under --mass-mode nmass "
+                          f"(default {RUN_DEFAULTS['n_mass']})")
     run.add_argument("--tangent-mode", choices=["auto", "estimated"],
                      default="auto")
-    run.add_argument("--quantity", choices=QUANTITIES, default="gauss",
-                     help="scalar mapped to ply colors")
+    run.add_argument("--quantity", choices=QUANTITIES,
+                     help=f"scalar mapped to --ply colors "
+                          f"(default {RUN_DEFAULTS['quantity']})")
     run.add_argument("--csv", help="CSV report output path")
     run.add_argument("--ply", help="colorized ply output path")
 
@@ -185,9 +194,15 @@ def _load_cloud(args):
 
 
 def _run(args) -> int:
+    if args.n_mass is not None and args.mass_mode != "nmass":
+        raise InvalidInputError(f"--n-mass {args.n_mass} needs --mass-mode nmass")
+    if args.quantity is not None and not args.ply:
+        raise InvalidInputError(f"--quantity {args.quantity} needs --ply")
+    n_mass = RUN_DEFAULTS["n_mass"] if args.n_mass is None else args.n_mass
+    quantity = args.quantity or RUN_DEFAULTS["quantity"]
     positions, planes, query, d = _load_cloud(args)
     n = positions.shape[1]
-    if args.quantity == "k2" and d < 2:
+    if quantity == "k2" and d < 2:
         raise InvalidInputError("quantity k2 needs d >= 2")
     if d != n - 1:
         raise InvalidInputError(
@@ -208,7 +223,7 @@ def _run(args) -> int:
     if args.mass_mode == "uniform":
         masses = np.ones(len(positions))
     else:
-        masses = estimate_masses(index, args.n_mass, d)
+        masses = estimate_masses(index, n_mass, d)
     cloud = validate_cloud(positions, planes, masses, d)
     report = curvature_report(cloud, neighbors, kernels=kernels,
                               ambiguous=ambiguous)
@@ -224,8 +239,8 @@ def _run(args) -> int:
             "mean-norm": report.mean_norm,
             "k1": report.kappas[:, 0],
             "k2": report.kappas[:, 1] if d >= 2 else None,
-        }[args.quantity]
-        colors = vio.colorize(values, diverging=args.quantity == "gauss")
+        }[quantity]
+        colors = vio.colorize(values, diverging=quantity == "gauss")
         vio.write_ply(args.ply, positions, colors=colors, quality=values)
     if not args.csv and not args.ply:
         print("no output path given (--csv/--ply); computed "

@@ -115,7 +115,8 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 @dataclass(frozen=True)
 class NeighborQuery:
-    """Neighborhood selection: fixed radius or k nearest neighbors.
+    """Neighborhood selection: a fixed radius ``epsilon`` or the ``k``
+    nearest neighbors, exactly one of them given; ``mode`` names the one.
 
     In k-mode the per-point radius resolves to (1 + margin) times the
     distance to the k-th neighbor (self excluded).  The margin, a class
@@ -125,31 +126,30 @@ class NeighborQuery:
     the estimator's eps-rate on smooth shapes.
     """
 
-    mode: str
     epsilon: float | None = None
     k: int | None = None
     margin = 0.2  # not a field: no query sets it
 
     def __post_init__(self):
         if self.mode == "radius":
-            if self.epsilon is None or not 0.0 < self.epsilon < np.inf \
-                    or self.k is not None:
+            if not 0.0 < self.epsilon < np.inf or self.k is not None:
                 raise InvalidInputError(f"radius mode needs 0 < epsilon < inf and "
                                         f"no k, got epsilon={self.epsilon}")
-        elif self.mode == "knn":
-            if self.k is None or self.k < 1 or self.epsilon is not None:
-                raise InvalidInputError(f"knn mode needs k >= 1 and no epsilon, "
-                                        f"got k={self.k}")
-        else:
-            raise InvalidInputError(f"unknown neighbor mode {self.mode!r}")
+        elif self.k is None or self.k < 1:
+            raise InvalidInputError(f"knn mode needs k >= 1 and no epsilon, "
+                                    f"got k={self.k}")
+
+    @property
+    def mode(self) -> str:
+        return "knn" if self.epsilon is None else "radius"
 
     @classmethod
     def radius(cls, epsilon: float) -> "NeighborQuery":
-        return cls(mode="radius", epsilon=float(epsilon))
+        return cls(epsilon=float(epsilon))
 
     @classmethod
     def knn(cls, k: int) -> "NeighborQuery":
-        return cls(mode="knn", k=int(k))
+        return cls(k=int(k))
 
 
 class NeighborIndex:
@@ -367,11 +367,19 @@ def _local_sums(cloud, points, kernels, eps, idx, counts):
     every neighbor, including zero-distance ones.  The kernels run on the
     whole block; padding sits at t = 1, where they vanish.  The block arrays
     are views of the thread's scratch, which the next block reuses.
+
+    A pair built for another (d, n) is refused once the block has checked
+    the chunk's lists: its ``ratio`` is not the cloud's d/n, and it would
+    scale every curvature by their quotient.
     """
     scratch = _scratch()
     valid, pad, d_vec, r, t = _neighbor_block(
         scratch, cloud.positions, cloud.positions[points], idx, counts, eps
     )
+    if kernels.ratio != cloud.dim_d / cloud.ambient_n:
+        raise InvalidInputError(
+            f"kernel pair ratio {kernels.ratio:.6g} is not the cloud's d/n = "
+            f"{cloud.dim_d}/{cloud.ambient_n} = {cloud.dim_d / cloud.ambient_n:.6g}")
     mass = _gather(scratch, "mass", cloud.masses, pad)
     # one rho' serves both weights: xi = -t rho'(t) / n, as the pair ties it
     dv = kernels.rho.deriv(t)
@@ -538,17 +546,29 @@ def restrict_to_tangent(
 @dataclass
 class CurvatureReport:
     """Arrays of per-point curvature quantities, one row per point of a
-    cloud or of a chunk."""
+    cloud or of a chunk.  Only the estimator's outputs are stored; ``gauss``
+    (the product of the kappas), ``abs_sum`` (the sum of their absolute
+    values) and ``mean_norm`` (the norm of ``mean_vectors``) derive from
+    them on each read."""
 
     kappas: np.ndarray
     directions: np.ndarray
-    gauss: np.ndarray
-    abs_sum: np.ndarray
-    mean_norm: np.ndarray
     mean_vectors: np.ndarray
     eps: np.ndarray
     status: np.ndarray
     a_perp: np.ndarray | None = None
+
+    @property
+    def gauss(self) -> np.ndarray:
+        return np.prod(self.kappas, axis=-1)
+
+    @property
+    def abs_sum(self) -> np.ndarray:
+        return np.sum(np.abs(self.kappas), axis=-1)
+
+    @property
+    def mean_norm(self) -> np.ndarray:
+        return np.linalg.norm(self.mean_vectors, axis=-1)
 
     @property
     def n_warnings(self) -> int:
@@ -560,9 +580,6 @@ def _nan_report(m, d, n, eps, status, a_perp=True) -> CurvatureReport:
     return CurvatureReport(
         kappas=np.full((m, d), np.nan),
         directions=np.full((m, d, n), np.nan),
-        gauss=np.full(m, np.nan),
-        abs_sum=np.full(m, np.nan),
-        mean_norm=np.full(m, np.nan),
         mean_vectors=np.full((m, n), np.nan),
         eps=eps,
         status=status,
@@ -572,21 +589,20 @@ def _nan_report(m, d, n, eps, status, a_perp=True) -> CurvatureReport:
 
 def principal_curvatures(
     restricted: np.ndarray, basis: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decompose the restricted form, or each row of a stack of them.
 
     Returns (kappas sorted descending, principal directions as rows in
-    ambient coordinates, gauss = product of kappas, sum of |kappas|).  The
-    overall sign of the kappas follows the arbitrary normal orientation; the
-    product is orientation-free for d = 2.
+    ambient coordinates).  The overall sign of the kappas follows the
+    arbitrary normal orientation; their product (the Gauss curvature that
+    :class:`CurvatureReport` derives) is orientation-free for d = 2.
     """
     sym = 0.5 * (restricted + restricted.swapaxes(-1, -2))
     w, v = np.linalg.eigh(sym)
     order = np.argsort(w, axis=-1)[..., ::-1]
     kappas = np.take_along_axis(w, order, axis=-1)
     directions = basis @ np.take_along_axis(v, order[..., None, :], axis=-1)
-    return (kappas, directions.swapaxes(-1, -2), np.prod(kappas, axis=-1),
-            np.sum(np.abs(kappas), axis=-1))
+    return kappas, directions.swapaxes(-1, -2)
 
 
 def _variant_names(variant) -> tuple[str, ...]:
@@ -673,16 +689,13 @@ def point_curvature(
     tails = zip(*(np.split(a, splits) for a in principal_curvatures(restricted, basis)))
 
     results = []
-    for o, (kappas, directions, gauss, abs_sum) in zip(ok, tails):
+    for o, (kappas, directions) in zip(ok, tails):
         status = np.where(o, STATUS_OK, STATUS_ISOLATED).astype(object)
         out = _nan_report(m, d, n, eps, status)
         out.a_perp[o] = a_perp[o]
         out.mean_vectors[o] = h[o]
-        out.mean_norm[o] = np.linalg.norm(h[o], axis=1)
         out.kappas[o] = kappas
         out.directions[o] = directions
-        out.gauss[o] = gauss
-        out.abs_sum[o] = abs_sum
         results.append(out)
     return tuple(results) if isinstance(variant, tuple) else results[0]
 

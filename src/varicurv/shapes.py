@@ -3,11 +3,11 @@
 Each shape produces point clouds with exact tangent projectors attached and
 knows its classical principal curvatures pointwise: ``exact_report`` takes an
 ``(N, n)`` array of points on the shape and returns ``(kappas (N, d),
-normals (N, n), gauss (N,), mean_vectors (N, n))``, the ``ShapeSample`` field
-order, in one call (a single point is a one-row array).  Principal curvatures
-are reported with respect to the inward normal, so convex shapes get positive
-values; the estimator side only recovers curvature signs up to a global flip
-per point, which callers account for when comparing.
+normals (N, n))`` in one call (a single point is a one-row array), from
+which ``ShapeSample`` derives the Gauss curvature and mean curvature vector.
+Principal curvatures are reported with respect to the inward normal, so
+convex shapes get positive values; the estimator side only recovers curvature
+signs up to a global flip per point, which callers account for when comparing.
 
 Sampling is area-uniform by low-discrepancy construction (golden-angle
 spirals, inverse-CDF stratification), randomized per seed by global rotations
@@ -33,15 +33,23 @@ from .varifold import PointCloudVarifold, validate_cloud
 
 @dataclass(frozen=True)
 class ShapeSample:
-    """A sampled cloud plus per-point ground truth at the pre-noise points."""
+    """A sampled cloud plus per-point ground truth at the pre-noise points:
+    ``gauss`` is the product of the kappas, ``mean_vectors`` their sum
+    times the inward normal."""
 
     cloud: PointCloudVarifold
     base_points: np.ndarray
     kappas: np.ndarray
     normals: np.ndarray
-    gauss: np.ndarray
-    mean_vectors: np.ndarray
     edge_distance: np.ndarray | None = None
+
+    @property
+    def gauss(self) -> np.ndarray:
+        return self.kappas.prod(axis=1)
+
+    @property
+    def mean_vectors(self) -> np.ndarray:
+        return self.kappas.sum(axis=1)[:, None] * self.normals
 
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -73,21 +81,23 @@ class AnalyticShape(abc.ABC):
     ambient_n: int
 
     @abc.abstractmethod
-    def _draw(self, n_points: int, rng) -> tuple[np.ndarray, np.ndarray, dict]:
-        """Return (points, planes, extras) at exact surface positions."""
+    def _draw(self, n_points: int, rng) -> tuple[np.ndarray, np.ndarray]:
+        """Return (points, planes) at exact surface positions."""
 
     @abc.abstractmethod
-    def exact_report(
-        self, points
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def exact_report(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Exact curvatures at an ``(N, n)`` array of points on the shape.
 
-        Returns ``(kappas (N, d), normals (N, n), gauss (N,), mean_vectors
-        (N, n))`` in ``ShapeSample`` field order, row ``l`` belonging to
-        point ``l``.  Every row must be finite and lie within 1e-9 of the
-        shape; otherwise :class:`InvalidInputError` names the first row that
-        does not.
+        Returns ``(kappas (N, d), normals (N, n))``, the principal
+        curvatures (descending, NaN where the shape has none) and the inward
+        unit normals, row ``l`` belonging to point ``l``.  Every row must be
+        finite and lie within 1e-9 of the shape; otherwise
+        :class:`InvalidInputError` names the first row that does not.
         """
+
+    def edge_distance(self, points) -> np.ndarray | None:
+        """Each point's distance to the nearest edge; None without edges."""
+        return None
 
     def sample(
         self, n_points: int, noise_sigma: float = 0.0, seed: int = 0
@@ -100,22 +110,14 @@ class AnalyticShape(abc.ABC):
         if seed < 0:
             raise InvalidInputError(f"seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
-        base, planes, extras = self._draw(n_points, rng)
+        base, planes = self._draw(n_points, rng)
         positions = base
         if noise_sigma > 0.0:
             positions = base + rng.normal(0.0, noise_sigma, size=base.shape)
         masses = np.ones(n_points)
         cloud = validate_cloud(positions, planes, masses, dim_d=self.dim_d)
-        kappas, normals, gauss, mean_vectors = self.exact_report(base)
-        return ShapeSample(
-            cloud=cloud,
-            base_points=base,
-            kappas=kappas,
-            normals=normals,
-            gauss=gauss,
-            mean_vectors=mean_vectors,
-            edge_distance=extras.get("edge_distance"),
-        )
+        kappas, normals = self.exact_report(base)
+        return ShapeSample(cloud, base, kappas, normals, self.edge_distance(base))
 
 
 def _rows(points, ambient_n: int) -> np.ndarray:
@@ -150,10 +152,7 @@ class _RoundSphere(AnalyticShape):
         # stacked one-vector dot products round like np.linalg.norm of a row
         r = np.sqrt((p[:, None, :] @ p[:, :, None])[:, 0, 0])
         _require_on_shape(np.abs(r - self.radius), self.name)
-        normals = -(p / r[:, None])
-        k = 1.0 / self.radius
-        kappas = np.full((len(p), self.dim_d), k)
-        return kappas, normals, kappas.prod(axis=1), self.dim_d * k * normals
+        return np.full((len(p), self.dim_d), 1.0 / self.radius), -(p / r[:, None])
 
     def gradient_tensor(self, points) -> np.ndarray:
         """Exact gradient-form curvature tensors, ``(N, n, n, n)``:
@@ -182,7 +181,7 @@ class Sphere(_RoundSphere):
         unit = unit @ _random_rotation(3, rng).T
         pts = self.radius * unit
         planes = np.eye(3)[None] - np.einsum("li,lj->lij", unit, unit)
-        return pts, planes, {}
+        return pts, planes
 
 
 class Circle(_RoundSphere):
@@ -196,7 +195,7 @@ class Circle(_RoundSphere):
         pts = self.radius * np.column_stack([np.cos(theta), np.sin(theta)])
         tang = np.column_stack([-np.sin(theta), np.cos(theta)])
         planes = np.einsum("li,lj->lij", tang, tang)
-        return pts, planes, {}
+        return pts, planes
 
 
 class Torus(AnalyticShape):
@@ -241,7 +240,7 @@ class Torus(AnalyticShape):
         planes = np.einsum("li,lj->lij", t_phi, t_phi) + np.einsum(
             "li,lj->lij", t_theta, t_theta
         )
-        return pts, planes, {}
+        return pts, planes
 
     def exact_report(self, points):
         p = _rows(points, self.ambient_n)
@@ -256,8 +255,7 @@ class Torus(AnalyticShape):
         k_tube = 1.0 / self.r_minor
         k_ring = cos_t / (self.r_major + self.r_minor * cos_t)
         # k_ring <= 1/(R + r) < k_tube, so the columns are already descending
-        kappas = np.column_stack([np.full(len(p), k_tube), k_ring])
-        return kappas, normals, k_tube * k_ring, (k_tube + k_ring)[:, None] * normals
+        return np.column_stack([np.full(len(p), k_tube), k_ring]), normals
 
 
 class Cylinder(AnalyticShape):
@@ -282,7 +280,7 @@ class Cylinder(AnalyticShape):
         t_phi = np.column_stack([-np.sin(phi), np.cos(phi), np.zeros(n_points)])
         planes = np.einsum("li,lj->lij", t_phi, t_phi)
         planes[:, 2, 2] += 1.0
-        return pts, planes, {}
+        return pts, planes
 
     def exact_report(self, points):
         p = _rows(points, self.ambient_n)
@@ -290,9 +288,7 @@ class Cylinder(AnalyticShape):
         _require_on_shape(np.abs(rho - self.radius), self.name)
         zeros = np.zeros(len(p))
         normals = -np.column_stack([p[:, 0] / rho, p[:, 1] / rho, zeros])
-        k = 1.0 / self.radius
-        kappas = np.column_stack([np.full(len(p), k), zeros])
-        return kappas, normals, zeros, k * normals
+        return np.column_stack([np.full(len(p), 1.0 / self.radius), zeros]), normals
 
 
 class PlanePatch(AnalyticShape):
@@ -310,14 +306,14 @@ class PlanePatch(AnalyticShape):
         xy = (uv - 0.5) * self.side
         pts = np.column_stack([xy, np.zeros(n_points)])
         planes = np.broadcast_to(np.diag([1.0, 1.0, 0.0]), (n_points, 3, 3)).copy()
-        return pts, planes, {}
+        return pts, planes
 
     def exact_report(self, points):
         p = _rows(points, self.ambient_n)
         _require_on_shape(np.abs(p[:, 2]), self.name)
         n = len(p)
         normals = np.tile([0.0, 0.0, 1.0], (n, 1))
-        return np.zeros((n, 2)), normals, np.zeros(n), np.zeros((n, 3))
+        return np.zeros((n, 2)), normals
 
 
 class Cube(AnalyticShape):
@@ -338,7 +334,6 @@ class Cube(AnalyticShape):
         counts = [base + (1 if f < extra else 0) for f in range(6)]
         pts = np.empty((n_points, 3))
         planes = np.empty((n_points, 3, 3))
-        edge_dist = np.empty(n_points)
         row = 0
         for face in range(6):
             axis, sign = divmod(face, 2)
@@ -354,9 +349,8 @@ class Cube(AnalyticShape):
             nu[axis] = sign
             pts[row : row + m] = block
             planes[row : row + m] = np.eye(3) - np.outer(nu, nu)
-            edge_dist[row : row + m] = half - np.max(np.abs(uv), axis=1)
             row += m
-        return pts, planes, {"edge_distance": edge_dist}
+        return pts, planes
 
     def exact_report(self, points):
         p = _rows(points, self.ambient_n)
@@ -369,8 +363,12 @@ class Cube(AnalyticShape):
         normals[rows, axis] = np.sign(p[rows, axis])
         # Edge or corner: no classical pointwise curvature.
         fill = np.where((np.abs(a - half) < 1e-12).sum(axis=1) > 1, np.nan, 0.0)
-        kappas = np.repeat(fill[:, None], 2, axis=1)
-        return kappas, normals, fill, np.repeat(fill[:, None], 3, axis=1)
+        return np.repeat(fill[:, None], 2, axis=1), normals
+
+    def edge_distance(self, points):
+        # a face point's largest coordinate in size is its face's half side
+        a = np.sort(np.abs(_rows(points, self.ambient_n)), axis=1)
+        return self.side / 2.0 - a[:, -2]
 
 
 # Every shape by its name; the CLI's --shape choices.

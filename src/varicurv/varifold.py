@@ -112,12 +112,14 @@ def validate_cloud(positions, planes, masses, dim_d: int) -> PointCloudVarifold:
 class JunctionSpec:
     """Union of half-lines from the origin in R^2, given by unit directions.
 
-    ``regular_n`` is set by :meth:`regular` and unlocks exact closed-form
-    coefficient evaluation through harmonic sums.
+    ``regular_n`` is not a constructor argument: only :meth:`regular` sets
+    it, to the ray count of the regular junction it builds, so it never
+    contradicts the directions.  It unlocks exact closed-form coefficient
+    evaluation through harmonic sums; every other spec has it None.
     """
 
     directions: np.ndarray
-    regular_n: int | None = field(default=None)
+    regular_n: int | None = field(default=None, init=False)
 
     def __post_init__(self):
         dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
@@ -148,12 +150,6 @@ class JunctionSpec:
         return self.directions.shape[0]
 
 
-def _regular_harmonics(n_rays: int, m: int) -> tuple[float, float]:
-    """Exact (sum cos(m a_l), sum sin(m a_l)) over a_l = 2 pi l / n_rays."""
-    c = float(n_rays) if m % n_rays == 0 else 0.0
-    return c, 0.0
-
-
 def junction_coefficients(spec: JunctionSpec) -> np.ndarray:
     """Coefficient tensor t_ijk = sum_l u_i u_j u_k of the junction's variations.
 
@@ -164,18 +160,14 @@ def junction_coefficients(spec: JunctionSpec) -> np.ndarray:
     regular 9-junction, and t_000 exactly 3/4 for the regular 3-junction).
     """
     if spec.regular_n is not None:
-        c1, s1 = _regular_harmonics(spec.regular_n, 1)
-        c3, s3 = _regular_harmonics(spec.regular_n, 3)
-        # Third-degree monomials in (cos a, sin a) via first/third harmonics.
-        ccc = (3.0 * c1 + c3) / 4.0
-        ccs = (s1 + s3) / 4.0
-        css = (c1 - c3) / 4.0
-        sss = (3.0 * s1 - s3) / 4.0
-        t = np.empty((2, 2, 2))
-        t[0, 0, 0] = ccc
-        t[0, 0, 1] = t[0, 1, 0] = t[1, 0, 0] = ccs
-        t[0, 1, 1] = t[1, 0, 1] = t[1, 1, 0] = css
-        t[1, 1, 1] = sss
+        # Third-degree monomials in (cos a, sin a) via the harmonic sums over
+        # a_l = 2 pi l / n: sum cos(m a_l) is n where n divides m, else 0,
+        # and every sine sum is 0, so the monomials odd in sin a vanish.
+        n = spec.regular_n
+        c1, c3 = (float(n) if m % n == 0 else 0.0 for m in (1, 3))
+        t = np.zeros((2, 2, 2))
+        t[0, 0, 0] = (3.0 * c1 + c3) / 4.0
+        t[0, 1, 1] = t[1, 0, 1] = t[1, 1, 0] = (c1 - c3) / 4.0
         return t
     u = spec.directions
     return np.einsum("li,lj,lk->ijk", u, u, u)

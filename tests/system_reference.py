@@ -167,7 +167,7 @@ def plane_frames(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def reference_point_curvature(cloud, l0, kernels=None, *, scale, idx, normal,
                               basis, variant="orthogonal") -> dict:
     """Curvature at one point, as a dict with the keys a_perp, mean_curv,
-    kappas, directions, gauss and abs_sum; raises
+    kappas and directions; raises
     :class:`IsolatedPointError` for an isolated point."""
     kernels = kernels or default_kernels(cloud)
     eps = float(scale)
@@ -184,9 +184,8 @@ def reference_point_curvature(cloud, l0, kernels=None, *, scale, idx, normal,
     else:
         raise InvalidInputError(f"unknown variant {variant!r}")
     restricted = restrict_to_tangent(to_bilinear_form(a_form), normal, basis)
-    kappas, directions, gauss, abs_sum = principal_curvatures(restricted, basis)
-    return dict(a_perp=a_perp, mean_curv=h, kappas=kappas, directions=directions,
-                gauss=gauss, abs_sum=abs_sum)
+    kappas, directions = principal_curvatures(restricted, basis)
+    return dict(a_perp=a_perp, mean_curv=h, kappas=kappas, directions=directions)
 
 
 def reference_report(cloud, neighbors, kernels=None, variant="orthogonal",
@@ -199,12 +198,9 @@ def reference_report(cloud, neighbors, kernels=None, variant="orthogonal",
     rows = {
         "kappas": np.full((n, d), np.nan),
         "directions": np.full((n, d, nn), np.nan),
-        "gauss": np.full(n, np.nan),
-        "abs_sum": np.full(n, np.nan),
         "mean_curv": np.full((n, nn), np.nan),
         "a_perp": np.full((n, nn, nn, nn), np.nan),
     }
-    mean_norm = np.full(n, np.nan)
     status = np.full(n, STATUS_OK, dtype=object)
     for l0 in range(n):
         try:
@@ -217,15 +213,14 @@ def reference_report(cloud, neighbors, kernels=None, variant="orthogonal",
             continue
         for key, arr in rows.items():
             arr[l0] = pc[key]
-        mean_norm[l0] = np.linalg.norm(pc["mean_curv"])
     if ambiguous is not None:
         status[(status == STATUS_OK) & np.asarray(ambiguous, dtype=bool)] = (
             STATUS_AMBIGUOUS
         )
     return CurvatureReport(
-        kappas=rows["kappas"], directions=rows["directions"], gauss=rows["gauss"],
-        abs_sum=rows["abs_sum"], mean_norm=mean_norm, mean_vectors=rows["mean_curv"],
-        eps=np.asarray(eps, dtype=float), status=status, a_perp=rows["a_perp"],
+        kappas=rows["kappas"], directions=rows["directions"],
+        mean_vectors=rows["mean_curv"], eps=np.asarray(eps, dtype=float),
+        status=status, a_perp=rows["a_perp"],
     )
 
 

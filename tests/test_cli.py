@@ -78,6 +78,18 @@ class TestRunFromShape:
                        flag, str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_mass_and_color_defaults(self, tmp_path):
+        # --n-mass left out under nmass takes 8, and --quantity with --ply
+        # takes gauss
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ["run", "--shape", "sphere", "--n-points", "400", "--mass-mode", "nmass"]
+        assert run_cli(*args, "--csv", f"{a}.csv", "--ply", f"{a}.ply") == 0
+        assert run_cli(*args, "--n-mass", "8", "--quantity", "gauss",
+                       "--csv", f"{b}.csv", "--ply", f"{b}.ply") == 0
+        for ext in ("csv", "ply"):
+            assert (tmp_path / f"a.{ext}").read_bytes() == \
+                (tmp_path / f"b.{ext}").read_bytes()
+
     def test_ply_output(self, tmp_path):
         out = tmp_path / "sphere.ply"
         code = run_cli(
@@ -107,6 +119,9 @@ class TestUsage:
         (["--shape", "klein"], "'klein'"),
         (["--k", "0"], "knn mode needs k >= 1 and no epsilon, got k=0"),
         (["--n-points", "5"], "need at least 10 sample points, got 5"),
+        # options the run would not use: no nmass masses, no ply
+        (["--n-mass", "3"], "--n-mass 3 needs --mass-mode nmass"),
+        (["--quantity", "k2"], "--quantity k2 needs --ply"),
     ])
     def test_bad_value_exit_code(self, tmp_path, capsys, args, named):
         # argparse's usage errors are bad input (exit 1), not exit 2, which

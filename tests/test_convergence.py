@@ -72,6 +72,14 @@ class TestErrorHelpers:
 
 
 class TestRunConvergence:
+    def test_pair_of_other_dimensions_refused(self):
+        sched = ConvergenceSchedule(vc.Circle(1.0), knn_rows([2000], k=20))
+        pair = vc.natural_kernel_pair(vc.bump_profile(), 1, 2)
+        assert run_convergence(sched, kernels=pair).rows[0].kappa_median[0] < 1e-3
+        pair = vc.natural_kernel_pair(vc.bump_profile(), 2, 3)
+        with pytest.raises(InvalidInputError, match=r"ratio 0.666667 .* = 0.5"):
+            run_convergence(sched, kernels=pair)
+
     def test_plane_errors_are_tiny(self):
         # principal curvatures and gauss vanish identically with exact
         # tangents (the plane-difference factor is zero); the smoothed mean

@@ -80,12 +80,13 @@ def random_cloud(rng, n_pts=200, n=3, d=2):
 
 class TestNeighborQuery:
     def test_modes_are_exclusive(self):
+        # the mode is the one of epsilon and k that is given
         with pytest.raises(InvalidInputError):
-            NeighborQuery(mode="radius", epsilon=0.1, k=5)
+            NeighborQuery(epsilon=0.1, k=5)
         with pytest.raises(InvalidInputError):
-            NeighborQuery(mode="knn")
-        with pytest.raises(InvalidInputError):
-            NeighborQuery(mode="cube", epsilon=0.1)
+            NeighborQuery()
+        assert NeighborQuery(epsilon=0.1).mode == "radius"
+        assert NeighborQuery(k=5).mode == "knn"
 
     @pytest.mark.parametrize("epsilon", [np.nan, np.inf, 0.0, -0.1])
     def test_radius_must_be_positive_and_finite(self, epsilon):
@@ -450,18 +451,16 @@ class TestRestriction:
     def test_principal_curvature_values(self):
         bbar = np.diag([2.0, -1.0])
         basis = np.eye(3)[:, :2]
-        kappas, dirs, gauss, abs_sum = principal_curvatures(bbar, basis)
+        kappas, dirs = principal_curvatures(bbar, basis)
         assert np.allclose(kappas, [2.0, -1.0])
-        assert gauss == pytest.approx(-2.0)
-        assert abs_sum == pytest.approx(3.0)
+        assert np.prod(kappas) == pytest.approx(-2.0)
+        assert np.sum(np.abs(kappas)) == pytest.approx(3.0)
         assert np.allclose(np.abs(dirs), np.eye(3)[:2])
 
     def test_zero_matrix(self):
-        kappas, _, gauss, abs_sum = principal_curvatures(
-            np.zeros((2, 2)), np.eye(3)[:, :2]
-        )
+        kappas, _ = principal_curvatures(np.zeros((2, 2)), np.eye(3)[:, :2])
         assert np.all(kappas == 0)
-        assert gauss == 0.0
+        assert np.prod(kappas) == 0.0
 
     def test_gauss_invariant_under_normal_flip(self):
         rng = np.random.default_rng(41)
@@ -472,11 +471,11 @@ class TestRestriction:
                     ball(cloud, cloud.positions[10], 0.4))
         normal, basis = cloud.normals[10, :, 0], cloud.bases[10]
         bbar = restrict_to_tangent(b, normal, basis)
-        k1, _, g1, s1 = principal_curvatures(bbar, basis)
+        k1, _ = principal_curvatures(bbar, basis)
         bbar2 = restrict_to_tangent(b, -normal, basis)
-        k2, _, g2, s2 = principal_curvatures(bbar2, basis)
-        assert g1 == pytest.approx(g2, rel=1e-12)
-        assert s1 == pytest.approx(s2, rel=1e-12)
+        k2, _ = principal_curvatures(bbar2, basis)
+        assert np.prod(k1) == pytest.approx(np.prod(k2), rel=1e-12)
+        assert np.sum(np.abs(k1)) == pytest.approx(np.sum(np.abs(k2)), rel=1e-12)
         assert np.allclose(np.sort(k1), np.sort(-k2))
 
 
@@ -685,7 +684,7 @@ class TestReport:
         for l0 in rows:
             b = one_row(orthogonal_sff, cloud, l0, kp, radius, indices[l0])
             restricted = restrict_to_tangent(b, normals[l0], bases[l0])
-            kappas, _, _, _ = principal_curvatures(restricted, bases[l0])
+            kappas, _ = principal_curvatures(restricted, bases[l0])
             scale = 1.0 + np.max(np.abs(b))
             assert np.max(np.abs(rep.kappas[l0] - kappas)) <= 1e-12 * scale
 
@@ -957,9 +956,8 @@ class TestEngine:
                         tensors.solve_curvature_system(c[ok], beta[ok])),
                     cloud.normals[points[ok], :, 0], basis)
                 want = principal_curvatures(restricted, basis)
-                got = [averaged.kappas, averaged.directions, averaged.gauss,
-                       averaged.abs_sum]
-                for g, w in zip(got, want):
+                got = [averaged.kappas, averaged.directions]
+                for g, w in zip(got, want, strict=True):
                     assert g[points[ok]].tobytes() == w.tobytes()
                     assert np.isnan(g[points[~ok]]).all()
                 assert np.all(averaged.status[points[~ok]] == STATUS_ISOLATED)
@@ -1004,6 +1002,18 @@ class TestEngine:
         with pytest.raises(InvalidInputError, match="index -1 is outside 0..300"):
             smoothed_direction_matrix(cloud, cloud.positions[:1], None, 0.5,
                                       idx=[-1], counts=[1])
+
+    def test_pair_of_other_dimensions_refused(self):
+        # the pair's prefactor d/n scales every curvature: a (2, 3) pair on
+        # a circle would report |k1| = 4/3 instead of 1
+        cloud = vc.Circle(1.0).sample(2000, seed=0).cloud
+        neighbors = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(20))
+        rep = curvature_report(cloud, neighbors, pair_for(1, 2))
+        assert np.median(np.abs(rep.kappas[:, 0])) == pytest.approx(1.0, abs=1e-3)
+        with pytest.raises(InvalidInputError,
+                           match=r"kernel pair ratio 0.666667 is not the cloud's "
+                                 r"d/n = 1/2 = 0.5"):
+            curvature_report(cloud, neighbors, pair_for(2, 3))
 
 
 class TestThreadedChunks:

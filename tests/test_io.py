@@ -25,12 +25,14 @@ POSITIONS = np.array([
 ])
 
 
-def report_of(kappas, gauss, abs_sum, mean_norm, status):
+def report_of(kappas, mean_vectors, status):
+    """A report whose gauss, abs_sum and mean_norm columns derive from
+    ``kappas`` and ``mean_vectors``."""
     n, d = kappas.shape
     return CurvatureReport(
-        kappas=kappas, directions=np.zeros((n, d, d + 1)), gauss=gauss,
-        abs_sum=abs_sum, mean_norm=mean_norm, mean_vectors=np.zeros((n, d + 1)),
-        eps=np.ones(n), status=np.array(status, dtype=object),
+        kappas=kappas, directions=np.zeros((n, d, d + 1)),
+        mean_vectors=np.asarray(mean_vectors, dtype=float), eps=np.ones(n),
+        status=np.array(status, dtype=object),
     )
 
 
@@ -148,26 +150,28 @@ class TestXyz:
 
 class TestReportCsv:
     def test_golden_bytes_d2(self, tmp_path):
+        # nan, -inf, -0, a subnormal, the largest double and more than 9
+        # digits in the kappas, and nan, inf, -0, the largest double and
+        # more than 9 digits in the columns derived from them
         rep = report_of(
-            np.array([[NAN, INF], [-INF, -0.0], [1e-7, 12345678901.0]]),
-            np.array([NAN, 0.0, 1e-310]),
-            np.array([NAN, 1.7976931348623157e308, 2.0]),
-            np.array([NAN, -0.0, 0.1]),
+            np.array([[NAN, -INF], [1.7976931348623157e308, -0.0],
+                      [12345678901.0, 1e-310]]),
+            [[NAN, NAN, NAN], [-INF, 0.0, 0.0], [0.0, 0.1, 0.0]],
             ["isolated", "ok", "ambiguous_tangent"],
         )
         path = tmp_path / "r.csv"
         vio.write_report_csv(path, POSITIONS, rep)
         assert path.read_bytes() == (
             b"index,x0,x1,x2,k1,k2,gauss,abs_sum,mean_norm,status\n"
-            b"0,0,-0,1.5,nan,inf,nan,nan,nan,isolated\n"
-            b"1,1e-300,-2.5e+300,123456789,-inf,-0,0,1.79769313e+308,-0,ok\n"
-            b"2,4.94065646e-324,0.333333333,-7,1e-07,1.23456789e+10,1e-310,2,0.1,"
-            b"ambiguous_tangent\n"
+            b"0,0,-0,1.5,nan,-inf,nan,nan,nan,isolated\n"
+            b"1,1e-300,-2.5e+300,123456789,1.79769313e+308,-0,-0,1.79769313e+308,"
+            b"inf,ok\n"
+            b"2,4.94065646e-324,0.333333333,-7,1.23456789e+10,1e-310,"
+            b"1.23456789e-300,1.23456789e+10,0.1,ambiguous_tangent\n"
         )
 
     def test_golden_bytes_d1_one_row(self, tmp_path):
-        rep = report_of(np.array([[-3.0]]), np.array([-3.0]), np.array([3.0]),
-                        np.array([2.99999999999]), ["ok"])
+        rep = report_of(np.array([[-3.0]]), [[0.0, -2.99999999999]], ["ok"])
         path = tmp_path / "r.csv"
         vio.write_report_csv(path, np.array([[0.25, -1e-5]]), rep)
         assert path.read_bytes() == (

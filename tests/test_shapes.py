@@ -5,7 +5,7 @@ import pytest
 
 import varicurv as vc
 from varicurv.errors import InvalidInputError
-from varicurv.shapes import SHAPES
+from varicurv.shapes import SHAPES, ShapeSample
 
 ALL_SHAPES = [
     ("sphere", {"radius": 1.0}),
@@ -22,37 +22,43 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def oracle(shape, points):
+    """The exact report at ``points`` as a cloud-less ``ShapeSample``, whose
+    ``gauss`` and ``mean_vectors`` derive from it."""
+    kappas, normals = shape.exact_report(points)
+    return ShapeSample(None, np.asarray(points, dtype=float), kappas, normals)
+
+
 class TestExactReports:
     def test_sphere_values(self):
-        kappas, normals, gauss, mean = vc.Sphere(2.0).exact_report([[0.0, 0.0, 2.0]])
-        assert np.allclose(kappas[0], [0.5, 0.5])
-        assert gauss[0] == pytest.approx(0.25)
-        assert np.allclose(normals[0], [0, 0, -1])
-        assert np.allclose(mean[0], [0, 0, -1.0])
+        exact = oracle(vc.Sphere(2.0), [[0.0, 0.0, 2.0]])
+        assert np.allclose(exact.kappas[0], [0.5, 0.5])
+        assert exact.gauss[0] == pytest.approx(0.25)
+        assert np.allclose(exact.normals[0], [0, 0, -1])
+        assert np.allclose(exact.mean_vectors[0], [0, 0, -1.0])
 
     def test_torus_outer_equator(self):
         torus = vc.Torus(2.0, 0.5)
-        kappas, _, gauss, _ = torus.exact_report([[2.5, 0.0, 0.0]])
-        assert np.allclose(sorted(kappas[0]), [1.0 / 2.5, 2.0])
-        assert gauss[0] == pytest.approx(0.8)
+        exact = oracle(torus, [[2.5, 0.0, 0.0]])
+        assert np.allclose(sorted(exact.kappas[0]), [1.0 / 2.5, 2.0])
+        assert exact.gauss[0] == pytest.approx(0.8)
 
     def test_torus_inner_equator_negative_gauss(self):
         torus = vc.Torus(2.0, 0.5)
-        _, _, gauss, _ = torus.exact_report([[1.5, 0.0, 0.0]])
-        assert gauss[0] < 0
+        assert oracle(torus, [[1.5, 0.0, 0.0]]).gauss[0] < 0
 
     def test_plane_zeros(self):
-        kappas, _, gauss, _ = vc.PlanePatch(1.0).exact_report([[0.1, -0.2, 0.0]])
-        assert np.all(kappas[0] == 0)
-        assert gauss[0] == 0.0
+        exact = oracle(vc.PlanePatch(1.0), [[0.1, -0.2, 0.0]])
+        assert np.all(exact.kappas[0] == 0)
+        assert exact.gauss[0] == 0.0
 
     def test_cylinder(self):
-        kappas, _, gauss, _ = vc.Cylinder(2.0, 4.0).exact_report([[2.0, 0.0, 1.0]])
-        assert np.allclose(sorted(kappas[0]), [0.0, 0.5])
-        assert gauss[0] == 0.0
+        exact = oracle(vc.Cylinder(2.0, 4.0), [[2.0, 0.0, 1.0]])
+        assert np.allclose(sorted(exact.kappas[0]), [0.0, 0.5])
+        assert exact.gauss[0] == 0.0
 
     def test_circle(self):
-        kappas, normals, _, _ = vc.Circle(4.0).exact_report([[4.0, 0.0]])
+        kappas, normals = vc.Circle(4.0).exact_report([[4.0, 0.0]])
         assert kappas[0][0] == pytest.approx(0.25)
         assert np.allclose(normals[0], [-1.0, 0.0])
 
@@ -68,18 +74,14 @@ class TestExactReports:
         assert np.all(np.isnan(edge_kappas[0]))
 
     def test_self_consistency(self):
-        # gauss is the product, |H| the absolute sum, at every queried point
-        shapes_points = [
-            (vc.Sphere(1.5), [0.0, 1.5, 0.0]),
-            (vc.Torus(2.0, 0.5), [2.5, 0.0, 0.0]),
-            (vc.Cylinder(1.0, 2.0), [1.0, 0.0, 0.3]),
-        ]
-        for shape, point in shapes_points:
-            kappas, _, gauss, mean = shape.exact_report([point])
-            assert gauss[0] == pytest.approx(np.prod(kappas[0]))
-            assert np.linalg.norm(mean[0]) == pytest.approx(
-                abs(np.sum(kappas[0]))
-            )
+        # gauss is the product, |H| the absolute sum, at every sampled point
+        for shape in (vc.Sphere(1.5), vc.Torus(2.0, 0.5), vc.Cylinder(1.0, 2.0)):
+            sample = shape.sample(200, seed=4)
+            assert np.allclose(sample.gauss, np.prod(sample.kappas, axis=1),
+                               rtol=1e-12, atol=0)
+            assert np.allclose(np.linalg.norm(sample.mean_vectors, axis=1),
+                               np.abs(np.sum(sample.kappas, axis=1)),
+                               rtol=1e-12, atol=0)
 
 
 class TestArrayOracle:
@@ -88,14 +90,12 @@ class TestArrayOracle:
         shape = SHAPES[name](**kwargs)
         sample = shape.sample(500, seed=7)
         base = sample.base_points
-        whole = shape.exact_report(base)
-        by_row = [np.concatenate(column) for column in zip(
-            *(shape.exact_report(base[i : i + 1]) for i in range(len(base)))
-        )]
-        fields = ("kappas", "normals", "gauss", "mean_vectors")
-        for got, rows, field in zip(whole, by_row, fields, strict=True):
-            assert_same_bits(got, rows)
-            assert_same_bits(got, getattr(sample, field))
+        whole = oracle(shape, base)
+        rows = [shape.exact_report(base[i : i + 1]) for i in range(len(base))]
+        by_row = ShapeSample(None, base, *map(np.concatenate, zip(*rows)))
+        for field in ("kappas", "normals", "gauss", "mean_vectors"):
+            assert_same_bits(getattr(whole, field), getattr(by_row, field))
+            assert_same_bits(getattr(whole, field), getattr(sample, field))
 
     @pytest.mark.parametrize("name,kwargs", ALL_SHAPES)
     def test_sample_calls_the_oracle_once(self, name, kwargs, monkeypatch):
@@ -118,7 +118,9 @@ class TestArrayOracle:
             [-0.5, 0.5, -0.5],   # corner
             [0.2, -0.5, 0.3],    # face
         ]
-        kappas, normals, gauss, mean = vc.Cube(1.0).exact_report(points)
+        exact = oracle(vc.Cube(1.0), points)
+        kappas, normals = exact.kappas, exact.normals
+        gauss, mean = exact.gauss, exact.mean_vectors
         singular = np.array([False, True, True, False])
         assert np.array_equal(np.isnan(gauss), singular)
         assert np.all(np.isnan(kappas) == singular[:, None])
@@ -239,6 +241,17 @@ class TestSamplers:
         assert sample.edge_distance is not None
         assert np.all(sample.edge_distance >= 0)
         assert np.max(np.abs(sample.base_points)) == pytest.approx(0.5)
+
+    def test_edge_distance_from_points(self):
+        # a face point's distance to the nearest edge of its face; shapes
+        # without edges have none
+        cube = vc.Cube(2.0)
+        got = cube.edge_distance([[1.0, 0.25, -0.5], [-0.875, -1.0, 0.0],
+                                  [0.25, -0.125, 1.0]])
+        assert np.array_equal(got, [0.5, 0.125, 0.75])
+        sample = cube.sample(300, seed=1)
+        assert_same_bits(sample.edge_distance, cube.edge_distance(sample.base_points))
+        assert vc.Sphere(1.0).sample(100).edge_distance is None
 
     def test_noise_moves_positions_only(self):
         clean = vc.Sphere(1.0).sample(200, seed=9)

@@ -104,6 +104,20 @@ class TestJunctionCoefficients:
         assert t[0, 0, 0] == 0.75
         assert not vc.junction_is_curvature_free(vc.JunctionSpec.regular(3))
 
+    def test_regular_count_is_not_an_argument(self):
+        # a ray count passed with other directions would claim their closed
+        # form: these two rays have t_000 = t_111 = 1, not the zero tensor
+        # of the regular 9-junction
+        with pytest.raises(TypeError):
+            vc.JunctionSpec([[1.0, 0.0], [0.0, 1.0]], regular_n=9)
+        for n, t000, t011 in ((1, 1.0, 0.0), (3, 0.75, -0.75), (9, 0.0, 0.0)):
+            spec = vc.JunctionSpec.regular(n)
+            assert spec.regular_n == n
+            want = np.zeros((2, 2, 2))
+            want[0, 0, 0] = t000
+            want[0, 1, 1] = want[1, 0, 1] = want[1, 1, 0] = t011
+            assert vc.junction_coefficients(spec).tobytes() == want.tobytes()
+
     def test_closed_form_matches_numeric(self):
         for n in (2, 3, 5, 9, 12):
             reg = vc.JunctionSpec.regular(n)
