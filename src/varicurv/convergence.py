@@ -178,11 +178,10 @@ def _row_result(
     kernels: KernelPair | None, compare_variants: bool,
 ) -> RowResult:
     cloud, sample, ambiguous, neighbors = _row_cloud(schedule, row, row_id)
-    variants = ("orthogonal", "averaged") if compare_variants else "orthogonal"
     exact_tensor = getattr(schedule.shape, "gradient_tensor", None)
     report = curvature_report(
-        cloud, neighbors, kernels=kernels, variant=variants, ambiguous=ambiguous,
-        collect_a_perp=exact_tensor is not None,
+        cloud, neighbors, kernels=kernels, compare_variants=compare_variants,
+        ambiguous=ambiguous, collect_a_perp=exact_tensor is not None,
     )
     if compare_variants:
         report, alt = report

@@ -36,18 +36,18 @@ the required keyword ``idx`` with the list lengths as ``counts``.  One pass
 over a chunk's pairs, on a padded (m, K) neighbor block, gives every
 variation tensor with one batched product; the tail (trace check,
 conversion, restriction, eigenvalues) runs on stacks.
-:func:`point_curvature` and :func:`curvature_report` take ``variant`` as
-one name or as a tuple of names.  The engine builds each chunk's padded
-block once, and that one block gives the variation tensors and, when
-"averaged" is asked for, the direction matrices too; the trace check runs
-once.  The variants' tensors then go through one tail, stacked: one
-conversion, one restriction and one ``eigh`` over the ok rows of all of
-them.  A badly sampled
-point is a flagged row, never an exception: an isolated point is a NaN
-row, and a neighborhood that cannot determine a d-plane gives an ambiguous
-tangent.  A single point is a one-row chunk.  :func:`point_curvature`
-gives each variant a :class:`CurvatureReport` of its chunk's rows, which
-:func:`curvature_report` copies into the whole cloud's.  The whole-cloud
+:func:`point_curvature` and :func:`curvature_report` give the orthogonal
+report, or with ``compare_variants`` the pair (orthogonal, averaged).  The
+engine builds each chunk's padded block once, and that one block gives the
+variation tensors and, for the pair, the direction matrices too; the trace
+check runs once.  Both variants' tensors then go through one tail,
+stacked: one conversion, one restriction and one ``eigh`` over the ok rows
+of both.  A badly sampled point is a flagged row, never an exception: an
+isolated point is a NaN row, and a neighborhood that cannot determine a
+d-plane gives an ambiguous tangent.  A single point is a one-row chunk.
+:func:`point_curvature` gives each variant a :class:`CurvatureReport` of
+its chunk's rows, which :func:`curvature_report` copies into the whole
+cloud's.  The whole-cloud
 functions :func:`estimate_tangent_planes` and :func:`curvature_report` take
 the ``(indices, eps)`` pair that ``resolve_all`` returns, so one resolution
 serves both; each runs ``REPORT_CHUNK`` points at a time on the same
@@ -131,11 +131,14 @@ class NeighborQuery:
     margin = 0.2  # not a field: no query sets it
 
     def __post_init__(self):
+        if (self.epsilon is None) == (self.k is None):
+            raise InvalidInputError(f"give exactly one of epsilon and k, got "
+                                    f"epsilon={self.epsilon} and k={self.k}")
         if self.mode == "radius":
-            if not 0.0 < self.epsilon < np.inf or self.k is not None:
+            if not 0.0 < self.epsilon < np.inf:
                 raise InvalidInputError(f"radius mode needs 0 < epsilon < inf and "
                                         f"no k, got epsilon={self.epsilon}")
-        elif self.k is None or self.k < 1:
+        elif self.k < 1:
             raise InvalidInputError(f"knn mode needs k >= 1 and no epsilon, "
                                     f"got k={self.k}")
 
@@ -605,20 +608,6 @@ def principal_curvatures(
     return kappas, directions.swapaxes(-1, -2)
 
 
-def _variant_names(variant) -> tuple[str, ...]:
-    """The variants a ``variant`` argument asks for: one name, or a tuple of
-    distinct names."""
-    names = variant if isinstance(variant, tuple) else (variant,)
-    if not names:
-        raise InvalidInputError("empty variant tuple")
-    for i, v in enumerate(names):
-        if v not in ("orthogonal", "averaged"):
-            raise InvalidInputError(f"unknown variant {v!r}")
-        if v in names[:i]:
-            raise InvalidInputError(f"variant {v!r} repeated in {variant!r}")
-    return names
-
-
 def point_curvature(
     cloud: PointCloudVarifold,
     points,
@@ -627,8 +616,8 @@ def point_curvature(
     scale,
     idx: np.ndarray,
     counts: np.ndarray,
-    variant: str | tuple[str, ...] = "orthogonal",
-) -> CurvatureReport | tuple[CurvatureReport, ...]:
+    compare_variants: bool = False,
+) -> CurvatureReport | tuple[CurvatureReport, CurvatureReport]:
     """Curvature report of a chunk of points (codimension 1): the engine
     behind :func:`curvature_report`.
 
@@ -636,30 +625,31 @@ def point_curvature(
     radii; ``idx`` holds the m sorted neighbor lists (self included, as
     :meth:`NeighborIndex.resolve_all` returns them) end to end and
     ``counts`` their lengths.  The restriction reads the stored planes'
-    frames from ``cloud.normals`` and ``cloud.bases``.  ``variant``
-    selects the gradient-form curvature tensor: "orthogonal" (default,
-    a_perp = beta - P_l0 (x) H with the exact stored plane) or "averaged"
-    (kernel-averaged direction matrix fed to the linear-system solve).  A
-    tuple of distinct names returns a tuple of results in that order.
+    frames from ``cloud.normals`` and ``cloud.bases``.  The report comes
+    from the orthogonal gradient-form curvature tensor
+    a_perp = beta - P_l0 (x) H with the exact stored plane.
+    ``compare_variants`` returns the pair (orthogonal, averaged), the
+    averaged report solving the linear system against the kernel-averaged
+    direction matrix instead.
 
     One padded block of the chunk's pairs, built by :func:`_local_sums`,
-    serves every variant asked for: it gives the variation tensors beta,
-    and, only when "averaged" is asked for, the direction matrices from
-    the same distances, masses and planes; H is trace-checked once.  Each
-    variant forms its gradient-form tensor on its ok rows (the P (x) H
-    subtraction or the linear-system solve), and one tail runs on the
-    stack of all of them: conversion with :func:`to_bilinear_form`,
-    restriction and one ``eigh``.  Every row keeps the operation order of
-    a tail of its own variant alone, so the results do not depend on
-    which other variants are asked for.  Each result is a
-    :class:`CurvatureReport` of the chunk's m rows, with ``a_perp`` always
-    filled.  Isolated points come back as NaN rows with status
-    ``isolated``, per variant (the averaged variant also flags rows whose
-    eta weights vanish); nothing is raised for them.
+    gives the variation tensors beta, and, with ``compare_variants``, the
+    direction matrices from the same distances, masses and planes; H is
+    trace-checked once.  Each variant forms its gradient-form tensor on its
+    ok rows (the P (x) H subtraction or the linear-system solve), and one
+    tail runs on the stack of both: conversion with
+    :func:`to_bilinear_form`, restriction and one ``eigh``.  Every row
+    keeps the operation order of a tail of its own variant alone, so the
+    orthogonal report is the same with or without the averaged one.  Each
+    result is a :class:`CurvatureReport` of the chunk's m rows; the
+    orthogonal one always has ``a_perp`` filled, and the averaged one
+    carries none, since a_perp is the orthogonal tensor.  Isolated points
+    come back as NaN rows with status ``isolated``, per variant (the
+    averaged variant also flags rows whose eta weights vanish); nothing is
+    raised for them.
     """
     if cloud.dim_d != cloud.ambient_n - 1:
         raise InvalidInputError("point_curvature needs codimension 1")
-    names = _variant_names(variant)
     kernels = kernels or default_kernels(cloud)
     points = np.atleast_1d(np.asarray(points, dtype=np.intp))
     eps, idx, counts = _chunk(points.size, scale, idx, counts)
@@ -668,22 +658,21 @@ def point_curvature(
     planes, mass, t, w, pu, xi_den = _local_sums(cloud, points, kernels, eps, idx,
                                                  counts)
     beta = _variation_sums(kernels, eps, planes, w, pu, xi_den)
-    ok_beta = ~_nan_rows(beta)
-    if "averaged" in names:
-        c = _direction_sums(_scratch(), kernels, t, mass, planes)
-    ok = [ok_beta if v == "orthogonal" else ok_beta & ~_nan_rows(c) for v in names]
     # isolated rows of beta are NaN, and stay NaN in H and a_perp
+    ok = [~_nan_rows(beta)]
     h = mean_curvature_vector(beta, dim_d=d)
     a_perp = beta - np.einsum("mjk,mi->mijk", cloud.planes[points], h)
+    forms = [a_perp[ok[0]]]
+    if compare_variants:
+        c = _direction_sums(_scratch(), kernels, t, mass, planes)
+        ok.append(ok[0] & ~_nan_rows(c))
+        forms.append(solve_curvature_system(c[ok[1]], beta[ok[1]]))
 
-    # one tail over the ok rows of every variant, stacked in the order asked
+    # one tail over the ok rows of every variant, stacked
     rows = np.concatenate([points[o] for o in ok])
-    a_form = np.concatenate([a_perp[o] if v == "orthogonal"
-                             else solve_curvature_system(c[o], beta[o])
-                             for v, o in zip(names, ok)])
     basis = cloud.bases[rows]
     restricted = restrict_to_tangent(
-        to_bilinear_form(a_form), cloud.normals[rows, :, 0], basis
+        to_bilinear_form(np.concatenate(forms)), cloud.normals[rows, :, 0], basis
     )
     splits = np.cumsum([np.count_nonzero(o) for o in ok])[:-1]
     tails = zip(*(np.split(a, splits) for a in principal_curvatures(restricted, basis)))
@@ -691,23 +680,25 @@ def point_curvature(
     results = []
     for o, (kappas, directions) in zip(ok, tails):
         status = np.where(o, STATUS_OK, STATUS_ISOLATED).astype(object)
-        out = _nan_report(m, d, n, eps, status)
-        out.a_perp[o] = a_perp[o]
+        # a_perp is the orthogonal tensor: the first report alone holds it
+        out = _nan_report(m, d, n, eps, status, a_perp=not results)
+        if out.a_perp is not None:
+            out.a_perp[o] = a_perp[o]
         out.mean_vectors[o] = h[o]
         out.kappas[o] = kappas
         out.directions[o] = directions
         results.append(out)
-    return tuple(results) if isinstance(variant, tuple) else results[0]
+    return tuple(results) if compare_variants else results[0]
 
 
 def curvature_report(
     cloud: PointCloudVarifold,
     neighbors: tuple[list[np.ndarray], np.ndarray],
     kernels: KernelPair | None = None,
-    variant: str | tuple[str, ...] = "orthogonal",
+    compare_variants: bool = False,
     ambiguous: np.ndarray | None = None,
     collect_a_perp: bool = False,
-) -> CurvatureReport | tuple[CurvatureReport, ...]:
+) -> CurvatureReport | tuple[CurvatureReport, CurvatureReport]:
     """Per-point curvatures over the whole cloud, ``REPORT_CHUNK`` points
     per call of the engine :func:`point_curvature`.
 
@@ -716,38 +707,44 @@ def curvature_report(
     point's sorted neighbor list and its smoothing radius.  Each chunk's
     lists are flattened into one index array, and the chunk's reports are
     copied into the whole cloud's rows.  Isolated points become NaN rows
-    with a status flag rather than exceptions.  ``variant`` is one
-    name, or a tuple of distinct names that returns a tuple of reports in
-    that order from one pass over each chunk's pairs; ``ambiguous`` and
-    ``collect_a_perp`` then apply to every report.
+    with a status flag rather than exceptions.  ``compare_variants``
+    returns the pair (orthogonal, averaged) from one pass over each chunk's
+    pairs.  ``ambiguous``, one flag per point, marks the ok rows of every
+    report ``ambiguous_tangent``; it is checked with the neighbors, before
+    any sum.  ``collect_a_perp`` fills the orthogonal report's ``a_perp``;
+    the averaged report has none.
     """
     if cloud.dim_d != cloud.ambient_n - 1:
         raise InvalidInputError("curvature_report needs codimension 1")
-    names = _variant_names(variant)
     kernels = kernels or default_kernels(cloud)
     n, d, nn = cloud.n_points, cloud.dim_d, cloud.ambient_n
     indices, eps = _check_neighbors(neighbors, n)
+    if ambiguous is not None:
+        ambiguous = np.asarray(ambiguous, dtype=bool)
+        if ambiguous.shape != (n,):
+            raise InvalidInputError(f"ambiguous flags of shape {ambiguous.shape} "
+                                    f"for {n} points; need shape ({n},)")
 
-    reports = [_nan_report(n, d, nn, np.empty(n), np.empty(n, dtype=object),
-                           collect_a_perp) for _ in names]
+    reports = [_nan_report(n, d, nn, np.empty(n), np.empty(n, dtype=object), a_perp)
+               for a_perp in ((collect_a_perp, False) if compare_variants
+                              else (collect_a_perp,))]
 
     def run_chunk(lo, hi, idx, counts):
         chunk = point_curvature(
             cloud, np.arange(lo, hi), kernels, scale=eps[lo:hi], idx=idx,
-            counts=counts, variant=names,
+            counts=counts, compare_variants=compare_variants,
         )
-        for rep, part in zip(reports, chunk):
+        for rep, part in zip(reports, chunk if compare_variants else (chunk,)):
             for f in fields(CurvatureReport):
                 rows = getattr(rep, f.name)
                 if rows is not None:
                     rows[lo:hi] = getattr(part, f.name)
 
     _map_chunks(run_chunk, indices)
-    for rep in reports:
-        if ambiguous is not None:
-            flagged = (rep.status == STATUS_OK) & np.asarray(ambiguous, dtype=bool)
-            rep.status[flagged] = STATUS_AMBIGUOUS
-    return tuple(reports) if isinstance(variant, tuple) else reports[0]
+    if ambiguous is not None:
+        for rep in reports:
+            rep.status[(rep.status == STATUS_OK) & ambiguous] = STATUS_AMBIGUOUS
+    return tuple(reports) if compare_variants else reports[0]
 
 
 @dataclass(frozen=True)

@@ -56,9 +56,10 @@ def direction_matrix(mat) -> np.ndarray:
 
     It arises as an average of tangent projectors; hence PSD with trace d
     and det(I + c) >= 2^d when the projectors share rank d.  Returns the
-    symmetrized matrix, with eigenvalues in [-PSD_TOL, 0) clamped to zero.
-    A stack ``(..., n, n)`` is checked row by row with one stacked
-    eigendecomposition; an error names the first bad row.
+    symmetrized matrix as it is: an eigenvalue in [-PSD_TOL, 0) is rounding
+    and passes, and the closed-form solve needs no PSD repair, only
+    det(I + c) > 0.  A stack ``(..., n, n)`` is checked row by row with one
+    stacked eigenvalue computation; an error names the first bad row.
     """
     mat = np.asarray(mat, dtype=float)
     _require_finite(mat, "direction matrix")
@@ -71,20 +72,13 @@ def direction_matrix(mat) -> np.ndarray:
             "direction matrix is not symmetric" + _at_row(asym)
         )
     mat = 0.5 * (mat + swapped)
-    w, v = np.linalg.eigh(mat)
-    low = np.min(w, axis=-1, initial=np.inf)
+    low = np.min(np.linalg.eigvalsh(mat), axis=-1, initial=np.inf)
     neg = low < -PSD_TOL
     if np.any(neg):
         first = low[neg].flat[0]
         raise VaricurvError(
             f"negative eigenvalue {first:.3g} below -{PSD_TOL:g}" + _at_row(neg)
         )
-    clamp = low < 0.0
-    if np.any(clamp):
-        # Rounding from averaged projectors; clamp tiny negatives to zero.
-        vc, wc = v[clamp], np.clip(w[clamp], 0.0, None)
-        fixed = (vc * wc[..., None, :]) @ vc.swapaxes(-1, -2)
-        mat[clamp] = 0.5 * (fixed + fixed.swapaxes(-1, -2))
     big = np.max(np.abs(mat), axis=(-2, -1), initial=0.0) > 1.0 + SYMMETRY_TOL
     if np.any(big):
         raise VaricurvError(

@@ -157,7 +157,7 @@ class TestPairedVariants:
             return real_resolve(self, query)
 
         def counting_report(*args, **kwargs):
-            reports.append(kwargs["variant"])
+            reports.append(kwargs["compare_variants"])
             return real_report(*args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -167,7 +167,7 @@ class TestPairedVariants:
         assert res.rows[-1].kappa_median_averaged is not None
         assert len(calls) == 2
         # one report call per row serves both variants
-        assert reports == [("orthogonal", "averaged")] * 2
+        assert reports == [True] * 2
 
     def test_orthogonal_beats_averaged_with_noise(self):
         # noisy positions + estimated tangents: the exact-plane variant's

@@ -1,6 +1,7 @@
 import copy
 import gc
 import math
+import re
 import threading
 import time
 import weakref
@@ -81,9 +82,11 @@ def random_cloud(rng, n_pts=200, n=3, d=2):
 class TestNeighborQuery:
     def test_modes_are_exclusive(self):
         # the mode is the one of epsilon and k that is given
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="exactly one of epsilon and k, "
+                           "got epsilon=0.1 and k=5"):
             NeighborQuery(epsilon=0.1, k=5)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="exactly one of epsilon and k, "
+                           "got epsilon=None and k=None"):
             NeighborQuery()
         assert NeighborQuery(epsilon=0.1).mode == "radius"
         assert NeighborQuery(k=5).mode == "knn"
@@ -634,7 +637,7 @@ class TestReport:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tensors, "direction_matrix", counting_check)
-            rep = curvature_report(cloud, neighbors, variant="averaged")
+            _, rep = curvature_report(cloud, neighbors, compare_variants=True)
         assert rep.status[-1] == STATUS_ISOLATED
         assert len(calls) == int(np.sum(rep.status != STATUS_ISOLATED)) == 300
 
@@ -662,7 +665,7 @@ class TestReport:
         neighbors = NeighborIndex(cloud.positions).resolve_all(query)
         real_sums = estimator._local_sums
         reports = {}
-        for variant in ("orthogonal", "averaged", ("orthogonal", "averaged")):
+        for compare in (False, True):
             calls = []
 
             def counting_sums(cloud, points, *args):
@@ -671,12 +674,12 @@ class TestReport:
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(estimator, "_local_sums", counting_sums)
-                reports[variant] = curvature_report(cloud, neighbors, kp,
-                                                    variant=variant)
-            assert calls == list(range(cloud.n_points)), variant
+                reports[compare] = curvature_report(cloud, neighbors, kp,
+                                                    compare_variants=compare)
+            assert calls == list(range(cloud.n_points)), compare
 
         # reference: restrict the independently summed orthogonal_sff
-        rep = reports["orthogonal"]
+        rep = reports[False]
         indices, _ = neighbors
         normals, bases = plane_frames(cloud.planes)
         rows = np.nonzero(rep.status != STATUS_ISOLATED)[0]
@@ -703,9 +706,9 @@ class TestReport:
         query = NeighborQuery.knn(20)
         neighbors = NeighborIndex(cloud.positions).resolve_all(query)
         moved_neighbors = NeighborIndex(shuffled.positions).resolve_all(query)
-        for variant in ("orthogonal", "averaged"):
-            rep = curvature_report(cloud, neighbors, variant=variant)
-            moved = curvature_report(shuffled, moved_neighbors, variant=variant)
+        reps = curvature_report(cloud, neighbors, compare_variants=True)
+        movs = curvature_report(shuffled, moved_neighbors, compare_variants=True)
+        for variant, rep, moved in zip(("orthogonal", "averaged"), reps, movs):
             assert np.array_equal(moved.status, rep.status[perm]), variant
             tol = 1e-12 * (1.0 + np.nanmax(np.abs(rep.kappas)))
             assert np.allclose(moved.kappas, rep.kappas[perm], rtol=0, atol=tol,
@@ -734,12 +737,11 @@ class TestReport:
             np.einsum("ab,lbc,dc->lad", q, cloud.planes, q), cloud.masses, n - 1,
         )
         indices, eps = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(10))
-        variants = ("orthogonal", "averaged")
-        reps = curvature_report(cloud, (indices, eps), variant=variants)
-        movs = curvature_report(moved, (indices, scale * eps), variant=variants)
+        reps = curvature_report(cloud, (indices, eps), compare_variants=True)
+        movs = curvature_report(moved, (indices, scale * eps), compare_variants=True)
         flip = np.einsum("la,la->l", cloud.normals[:, :, 0] @ q.T,
                          moved.normals[:, :, 0]) < 0.0
-        for name, rep, mov in zip(variants, reps, movs):
+        for name, rep, mov in zip(("orthogonal", "averaged"), reps, movs):
             assert np.array_equal(mov.status, rep.status), name
             assert np.array_equal(mov.eps, scale * eps), name
             want = np.where(flip[:, None], -rep.kappas[:, ::-1], rep.kappas)
@@ -771,6 +773,15 @@ class TestReport:
             )
 
 
+def report_bytes(rep):
+    """The bytes of each array of a report, None for an a_perp it does not
+    hold: two reports are bitwise equal when these are."""
+    return {field: None if getattr(rep, field) is None
+            else getattr(rep, field).tobytes()
+            for field in ("kappas", "directions", "gauss", "abs_sum", "mean_norm",
+                          "mean_vectors", "eps", "a_perp")}
+
+
 def far_points(rows, n):
     """Points far from the unit cube and from each other: isolated."""
     return 100.0 * (1.0 + np.arange(rows))[:, None] * np.eye(n)[0]
@@ -786,17 +797,16 @@ class TestEngine:
         n=st.sampled_from([2, 3, 4, 6, 10]),
         eps=st.floats(0.35, 0.9),
         kernel=st.sampled_from(["bump", "tent"]),
-        variant=st.sampled_from(["orthogonal", "averaged",
-                                 ("orthogonal", "averaged")]),
+        compare=st.booleans(),
         layout=st.sampled_from(["small", "beyond_chunk"]),
     )
     # 15 copies of a sphere's point 0 give those 16 points a knn radius of 0
-    @example(seed=0, n=3, eps=0.5, kernel="bump",
-             variant=("orthogonal", "averaged"), layout="zero_radius")
+    @example(seed=0, n=3, eps=0.5, kernel="bump", compare=True,
+             layout="zero_radius")
     def test_report_matches_per_point_reference(self, seed, n, eps, kernel,
-                                                variant, layout):
-        # a tuple of variants returns one report per name, each checked
-        # against the reference of its own variant
+                                                compare, layout):
+        # compare_variants returns the (orthogonal, averaged) pair, each
+        # checked against the reference of its own variant
         rng = np.random.default_rng(seed)
         beyond_chunk = layout == "beyond_chunk"
         if layout == "zero_radius":
@@ -819,11 +829,12 @@ class TestEngine:
             query = NeighborQuery.radius(eps * np.sqrt(n / 2) if n > 4 else eps)
         kp = kernel_pair_by_name(kernel, n - 1, n)
         neighbors = NeighborIndex(cloud.positions).resolve_all(query)
-        names = variant if isinstance(variant, tuple) else (variant,)
+        names = ("orthogonal", "averaged") if compare else ("orthogonal",)
 
         def reports(cloud, neighbors, **kwargs):
-            got = curvature_report(cloud, neighbors, kp, variant=variant, **kwargs)
-            return got if isinstance(variant, tuple) else (got,)
+            got = curvature_report(cloud, neighbors, kp, compare_variants=compare,
+                                   **kwargs)
+            return got if compare else (got,)
 
         reps = reports(cloud, neighbors, collect_a_perp=True)
         assert len(reps) == len(names)
@@ -837,8 +848,13 @@ class TestEngine:
                 assert np.flatnonzero(rep.status == STATUS_ISOLATED).tolist() == [
                     0, *range(300, 315)
                 ]
-            for field in ("kappas", "mean_vectors", "a_perp", "gauss", "abs_sum",
-                          "mean_norm"):
+            # a_perp is the orthogonal tensor, stored in that report alone
+            fields = ("kappas", "mean_vectors", "gauss", "abs_sum", "mean_norm")
+            if name == "orthogonal":
+                fields += ("a_perp",)
+            else:
+                assert rep.a_perp is None
+            for field in fields:
                 got, want = getattr(rep, field), getattr(ref, field)
                 assert np.array_equal(np.isnan(got), np.isnan(want)), (name, field)
                 tol = 1e-12 * (1.0 + np.nanmax(np.abs(want), initial=0.0))
@@ -895,8 +911,8 @@ class TestEngine:
 
     def test_two_variants_sum_each_chunk_once(self):
         # one padded block, one trace check and one tail per chunk serve both
-        # reports, each equal to its single-variant report; the averaged one
-        # is also bitwise the public chain solve_curvature_system(
+        # reports; the orthogonal one equals the report without the
+        # comparison, and the averaged one is bitwise the public chain solve_curvature_system(
         # smoothed_direction_matrix, variation_tensor) -> tail, chunk by
         # chunk, also past isolated rows on both sides of a chunk boundary
         sphere = vc.Sphere(1.0).sample(2 * REPORT_CHUNK + 10, seed=4).cloud
@@ -925,20 +941,17 @@ class TestEngine:
             with pytest.MonkeyPatch.context() as mp:
                 for name in names:
                     mp.setattr(estimator, name, counting(name))
-                both = curvature_report(cloud, neighbors,
-                                        variant=("averaged", "orthogonal"),
-                                        collect_a_perp=True)
+                orthogonal, averaged = curvature_report(
+                    cloud, neighbors, compare_variants=True, collect_a_perp=True)
             assert sorted(calls) == sorted(
                 3 * ("_local_sums", "mean_curvature_vector", "to_bilinear_form"))
-            for variant, rep in zip(("averaged", "orthogonal"), both):
-                alone = curvature_report(cloud, neighbors, variant=variant,
-                                         collect_a_perp=True)
-                for field in ("kappas", "directions", "gauss", "abs_sum", "mean_norm",
-                              "mean_vectors", "a_perp", "status"):
-                    assert np.array_equal(getattr(rep, field), getattr(alone, field),
-                                          equal_nan=field != "status"), (variant, field)
+            alone = curvature_report(cloud, neighbors, collect_a_perp=True)
+            for field in ("kappas", "directions", "gauss", "abs_sum", "mean_norm",
+                          "mean_vectors", "a_perp", "status"):
+                assert np.array_equal(getattr(orthogonal, field), getattr(alone, field),
+                                      equal_nan=field != "status"), field
+            assert averaged.a_perp is None
 
-            averaged = both[0]
             kp = estimator.default_kernels(cloud)
             indices, eps = neighbors
             for lo in range(0, cloud.n_points, REPORT_CHUNK):
@@ -967,25 +980,46 @@ class TestEngine:
                 assert np.all(averaged.status[REPORT_CHUNK - 1:REPORT_CHUNK + 1]
                               == STATUS_ISOLATED)
 
-    @pytest.mark.parametrize("variant, match", [
-        ((), "empty variant tuple"),
-        (("orthogonal", "orthogonal"), "variant 'orthogonal' repeated"),
-        (("averaged", "mean"), "unknown variant 'mean'"),
-        ("mean", "unknown variant 'mean'"),
-    ])
-    def test_variants_checked_before_any_sum(self, variant, match):
+    def test_comparison_leaves_orthogonal_report_unchanged(self):
+        # the averaged report rides along without changing a bit of the
+        # orthogonal one, in the engine and in the whole-cloud report; the
+        # orthogonal tensor a_perp is stored in the orthogonal report alone
+        cloud = sphere_with_outlier()
+        neighbors = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.radius(0.5))
+        points = [0, 1, 300]
+        lists = [neighbors[0][i] for i in points]
+        chunk = dict(scale=neighbors[1][points], idx=np.concatenate(lists),
+                     counts=[len(ix) for ix in lists])
+        runs = [
+            (point_curvature(cloud, points, **chunk),
+             point_curvature(cloud, points, compare_variants=True, **chunk)),
+            (curvature_report(cloud, neighbors, collect_a_perp=True),
+             curvature_report(cloud, neighbors, compare_variants=True,
+                              collect_a_perp=True)),
+        ]
+        for alone, (orthogonal, averaged) in runs:
+            assert orthogonal.status[-1] == STATUS_ISOLATED
+            assert np.array_equal(orthogonal.status, alone.status)
+            for field in ("kappas", "directions", "mean_vectors", "eps", "a_perp"):
+                assert (getattr(orthogonal, field).tobytes()
+                        == getattr(alone, field).tobytes()), field
+            assert averaged.a_perp is None
+
+    @pytest.mark.parametrize("flags", [True, np.zeros(300, dtype=bool),
+                                       np.zeros((301, 1), dtype=bool)])
+    def test_ambiguous_checked_before_any_sum(self, flags):
+        # flags that are not one per point are refused, naming their shape,
+        # before any chunk is summed: a bare True would otherwise flag every
+        # point, and a short array would fail in numpy after every chunk
         cloud = sphere_with_outlier()
         neighbors = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(10))
-        lists = neighbors[0][:3]
-        idx, counts = np.concatenate(lists), [len(ix) for ix in lists]
         sums = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimator, "_local_sums", lambda *args: sums.append(args))
-            with pytest.raises(InvalidInputError, match=match):
-                point_curvature(cloud, [0, 1, 2], scale=neighbors[1][:3], idx=idx,
-                                counts=counts, variant=variant)
-            with pytest.raises(InvalidInputError, match=match):
-                curvature_report(cloud, neighbors, variant=variant)
+            shape = re.escape(str(np.shape(flags)))
+            with pytest.raises(InvalidInputError,
+                               match=f"ambiguous flags of shape {shape} for 301 points"):
+                curvature_report(cloud, neighbors, ambiguous=flags)
         assert sums == []
 
     def test_chunk_contract_checked(self):
@@ -1042,16 +1076,14 @@ class TestThreadedChunks:
 
         def report():
             return curvature_report(cloud, neighbors, collect_a_perp=True,
-                                    variant=("orthogonal", "averaged"))
+                                    compare_variants=True)
 
         serial, threaded = self.runs(1, report), self.runs(4, report)
         for one, many in zip(serial, threaded):
             boundary = one.status[REPORT_CHUNK - 1:REPORT_CHUNK + 1]
             assert np.all(boundary == STATUS_ISOLATED)
             assert np.array_equal(one.status, many.status)
-            for field in ("kappas", "directions", "gauss", "abs_sum", "mean_norm",
-                          "mean_vectors", "eps", "a_perp"):
-                assert getattr(one, field).tobytes() == getattr(many, field).tobytes()
+            assert report_bytes(one) == report_bytes(many)
 
         sheet = plane_grid(2 * REPORT_CHUNK + 70)
         sheet[:, 2] = 0.003 * rng.standard_normal(len(sheet))
@@ -1094,7 +1126,7 @@ class TestThreadedChunks:
             with pytest.MonkeyPatch.context() as mp:
                 for name in names:
                     mp.setattr(estimator, name, keeping(name))
-                curvature_report(cloud, neighbors, variant=("orthogonal", "averaged"))
+                curvature_report(cloud, neighbors, compare_variants=True)
                 estimate_tangent_planes(cloud.positions, neighbors, 2)
 
         self.runs(1, stages)
@@ -1127,8 +1159,7 @@ class TestThreadedChunks:
             def report():
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(estimator, "_neighbor_block", recording)
-                    curvature_report(cloud, neighbors,
-                                     variant=("orthogonal", "averaged"))
+                    curvature_report(cloud, neighbors, compare_variants=True)
 
             self.runs(workers, report)
             # six chunks, each with one block for both variants
@@ -1406,7 +1437,7 @@ class TestDegenerateInputs:
                 reports = ()
                 if d == n - 1:
                     reports = curvature_report(
-                        cloud, neighbors, variant=("orthogonal", "averaged"),
+                        cloud, neighbors, compare_variants=True,
                         ambiguous=est.ambiguous, collect_a_perp=True,
                     )
             return est, cloud, reports
@@ -1426,9 +1457,7 @@ class TestDegenerateInputs:
             assert getattr(cloud, field).tobytes() == getattr(cloud4, field).tobytes()
         for one, many in zip(reports, reports4):
             assert np.array_equal(one.status, many.status)
-            for field in ("kappas", "directions", "gauss", "abs_sum", "mean_norm",
-                          "mean_vectors", "eps", "a_perp"):
-                assert getattr(one, field).tobytes() == getattr(many, field).tobytes()
+            assert report_bytes(one) == report_bytes(many)
 
 
 class TestMassEstimation:

@@ -119,8 +119,19 @@ class TestSolveCurvatureSystem:
         assert type(err.value) is VaricurvError
 
     def test_clamps_tiny_negative_eigenvalue(self):
-        c = direction_matrix(np.diag([0.5, -5e-11]))
-        assert np.linalg.eigvalsh(c).min() >= 0.0
+        # nothing is clamped: rounding below zero but within PSD_TOL passes
+        # as it is, the check returns the symmetrized input, and the closed
+        # form solves on it
+        c = np.diag([0.5, -5e-11])
+        c[0, 1], c[1, 0] = 1e-12, 0.0
+        out = direction_matrix(c)
+        assert np.array_equal(out, 0.5 * (c + c.T))
+        assert np.linalg.eigvalsh(out).min() < 0.0
+        b = np.random.default_rng(3).standard_normal((2, 2, 2))
+        b = 0.5 * (b + b.transpose(0, 2, 1))
+        a = solve_curvature_system(c, b)
+        residual = a + np.einsum("jk,i->ijk", out, np.einsum("qiq->i", a)) - b
+        assert np.max(np.abs(residual)) <= 1e-14
 
 
 class TestFullSystemMatrix:
@@ -263,11 +274,19 @@ class TestStacks:
             assert type(err.value) is VaricurvError
 
     def test_tiny_negative_row_clamped_alone(self):
+        # nothing is clamped: a stack with one row of eigenvalue -5e-11 comes
+        # back as it went in, and the stacked solve runs on every row
         c = np.array([np.diag([0.5, 0.25]), np.diag([0.5, -5e-11]),
                       np.diag([0.75, 0.0])])
         out = direction_matrix(c)
-        assert np.array_equal(out[0], c[0]) and np.array_equal(out[2], c[2])
-        assert np.min(np.linalg.eigvalsh(out[1])) >= 0.0
+        assert np.array_equal(out, c)
+        b = symmetric_stack(np.random.default_rng(59), 3, 2)
+        a = solve_curvature_system(c, b)
+        for row in range(3):
+            assert np.array_equal(a[row], solve_curvature_system(c[row], b[row]))
+        h = np.einsum("...qiq->...i", a)
+        residual = a + np.einsum("mjk,mi->mijk", c, h) - b
+        assert np.max(np.abs(residual)) <= 1e-14
 
     def test_asymmetric_tensor_row_named(self):
         t = symmetric_stack(np.random.default_rng(53), 5, 3)
