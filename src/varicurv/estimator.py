@@ -32,41 +32,47 @@ estimator runs on chunks of points: :func:`point_curvature`,
 :func:`smoothed_direction_matrix` take an (m,) array of points (locations
 for the last), their (m,) radii, and their sorted neighbor lists (as
 :meth:`NeighborIndex.resolve_all` returns them) concatenated end to end as
-the required keyword ``idx`` with the list lengths as ``counts``.  One pass
-over a chunk's pairs, on a padded (m, K) neighbor block, gives every
-variation tensor with one batched product; the tail (trace check,
-conversion, restriction, eigenvalues) runs on stacks.
+the required keyword ``idx`` with the list lengths as ``counts``.  A chunk's
+pairs are summed on padded (m, K) neighbor blocks of ``REPORT_BLOCK``
+points, K the block's longest list, which bound the memory of the sums;
+one batched product per block gives its variation tensors.  The tail
+(trace check, conversion, restriction, eigenvalues) then runs once on the
+stack of all the chunk's rows, so its numpy calls are paid once per chunk.
 :func:`point_curvature` and :func:`curvature_report` give the orthogonal
 report, or with ``compare_variants`` the pair (orthogonal, averaged).  The
-engine builds each chunk's padded block once, and that one block gives the
-variation tensors and, for the pair, the direction matrices too; the trace
-check runs once.  Both variants' tensors then go through one tail,
+engine builds each block once, and that one block gives the variation
+tensors and, for the pair, the direction matrices too; the trace check
+runs once per chunk.  Both variants' tensors then go through one tail,
 stacked: one conversion, one restriction and one ``eigh`` over the ok rows
 of both.  A badly sampled point is a flagged row, never an exception: an
 isolated point is a NaN row, and a neighborhood that cannot determine a
 d-plane gives an ambiguous tangent.  A single point is a one-row chunk.
 :func:`point_curvature` gives each variant a :class:`CurvatureReport` of
 its chunk's rows, which :func:`curvature_report` copies into the whole
-cloud's.  The whole-cloud
-functions :func:`estimate_tangent_planes` and :func:`curvature_report` take
-the ``(indices, eps)`` pair that ``resolve_all`` returns, so one resolution
-serves both; each runs ``REPORT_CHUNK`` points at a time on the same
-padded block.
-:func:`estimate_masses` queries the tree of the :class:`NeighborIndex`
-that resolved them, so a run builds one kd-tree.
+cloud's.  The whole-cloud functions :func:`estimate_tangent_planes` and
+:func:`curvature_report` take the ``(indices, eps)`` pair that
+``resolve_all`` returns, so one resolution serves both; each hands its
+engine chunks of ``REPORT_CALL`` points, whole blocks of the cloud, and the
+tangent engine likewise sums covariances per block and decomposes them
+once per chunk.  :func:`estimate_masses` queries the tree of the
+:class:`NeighborIndex` that resolved them, so a run builds one kd-tree.
 
-The chunks of both whole-cloud functions run on a pool of ``WORKERS``
-threads started for the stage, one per CPU the process may use, and every
-kd-tree query asks for as many.  numpy's gathers, products and
-decompositions and the tree's walks release the interpreter lock.  The
-chunk bounds are fixed and each chunk writes only its own rows of
-preallocated outputs, so results are bitwise the same for any thread count;
-when chunks fail, the earliest one's error is raised.  Each pool thread owns
-one set of scratch buffers, allocated at the stage's largest padded block,
-which ends with the thread: each chunk writes its lists, index map, mask,
-offsets, distances, gathered masses and planes and projected units into
-contiguous views of them, in the same operation order as into fresh
-arrays.  Nothing a chunk function returns is a view of scratch.
+The engine calls of both whole-cloud functions run on a pool of
+``WORKERS`` threads started for the stage, one per CPU the process may use,
+and every kd-tree query asks for as many; a cloud too small to give every
+thread a ``REPORT_CALL`` chunk gets chunks of fewer blocks.  numpy's
+gathers, products and decompositions and the tree's walks release the
+interpreter lock.  Block bounds are fixed multiples of ``REPORT_BLOCK``,
+every tail row keeps its operation order whatever the stack, and each call
+writes only its own rows of preallocated outputs, so results are bitwise
+the same for any thread count and chunk size; when calls fail, the
+earliest one's error is raised.  Each pool thread owns one set of scratch
+buffers, allocated at the stage's largest padded block, which ends with
+the thread: each block writes its index map, mask, offsets, distances,
+gathered masses and planes and projected units into contiguous views of
+them, in the same operation order as into fresh arrays, and each call its
+lists end to end.  Nothing a block or call function returns is a view of
+scratch.
 """
 
 from __future__ import annotations
@@ -102,12 +108,17 @@ RESOLVE_CHUNK = 2048
 # query returns their square roots; such a row takes the ball path.
 EDGE_ULPS = 4
 
-# Points per call of the chunk engine :func:`point_curvature`: bounds the
-# padded (points, neighbors, n, n) plane block at about 3 MB for k = 40 in R^3.
-REPORT_CHUNK = 256
+# Points per padded neighbor block: bounds the (points, neighbors, n, n)
+# plane block at about 3 MB for k = 40 in R^3.
+REPORT_BLOCK = 256
 
-# Threads for the chunk engines and the kd-tree queries: the CPUs this
-# process may run on.  Every chunk keeps its arithmetic and writes only its
+# Points per call of the whole-cloud stages' engines, a multiple of
+# REPORT_BLOCK: a call sums its blocks one by one, then runs its tail (trace
+# check, conversion, restriction, eigendecomposition) once on all its rows.
+REPORT_CALL = 1024
+
+# Threads for the engine calls and the kd-tree queries: the CPUs this
+# process may run on.  Every call keeps its arithmetic and writes only its
 # own rows, so the results do not depend on this count.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
@@ -251,10 +262,10 @@ def _chunk(m, eps, idx, counts):
 
 
 class _Scratch:
-    """The padded-block buffers of the chunks that one thread runs in one
-    stage.  Each chunk writes into contiguous views of their leading
+    """The padded-block buffers of the blocks that one thread runs in one
+    stage.  Each block writes into contiguous views of their leading
     entries, so a stage allocates, and faults in, each buffer once per
-    thread instead of once per chunk."""
+    thread instead of once per block."""
 
     def __init__(self, slots=0):
         self.slots = slots  # m * K of the stage's largest padded block
@@ -280,37 +291,51 @@ def _scratch() -> _Scratch:
     return getattr(_THREAD, "scratch", None) or _Scratch()
 
 
-def _map_chunks(fn, indices):
-    """``fn(lo, hi, idx, counts)`` over consecutive ``REPORT_CHUNK`` slices of
-    the points whose neighbor lists are ``indices``; ``idx`` holds the
-    slice's lists end to end and ``counts`` their lengths.  The chunks run
-    on a pool of up to ``WORKERS`` threads, joined before this returns.
+def _map_calls(fn, indices):
+    """``fn(lo, hi, idx, counts)`` over consecutive slices of the points
+    whose neighbor lists are ``indices``; ``idx`` holds the slice's lists
+    end to end and ``counts`` their lengths.  A slice is ``REPORT_CALL``
+    points, or fewer whole ``REPORT_BLOCK`` blocks when that leaves a pool
+    thread without one, so its blocks are those of the whole cloud.  The
+    calls run on a pool of up to ``WORKERS`` threads, joined before this
+    returns.
 
     Each pool thread owns one :class:`_Scratch`, sized for the largest
-    chunk's padded block, which ends with the thread.  Every chunk runs;
-    when some fail, the error of the earliest failing chunk in point order
-    is raised.
+    padded block, which ends with the thread.  Every call runs; when some
+    fail, the error of the earliest failing call in point order is raised.
     """
     n_pts = len(indices)
     counts = np.fromiter(map(len, indices), dtype=np.intp, count=n_pts)
-    bounds = [(lo, min(lo + REPORT_CHUNK, n_pts))
-              for lo in range(0, n_pts, REPORT_CHUNK)]
-    slots = max(((hi - lo) * int(counts[lo:hi].max()) for lo, hi in bounds),
-                default=0)
+    blocks = range(0, n_pts, REPORT_BLOCK)
+    slots = max((c.size * int(c.max()) for c in
+                 (counts[lo:lo + REPORT_BLOCK] for lo in blocks)), default=0)
+    step = REPORT_BLOCK * max(1, min(REPORT_CALL // REPORT_BLOCK,
+                                     -(-len(blocks) // WORKERS)))
+    bounds = [(lo, min(lo + step, n_pts)) for lo in range(0, n_pts, step)]
 
     def own_scratch():
         _THREAD.scratch = _Scratch(slots)
 
     def run(lo, hi):
-        chunk_counts = counts[lo:hi]
-        idx = _THREAD.scratch.view("idx", (int(chunk_counts.sum()),), np.intp)
-        fn(lo, hi, np.concatenate(indices[lo:hi], out=idx), chunk_counts)
+        call_counts = counts[lo:hi]
+        idx = _THREAD.scratch.view("idx", (int(call_counts.sum()),), np.intp)
+        fn(lo, hi, np.concatenate(indices[lo:hi], out=idx), call_counts)
 
     with ThreadPoolExecutor(max(1, min(WORKERS, len(bounds))),
                             initializer=own_scratch) as pool:
         futures = [pool.submit(run, lo, hi) for lo, hi in bounds]
     for f in futures:
         f.result()
+
+
+def _blocks(counts):
+    """The ``REPORT_BLOCK``-point blocks of a chunk whose neighbor lists have
+    the lengths ``counts``: for each, the slice of its points and the slice
+    of its lists in the chunk's ``idx``."""
+    ends = np.cumsum(counts).tolist()
+    for lo in range(0, len(ends), REPORT_BLOCK):
+        hi = min(lo + REPORT_BLOCK, len(ends))
+        yield slice(lo, hi), slice(ends[lo - 1] if lo else 0, ends[hi - 1])
 
 
 def _gather(scratch, name, rows, pad):
@@ -360,7 +385,7 @@ def _nan_rows(stack: np.ndarray) -> np.ndarray:
 
 def _local_sums(cloud, points, kernels, eps, idx, counts):
     """Kernel-weighted neighbor quantities shared by all tensor formulas, for
-    one chunk of points in one pass over its pairs.
+    one block of points in one pass over its pairs.
 
     Returns (planes, mass, t, weights, proj_units, xi_den) on the padded
     block: planes (m, K, n, n) and masses (m, K) of the neighbors, their
@@ -372,7 +397,7 @@ def _local_sums(cloud, points, kernels, eps, idx, counts):
     are views of the thread's scratch, which the next block reuses.
 
     A pair built for another (d, n) is refused once the block has checked
-    the chunk's lists: its ``ratio`` is not the cloud's d/n, and it would
+    its lists: its ``ratio`` is not the cloud's d/n, and it would
     scale every curvature by their quotient.
     """
     scratch = _scratch()
@@ -632,16 +657,17 @@ def point_curvature(
     averaged report solving the linear system against the kernel-averaged
     direction matrix instead.
 
-    One padded block of the chunk's pairs, built by :func:`_local_sums`,
-    gives the variation tensors beta, and, with ``compare_variants``, the
-    direction matrices from the same distances, masses and planes; H is
-    trace-checked once.  Each variant forms its gradient-form tensor on its
-    ok rows (the P (x) H subtraction or the linear-system solve), and one
-    tail runs on the stack of both: conversion with
-    :func:`to_bilinear_form`, restriction and one ``eigh``.  Every row
-    keeps the operation order of a tail of its own variant alone, so the
-    orthogonal report is the same with or without the averaged one.  Each
-    result is a :class:`CurvatureReport` of the chunk's m rows; the
+    The chunk's pairs are summed ``REPORT_BLOCK`` points at a time: each
+    padded block, built by :func:`_local_sums`, gives its points' variation
+    tensors beta, and, with ``compare_variants``, the direction matrices
+    from the same distances, masses and planes.  The rest runs once on the
+    stacks of all m points: H is trace-checked once, each variant forms its
+    gradient-form tensor on its ok rows (the P (x) H subtraction or the
+    linear-system solve), and one tail runs on the stack of both:
+    conversion with :func:`to_bilinear_form`, restriction and one ``eigh``.
+    Every row keeps the operation order of a tail of its own variant alone,
+    and of a tail of its own block, so the orthogonal report is the same with
+    or without the averaged one, and for any chunk size.  Each result is a :class:`CurvatureReport` of the chunk's m rows; the
     orthogonal one always has ``a_perp`` filled, and the averaged one
     carries none, since a_perp is the orthogonal tensor.  Isolated points
     come back as NaN rows with status ``isolated``, per variant (the
@@ -655,27 +681,35 @@ def point_curvature(
     eps, idx, counts = _chunk(points.size, scale, idx, counts)
     m, n, d = points.size, cloud.ambient_n, cloud.dim_d
 
-    planes, mass, t, w, pu, xi_den = _local_sums(cloud, points, kernels, eps, idx,
-                                                 counts)
-    beta = _variation_sums(kernels, eps, planes, w, pu, xi_den)
+    beta = np.empty((m, n, n, n))
+    c = np.empty((m, n, n)) if compare_variants else None
+    for rows, lists in _blocks(counts):
+        planes, mass, t, w, pu, xi_den = _local_sums(
+            cloud, points[rows], kernels, eps[rows], idx[lists], counts[rows])
+        beta[rows] = _variation_sums(kernels, eps[rows], planes, w, pu, xi_den)
+        if compare_variants:
+            c[rows] = _direction_sums(_scratch(), kernels, t, mass, planes)
+
     # isolated rows of beta are NaN, and stay NaN in H and a_perp
     ok = [~_nan_rows(beta)]
     h = mean_curvature_vector(beta, dim_d=d)
-    a_perp = beta - np.einsum("mjk,mi->mijk", cloud.planes[points], h)
-    forms = [a_perp[ok[0]]]
+    a_perp = np.einsum("mjk,mi->mijk", cloud.planes[points], h)
+    np.subtract(beta, a_perp, out=a_perp)
     if compare_variants:
-        c = _direction_sums(_scratch(), kernels, t, mass, planes)
         ok.append(ok[0] & ~_nan_rows(c))
-        forms.append(solve_curvature_system(c[ok[1]], beta[ok[1]]))
-
     # one tail over the ok rows of every variant, stacked
+    ends = np.cumsum([np.count_nonzero(o) for o in ok])
+    forms = np.empty((ends[-1], n, n, n))
+    forms[:ends[0]] = a_perp[ok[0]]
+    if compare_variants:
+        forms[ends[0]:] = solve_curvature_system(c[ok[1]], beta[ok[1]])
     rows = np.concatenate([points[o] for o in ok])
     basis = cloud.bases[rows]
     restricted = restrict_to_tangent(
-        to_bilinear_form(np.concatenate(forms)), cloud.normals[rows, :, 0], basis
+        to_bilinear_form(forms), cloud.normals[rows, :, 0], basis
     )
-    splits = np.cumsum([np.count_nonzero(o) for o in ok])[:-1]
-    tails = zip(*(np.split(a, splits) for a in principal_curvatures(restricted, basis)))
+    tails = zip(*(np.split(a, ends[:-1])
+                  for a in principal_curvatures(restricted, basis)))
 
     results = []
     for o, (kappas, directions) in zip(ok, tails):
@@ -699,8 +733,8 @@ def curvature_report(
     ambiguous: np.ndarray | None = None,
     collect_a_perp: bool = False,
 ) -> CurvatureReport | tuple[CurvatureReport, CurvatureReport]:
-    """Per-point curvatures over the whole cloud, ``REPORT_CHUNK`` points
-    per call of the engine :func:`point_curvature`.
+    """Per-point curvatures over the whole cloud, ``REPORT_CALL`` points
+    per call of the engine :func:`point_curvature` (see :func:`_map_calls`).
 
     ``neighbors`` is the ``(indices, eps)`` pair that
     :meth:`NeighborIndex.resolve_all` returns for the cloud's positions: each
@@ -729,7 +763,7 @@ def curvature_report(
                for a_perp in ((collect_a_perp, False) if compare_variants
                               else (collect_a_perp,))]
 
-    def run_chunk(lo, hi, idx, counts):
+    def run_call(lo, hi, idx, counts):
         chunk = point_curvature(
             cloud, np.arange(lo, hi), kernels, scale=eps[lo:hi], idx=idx,
             counts=counts, compare_variants=compare_variants,
@@ -740,7 +774,7 @@ def curvature_report(
                 if rows is not None:
                     rows[lo:hi] = getattr(part, f.name)
 
-    _map_chunks(run_chunk, indices)
+    _map_calls(run_call, indices)
     if ambiguous is not None:
         for rep in reports:
             rep.status[(rep.status == STATUS_OK) & ambiguous] = STATUS_AMBIGUOUS
@@ -779,9 +813,10 @@ def estimate_tangent_planes(
     1e-9 of the largest) flags the point as ambiguous.  Nothing is raised
     for a badly sampled point: fewer than d+1 neighbors, a zero radius or a
     covariance of rank < d all leave such a tie (all-zero eigenvalues at
-    worst), so the point is flagged too.  The points run ``REPORT_CHUNK`` at
-    a time on the report's padded neighbor block, with one batched
-    covariance product and one stacked eigendecomposition per chunk.
+    worst), so the point is flagged too.  The points run ``REPORT_CALL`` at
+    a time, with one batched covariance product per ``REPORT_BLOCK``-point
+    padded neighbor block, the report's, and one stacked eigendecomposition
+    per call.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     n_pts, n = positions.shape
@@ -789,19 +824,38 @@ def estimate_tangent_planes(
     planes = np.empty((n_pts, n, n))
     ambiguous = np.zeros(n_pts, dtype=bool)
 
-    def run_chunk(lo, hi, idx, counts):
+    def run_call(lo, hi, idx, counts):
         planes[lo:hi], ambiguous[lo:hi] = _tangent_chunk(
             positions, lo, sigma[lo:hi], idx, counts, dim_d
         )
 
-    _map_chunks(run_chunk, indices)
+    _map_calls(run_call, indices)
     return TangentEstimate(planes=planes, ambiguous=ambiguous)
 
 
 def _tangent_chunk(positions, lo, sigma, idx, counts, dim_d):
     """Planes and ambiguity flags of points lo, lo+1, ... from their
-    neighbor lists (``idx`` end to end, ``counts`` their lengths)."""
+    neighbor lists (``idx`` end to end, ``counts`` their lengths): the
+    covariances of each padded block, then one eigendecomposition."""
     n = positions.shape[1]
+    m = counts.size
+    cov = np.empty((m, n, n))
+    for rows, lists in _blocks(counts):
+        cov[rows] = _covariances(positions, lo + rows.start, sigma[rows],
+                                 idx[lists], counts[rows])
+    evals, evecs = np.linalg.eigh(cov)
+    evals = evals[:, ::-1]
+    evecs = evecs[:, :, ::-1]
+    ambiguous = np.zeros(m, dtype=bool)
+    if dim_d < n:
+        ambiguous = evals[:, dim_d - 1] - evals[:, dim_d] <= 1e-9 * evals[:, 0]
+    top = evecs[:, :, :dim_d]
+    return top @ top.transpose(0, 2, 1), ambiguous
+
+
+def _covariances(positions, lo, sigma, idx, counts):
+    """Bump-weighted covariances (m, n, n) of the neighbor offsets of points
+    lo, lo+1, ... about their weighted barycenters, on one padded block."""
     m = counts.size
     scratch = _scratch()
     _, _, d_vec, _, t = _neighbor_block(
@@ -815,15 +869,7 @@ def _tangent_chunk(positions, lo, sigma, idx, counts, dim_d):
     centered = np.subtract(d_vec, bary[:, None], out=d_vec)
     weighted = np.multiply(w[..., None], centered,
                            out=scratch.view("vectors", d_vec.shape))
-    cov = weighted.transpose(0, 2, 1) @ centered
-    evals, evecs = np.linalg.eigh(cov)
-    evals = evals[:, ::-1]
-    evecs = evecs[:, :, ::-1]
-    ambiguous = np.zeros(m, dtype=bool)
-    if dim_d < n:
-        ambiguous = evals[:, dim_d - 1] - evals[:, dim_d] <= 1e-9 * evals[:, 0]
-    top = evecs[:, :, :dim_d]
-    return top @ top.transpose(0, 2, 1), ambiguous
+    return weighted.transpose(0, 2, 1) @ centered
 
 
 def estimate_masses(index: NeighborIndex, n_mass: int, dim_d: int) -> np.ndarray:

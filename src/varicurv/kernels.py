@@ -50,23 +50,25 @@ class KernelProfile:
 _BUMP_CUTOFF = 1e-8
 
 
-def _bump_eval(t) -> np.ndarray:
+def _bump_terms(t):
+    """t and u = 1 - t^2 as float arrays, computed on the whole array.  Off
+    the support (t < 0, or u at most the cutoff) they read t = -1 and
+    u = _BUMP_CUTOFF: exp(-1/u) is exactly 0 there, so the value and the
+    derivative are +0, as zeros left outside a mask would be."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
     u = 1.0 - t * t
-    m = (t >= 0.0) & (u > _BUMP_CUTOFF)
-    out[m] = np.exp(-1.0 / u[m])
-    return out
+    live = (t >= 0.0) & (u > _BUMP_CUTOFF)
+    return np.where(live, t, -1.0), np.where(live, u, _BUMP_CUTOFF)
+
+
+def _bump_eval(t) -> np.ndarray:
+    _, u = _bump_terms(t)
+    return np.exp(-1.0 / u)
 
 
 def _bump_deriv(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    u = 1.0 - t * t
-    m = (t >= 0.0) & (u > _BUMP_CUTOFF)
-    um = u[m]
-    out[m] = -2.0 * t[m] / (um * um) * np.exp(-1.0 / um)
-    return out
+    t, u = _bump_terms(t)
+    return -2.0 * t / (u * u) * np.exp(-1.0 / u)
 
 
 def bump_profile() -> KernelProfile:

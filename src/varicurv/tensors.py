@@ -111,7 +111,8 @@ def solve_curvature_system(c, b) -> np.ndarray:
         raise InvalidInputError("tensor and direction matrix sizes disagree")
     h = np.einsum("...qiq->...i", bt)
     g = np.linalg.solve(np.eye(n) + c, h[..., None])[..., 0]
-    return bt - np.einsum("...i,...jk->...ijk", g, c)
+    a = np.einsum("...i,...jk->...ijk", g, c)
+    return np.subtract(bt, a, out=a)
 
 
 def to_bilinear_form(a) -> np.ndarray:
@@ -124,12 +125,20 @@ def to_bilinear_form(a) -> np.ndarray:
     at = _as_tensor_entries(a)
     _require_finite(at, "gradient-form tensor")
     swapped = at.swapaxes(-1, -2)
-    asym = np.max(np.abs(at - swapped), axis=(-3, -2, -1), initial=0.0) > SYMMETRY_TOL
+    # two buffers, in the operation order of 0.5 * (at + swapped) and then
+    # 0.5 * (sym + sym[j, i, k] - sym[k, i, j])
+    sym = np.subtract(at, swapped)
+    np.abs(sym, out=sym)
+    asym = np.max(sym, axis=(-3, -2, -1), initial=0.0) > SYMMETRY_TOL
     if np.any(asym):
         raise VaricurvError(
             "gradient-form tensor is not (j,k)-symmetric" + _at_row(asym)
         )
-    at = 0.5 * (at + swapped)
+    np.add(at, swapped, out=sym)
+    sym *= 0.5
     # on the last three axes (i, j, k): swapaxes(-3, -2) reads a[j, i, k]
     # and moveaxis(-3, -1) reads a[k, i, j]
-    return 0.5 * (at + at.swapaxes(-3, -2) - np.moveaxis(at, -3, -1))
+    out = np.add(sym, sym.swapaxes(-3, -2))
+    out -= np.moveaxis(sym, -3, -1)
+    out *= 0.5
+    return out

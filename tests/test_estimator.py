@@ -16,10 +16,12 @@ import varicurv as vc
 from varicurv import estimator, tensors
 from varicurv.errors import InvalidInputError, VaricurvError
 from varicurv.estimator import (
-    REPORT_CHUNK,
+    REPORT_BLOCK,
+    REPORT_CALL,
     RESOLVE_CHUNK,
     STATUS_AMBIGUOUS,
     STATUS_ISOLATED,
+    STATUS_OK,
     CurvatureReport,
     NeighborIndex,
     NeighborQuery,
@@ -605,8 +607,10 @@ class TestReport:
 
     def test_one_eigendecomposition_per_chunk(self):
         # the cloud carries its frames, so an orthogonal report decomposes
-        # only each chunk's restricted forms for the principal curvatures
-        cloud = vc.Sphere(1.0).sample(300, seed=3).cloud
+        # only the restricted forms for the principal curvatures: once per
+        # engine call, over all the padded blocks of its points; the tangent
+        # estimate likewise decomposes each call's covariances at once
+        cloud = vc.Sphere(1.0).sample(REPORT_CALL + 300, seed=3).cloud
         neighbors = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(20))
         real_eigh = np.linalg.eigh
         calls = []
@@ -616,11 +620,12 @@ class TestReport:
             return real_eigh(a, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "WORKERS", 1)
             mp.setattr(np.linalg, "eigh", counting_eigh)
             curvature_report(cloud, neighbors)
-        sizes = np.diff(np.r_[0:cloud.n_points:REPORT_CHUNK, cloud.n_points])
-        # the chunks may run on several threads, so only the multiset is fixed
-        assert sorted(calls) == sorted((int(m), 2, 2) for m in sizes)
+            estimate_tangent_planes(cloud.positions, neighbors, 2)
+        assert calls == [(REPORT_CALL, 2, 2), (300, 2, 2),
+                         (REPORT_CALL, 3, 3), (300, 3, 3)]
 
     def test_averaged_variant_checks_direction_matrix_once_per_point(self):
         # one PSD check per non-isolated point, inside solve_curvature_system;
@@ -816,15 +821,15 @@ class TestEngine:
                                       sphere.masses[keep], 2)
             n_pts, query = keep.size, NeighborQuery.knn(10)
         else:
-            n_pts = REPORT_CHUNK + 60 if beyond_chunk else int(rng.integers(20, 120))
+            n_pts = REPORT_BLOCK + 60 if beyond_chunk else int(rng.integers(20, 120))
             cloud = random_cloud(rng, n_pts=n_pts, n=n, d=n - 1)
             # the same density as 80 points in the unit cube, and as in
             # test_one_sum_per_point_matches_reference_sff the radius grows
             # with sqrt(n) past n = 4
             positions = cloud.positions * (n_pts / 80) ** (1.0 / n)
             if beyond_chunk:
-                # isolated points on both sides of the first chunk boundary
-                positions[REPORT_CHUNK - 1:REPORT_CHUNK + 1] = far_points(2, n)
+                # isolated points on both sides of the first block boundary
+                positions[REPORT_BLOCK - 1:REPORT_BLOCK + 1] = far_points(2, n)
             cloud = vc.validate_cloud(positions, cloud.planes, cloud.masses, n - 1)
             query = NeighborQuery.radius(eps * np.sqrt(n / 2) if n > 4 else eps)
         kp = kernel_pair_by_name(kernel, n - 1, n)
@@ -842,7 +847,7 @@ class TestEngine:
             ref = reference_report(cloud, neighbors, kp, variant=name)
             assert np.array_equal(rep.status, ref.status), name
             if beyond_chunk:
-                assert np.all(rep.status[REPORT_CHUNK - 1:REPORT_CHUNK + 1]
+                assert np.all(rep.status[REPORT_BLOCK - 1:REPORT_BLOCK + 1]
                               == STATUS_ISOLATED)
             if layout == "zero_radius":
                 assert np.flatnonzero(rep.status == STATUS_ISOLATED).tolist() == [
@@ -888,63 +893,89 @@ class TestEngine:
                                equal_nan=True)
 
     def test_one_engine_call_per_chunk(self):
-        sample = vc.Sphere(1.0).sample(2 * REPORT_CHUNK + 10, seed=4)
+        # calls of REPORT_CALL points, or of fewer whole blocks when a pool
+        # thread would otherwise get none: seven blocks over 1, 2, 4, 8 threads
+        n_pts = REPORT_CALL + 2 * REPORT_BLOCK + 10
+        sample = vc.Sphere(1.0).sample(n_pts, seed=4)
         neighbors = NeighborIndex(sample.cloud.positions).resolve_all(
             NeighborQuery.knn(20)
         )
-        real = estimator.point_curvature
-        chunks = []
-
-        def counting(cloud, points, *args, **kwargs):
-            chunks.append((points.tolist(), kwargs["idx"].size))
-            return real(cloud, points, *args, **kwargs)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimator, "point_curvature", counting)
-            curvature_report(sample.cloud, neighbors)
         indices, _ = neighbors
-        # the chunks may run on several threads, so only the multisets are fixed
-        assert sorted(len(p) for p, _ in chunks) == [10, REPORT_CHUNK, REPORT_CHUNK]
-        points = sorted(sum((p for p, _ in chunks), []))
-        assert points == list(range(2 * REPORT_CHUNK + 10))
-        assert sum(size for _, size in chunks) == sum(len(ix) for ix in indices)
+        real = estimator.point_curvature
+        expected = {1: [REPORT_CALL, 2 * REPORT_BLOCK + 10],
+                    2: [REPORT_CALL, 2 * REPORT_BLOCK + 10],
+                    4: 3 * [2 * REPORT_BLOCK] + [10],
+                    8: 6 * [REPORT_BLOCK] + [10]}
+        for workers, sizes in expected.items():
+            chunks = []
+
+            def counting(cloud, points, *args, **kwargs):
+                chunks.append((points.tolist(), kwargs["idx"].size))
+                return real(cloud, points, *args, **kwargs)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(estimator, "WORKERS", workers)
+                mp.setattr(estimator, "point_curvature", counting)
+                curvature_report(sample.cloud, neighbors)
+            # the calls may run on several threads, so only the multisets are fixed
+            chunks.sort()
+            assert [len(p) for p, _ in chunks] == sizes, workers
+            assert sum((p for p, _ in chunks), []) == list(range(n_pts))
+            assert sum(size for _, size in chunks) == sum(len(ix) for ix in indices)
 
     def test_two_variants_sum_each_chunk_once(self):
-        # one padded block, one trace check and one tail per chunk serve both
-        # reports; the orthogonal one equals the report without the
-        # comparison, and the averaged one is bitwise the public chain solve_curvature_system(
-        # smoothed_direction_matrix, variation_tensor) -> tail, chunk by
-        # chunk, also past isolated rows on both sides of a chunk boundary
-        sphere = vc.Sphere(1.0).sample(2 * REPORT_CHUNK + 10, seed=4).cloud
+        # one padded block per REPORT_BLOCK points, and one trace check and
+        # one tail per engine call, serve both reports; the orthogonal one
+        # equals the report without the comparison, and the averaged one is
+        # bitwise the public chain solve_curvature_system(
+        # smoothed_direction_matrix, variation_tensor) -> tail, block by
+        # block, also past isolated rows on both sides of a block boundary
+        sphere = vc.Sphere(1.0).sample(2 * REPORT_BLOCK + 10, seed=4).cloud
         rng = np.random.default_rng(15)
-        n_pts = 2 * REPORT_CHUNK + 70
+        n_pts = 2 * REPORT_BLOCK + 70
         loose = random_cloud(rng, n_pts=n_pts)
         positions = loose.positions * (n_pts / 80) ** (1.0 / 3)
-        positions[REPORT_CHUNK - 1:REPORT_CHUNK + 1] = far_points(2, 3)
+        positions[REPORT_BLOCK - 1:REPORT_BLOCK + 1] = far_points(2, 3)
         loose = vc.validate_cloud(positions, loose.planes, loose.masses, 2)
         for cloud, query in ((sphere, NeighborQuery.knn(20)),
                              (loose, NeighborQuery.radius(0.5))):
             neighbors = NeighborIndex(cloud.positions).resolve_all(query)
-            calls = []
+            # three blocks: one call on one thread, calls of two blocks and
+            # of one on two
+            for workers, n_calls in ((1, 1), (2, 2)):
+                calls = []
 
-            def counting(name):
-                real = getattr(estimator, name)
+                def counting(name):
+                    real = getattr(estimator, name)
 
-                def wrapped(*args, **kwargs):
-                    calls.append(name)
-                    return real(*args, **kwargs)
+                    def wrapped(*args, **kwargs):
+                        calls.append((name, len(args[1] if name == "_local_sums"
+                                                else args[0])))
+                        return real(*args, **kwargs)
 
-                return wrapped
+                    return wrapped
 
-            names = ("_local_sums", "variation_tensor", "smoothed_direction_matrix",
-                     "mean_curvature_vector", "to_bilinear_form")
-            with pytest.MonkeyPatch.context() as mp:
-                for name in names:
-                    mp.setattr(estimator, name, counting(name))
-                orthogonal, averaged = curvature_report(
-                    cloud, neighbors, compare_variants=True, collect_a_perp=True)
-            assert sorted(calls) == sorted(
-                3 * ("_local_sums", "mean_curvature_vector", "to_bilinear_form"))
+                names = ("_local_sums", "variation_tensor",
+                         "smoothed_direction_matrix", "mean_curvature_vector",
+                         "to_bilinear_form")
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(estimator, "WORKERS", workers)
+                    for name in names:
+                        mp.setattr(estimator, name, counting(name))
+                    orthogonal, averaged = curvature_report(
+                        cloud, neighbors, compare_variants=True, collect_a_perp=True)
+                rows = {name: sorted(m for n, m in calls if n == name)
+                        for name in {n for n, _ in calls}}
+                assert rows.keys() == {"_local_sums", "mean_curvature_vector",
+                                       "to_bilinear_form"}
+                last = cloud.n_points - 2 * REPORT_BLOCK
+                assert rows["_local_sums"] == [last, REPORT_BLOCK, REPORT_BLOCK]
+                assert len(rows["mean_curvature_vector"]) == n_calls
+                assert sum(rows["mean_curvature_vector"]) == cloud.n_points
+                # the one tail of a call stacks the ok rows of both variants
+                assert len(rows["to_bilinear_form"]) == n_calls
+                assert sum(rows["to_bilinear_form"]) == sum(
+                    int(np.sum(rep.status == STATUS_OK)) for rep in (orthogonal, averaged))
             alone = curvature_report(cloud, neighbors, collect_a_perp=True)
             for field in ("kappas", "directions", "gauss", "abs_sum", "mean_norm",
                           "mean_vectors", "a_perp", "status"):
@@ -954,8 +985,8 @@ class TestEngine:
 
             kp = estimator.default_kernels(cloud)
             indices, eps = neighbors
-            for lo in range(0, cloud.n_points, REPORT_CHUNK):
-                points = np.arange(lo, min(lo + REPORT_CHUNK, cloud.n_points))
+            for lo in range(0, cloud.n_points, REPORT_BLOCK):
+                points = np.arange(lo, min(lo + REPORT_BLOCK, cloud.n_points))
                 chunk = {"idx": np.concatenate(indices[points[0]:points[-1] + 1]),
                          "counts": [len(indices[i]) for i in points]}
                 beta = vc.variation_tensor(cloud, points, kp, eps[points], **chunk)
@@ -977,7 +1008,7 @@ class TestEngine:
                 h = mean_curvature_vector(beta)
                 assert averaged.mean_vectors[points[ok]].tobytes() == h[ok].tobytes()
             if cloud is loose:
-                assert np.all(averaged.status[REPORT_CHUNK - 1:REPORT_CHUNK + 1]
+                assert np.all(averaged.status[REPORT_BLOCK - 1:REPORT_BLOCK + 1]
                               == STATUS_ISOLATED)
 
     def test_comparison_leaves_orthogonal_report_unchanged(self):
@@ -1067,10 +1098,10 @@ class TestThreadedChunks:
         # over three chunks, with isolated rows on both sides of the first
         # chunk boundary; more threads than most hosts have cores
         rng = np.random.default_rng(11)
-        n_pts = 2 * REPORT_CHUNK + 70
+        n_pts = 2 * REPORT_BLOCK + 70
         cloud = random_cloud(rng, n_pts=n_pts)
         positions = cloud.positions * (n_pts / 80) ** (1.0 / 3)
-        positions[REPORT_CHUNK - 1:REPORT_CHUNK + 1] = far_points(2, 3)
+        positions[REPORT_BLOCK - 1:REPORT_BLOCK + 1] = far_points(2, 3)
         cloud = vc.validate_cloud(positions, cloud.planes, cloud.masses, 2)
         neighbors = NeighborIndex(positions).resolve_all(NeighborQuery.radius(0.5))
 
@@ -1080,12 +1111,12 @@ class TestThreadedChunks:
 
         serial, threaded = self.runs(1, report), self.runs(4, report)
         for one, many in zip(serial, threaded):
-            boundary = one.status[REPORT_CHUNK - 1:REPORT_CHUNK + 1]
+            boundary = one.status[REPORT_BLOCK - 1:REPORT_BLOCK + 1]
             assert np.all(boundary == STATUS_ISOLATED)
             assert np.array_equal(one.status, many.status)
             assert report_bytes(one) == report_bytes(many)
 
-        sheet = plane_grid(2 * REPORT_CHUNK + 70)
+        sheet = plane_grid(2 * REPORT_BLOCK + 70)
         sheet[:, 2] = 0.003 * rng.standard_normal(len(sheet))
         sheet_neighbors = NeighborIndex(sheet).resolve_all(NeighborQuery.knn(12))
 
@@ -1096,10 +1127,47 @@ class TestThreadedChunks:
         assert one.planes.tobytes() == many.planes.tobytes()
         assert np.array_equal(one.ambiguous, many.ambiguous)
 
+    def test_call_size_changes_no_bit(self):
+        # a call's blocks are the whole cloud's blocks, and its tail keeps
+        # every row's operation order, so one-block calls give the same
+        # bytes as the default calls, on one thread and on two; isolated
+        # rows sit on both sides of the first call boundary
+        rng = np.random.default_rng(16)
+        n_pts = 2 * REPORT_CALL + 300
+        cloud = random_cloud(rng, n_pts=n_pts)
+        positions = cloud.positions * (n_pts / 80) ** (1.0 / 3)
+        positions[REPORT_CALL - 1:REPORT_CALL + 1] = far_points(2, 3)
+        neighbors = NeighborIndex(positions).resolve_all(NeighborQuery.radius(0.5))
+        est = estimate_tangent_planes(positions, neighbors, 2)
+        cloud = vc.validate_cloud(positions, cloud.planes, cloud.masses, 2)
+
+        def stages():
+            return (estimate_tangent_planes(positions, neighbors, 2),
+                    curvature_report(cloud, neighbors, compare_variants=True,
+                                     ambiguous=est.ambiguous, collect_a_perp=True))
+
+        def one_block_calls():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(estimator, "REPORT_CALL", REPORT_BLOCK)
+                return stages()
+
+        for workers in (1, 2):
+            default, single = self.runs(workers, stages), self.runs(workers,
+                                                                   one_block_calls)
+            for tangents in (default[0], single[0]):
+                assert tangents.planes.tobytes() == est.planes.tobytes()
+                assert np.array_equal(tangents.ambiguous, est.ambiguous)
+            for one, many in zip(default[1], single[1], strict=True):
+                assert np.all(one.status[REPORT_CALL - 1:REPORT_CALL + 1]
+                              == STATUS_ISOLATED)
+                assert np.array_equal(one.status, many.status)
+                assert report_bytes(one) == report_bytes(many)
+
     def test_chunk_results_survive_later_chunks(self):
-        # the chunks that one thread runs write into the same scratch
-        # buffers, so nothing a chunk function returns may be a view of them
-        cloud = random_cloud(np.random.default_rng(12), n_pts=3 * REPORT_CHUNK + 5)
+        # the blocks and calls that one thread runs write into the same
+        # scratch buffers, so nothing a block or call function returns may be
+        # a view of them
+        cloud = random_cloud(np.random.default_rng(12), n_pts=3 * REPORT_BLOCK + 5)
         neighbors = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(12))
         returned = []
 
@@ -1122,15 +1190,20 @@ class TestThreadedChunks:
 
         def stages():
             names = ("point_curvature", "_variation_sums", "_direction_sums",
-                     "_tangent_chunk")
+                     "_tangent_chunk", "_covariances")
             with pytest.MonkeyPatch.context() as mp:
+                # two calls of two blocks each
+                mp.setattr(estimator, "REPORT_CALL", 2 * REPORT_BLOCK)
                 for name in names:
                     mp.setattr(estimator, name, keeping(name))
                 curvature_report(cloud, neighbors, compare_variants=True)
                 estimate_tangent_planes(cloud.positions, neighbors, 2)
 
         self.runs(1, stages)
-        assert len(returned) == 4 * 4  # four chunks through each function
+        # two calls through each call function, four blocks through each block one
+        assert sorted(name for name, _, _ in returned) == sorted(
+            2 * ("point_curvature", "_tangent_chunk")
+            + 4 * ("_variation_sums", "_direction_sums", "_covariances"))
         for name, out, snapshot in returned:
             for now, then in zip(arrays(out), arrays(snapshot), strict=True):
                 if now.dtype == object:
@@ -1140,21 +1213,30 @@ class TestThreadedChunks:
 
     def test_one_scratch_per_thread_reused_and_dropped(self):
         # every block a thread builds in a stage lies in that thread's one
-        # scratch, sized up front for the stage's largest block; the scratch
-        # is gone when the stage returns
-        cloud = random_cloud(np.random.default_rng(13), n_pts=5 * REPORT_CHUNK + 9)
+        # scratch, sized up front for the stage's largest REPORT_BLOCK-point
+        # block, not for its calls of several blocks; the scratch is gone
+        # when the stage returns
+        cloud = random_cloud(np.random.default_rng(13), n_pts=5 * REPORT_BLOCK + 9)
         neighbors = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(12))
+        counts = np.array([len(ix) for ix in neighbors[0]])
+        largest = max(len(c) * int(c.max())
+                      for c in np.split(counts, range(REPORT_BLOCK, counts.size,
+                                                      REPORT_BLOCK)))
         real = estimator._neighbor_block
         blocks = []
+        sizes = []
 
         def recording(scratch, *args):
             out = real(scratch, *args)
             blocks.append((threading.get_ident(), id(scratch), weakref.ref(scratch),
                            out[2].base))
+            sizes.append((scratch.slots, {name: buf.size for name, buf
+                                          in scratch._buffers.items()}))
             return out
 
         for workers in (1, 2):
             blocks.clear()
+            sizes.clear()
 
             def report():
                 with pytest.MonkeyPatch.context() as mp:
@@ -1162,8 +1244,14 @@ class TestThreadedChunks:
                     curvature_report(cloud, neighbors, compare_variants=True)
 
             self.runs(workers, report)
-            # six chunks, each with one block for both variants
+            # six blocks, each one for both variants, in one call of four
+            # blocks and one of two on one thread, of three each on two
             assert len(blocks) == 6
+            for slots, buffers in sizes:
+                assert slots == largest
+                # the call's lists end to end are the one buffer past the block
+                assert all(size <= largest * 3 * 3 for name, size in buffers.items()
+                           if name != "idx")
             scratch_of = {thread: sid for thread, sid, _, _ in blocks}
             assert 1 <= len(scratch_of) <= workers
             assert len(set(scratch_of.values())) == len(scratch_of)
@@ -1173,8 +1261,8 @@ class TestThreadedChunks:
             gc.collect()
             assert all(ref() is None for _, _, ref, _ in blocks)
 
-    @pytest.mark.parametrize("n_pts, workers", [(3 * REPORT_CHUNK, 1),
-                                                (REPORT_CHUNK // 2, 4)])
+    @pytest.mark.parametrize("n_pts, workers", [(3 * REPORT_BLOCK, 1),
+                                                (REPORT_BLOCK // 2, 4)])
     def test_stage_runs_on_pool_threads(self, n_pts, workers):
         # one worker or one chunk takes the same pool as any other stage:
         # no chunk runs on the caller's thread, the caller holds no scratch
@@ -1226,7 +1314,7 @@ class TestThreadedChunks:
     def test_earliest_failing_chunk_wins(self):
         # chunks 0 and 2 fail; chunk 0 is held back until chunk 2 has
         # failed, and its error is the one raised
-        pts = plane_grid(3 * REPORT_CHUNK)
+        pts = plane_grid(3 * REPORT_BLOCK)
         neighbors = NeighborIndex(pts).resolve_all(NeighborQuery.radius(0.05))
         real = estimator._tangent_chunk
         failed = []
@@ -1237,7 +1325,7 @@ class TestThreadedChunks:
                 while not failed and time.monotonic() < deadline:
                     time.sleep(0.01)
             out = real(positions, lo, *args)
-            if lo in (0, 2 * REPORT_CHUNK):
+            if lo in (0, 2 * REPORT_BLOCK):
                 failed.append(lo)
                 raise VaricurvError(f"broken chunk at {lo}")
             return out
@@ -1250,7 +1338,7 @@ class TestThreadedChunks:
             return str(err.value)
 
         assert self.runs(4, estimate) == "broken chunk at 0"
-        assert failed == [2 * REPORT_CHUNK, 0]
+        assert failed == [2 * REPORT_BLOCK, 0]
 
 
 class TestTangentEstimation:
@@ -1331,7 +1419,7 @@ class TestBatchedTangents:
         d = min(d, n - 1)
         k = d + extra
         rng = np.random.default_rng(seed)
-        n_pts = REPORT_CHUNK + 150 if beyond_chunk else int(rng.integers(30, 300))
+        n_pts = REPORT_BLOCK + 150 if beyond_chunk else int(rng.integers(30, 300))
         # a noisy d-dimensional sheet: the planes are far from ambiguous
         pts = np.zeros((n_pts, n))
         pts[:, :d] = rng.uniform(-1.0, 1.0, (n_pts, d))
@@ -1370,8 +1458,8 @@ class TestBatchedTangents:
         lone = np.array([[10.0, 10.0, 10.0]])
         line = np.column_stack([20.0 + 0.01 * np.arange(5), np.full(5, 20.0),
                                 np.full(5, 20.0)])
-        grid = plane_grid(REPORT_CHUNK + 200)
-        at = REPORT_CHUNK + 50
+        grid = plane_grid(REPORT_BLOCK + 200)
+        at = REPORT_BLOCK + 50
         odd = [lone, line] if first == "few" else [line, lone]
         pts = np.vstack([grid[:at], *odd, grid[at:]])
         neighbors = NeighborIndex(pts).resolve_all(NeighborQuery.radius(0.05))
@@ -1430,8 +1518,9 @@ class TestDegenerateInputs:
         def run(workers):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(estimator, "WORKERS", workers)
-                # several chunks from a small cloud
-                mp.setattr(estimator, "REPORT_CHUNK", 16)
+                # several calls of several blocks from a small cloud
+                mp.setattr(estimator, "REPORT_BLOCK", 16)
+                mp.setattr(estimator, "REPORT_CALL", 32)
                 est = estimate_tangent_planes(pts, neighbors, d)
                 cloud = vc.validate_cloud(pts, est.planes, np.ones(len(pts)), d)
                 reports = ()

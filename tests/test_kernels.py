@@ -6,6 +6,7 @@ import pytest
 import varicurv as vc
 from varicurv.errors import InvalidInputError
 from varicurv.kernels import (
+    _BUMP_CUTOFF,
     KernelProfile,
     kernel_pair_by_name,
     paired_mass_profile,
@@ -60,6 +61,44 @@ class TestBumpProfile:
         ts = np.array([1.0 - 1e-5, 1.0 - 1e-9, 1.0 - 1e-13, 1.0 - 1e-16])
         assert np.all(np.isfinite(rho.eval(ts)))
         assert np.all(np.isfinite(rho.deriv(ts)))
+
+
+def masked_bump(t):
+    """The bump value and derivative evaluated only on the mask of the
+    support, zeros elsewhere: the formula the whole-array profile keeps."""
+    t = np.asarray(t, dtype=float)
+    value, deriv = np.zeros_like(t), np.zeros_like(t)
+    u = 1.0 - t * t
+    m = (t >= 0.0) & (u > _BUMP_CUTOFF)
+    um = u[m]
+    value[m] = np.exp(-1.0 / um)
+    deriv[m] = -2.0 * t[m] / (um * um) * np.exp(-1.0 / um)
+    return value, deriv
+
+
+class TestBumpWithoutMasks:
+    def test_bitwise_equal_to_masked_formula(self):
+        # every bit, the sign of each zero included: t < 0 and -0.0, the
+        # interior, 1 - t^2 at and just above the cutoff (where the masked
+        # exponential underflows to a -0.0 derivative), 1 and beyond
+        edge = math.sqrt(1.0 - _BUMP_CUTOFF)
+        grid = np.r_[-1e150, -2.0, -1.0, -0.5, -1e-300, -0.0, 0.0, 1e-300,
+                     np.linspace(0.0, 1.0, 20001),
+                     [np.nextafter(edge, s) for s in (0.0, 2.0)], edge,
+                     np.sqrt(1.0 - np.geomspace(1e-2, 1e-9, 400)),
+                     1.0, np.nextafter(1.0, 2.0), 1.5, 1e10, 1e150]
+        u = 1.0 - grid * grid
+        assert np.any((u > _BUMP_CUTOFF) & (u < 1.1 * _BUMP_CUTOFF))
+        assert np.any((u <= _BUMP_CUTOFF) & (u > 0.9 * _BUMP_CUTOFF))
+        value, deriv = masked_bump(grid)
+        # the grid reaches both signs of zero in the masked derivative
+        assert np.any(np.signbit(deriv) & (deriv == 0.0))
+        assert np.any(~np.signbit(deriv) & (deriv == 0.0) & (grid > 0.5))
+        rho = vc.bump_profile()
+        assert rho.eval(grid).tobytes() == value.tobytes()
+        assert rho.deriv(grid).tobytes() == deriv.tobytes()
+        # a padded block is two-dimensional
+        assert rho.deriv(np.vstack([grid, grid]))[1].tobytes() == deriv.tobytes()
 
 
 class TestPairedMassProfile:

@@ -118,10 +118,9 @@ class TestSolveCurvatureSystem:
             direction_matrix(np.diag([0.5, -0.5]))
         assert type(err.value) is VaricurvError
 
-    def test_clamps_tiny_negative_eigenvalue(self):
-        # nothing is clamped: rounding below zero but within PSD_TOL passes
-        # as it is, the check returns the symmetrized input, and the closed
-        # form solves on it
+    def test_tiny_negative_eigenvalue_passes_unrepaired(self):
+        # rounding below zero but within PSD_TOL passes as it is: the check
+        # returns the symmetrized input, and the closed form solves on it
         c = np.diag([0.5, -5e-11])
         c[0, 1], c[1, 0] = 1e-12, 0.0
         out = direction_matrix(c)
@@ -215,6 +214,19 @@ class TestFormConversions:
             back = to_gradient_form(vc.to_bilinear_form(t))
             assert np.max(np.abs(back - t)) < 1e-12
 
+    def test_bitwise_equal_to_out_of_place_formula(self):
+        # the conversion works in two buffers of its own, in the operation
+        # order of the formula, on a stack a rounding away from symmetric
+        # and on a strided view, and leaves its input as it was
+        rng = np.random.default_rng(42)
+        t = symmetric_stack(rng, 50, 3) + 1e-13 * rng.standard_normal((50, 3, 3, 3))
+        for a in (t, t[::2].swapaxes(-1, -2)):
+            before = a.copy()
+            sym = 0.5 * (a + a.swapaxes(-1, -2))
+            want = 0.5 * (sym + sym.swapaxes(-3, -2) - np.moveaxis(sym, -3, -1))
+            assert vc.to_bilinear_form(a).tobytes() == want.tobytes()
+            assert a.tobytes() == before.tobytes()
+
     def test_rejects_jk_asymmetric(self):
         t = np.zeros((2, 2, 2))
         t[0, 0, 1] = 1.0
@@ -273,9 +285,9 @@ class TestStacks:
                 solve_curvature_system(bad, np.zeros((5, 3, 3, 3)))
             assert type(err.value) is VaricurvError
 
-    def test_tiny_negative_row_clamped_alone(self):
-        # nothing is clamped: a stack with one row of eigenvalue -5e-11 comes
-        # back as it went in, and the stacked solve runs on every row
+    def test_tiny_negative_row_passes_unrepaired(self):
+        # a stack with one row of eigenvalue -5e-11 comes back as it went
+        # in, and the stacked solve runs on every row
         c = np.array([np.diag([0.5, 0.25]), np.diag([0.5, -5e-11]),
                       np.diag([0.75, 0.0])])
         out = direction_matrix(c)
