@@ -32,47 +32,41 @@ estimator runs on chunks of points: :func:`point_curvature`,
 :func:`smoothed_direction_matrix` take an (m,) array of points (locations
 for the last), their (m,) radii, and their sorted neighbor lists (as
 :meth:`NeighborIndex.resolve_all` returns them) concatenated end to end as
-the required keyword ``idx`` with the list lengths as ``counts``.  A chunk's
-pairs are summed on padded (m, K) neighbor blocks of ``REPORT_BLOCK``
-points, K the block's longest list, which bound the memory of the sums;
-one batched product per block gives its variation tensors.  The tail
-(trace check, conversion, restriction, eigenvalues) then runs once on the
-stack of all the chunk's rows, so its numpy calls are paid once per chunk.
+the required keyword ``idx`` with the list lengths as ``counts``.  The
+engine sums a chunk's pairs on padded (m, K) neighbor blocks of
+``REPORT_BLOCK`` points, which bound their memory, one batched product per
+block; the tail (trace check, conversion, restriction, eigenvalues) then
+runs once on stacks of all the chunk's rows.
 :func:`point_curvature` and :func:`curvature_report` give the orthogonal
-report, or with ``compare_variants`` the pair (orthogonal, averaged).  The
-engine builds each block once, and that one block gives the variation
-tensors and, for the pair, the direction matrices too; the trace check
-runs once per chunk.  Both variants' tensors then go through one tail,
-stacked: one conversion, one restriction and one ``eigh`` over the ok rows
-of both.  A badly sampled point is a flagged row, never an exception: an
-isolated point is a NaN row, and a neighborhood that cannot determine a
-d-plane gives an ambiguous tangent.  A single point is a one-row chunk.
+report, or with ``compare_variants`` the pair (orthogonal, averaged).  Each
+block gives the variation tensors and, for the pair, the direction
+matrices too; both variants' tensors then go through one tail, stacked:
+one conversion, one restriction and one ``eigh`` over the ok rows of both.
+A badly sampled point is a flagged row, never an exception: an isolated
+point is a NaN row, and a neighborhood that cannot determine a d-plane
+gives an ambiguous tangent.  A single point is a one-row chunk.
 :func:`point_curvature` gives each variant a :class:`CurvatureReport` of
 its chunk's rows, which :func:`curvature_report` copies into the whole
 cloud's.  The whole-cloud functions :func:`estimate_tangent_planes` and
 :func:`curvature_report` take the ``(indices, eps)`` pair that
 ``resolve_all`` returns, so one resolution serves both; each hands its
-engine chunks of ``REPORT_CALL`` points, whole blocks of the cloud, and the
-tangent engine likewise sums covariances per block and decomposes them
-once per chunk.  :func:`estimate_masses` queries the tree of the
-:class:`NeighborIndex` that resolved them, so a run builds one kd-tree.
+engine chunks of ``REPORT_CALL`` points, whole blocks of the cloud.
+:func:`estimate_masses` queries the tree of the :class:`NeighborIndex`
+that resolved them, so a run builds one kd-tree.
 
 The engine calls of both whole-cloud functions run on a pool of
 ``WORKERS`` threads started for the stage, one per CPU the process may use,
-and every kd-tree query asks for as many; a cloud too small to give every
-thread a ``REPORT_CALL`` chunk gets chunks of fewer blocks.  numpy's
-gathers, products and decompositions and the tree's walks release the
-interpreter lock.  Block bounds are fixed multiples of ``REPORT_BLOCK``,
-every tail row keeps its operation order whatever the stack, and each call
-writes only its own rows of preallocated outputs, so results are bitwise
-the same for any thread count and chunk size; when calls fail, the
-earliest one's error is raised.  Each pool thread owns one set of scratch
-buffers, allocated at the stage's largest padded block, which ends with
-the thread: each block writes its index map, mask, offsets, distances,
-gathered masses and planes and projected units into contiguous views of
-them, in the same operation order as into fresh arrays, and each call its
-lists end to end.  Nothing a block or call function returns is a view of
-scratch.
+and every kd-tree query asks for as many.  numpy's gathers, products and
+decompositions and the tree's walks release the interpreter lock.  Block
+bounds are fixed, every tail row keeps its operation order whatever the
+stack, and each call writes only its own rows of preallocated outputs, so
+results are bitwise the same for any thread count and call size; when
+calls fail, the earliest one's error is raised.  Each pool thread owns one
+set of scratch buffers, allocated at the stage's largest padded block,
+which ends with the thread: each block writes its index map, mask,
+offsets, distances, gathered masses and planes and projected units into
+contiguous views of them, in the same operation order as into fresh
+arrays.  Nothing a block or call function returns is a view of scratch.
 """
 
 from __future__ import annotations
