@@ -29,19 +29,19 @@ limit to vanish along any approach.
 Tensors are plain float64 arrays, one (n, n, n) row per point.  The
 estimator runs on chunks of points: :func:`point_curvature`,
 :func:`variation_tensor`, :func:`orthogonal_sff` and
-:func:`smoothed_direction_matrix` take an (m,) array of points (locations
-for the last), their (m,) radii, and their sorted neighbor lists (as
-:meth:`NeighborIndex.resolve_all` returns them) concatenated end to end as
-the required keyword ``idx`` with the list lengths as ``counts``.  The
-engine sums a chunk's pairs on padded (m, K) neighbor blocks of
-``REPORT_BLOCK`` points, which bound their memory, one batched product per
-block; the tail (trace check, conversion, restriction, eigenvalues) then
-runs once on stacks of all the chunk's rows.
+:func:`smoothed_direction_matrix` take an (m,) array of points (integer
+indices into the cloud, locations for the last), their (m,) radii, and
+their sorted neighbor lists (as :meth:`NeighborIndex.resolve_all` returns
+them) concatenated end to end as the required keyword ``idx`` with the
+list lengths as ``counts``.  The engine sums a chunk's pairs on padded
+(m, K) neighbor blocks of ``REPORT_BLOCK`` points, which bound their
+memory, one batched product per block; the tail (trace check, conversion,
+restriction, eigenvalues) then runs once on all the chunk's rows.
 :func:`point_curvature` and :func:`curvature_report` give the orthogonal
 report, or with ``compare_variants`` the pair (orthogonal, averaged).  Each
 block gives the variation tensors and, for the pair, the direction
-matrices too; both variants' tensors then go through one tail, stacked:
-one conversion, one restriction and one ``eigh`` over the ok rows of both.
+matrices too; each variant then runs its own tail on its own ok rows:
+one conversion, one restriction and one ``eigh``.
 A badly sampled point is a flagged row, never an exception: an isolated
 point is a NaN row, and a neighborhood that cannot determine a d-plane
 gives an ambiguous tangent.  A single point is a one-row chunk.
@@ -107,8 +107,9 @@ EDGE_ULPS = 4
 REPORT_BLOCK = 256
 
 # Points per call of the whole-cloud stages' engines, a multiple of
-# REPORT_BLOCK: a call sums its blocks one by one, then runs its tail (trace
-# check, conversion, restriction, eigendecomposition) once on all its rows.
+# REPORT_BLOCK: a call sums its blocks one by one, then trace-checks all its
+# rows once and runs each variant's tail (conversion, restriction,
+# eigendecomposition) once on that variant's ok rows.
 REPORT_CALL = 1024
 
 # Threads for the engine calls and the kd-tree queries: the CPUs this
@@ -124,7 +125,9 @@ class NeighborQuery:
     nearest neighbors, exactly one of them given; ``mode`` names the one.
 
     In k-mode the per-point radius resolves to (1 + margin) times the
-    distance to the k-th neighbor (self excluded).  The margin, a class
+    distance to the k-th neighbor (self excluded), so k must be below the
+    cloud's point count N: :meth:`NeighborIndex.resolve_all` refuses
+    k >= N, where a point has fewer than k others.  The margin, a class
     constant of 0.2, spreads the k neighbors over the kernel's active shell;
     with a tight margin the bump profile concentrates nearly all weight on a
     third of the stencil, and the resulting quadrature noise floor drowns
@@ -174,25 +177,28 @@ class NeighborIndex:
     def resolve_all(self, query: NeighborQuery) -> tuple[list[np.ndarray], np.ndarray]:
         """Per-point neighbor index lists (sorted, self included) and radii.
 
-        In knn mode each block of ``RESOLVE_CHUNK`` rows makes one k-nearest
-        query of ``K0 = min(N, ceil((1 + margin)**n * (k + 1)))`` columns,
-        the count a ball of radius (1 + margin) r_k holds at uniform density
-        in R^n.  A row's eps is (1 + margin) times its distance in column k,
-        and its list is its columns within eps, sorted by index.  A row
-        whose window may miss part of its ball takes the ball path instead:
-        its last column lies within eps (while K0 < N), or a column lies
-        within ``EDGE_ULPS`` ulps of eps.  The ball path, which is also the
-        whole of radius mode, makes one sorted ball query per block of rows
-        and splits the block's lists out of one flat array.
+        knn mode needs k < N and raises :class:`InvalidInputError`
+        otherwise.  It makes one k-nearest query per block of
+        ``RESOLVE_CHUNK`` rows, of ``K0 = min(N, ceil((1 + margin)**n *
+        (k + 1)))`` columns, the count a ball of radius (1 + margin) r_k
+        holds at uniform density in R^n.  A row's eps is (1 + margin) times
+        its distance in column k, and its list is its columns within eps,
+        sorted by index.  A row whose window may miss part of its ball takes
+        the ball path instead: its last column lies within eps (while
+        K0 < N), or a column lies within ``EDGE_ULPS`` ulps of eps.  The
+        ball path, which is also the whole of radius mode, makes one sorted
+        ball query per block of rows and splits the block's lists out of
+        one flat array.
         """
         n_pts = self.n_points
         if query.mode == "radius":
             eps = np.full(n_pts, query.epsilon)
             return self._ball_lists(np.arange(n_pts), eps), eps
+        if query.k >= n_pts:
+            raise InvalidInputError(f"k = {query.k} is outside 1..{n_pts - 1}: each "
+                                    f"of the {n_pts} points has {n_pts - 1} others")
         dim = self.positions.shape[1]
         width = min(n_pts, math.ceil((1.0 + query.margin) ** dim * (query.k + 1)))
-        if width < 2:
-            raise InvalidInputError("k-mode needs at least two points")
         eps = np.empty(n_pts)
         lists = []
         unsure = []
@@ -200,9 +206,7 @@ class NeighborIndex:
             dist, nearest = self.tree.query(
                 self.positions[lo:lo + RESOLVE_CHUNK], k=width, workers=WORKERS
             )
-            e = eps[lo:lo + RESOLVE_CHUNK] = (
-                (1.0 + query.margin) * dist[:, min(query.k, width - 1)]
-            )
+            e = eps[lo:lo + RESOLVE_CHUNK] = (1.0 + query.margin) * dist[:, query.k]
             # distances ascend along a row, so the columns inside form a prefix
             inside = dist <= e[:, None]
             near = np.abs(dist - e[:, None]) <= EDGE_ULPS * np.spacing(e)[:, None]
@@ -239,6 +243,19 @@ def _split(flat, counts):
 
 def default_kernels(cloud: PointCloudVarifold) -> KernelPair:
     return natural_kernel_pair(bump_profile(), cloud.dim_d, cloud.ambient_n)
+
+
+def _points(points, n_pts):
+    """The (m,) point indices of a chunk, each an integer in 0..n_pts-1."""
+    points = np.atleast_1d(np.asarray(points))
+    if points.size and not np.issubdtype(points.dtype, np.integer):
+        raise InvalidInputError(f"point indices must be integers, got dtype "
+                                f"{points.dtype}")
+    outside = (points < 0) | (points >= n_pts)
+    if outside.any():
+        raise InvalidInputError(f"point index {points[outside][0]} is outside "
+                                f"0..{n_pts - 1}")
+    return points.astype(np.intp, copy=False)
 
 
 def _chunk(m, eps, idx, counts):
@@ -374,7 +391,8 @@ def _neighbor_block(scratch, positions, x, idx, counts, eps):
 
 def _nan_rows(stack: np.ndarray) -> np.ndarray:
     """Rows of a stack that are NaN throughout: the isolated points."""
-    return np.all(np.isnan(stack.reshape(stack.shape[0], -1)), axis=1)
+    flat = stack.reshape(len(stack), math.prod(stack.shape[1:]))  # m may be 0
+    return np.all(np.isnan(flat), axis=1)
 
 
 def _local_sums(cloud, points, kernels, eps, idx, counts):
@@ -434,13 +452,14 @@ def variation_tensor(
 ) -> np.ndarray:
     """Smoothed variation tensors (gradient form) at cloud points ``points``.
 
-    ``points`` is an (m,) index array, ``eps`` the (m,) radii, ``idx`` the
-    m sorted neighbor lists end to end and ``counts`` their lengths.
+    ``points`` is an (m,) array of integer indices in 0..N-1, ``eps`` the
+    (m,) radii, ``idx`` the m sorted neighbor lists end to end and
+    ``counts`` their lengths.
     Returns (m, n, n, n), exactly (j,k)-symmetric; the row of an isolated
     point (vanishing smoothed mass denominator) is NaN.  The neighbor sums
     of all rows are one batched product (m, n, K) @ (m, K, n^2).
     """
-    points = np.atleast_1d(np.asarray(points, dtype=np.intp))
+    points = _points(points, cloud.n_points)
     eps, idx, counts = _chunk(points.size, eps, idx, counts)
     planes, _, _, w, pu, xi_den = _local_sums(cloud, points, kernels, eps, idx, counts)
     return _variation_sums(kernels, eps, planes, w, pu, xi_den)
@@ -531,7 +550,7 @@ def orthogonal_sff(
     (P_l - P_l0) difference combination so the tests can cross-check the
     two.
     """
-    points = np.atleast_1d(np.asarray(points, dtype=np.intp))
+    points = _points(points, cloud.n_points)
     eps, idx, counts = _chunk(points.size, eps, idx, counts)
     planes, _, _, w, pu, xi_den = _local_sums(cloud, points, kernels, eps, idx, counts)
     m, k, n = pu.shape
@@ -597,7 +616,7 @@ class CurvatureReport:
         return int(np.sum(self.status != STATUS_OK))
 
 
-def _nan_report(m, d, n, eps, status, a_perp=True) -> CurvatureReport:
+def _nan_report(m, d, n, eps, status, a_perp) -> CurvatureReport:
     """A report of m NaN rows: d principal curvatures of a point in R^n."""
     return CurvatureReport(
         kappas=np.full((m, d), np.nan),
@@ -620,11 +639,8 @@ def principal_curvatures(
     :class:`CurvatureReport` derives) is orientation-free for d = 2.
     """
     sym = 0.5 * (restricted + restricted.swapaxes(-1, -2))
-    w, v = np.linalg.eigh(sym)
-    order = np.argsort(w, axis=-1)[..., ::-1]
-    kappas = np.take_along_axis(w, order, axis=-1)
-    directions = basis @ np.take_along_axis(v, order[..., None, :], axis=-1)
-    return kappas, directions.swapaxes(-1, -2)
+    w, v = np.linalg.eigh(sym)  # ascending
+    return w[..., ::-1], (basis @ v[..., ::-1]).swapaxes(-1, -2)
 
 
 def point_curvature(
@@ -640,8 +656,8 @@ def point_curvature(
     """Curvature report of a chunk of points (codimension 1): the engine
     behind :func:`curvature_report`.
 
-    ``points`` is an (m,) index array and ``scale`` the (m,) smoothing
-    radii; ``idx`` holds the m sorted neighbor lists (self included, as
+    ``points`` is an (m,) array of integer indices in 0..N-1 and ``scale``
+    the (m,) smoothing radii; ``idx`` holds the m sorted neighbor lists (self included, as
     :meth:`NeighborIndex.resolve_all` returns them) end to end and
     ``counts`` their lengths.  The restriction reads the stored planes'
     frames from ``cloud.normals`` and ``cloud.bases``.  The report comes
@@ -654,24 +670,24 @@ def point_curvature(
     The chunk's pairs are summed ``REPORT_BLOCK`` points at a time: each
     padded block, built by :func:`_local_sums`, gives its points' variation
     tensors beta, and, with ``compare_variants``, the direction matrices
-    from the same distances, masses and planes.  The rest runs once on the
-    stacks of all m points: H is trace-checked once, each variant forms its
-    gradient-form tensor on its ok rows (the P (x) H subtraction or the
-    linear-system solve), and one tail runs on the stack of both:
-    conversion with :func:`to_bilinear_form`, restriction and one ``eigh``.
-    Every row keeps the operation order of a tail of its own variant alone,
-    and of a tail of its own block, so the orthogonal report is the same with
-    or without the averaged one, and for any chunk size.  Each result is a :class:`CurvatureReport` of the chunk's m rows; the
-    orthogonal one always has ``a_perp`` filled, and the averaged one
-    carries none, since a_perp is the orthogonal tensor.  Isolated points
-    come back as NaN rows with status ``isolated``, per variant (the
-    averaged variant also flags rows whose eta weights vanish); nothing is
-    raised for them.
+    from the same distances, masses and planes.  The rest runs once on all
+    m points: H is trace-checked once, and each variant forms its
+    gradient-form tensor on its own ok rows (the P (x) H subtraction or the
+    linear-system solve) and runs its own tail on them: conversion with
+    :func:`to_bilinear_form`, restriction and one ``eigh``.  Every row keeps
+    the operation order of a tail of its own block, so the reports are the
+    same for any chunk size, and the orthogonal one is the same with or
+    without the averaged one.  Each result is a :class:`CurvatureReport` of
+    the chunk's m rows; the orthogonal one always has ``a_perp`` filled, and
+    the averaged one carries none, since a_perp is the orthogonal tensor.
+    Isolated points come back as NaN rows with status ``isolated``, per
+    variant (the averaged variant also flags rows whose eta weights
+    vanish); nothing is raised for them.
     """
     if cloud.dim_d != cloud.ambient_n - 1:
         raise InvalidInputError("point_curvature needs codimension 1")
     kernels = kernels or default_kernels(cloud)
-    points = np.atleast_1d(np.asarray(points, dtype=np.intp))
+    points = _points(points, cloud.n_points)
     eps, idx, counts = _chunk(points.size, scale, idx, counts)
     m, n, d = points.size, cloud.ambient_n, cloud.dim_d
 
@@ -685,38 +701,33 @@ def point_curvature(
             c[rows] = _direction_sums(_scratch(), kernels, t, mass, planes)
 
     # isolated rows of beta are NaN, and stay NaN in H and a_perp
-    ok = [~_nan_rows(beta)]
+    ok = ~_nan_rows(beta)
     h = mean_curvature_vector(beta, dim_d=d)
     a_perp = np.einsum("mjk,mi->mijk", cloud.planes[points], h)
     np.subtract(beta, a_perp, out=a_perp)
-    if compare_variants:
-        ok.append(ok[0] & ~_nan_rows(c))
-    # one tail over the ok rows of every variant, stacked
-    ends = np.cumsum([np.count_nonzero(o) for o in ok])
-    forms = np.empty((ends[-1], n, n, n))
-    forms[:ends[0]] = a_perp[ok[0]]
-    if compare_variants:
-        forms[ends[0]:] = solve_curvature_system(c[ok[1]], beta[ok[1]])
-    rows = np.concatenate([points[o] for o in ok])
+    orthogonal = _variant_report(cloud, points, eps, h, ok, a_perp[ok])
+    orthogonal.a_perp = a_perp
+    if not compare_variants:
+        return orthogonal
+    ok_avg = ok & ~_nan_rows(c)
+    return orthogonal, _variant_report(
+        cloud, points, eps, h, ok_avg, solve_curvature_system(c[ok_avg], beta[ok_avg]))
+
+
+def _variant_report(cloud, points, eps, h, ok, forms):
+    """One variant's report of the chunk ``points``: its gradient-form
+    tensors ``forms`` of the ok rows go through the tail (conversion,
+    restriction, ``eigh``); the other rows are NaN and ``isolated``."""
+    status = np.where(ok, STATUS_OK, STATUS_ISOLATED).astype(object)
+    out = _nan_report(points.size, cloud.dim_d, cloud.ambient_n, eps, status, False)
+    rows = points[ok]
     basis = cloud.bases[rows]
     restricted = restrict_to_tangent(
         to_bilinear_form(forms), cloud.normals[rows, :, 0], basis
     )
-    tails = zip(*(np.split(a, ends[:-1])
-                  for a in principal_curvatures(restricted, basis)))
-
-    results = []
-    for o, (kappas, directions) in zip(ok, tails):
-        status = np.where(o, STATUS_OK, STATUS_ISOLATED).astype(object)
-        # a_perp is the orthogonal tensor: the first report alone holds it
-        out = _nan_report(m, d, n, eps, status, a_perp=not results)
-        if out.a_perp is not None:
-            out.a_perp[o] = a_perp[o]
-        out.mean_vectors[o] = h[o]
-        out.kappas[o] = kappas
-        out.directions[o] = directions
-        results.append(out)
-    return tuple(results) if compare_variants else results[0]
+    out.kappas[ok], out.directions[ok] = principal_curvatures(restricted, basis)
+    out.mean_vectors[ok] = h[ok]
+    return out
 
 
 def curvature_report(
@@ -786,10 +797,13 @@ class TangentEstimate:
 def _check_neighbors(neighbors, n_pts):
     indices, eps = neighbors
     eps = np.asarray(eps, dtype=float)
-    if len(indices) != n_pts or eps.shape != (n_pts,):
+    if len(indices) != n_pts:
         raise InvalidInputError(
             f"neighbors resolved for {len(indices)} points, cloud has {n_pts}"
         )
+    if eps.shape != (n_pts,):
+        raise InvalidInputError(f"neighbor radii of shape {eps.shape} for {n_pts} "
+                                f"points; need shape ({n_pts},)")
     return indices, eps
 
 

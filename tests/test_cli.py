@@ -502,13 +502,31 @@ class TestRunFromFile:
         )
         assert not out.exists()
 
+    def test_k_past_point_count_exit_code(self, tmp_path, capsys):
+        # a point of N has N - 1 others, so k >= N is bad input: the default
+        # k = 40 on a 10-point shape, and --k 500 on a 50-point file
+        xyz = tmp_path / "small.xyz"
+        vc.io.write_xyz(xyz, vc.Sphere(1.0).sample(50, seed=1).cloud.positions)
+        out = tmp_path / "o.csv"
+        for source, k, n_pts in ((("--shape", "sphere", "--n-points", "10"), (), 10),
+                                 (("--input", str(xyz)), ("--k", "500"), 50)):
+            capsys.readouterr()
+            assert run_cli("run", *source, *k, "--csv", str(out)) == 1
+            k_value = int(k[1]) if k else 40
+            assert capsys.readouterr().err == (
+                f"error: k = {k_value} is outside 1..{n_pts - 1}: each of the "
+                f"{n_pts} points has {n_pts - 1} others\n"
+            )
+            assert not out.exists()
+        assert run_cli("run", "--input", str(xyz), "--k", "49", "--csv", str(out)) == 0
+
     def test_numeric_fatal_exit_code(self, tmp_path):
         # collinear points cannot support a rank-2 tangent estimate: every
         # point is flagged, and the run goes on
         xyz = tmp_path / "line.xyz"
         xyz.write_text("".join(f"{0.1 * i} 0 0\n" for i in range(30)))
         out = tmp_path / "o.csv"
-        assert run_cli("run", "--input", str(xyz), "--d", "2",
+        assert run_cli("run", "--input", str(xyz), "--d", "2", "--k", "10",
                        "--csv", str(out)) == 0
         assert csv_status(out) == ["ambiguous_tangent"] * 30
 

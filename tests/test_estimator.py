@@ -113,6 +113,18 @@ class TestNeighborQuery:
             {0, 1, 2}, {0, 1, 2}, {1, 2, 3}, {1, 2, 3}
         ]
 
+    def test_knn_needs_fewer_neighbors_than_points(self):
+        # a point of N has N - 1 others: k = N - 1 lists the whole cloud,
+        # and k >= N is refused rather than read from the last column
+        index = NeighborIndex(line_cloud([0.0, 1.0, 2.0, 3.0]).positions)
+        indices, eps = index.resolve_all(NeighborQuery.knn(3))
+        assert eps == pytest.approx([3.6, 2.4, 2.4, 3.6])
+        assert [ix.tolist() for ix in indices] == [[0, 1, 2, 3]] * 4
+        for k in (4, 500):
+            with pytest.raises(InvalidInputError, match=f"^k = {k} is outside 1..3: "
+                               "each of the 4 points has 3 others$"):
+                index.resolve_all(NeighborQuery.knn(k))
+
 
 def ball_lists(positions, eps):
     """Each point's sorted neighbor list: the tree's unsorted ball query,
@@ -924,10 +936,11 @@ class TestEngine:
             assert sum(size for _, size in chunks) == sum(len(ix) for ix in indices)
 
     def test_two_variants_sum_each_chunk_once(self):
-        # one padded block per REPORT_BLOCK points, and one trace check and
-        # one tail per engine call, serve both reports; the orthogonal one
-        # equals the report without the comparison, and the averaged one is
-        # bitwise the public chain solve_curvature_system(
+        # one padded block per REPORT_BLOCK points and one trace check per
+        # engine call serve both reports, and each variant runs one tail per
+        # call on its own ok rows; the orthogonal one equals the report
+        # without the comparison, and the averaged one is bitwise the public
+        # chain solve_curvature_system(
         # smoothed_direction_matrix, variation_tensor) -> tail, block by
         # block, also past isolated rows on both sides of a block boundary
         sphere = vc.Sphere(1.0).sample(2 * REPORT_BLOCK + 10, seed=4).cloud
@@ -942,7 +955,9 @@ class TestEngine:
             neighbors = NeighborIndex(cloud.positions).resolve_all(query)
             # three blocks: one call on one thread, calls of two blocks and
             # of one on two
-            for workers, n_calls in ((1, 1), (2, 2)):
+            split, end = 2 * REPORT_BLOCK, cloud.n_points
+            for workers, bounds in ((1, [(0, end)]), (2, [(0, split), (split, end)])):
+                n_calls = len(bounds)
                 calls = []
 
                 def counting(name):
@@ -972,10 +987,13 @@ class TestEngine:
                 assert rows["_local_sums"] == [last, REPORT_BLOCK, REPORT_BLOCK]
                 assert len(rows["mean_curvature_vector"]) == n_calls
                 assert sum(rows["mean_curvature_vector"]) == cloud.n_points
-                # the one tail of a call stacks the ok rows of both variants
-                assert len(rows["to_bilinear_form"]) == n_calls
+                # a call converts each variant's ok rows in a tail of its own
+                assert len(rows["to_bilinear_form"]) == 2 * n_calls
                 assert sum(rows["to_bilinear_form"]) == sum(
                     int(np.sum(rep.status == STATUS_OK)) for rep in (orthogonal, averaged))
+                assert rows["to_bilinear_form"] == sorted(
+                    int(np.sum(rep.status[lo:hi] == STATUS_OK))
+                    for lo, hi in bounds for rep in (orthogonal, averaged))
             alone = curvature_report(cloud, neighbors, collect_a_perp=True)
             for field in ("kappas", "directions", "gauss", "abs_sum", "mean_norm",
                           "mean_vectors", "a_perp", "status"):
@@ -1053,6 +1071,21 @@ class TestEngine:
                 curvature_report(cloud, neighbors, ambiguous=flags)
         assert sums == []
 
+    def test_neighbor_pair_checked(self):
+        # the lists and the radii must each be one per point, and the error
+        # names the one that is not
+        cloud = vc.Sphere(1.0).sample(200, seed=0).cloud
+        indices, eps = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(10))
+        for fn in (lambda pair: curvature_report(cloud, pair),
+                   lambda pair: estimate_tangent_planes(cloud.positions, pair, 2)):
+            with pytest.raises(InvalidInputError,
+                               match=r"^neighbor radii of shape \(199,\) for 200 "
+                                     r"points; need shape \(200,\)$"):
+                fn((indices, eps[:199]))
+            with pytest.raises(InvalidInputError,
+                               match="^neighbors resolved for 199 points, cloud has 200$"):
+                fn((indices[:199], eps))
+
     def test_chunk_contract_checked(self):
         cloud = sphere_with_outlier()
         with pytest.raises(InvalidInputError, match="2 neighbor counts"):
@@ -1067,6 +1100,45 @@ class TestEngine:
         with pytest.raises(InvalidInputError, match="index -1 is outside 0..300"):
             smoothed_direction_matrix(cloud, cloud.positions[:1], None, 0.5,
                                       idx=[-1], counts=[1])
+
+    @staticmethod
+    def chunk_function(name, cloud):
+        """``fn(points, eps, idx, counts)`` running the chunk function
+        ``name`` on ``cloud`` with the default kernels."""
+        kernels = estimator.default_kernels(cloud)
+        if name == "point_curvature":
+            return lambda points, eps, idx, counts: point_curvature(
+                cloud, points, kernels, scale=eps, idx=idx, counts=counts)
+        return lambda points, eps, idx, counts: getattr(estimator, name)(
+            cloud, points, kernels, eps, idx=idx, counts=counts)
+
+    @pytest.mark.parametrize("points, message", [
+        ([500], "point index 500 is outside 0..199"),
+        ([-1], "point index -1 is outside 0..199"),
+        ([0.5], "point indices must be integers, got dtype float64"),
+    ])
+    @pytest.mark.parametrize("name", ["point_curvature", "variation_tensor",
+                                      "orthogonal_sff"])
+    def test_point_indices_checked(self, name, points, message):
+        # an index past the cloud, a negative one and a non-integer one are
+        # refused by name, not read by numpy's indexing rules
+        cloud = vc.Sphere(1.0).sample(200, seed=0).cloud
+        indices, eps = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(10))
+        fn = self.chunk_function(name, cloud)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            fn(points, eps[:1], indices[0], [len(indices[0])])
+
+    @pytest.mark.parametrize("name", ["point_curvature", "variation_tensor",
+                                      "orthogonal_sff"])
+    def test_empty_chunk_is_valid(self, name):
+        # an empty index array has numpy's default dtype float64 and is no
+        # error: it gives zero rows
+        cloud = vc.Sphere(1.0).sample(200, seed=0).cloud
+        out = self.chunk_function(name, cloud)(np.asarray([]), [], [], [])
+        if name == "point_curvature":
+            assert out.kappas.shape == (0, 2) and out.a_perp.shape == (0, 3, 3, 3)
+        else:
+            assert out.shape == (0, 3, 3, 3)
 
     def test_pair_of_other_dimensions_refused(self):
         # the pair's prefactor d/n scales every curvature: a (2, 3) pair on
