@@ -11,8 +11,8 @@ line is ``ply``, else xyz with as many dimensions as columns; ply vertex
 lines follow the xyz field rule, with NaN allowed in the fields not read,
 so a ``--ply`` output reads back.  ``--d`` defaults to the input's own
 dimension, the shape's or the file's columns minus one.  ``--tangent-mode
-auto`` takes the planes of a shape or of the unit ply normals ``io`` returns
-and estimates them otherwise.
+auto`` takes the planes ``I - n n^T`` of the unit normals, a shape's exact
+ones or those ``io`` returns from a ply, and estimates them otherwise.
 
 Masses are all ones (``--mass-mode uniform``, the default) or
 omega_d r^d / n_mass from each point's ``--n-mass``-point ball (``nmass``);
@@ -58,7 +58,7 @@ from .estimator import NeighborIndex, NeighborQuery, curvature_report, \
     estimate_masses, estimate_tangent_planes
 from .kernels import PROFILES, bump_profile, kernel_pair_by_name
 from .shapes import SHAPES
-from .varifold import validate_cloud
+from .varifold import normal_planes, validate_cloud
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_cloud(args):
-    """Returns (positions, planes-or-None, query, d)."""
+    """Returns (positions, unit normals or None, query, d)."""
     if (args.input is None) == (args.shape is None):
         raise InvalidInputError("provide exactly one of --input or --shape")
     if args.input is not None:
@@ -175,9 +175,7 @@ def _load_cloud(args):
         d = shape.dim_d
         if args.d not in (None, d):
             raise InvalidInputError(f"--d {args.d} does not match shape dimension {d}")
-        positions = sample.cloud.positions
-        planes = None if args.tangent_mode == "estimated" else sample.cloud.planes
-        return positions, planes, query, d
+        return sample.cloud.positions, sample.normals, query, d
 
     positions, normals = vio.read_cloud(args.input)
     n = positions.shape[1]
@@ -187,10 +185,7 @@ def _load_cloud(args):
     d = n - 1 if args.d is None else args.d
     if not 1 <= d <= n <= 10:
         raise InvalidInputError(f"need 1 <= d <= n <= 10, got d={d}, n={n}")
-    planes = None
-    if normals is not None and d == n - 1 and args.tangent_mode == "auto":
-        planes = np.eye(n)[None] - np.einsum("li,lj->lij", normals, normals)
-    return positions, planes, query, d
+    return positions, normals, query, d
 
 
 def _run(args) -> int:
@@ -200,7 +195,7 @@ def _run(args) -> int:
         raise InvalidInputError(f"--quantity {args.quantity} needs --ply")
     n_mass = RUN_DEFAULTS["n_mass"] if args.n_mass is None else args.n_mass
     quantity = args.quantity or RUN_DEFAULTS["quantity"]
-    positions, planes, query, d = _load_cloud(args)
+    positions, normals, query, d = _load_cloud(args)
     n = positions.shape[1]
     if quantity == "k2" and d < 2:
         raise InvalidInputError("quantity k2 needs d >= 2")
@@ -216,10 +211,11 @@ def _run(args) -> int:
     index = NeighborIndex(positions)
     neighbors = index.resolve_all(query)
     ambiguous = None
-    if planes is None:
+    if normals is not None and args.tangent_mode == "auto":
+        planes = normal_planes(normals)
+    else:
         est = estimate_tangent_planes(positions, neighbors, d)
-        planes = est.planes
-        ambiguous = est.ambiguous
+        planes, ambiguous = est.planes, est.ambiguous
     if args.mass_mode == "uniform":
         masses = np.ones(len(positions))
     else:

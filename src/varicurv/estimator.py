@@ -72,6 +72,7 @@ arrays.  Nothing a block or call function returns is a view of scratch.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -119,19 +120,29 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
 
+def _integer(value, name):
+    """``value`` as an int: a Python or NumPy integer; anything else, a
+    float of integral value included, is bad input."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} = {value!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class NeighborQuery:
     """Neighborhood selection: a fixed radius ``epsilon`` or the ``k``
     nearest neighbors, exactly one of them given; ``mode`` names the one.
 
     In k-mode the per-point radius resolves to (1 + margin) times the
-    distance to the k-th neighbor (self excluded), so k must be below the
-    cloud's point count N: :meth:`NeighborIndex.resolve_all` refuses
-    k >= N, where a point has fewer than k others.  The margin, a class
-    constant of 0.2, spreads the k neighbors over the kernel's active shell;
-    with a tight margin the bump profile concentrates nearly all weight on a
-    third of the stencil, and the resulting quadrature noise floor drowns
-    the estimator's eps-rate on smooth shapes.
+    distance to the k-th neighbor (self excluded), so k must be an integer
+    (a NumPy one is stored as an int) below the cloud's point count N:
+    :meth:`NeighborIndex.resolve_all` refuses k >= N, where a point has
+    fewer than k others.  The margin, a class constant of 0.2, spreads the
+    k neighbors over the kernel's active shell; with a tight margin the bump
+    profile concentrates nearly all weight on a third of the stencil, and
+    the resulting quadrature noise floor drowns the estimator's eps-rate on
+    smooth shapes.
     """
 
     epsilon: float | None = None
@@ -146,9 +157,11 @@ class NeighborQuery:
             if not 0.0 < self.epsilon < np.inf:
                 raise InvalidInputError(f"radius mode needs 0 < epsilon < inf and "
                                         f"no k, got epsilon={self.epsilon}")
-        elif self.k < 1:
-            raise InvalidInputError(f"knn mode needs k >= 1 and no epsilon, "
-                                    f"got k={self.k}")
+        else:
+            object.__setattr__(self, "k", _integer(self.k, "k"))
+            if self.k < 1:
+                raise InvalidInputError(f"knn mode needs k >= 1 and no epsilon, "
+                                        f"got k={self.k}")
 
     @property
     def mode(self) -> str:
@@ -160,7 +173,7 @@ class NeighborQuery:
 
     @classmethod
     def knn(cls, k: int) -> "NeighborQuery":
-        return cls(k=int(k))
+        return cls(k=k)
 
 
 class NeighborIndex:
@@ -248,6 +261,9 @@ def default_kernels(cloud: PointCloudVarifold) -> KernelPair:
 def _points(points, n_pts):
     """The (m,) point indices of a chunk, each an integer in 0..n_pts-1."""
     points = np.atleast_1d(np.asarray(points))
+    if points.ndim != 1:
+        raise InvalidInputError(f"point indices must be an (m,) array, got shape "
+                                f"{points.shape}")
     if points.size and not np.issubdtype(points.dtype, np.integer):
         raise InvalidInputError(f"point indices must be integers, got dtype "
                                 f"{points.dtype}")
@@ -814,20 +830,24 @@ def estimate_tangent_planes(
 
     ``neighbors`` is the ``(indices, eps)`` pair that
     :meth:`NeighborIndex.resolve_all` returns for ``positions``; eps is the
-    bump's radius at each point.  At each point the covariance of neighbor
-    offsets from the kernel-weighted barycenter is eigen-decomposed; the
-    span of the d dominant eigenvectors gives the plane, always a rank-d
-    projector.  A near-tie between the d-th and (d+1)-th eigenvalues (within
-    1e-9 of the largest) flags the point as ambiguous.  Nothing is raised
-    for a badly sampled point: fewer than d+1 neighbors, a zero radius or a
-    covariance of rank < d all leave such a tie (all-zero eigenvalues at
-    worst), so the point is flagged too.  The points run ``REPORT_CALL`` at
-    a time, with one batched covariance product per ``REPORT_BLOCK``-point
-    padded neighbor block, the report's, and one stacked eigendecomposition
-    per call.
+    bump's radius at each point, and ``dim_d`` an integer in 1..n.  At each
+    point the covariance of neighbor offsets from the kernel-weighted
+    barycenter is eigen-decomposed; the span of the d dominant eigenvectors
+    gives the plane, always a rank-d projector.  A near-tie between the
+    d-th and (d+1)-th eigenvalues (within 1e-9 of the largest) flags the
+    point as ambiguous.  Nothing is raised for a badly sampled point: fewer
+    than d+1 neighbors, a zero radius or a covariance of rank < d all leave
+    such a tie (all-zero eigenvalues at worst), so the point is flagged too.
+    The points run ``REPORT_CALL`` at a time, with one batched covariance
+    product per ``REPORT_BLOCK``-point padded neighbor block, the report's,
+    and one stacked eigendecomposition per call.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     n_pts, n = positions.shape
+    dim_d = _integer(dim_d, "dim_d")
+    if not 1 <= dim_d <= n:
+        raise InvalidInputError(f"dim_d = {dim_d} is outside 1..{n}, the ambient "
+                                f"dimension")
     indices, sigma = _check_neighbors(neighbors, n_pts)
     planes = np.empty((n_pts, n, n))
     ambiguous = np.zeros(n_pts, dtype=bool)
@@ -885,9 +905,11 @@ def estimate_masses(index: NeighborIndex, n_mass: int, dim_d: int) -> np.ndarray
 
     r_i is the smallest radius whose closed ball around x_i holds at least
     ``n_mass`` cloud points, the point itself included, found on the tree
-    of ``index``.  Every curvature is a ratio of mass-weighted sums, so a
-    global mass factor (omega_d / n_mass among them) cancels up to rounding.
+    of ``index``; ``n_mass`` is an integer in 1..N.  Every curvature is a
+    ratio of mass-weighted sums, so a global mass factor (omega_d / n_mass
+    among them) cancels up to rounding.
     """
+    n_mass = _integer(n_mass, "--n-mass")
     if not 1 <= n_mass <= index.n_points:
         raise InvalidInputError(f"--n-mass = {n_mass} is outside "
                                 f"1..{index.n_points}, the number of points")

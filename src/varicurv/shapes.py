@@ -1,10 +1,11 @@
 """Analytic shapes with exact curvature fields and area-uniform samplers.
 
-Each shape produces point clouds with exact tangent projectors attached and
-knows its classical principal curvatures pointwise: ``exact_report`` takes an
-``(N, n)`` array of points on the shape and returns ``(kappas (N, d),
-normals (N, n))`` in one call (a single point is a one-row array), from
-which ``ShapeSample`` derives the Gauss curvature and mean curvature vector.
+Each shape states its surface once: ``exact_report`` takes an ``(N, n)``
+array of points on the shape and returns ``(kappas (N, d), normals (N, n))``
+in one call (a single point is a one-row array), the classical principal
+curvatures and inward unit normals, from which ``ShapeSample`` derives the
+Gauss curvature and mean curvature vector.  A sample's exact planes are the
+complements ``I - nu nu^T`` of those normals (``varifold.normal_planes``).
 Principal curvatures are reported with respect to the inward normal, so
 convex shapes get positive values; the estimator side only recovers curvature
 signs up to a global flip per point, which callers account for when comparing.
@@ -28,14 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .varifold import PointCloudVarifold, validate_cloud
+from .varifold import PointCloudVarifold, normal_planes, validate_cloud
 
 
 @dataclass(frozen=True)
 class ShapeSample:
-    """A sampled cloud plus per-point ground truth at the pre-noise points:
-    ``gauss`` is the product of the kappas, ``mean_vectors`` their sum
-    times the inward normal."""
+    """A sampled cloud, whose planes are the complements of ``normals``,
+    plus per-point ground truth at the pre-noise points: ``gauss`` is the
+    product of the kappas, ``mean_vectors`` their sum times the inward
+    normal."""
 
     cloud: PointCloudVarifold
     base_points: np.ndarray
@@ -81,8 +83,8 @@ class AnalyticShape(abc.ABC):
     ambient_n: int
 
     @abc.abstractmethod
-    def _draw(self, n_points: int, rng) -> tuple[np.ndarray, np.ndarray]:
-        """Return (points, planes) at exact surface positions."""
+    def _draw(self, n_points: int, rng) -> np.ndarray:
+        """Return ``(n_points, n)`` points at exact surface positions."""
 
     @abc.abstractmethod
     def exact_report(self, points) -> tuple[np.ndarray, np.ndarray]:
@@ -90,9 +92,10 @@ class AnalyticShape(abc.ABC):
 
         Returns ``(kappas (N, d), normals (N, n))``, the principal
         curvatures (descending, NaN where the shape has none) and the inward
-        unit normals, row ``l`` belonging to point ``l``.  Every row must be
-        finite and lie within 1e-9 of the shape; otherwise
-        :class:`InvalidInputError` names the first row that does not.
+        unit normals (+z on the plane patch, which has no inside), row ``l``
+        belonging to point ``l``.  Every row must be finite and lie within
+        1e-9 of the shape; otherwise :class:`InvalidInputError` names the
+        first row that does not.
         """
 
     def edge_distance(self, points) -> np.ndarray | None:
@@ -110,13 +113,13 @@ class AnalyticShape(abc.ABC):
         if seed < 0:
             raise InvalidInputError(f"seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
-        base, planes = self._draw(n_points, rng)
+        base = self._draw(n_points, rng)
         positions = base
         if noise_sigma > 0.0:
             positions = base + rng.normal(0.0, noise_sigma, size=base.shape)
-        masses = np.ones(n_points)
-        cloud = validate_cloud(positions, planes, masses, dim_d=self.dim_d)
         kappas, normals = self.exact_report(base)
+        cloud = validate_cloud(positions, normal_planes(normals), np.ones(n_points),
+                               dim_d=self.dim_d)
         return ShapeSample(cloud, base, kappas, normals, self.edge_distance(base))
 
 
@@ -178,10 +181,7 @@ class Sphere(_RoundSphere):
         phi = _GOLDEN_ANGLE * i + rng.uniform(0.0, 2.0 * np.pi)
         s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
         unit = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
-        unit = unit @ _random_rotation(3, rng).T
-        pts = self.radius * unit
-        planes = np.eye(3)[None] - np.einsum("li,lj->lij", unit, unit)
-        return pts, planes
+        return self.radius * (unit @ _random_rotation(3, rng).T)
 
 
 class Circle(_RoundSphere):
@@ -192,10 +192,7 @@ class Circle(_RoundSphere):
     def _draw(self, n_points, rng):
         theta = 2.0 * np.pi * (np.arange(n_points) + 0.5) / n_points
         theta = theta + rng.uniform(0.0, 2.0 * np.pi)
-        pts = self.radius * np.column_stack([np.cos(theta), np.sin(theta)])
-        tang = np.column_stack([-np.sin(theta), np.cos(theta)])
-        planes = np.einsum("li,lj->lij", tang, tang)
-        return pts, planes
+        return self.radius * np.column_stack([np.cos(theta), np.sin(theta)])
 
 
 class Torus(AnalyticShape):
@@ -228,19 +225,7 @@ class Torus(AnalyticShape):
             g = self.r_major * thetas + self.r_minor * np.sin(thetas) - target
             thetas -= g / (self.r_major + self.r_minor * np.cos(thetas))
         phis = _GOLDEN_ANGLE * i + rng.uniform(0.0, 2.0 * np.pi)
-        pts = self._point(thetas, phis)
-        t_phi = np.column_stack([-np.sin(phis), np.cos(phis), np.zeros(n_points)])
-        t_theta = np.column_stack(
-            [
-                -np.sin(thetas) * np.cos(phis),
-                -np.sin(thetas) * np.sin(phis),
-                np.cos(thetas),
-            ]
-        )
-        planes = np.einsum("li,lj->lij", t_phi, t_phi) + np.einsum(
-            "li,lj->lij", t_theta, t_theta
-        )
-        return pts, planes
+        return self._point(thetas, phis)
 
     def exact_report(self, points):
         p = _rows(points, self.ambient_n)
@@ -274,13 +259,9 @@ class Cylinder(AnalyticShape):
         i = np.arange(n_points)
         phi = _GOLDEN_ANGLE * i + rng.uniform(0.0, 2.0 * np.pi)
         z = (np.mod((i + 0.5) / n_points + rng.uniform(), 1.0) - 0.5) * self.height
-        pts = np.column_stack(
+        return np.column_stack(
             [self.radius * np.cos(phi), self.radius * np.sin(phi), z]
         )
-        t_phi = np.column_stack([-np.sin(phi), np.cos(phi), np.zeros(n_points)])
-        planes = np.einsum("li,lj->lij", t_phi, t_phi)
-        planes[:, 2, 2] += 1.0
-        return pts, planes
 
     def exact_report(self, points):
         p = _rows(points, self.ambient_n)
@@ -292,6 +273,9 @@ class Cylinder(AnalyticShape):
 
 
 class PlanePatch(AnalyticShape):
+    """The square patch |x|, |y| <= side/2 of the plane z = 0.  It has no
+    inside, so its normal is +z."""
+
     name = "plane"
     dim_d = 2
     ambient_n = 3
@@ -303,10 +287,7 @@ class PlanePatch(AnalyticShape):
 
     def _draw(self, n_points, rng):
         uv = _r2_sequence(n_points, rng.uniform(size=2))
-        xy = (uv - 0.5) * self.side
-        pts = np.column_stack([xy, np.zeros(n_points)])
-        planes = np.broadcast_to(np.diag([1.0, 1.0, 0.0]), (n_points, 3, 3)).copy()
-        return pts, planes
+        return np.column_stack([(uv - 0.5) * self.side, np.zeros(n_points)])
 
     def exact_report(self, points):
         p = _rows(points, self.ambient_n)
@@ -333,7 +314,6 @@ class Cube(AnalyticShape):
         base, extra = divmod(n_points, 6)
         counts = [base + (1 if f < extra else 0) for f in range(6)]
         pts = np.empty((n_points, 3))
-        planes = np.empty((n_points, 3, 3))
         row = 0
         for face in range(6):
             axis, sign = divmod(face, 2)
@@ -345,12 +325,9 @@ class Cube(AnalyticShape):
             block[:, axis] = sign * half
             block[:, others[0]] = uv[:, 0]
             block[:, others[1]] = uv[:, 1]
-            nu = np.zeros(3)
-            nu[axis] = sign
             pts[row : row + m] = block
-            planes[row : row + m] = np.eye(3) - np.outer(nu, nu)
             row += m
-        return pts, planes
+        return pts
 
     def exact_report(self, points):
         p = _rows(points, self.ambient_n)
@@ -360,7 +337,7 @@ class Cube(AnalyticShape):
         rows = np.arange(len(p))
         axis = a.argmax(axis=1)
         normals = np.zeros_like(p)
-        normals[rows, axis] = np.sign(p[rows, axis])
+        normals[rows, axis] = -np.sign(p[rows, axis])
         # Edge or corner: no classical pointwise curvature.
         fill = np.where((np.abs(a - half) < 1e-12).sum(axis=1) > 1, np.nan, 0.0)
         return np.repeat(fill[:, None], 2, axis=1), normals

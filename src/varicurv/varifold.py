@@ -50,6 +50,12 @@ class PointCloudVarifold:
         return self.positions.shape[1]
 
 
+def normal_planes(normals) -> np.ndarray:
+    """The (N, n, n) projectors I - nu nu^T onto the planes orthogonal to
+    the (N, n) unit normals nu."""
+    return np.eye(normals.shape[1])[None] - np.einsum("li,lj->lij", normals, normals)
+
+
 def validate_cloud(positions, planes, masses, dim_d: int) -> PointCloudVarifold:
     """Validate raw arrays into a PointCloudVarifold.
 

@@ -45,6 +45,27 @@ class TestRunFromShape:
         assert run_cli(*args, "--csv", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_tangent_modes(self, tmp_path, name):
+        # auto takes the planes of the sample's exact normals, so the run is
+        # the library's report on the sample's own cloud; estimated fits the
+        # planes to the positions alone, as a run on them as xyz does
+        args = ["run", "--shape", name, "--n-points", "1000", "--seed", "3"]
+        auto, est, lib, pos = (tmp_path / f"{k}.csv"
+                               for k in ("auto", "est", "lib", "pos"))
+        assert run_cli(*args, "--csv", str(auto)) == 0
+        assert run_cli(*args, "--tangent-mode", "estimated", "--csv", str(est)) == 0
+        sample = SHAPES[name]().sample(1000, seed=3)
+        positions = sample.cloud.positions
+        neighbors = NeighborIndex(positions).resolve_all(vc.NeighborQuery.knn(40))
+        vc.io.write_report_csv(lib, positions,
+                               vc.curvature_report(sample.cloud, neighbors))
+        xyz = tmp_path / "cloud.xyz"
+        np.savetxt(xyz, positions, fmt="%.17g")  # every bit, unlike --xyz's 9 digits
+        assert run_cli("run", "--input", str(xyz), "--csv", str(pos)) == 0
+        assert auto.read_bytes() == lib.read_bytes()
+        assert est.read_bytes() == pos.read_bytes()
+
     def test_kernel_selection(self, tmp_path):
         out = tmp_path / "tent.csv"
         code = run_cli("run", "--shape", "sphere", "--n-points", "500",

@@ -101,6 +101,18 @@ class TestNeighborQuery:
                            match=f"0 < epsilon < inf and no k, got epsilon={epsilon}"):
             NeighborQuery.radius(epsilon)
 
+    @pytest.mark.parametrize("make", [lambda k: NeighborQuery(k=k), NeighborQuery.knn])
+    def test_k_must_be_an_integer(self, make):
+        # k = 2.5 used to end in an IndexError inside resolve_all, and knn
+        # truncated it to 2; a NumPy integer is an integer and is stored as
+        # an int
+        for k in (2.5, np.float64(40.0), "40"):
+            with pytest.raises(InvalidInputError,
+                               match=f"^k = {re.escape(repr(k))} is not an integer$"):
+                make(k)
+        query = make(np.int64(3))
+        assert query.k == 3 and type(query.k) is int
+
     def test_knn_resolution_margin(self):
         cloud = line_cloud([0.0, 1.0, 2.0, 3.0])
         index = NeighborIndex(cloud.positions)
@@ -1116,12 +1128,14 @@ class TestEngine:
         ([500], "point index 500 is outside 0..199"),
         ([-1], "point index -1 is outside 0..199"),
         ([0.5], "point indices must be integers, got dtype float64"),
+        ([[0, 1]], "point indices must be an (m,) array, got shape (1, 2)"),
     ])
     @pytest.mark.parametrize("name", ["point_curvature", "variation_tensor",
                                       "orthogonal_sff"])
     def test_point_indices_checked(self, name, points, message):
-        # an index past the cloud, a negative one and a non-integer one are
-        # refused by name, not read by numpy's indexing rules
+        # an index past the cloud, a negative one, a non-integer one and a
+        # 2-D index array are refused by name, not read by numpy's indexing
+        # or broadcasting rules
         cloud = vc.Sphere(1.0).sample(200, seed=0).cloud
         indices, eps = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(10))
         fn = self.chunk_function(name, cloud)
@@ -1457,6 +1471,20 @@ class TestTangentEstimation:
         assert np.allclose(np.trace(est.planes, axis1=1, axis2=2), 2.0, atol=1e-12)
         assert np.allclose(est.planes[:, :, 0], [1.0, 0.0, 0.0], atol=1e-12)
 
+    @pytest.mark.parametrize("dim_d, message", [
+        (0, "dim_d = 0 is outside 1..3, the ambient dimension"),
+        (5, "dim_d = 5 is outside 1..3, the ambient dimension"),
+        (-1, "dim_d = -1 is outside 1..3, the ambient dimension"),
+        (1.5, "dim_d = 1.5 is not an integer"),
+    ])
+    def test_dimension_checked(self, dim_d, message):
+        # 0 used to return zero planes, all flagged, 5 identity planes, and
+        # -1 rank-2 planes
+        positions = vc.Sphere(1.0).sample(200, seed=0).cloud.positions
+        neighbors = NeighborIndex(positions).resolve_all(NeighborQuery.knn(10))
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            estimate_tangent_planes(positions, neighbors, dim_d)
+
     def test_ambiguous_flag_on_isotropic_data(self):
         rng = np.random.default_rng(53)
         sample = vc.Sphere(1.0).sample(1500, seed=13)
@@ -1634,6 +1662,15 @@ class TestMassEstimation:
         r = cKDTree(cloud).query(cloud, k=8)[0][:, -1]
         assert np.array_equal(estimate_masses(NeighborIndex(cloud), 8, 2),
                               unit_ball_volume(2) * r**2 / 8)
+
+    def test_n_mass_must_be_an_integer(self):
+        # 2.5 used to take the 2nd neighbor's radius and divide by 2.5
+        index = NeighborIndex(np.random.default_rng(3).uniform(0.0, 1.0, (50, 3)))
+        with pytest.raises(InvalidInputError,
+                           match="^--n-mass = 2.5 is not an integer$"):
+            estimate_masses(index, 2.5, 2)
+        assert np.array_equal(estimate_masses(index, np.int32(8), 2),
+                              estimate_masses(index, 8, 2))
 
     def test_nmass_one_zero_radius(self):
         pts = np.arange(5.0)[:, None]

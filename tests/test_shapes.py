@@ -6,6 +6,7 @@ import pytest
 import varicurv as vc
 from varicurv.errors import InvalidInputError
 from varicurv.shapes import SHAPES, ShapeSample
+from varicurv.varifold import normal_planes
 
 ALL_SHAPES = [
     ("sphere", {"radius": 1.0}),
@@ -126,7 +127,8 @@ class TestArrayOracle:
         assert np.all(np.isnan(kappas) == singular[:, None])
         assert np.all(np.isnan(mean) == singular[:, None])
         assert np.all(kappas[~singular] == 0) and np.all(mean[~singular] == 0)
-        assert np.array_equal(normals[~singular], [[1, 0, 0], [0, -1, 0]])
+        # inward: against the sign of the face's coordinate
+        assert np.array_equal(normals[~singular], [[-1, 0, 0], [0, 1, 0]])
 
     @pytest.mark.parametrize("shape,off_point", [
         (vc.Sphere(1.0), [0.0, 0.0, 1.5]),
@@ -163,6 +165,9 @@ class TestSamplers:
         sample = shape.sample(500, seed=7)
         assert sample.cloud.n_points == 500
         assert sample.kappas.shape == (500, shape.dim_d)
+        # the shape states its surface once: the planes are I - nu nu^T of
+        # the exact normals, bit for bit
+        assert_same_bits(sample.cloud.planes, normal_planes(sample.normals))
 
     def test_table_keys_are_class_names(self):
         assert [name for name, _ in ALL_SHAPES] == list(SHAPES)
