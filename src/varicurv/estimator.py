@@ -16,11 +16,12 @@ Pipeline at a cloud point x0 with smoothing scale eps:
    kernel-averaged direction matrix, or use the orthogonal variant
    a_ijk = t_ijk - (P_x0)_jk H_i, which enforces mean-curvature
    orthogonality and is the numerically preferred default;
-4. in codimension 1, contract the bilinear form with the unit normal of the
-   stored plane and restrict to an orthonormal tangent basis, both read from
-   the frames the cloud carries (:func:`validate_cloud` decomposes each
-   plane once); eigenvalues of the restricted matrix are the principal
-   curvatures (sign known only up to the arbitrary normal orientation).
+4. in codimension 1, one tail for both variants: convert to the bilinear
+   form B, contract it with the unit normal nu of the stored plane and
+   restrict to its orthonormal tangent basis Q, both read from the frames
+   the cloud carries (:func:`validate_cloud` decomposes each plane once);
+   the eigenpairs of Q^T (B . nu) Q give the principal curvatures (sign
+   known only up to the normal orientation) and directions.
 
 The summand at a zero-distance neighbor (the point itself, or a duplicate)
 is defined as 0: the raw expression is 0/0 there, and rho'(0) = 0 forces the
@@ -40,8 +41,8 @@ restriction, eigenvalues) then runs once on all the chunk's rows.
 :func:`point_curvature` and :func:`curvature_report` give the orthogonal
 report, or with ``compare_variants`` the pair (orthogonal, averaged).  Each
 block gives the variation tensors and, for the pair, the direction
-matrices too; each variant then runs its own tail on its own ok rows:
-one conversion, one restriction and one ``eigh``.
+matrices too; each variant then runs the tail on its own ok rows: one
+conversion, one restriction and one ``eigh``.
 A badly sampled point is a flagged row, never an exception: an isolated
 point is a NaN row, and a neighborhood that cannot determine a d-plane
 gives an ambiguous tangent.  A single point is a one-row chunk.
@@ -72,7 +73,6 @@ arrays.  Nothing a block or call function returns is a view of scratch.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -82,7 +82,7 @@ from itertools import chain
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InvalidInputError, VaricurvError
+from .errors import InvalidInputError, VaricurvError, _integer
 from .kernels import KernelPair, bump_profile, natural_kernel_pair, unit_ball_volume
 from .tensors import _at_row, solve_curvature_system, to_bilinear_form
 from .varifold import PointCloudVarifold
@@ -118,15 +118,6 @@ REPORT_CALL = 1024
 # own rows, so the results do not depend on this count.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
-
-
-def _integer(value, name):
-    """``value`` as an int: a Python or NumPy integer; anything else, a
-    float of integral value included, is bad input."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{name} = {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -258,28 +249,34 @@ def default_kernels(cloud: PointCloudVarifold) -> KernelPair:
     return natural_kernel_pair(bump_profile(), cloud.dim_d, cloud.ambient_n)
 
 
+def _integers(values, what):
+    """``values`` (an array) as intp, refused unless its dtype is an integer
+    one; an empty array of any dtype passes."""
+    if values.size and not np.issubdtype(values.dtype, np.integer):
+        raise InvalidInputError(f"{what} must be integers, got dtype {values.dtype}")
+    return values.astype(np.intp, copy=False)
+
+
 def _points(points, n_pts):
     """The (m,) point indices of a chunk, each an integer in 0..n_pts-1."""
     points = np.atleast_1d(np.asarray(points))
     if points.ndim != 1:
         raise InvalidInputError(f"point indices must be an (m,) array, got shape "
                                 f"{points.shape}")
-    if points.size and not np.issubdtype(points.dtype, np.integer):
-        raise InvalidInputError(f"point indices must be integers, got dtype "
-                                f"{points.dtype}")
+    points = _integers(points, "point indices")
     outside = (points < 0) | (points >= n_pts)
     if outside.any():
         raise InvalidInputError(f"point index {points[outside][0]} is outside "
                                 f"0..{n_pts - 1}")
-    return points.astype(np.intp, copy=False)
+    return points
 
 
 def _chunk(m, eps, idx, counts):
     """The chunk contract as arrays: (m,) radii, the m neighbor lists end to
-    end and their (m,) lengths."""
+    end and their (m,) lengths, both of an integer dtype."""
     eps = np.broadcast_to(np.asarray(eps, dtype=float), (m,))
-    idx = np.asarray(idx, dtype=np.intp)
-    counts = np.asarray(counts, dtype=np.intp)
+    idx = _integers(np.asarray(idx), "neighbor indices")
+    counts = _integers(np.asarray(counts), "neighbor counts")
     if counts.shape != (m,) or idx.shape != (int(counts.sum()),):
         raise InvalidInputError(
             f"{counts.size} neighbor counts summing to {int(counts.sum())} "
@@ -367,8 +364,9 @@ def _blocks(counts):
 
 def _gather(scratch, name, rows, pad):
     """``rows[pad]`` (along the first axis) in the scratch buffer ``name``.
-    ``pad`` holds checked indices, so clipping never acts; under
-    ``mode="raise"`` numpy would gather into a temporary and copy."""
+    ``pad`` holds checked indices and -1 in padding, which clipping reads
+    as row 0; under ``mode="raise"`` numpy would gather into a temporary and
+    copy."""
     out = scratch.view(name, pad.shape + rows.shape[1:], rows.dtype)
     return np.take(rows, pad, axis=0, out=out, mode="clip")
 
@@ -379,7 +377,8 @@ def _neighbor_block(scratch, positions, x, idx, counts, eps):
     indexes ``positions``.  The arrays are views of ``scratch``.
 
     Returns (valid, pad, d_vec, r, t): the mask of real slots, the neighbor
-    index of each slot (0 in padding), the offsets x_i - x_l, their lengths
+    index of each slot (-1 in padding, which the gathers read as row 0,
+    and which no point index equals), the offsets x_i - x_l, their lengths
     and their lengths over the row's radius.  A row of radius 0 holds only
     zero offsets, and its t is 0.  Padding has t = 1, where every kernel
     profile and its derivative vanish, so kernel weights evaluated on the
@@ -393,7 +392,7 @@ def _neighbor_block(scratch, positions, x, idx, counts, eps):
     valid = np.less(np.arange(k), counts[:, None],
                     out=scratch.view("valid", (m, k), bool))
     pad = scratch.view("pad", (m, k), np.intp)
-    pad.fill(0)
+    pad.fill(-1)
     pad[valid] = idx
     d_vec = _gather(scratch, "offsets", positions, pad)
     np.subtract(x[:, None, :], d_vec, out=d_vec)
@@ -424,6 +423,8 @@ def _local_sums(cloud, points, kernels, eps, idx, counts):
     whole block; padding sits at t = 1, where they vanish.  The block arrays
     are views of the thread's scratch, which the next block reuses.
 
+    A list that does not hold its own point is refused, one comparison per
+    padded slot: the sums would describe the neighborhood of another point.
     A pair built for another (d, n) is refused once the block has checked
     its lists: its ``ratio`` is not the cloud's d/n, and it would
     scale every curvature by their quotient.
@@ -432,6 +433,10 @@ def _local_sums(cloud, points, kernels, eps, idx, counts):
     valid, pad, d_vec, r, t = _neighbor_block(
         scratch, cloud.positions, cloud.positions[points], idx, counts, eps
     )
+    no_self = ~np.equal(pad, points[:, None]).any(axis=1)
+    if no_self.any():
+        raise InvalidInputError(f"the neighbor list of point {points[no_self][0]} "
+                                f"does not hold the point itself")
     if kernels.ratio != cloud.dim_d / cloud.ambient_n:
         raise InvalidInputError(
             f"kernel pair ratio {kernels.ratio:.6g} is not the cloud's d/n = "
@@ -469,8 +474,9 @@ def variation_tensor(
     """Smoothed variation tensors (gradient form) at cloud points ``points``.
 
     ``points`` is an (m,) array of integer indices in 0..N-1, ``eps`` the
-    (m,) radii, ``idx`` the m sorted neighbor lists end to end and
-    ``counts`` their lengths.
+    (m,) radii, ``idx`` the m sorted neighbor lists end to end, each
+    holding its own point, and ``counts`` their lengths, both integer
+    arrays.
     Returns (m, n, n, n), exactly (j,k)-symmetric; the row of an isolated
     point (vanishing smoothed mass denominator) is NaN.  The neighbor sums
     of all rows are one batched product (m, n, K) @ (m, K, n^2).
@@ -578,28 +584,6 @@ def orthogonal_sff(
     return sff * _prefactor(kernels, eps, xi_den)[:, None, None, None]
 
 
-def restrict_to_tangent(
-    b_perp: np.ndarray, normal: np.ndarray, basis: np.ndarray
-) -> np.ndarray:
-    """Scalar-valued restricted form (codimension 1 only).
-
-    Contracts the vector-valued bilinear form with the unit ``normal`` (n,)
-    of the stored plane, then restricts to its orthonormal tangent
-    ``basis`` Q (n, d): returns Q^T (B . normal) Q.  Every argument may
-    carry leading stack axes, one row per point.
-    """
-    n, dim_d = basis.shape[-2:]
-    if dim_d != n - 1:
-        raise InvalidInputError(
-            f"scalar restriction needs d = n-1, got d={dim_d}, n={n}; "
-            "the vector-valued tensor is the final output in higher codimension"
-        )
-    scalar = np.einsum("...ijk,...k->...ij", b_perp, normal)
-    scalar = 0.5 * (scalar + scalar.swapaxes(-1, -2))
-    restricted = basis.swapaxes(-1, -2) @ scalar @ basis
-    return 0.5 * (restricted + restricted.swapaxes(-1, -2))
-
-
 @dataclass
 class CurvatureReport:
     """Arrays of per-point curvature quantities, one row per point of a
@@ -644,21 +628,6 @@ def _nan_report(m, d, n, eps, status, a_perp) -> CurvatureReport:
     )
 
 
-def principal_curvatures(
-    restricted: np.ndarray, basis: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decompose the restricted form, or each row of a stack of them.
-
-    Returns (kappas sorted descending, principal directions as rows in
-    ambient coordinates).  The overall sign of the kappas follows the
-    arbitrary normal orientation; their product (the Gauss curvature that
-    :class:`CurvatureReport` derives) is orientation-free for d = 2.
-    """
-    sym = 0.5 * (restricted + restricted.swapaxes(-1, -2))
-    w, v = np.linalg.eigh(sym)  # ascending
-    return w[..., ::-1], (basis @ v[..., ::-1]).swapaxes(-1, -2)
-
-
 def point_curvature(
     cloud: PointCloudVarifold,
     points,
@@ -673,11 +642,12 @@ def point_curvature(
     behind :func:`curvature_report`.
 
     ``points`` is an (m,) array of integer indices in 0..N-1 and ``scale``
-    the (m,) smoothing radii; ``idx`` holds the m sorted neighbor lists (self included, as
-    :meth:`NeighborIndex.resolve_all` returns them) end to end and
-    ``counts`` their lengths.  The restriction reads the stored planes'
-    frames from ``cloud.normals`` and ``cloud.bases``.  The report comes
-    from the orthogonal gradient-form curvature tensor
+    the (m,) smoothing radii; ``idx`` holds the m sorted neighbor lists
+    (self included, as :meth:`NeighborIndex.resolve_all` returns them) end
+    to end and ``counts`` their lengths, both of an integer dtype; a list
+    that does not hold its point is refused.  The restriction reads the
+    stored planes' frames from ``cloud.normals`` and ``cloud.bases``.  The
+    report comes from the orthogonal gradient-form curvature tensor
     a_perp = beta - P_l0 (x) H with the exact stored plane.
     ``compare_variants`` returns the pair (orthogonal, averaged), the
     averaged report solving the linear system against the kernel-averaged
@@ -689,11 +659,12 @@ def point_curvature(
     from the same distances, masses and planes.  The rest runs once on all
     m points: H is trace-checked once, and each variant forms its
     gradient-form tensor on its own ok rows (the P (x) H subtraction or the
-    linear-system solve) and runs its own tail on them: conversion with
-    :func:`to_bilinear_form`, restriction and one ``eigh``.  Every row keeps
-    the operation order of a tail of its own block, so the reports are the
-    same for any chunk size, and the orthogonal one is the same with or
-    without the averaged one.  Each result is a :class:`CurvatureReport` of
+    linear-system solve) and runs the one tail on them: conversion with
+    :func:`to_bilinear_form`, restriction Q^T (B . nu) Q to the stored
+    frame and one ``eigh``.  Every row keeps the operation order of a tail
+    of its own block, so the reports are the same for any chunk size, and
+    the orthogonal one is the same with or without the averaged one.  Each
+    result is a :class:`CurvatureReport` of
     the chunk's m rows; the orthogonal one always has ``a_perp`` filled, and
     the averaged one carries none, since a_perp is the orthogonal tensor.
     Isolated points come back as NaN rows with status ``isolated``, per
@@ -731,17 +702,23 @@ def point_curvature(
 
 
 def _variant_report(cloud, points, eps, h, ok, forms):
-    """One variant's report of the chunk ``points``: its gradient-form
-    tensors ``forms`` of the ok rows go through the tail (conversion,
-    restriction, ``eigh``); the other rows are NaN and ``isolated``."""
+    """One variant's report of the chunk ``points`` (d = n - 1, which the
+    callers check): the gradient-form tensors ``forms`` of the ok rows
+    become bilinear forms B, and one ``eigh`` of Q^T (B . nu) Q, for the
+    stored unit normal nu and tangent basis Q, gives the kappas (read
+    descending) and Q times the eigenvectors, the principal directions as
+    rows.  B is exactly (i, j)-symmetric, so only Q^T (B . nu) Q is
+    symmetrized, as ``eigh`` reads its lower triangle alone.  The other
+    rows are NaN and ``isolated``."""
     status = np.where(ok, STATUS_OK, STATUS_ISOLATED).astype(object)
     out = _nan_report(points.size, cloud.dim_d, cloud.ambient_n, eps, status, False)
     rows = points[ok]
     basis = cloud.bases[rows]
-    restricted = restrict_to_tangent(
-        to_bilinear_form(forms), cloud.normals[rows, :, 0], basis
-    )
-    out.kappas[ok], out.directions[ok] = principal_curvatures(restricted, basis)
+    b_nu = np.einsum("mijk,mk->mij", to_bilinear_form(forms), cloud.normals[rows, :, 0])
+    restricted = basis.swapaxes(-1, -2) @ b_nu @ basis
+    w, v = np.linalg.eigh(0.5 * (restricted + restricted.swapaxes(-1, -2)))  # ascending
+    out.kappas[ok] = w[:, ::-1]
+    out.directions[ok] = (basis @ v[:, :, ::-1]).swapaxes(-1, -2)
     out.mean_vectors[ok] = h[ok]
     return out
 
@@ -802,6 +779,15 @@ def curvature_report(
     return tuple(reports) if compare_variants else reports[0]
 
 
+def _dimension(dim_d, n):
+    """``dim_d`` as an int, refused unless it is an integer in 1..n."""
+    dim_d = _integer(dim_d, "dim_d")
+    if not 1 <= dim_d <= n:
+        raise InvalidInputError(f"dim_d = {dim_d} is outside 1..{n}, the ambient "
+                                f"dimension")
+    return dim_d
+
+
 @dataclass(frozen=True)
 class TangentEstimate:
     """Estimated tangent projectors plus ambiguity flags."""
@@ -844,10 +830,7 @@ def estimate_tangent_planes(
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     n_pts, n = positions.shape
-    dim_d = _integer(dim_d, "dim_d")
-    if not 1 <= dim_d <= n:
-        raise InvalidInputError(f"dim_d = {dim_d} is outside 1..{n}, the ambient "
-                                f"dimension")
+    dim_d = _dimension(dim_d, n)
     indices, sigma = _check_neighbors(neighbors, n_pts)
     planes = np.empty((n_pts, n, n))
     ambiguous = np.zeros(n_pts, dtype=bool)
@@ -905,14 +888,15 @@ def estimate_masses(index: NeighborIndex, n_mass: int, dim_d: int) -> np.ndarray
 
     r_i is the smallest radius whose closed ball around x_i holds at least
     ``n_mass`` cloud points, the point itself included, found on the tree
-    of ``index``; ``n_mass`` is an integer in 1..N.  Every curvature is a
-    ratio of mass-weighted sums, so a global mass factor (omega_d / n_mass
-    among them) cancels up to rounding.
+    of ``index``; ``n_mass`` is an integer in 1..N and ``dim_d`` one in
+    1..n.  Every curvature is a ratio of mass-weighted sums, so a global
+    mass factor (omega_d / n_mass among them) cancels up to rounding.
     """
     n_mass = _integer(n_mass, "--n-mass")
     if not 1 <= n_mass <= index.n_points:
         raise InvalidInputError(f"--n-mass = {n_mass} is outside "
                                 f"1..{index.n_points}, the number of points")
+    dim_d = _dimension(dim_d, index.positions.shape[1])
     radii = index.tree.query(index.positions, k=[n_mass], workers=WORKERS)[0][:, 0]
     if np.any(radii <= 0.0):
         bad = int(np.argmax(radii <= 0.0))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _integer
 from .varifold import PointCloudVarifold, normal_planes, validate_cloud
 
 
@@ -105,11 +105,13 @@ class AnalyticShape(abc.ABC):
     def sample(
         self, n_points: int, noise_sigma: float = 0.0, seed: int = 0
     ) -> ShapeSample:
+        n_points = _integer(n_points, "n_points")
         if n_points < 10:
             raise InvalidInputError(f"need at least 10 sample points, got {n_points}")
         if not 0.0 <= noise_sigma < np.inf:
             raise InvalidInputError(
                 f"noise must be finite and non-negative, got {noise_sigma}")
+        seed = _integer(seed, "seed")
         if seed < 0:
             raise InvalidInputError(f"seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)

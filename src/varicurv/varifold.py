@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _integer
 
 PLANE_PROJECT_TOL = 1e-6
 
@@ -64,7 +64,8 @@ def validate_cloud(positions, planes, masses, dim_d: int) -> PointCloudVarifold:
     eigendecomposition gives the cloud its frames: the d top eigenvectors
     are the tangent basis and the others the normals, each normal signed so
     that its first component above 1e-9 in magnitude is positive.  Masses
-    must be strictly positive; coordinates finite.  Idempotent: feeding a
+    must be strictly positive, coordinates finite and ``dim_d`` an integer
+    in 1..n.  Idempotent: feeding a
     validated cloud's arrays back in reproduces them and their frames.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
@@ -79,6 +80,7 @@ def validate_cloud(positions, planes, masses, dim_d: int) -> PointCloudVarifold:
         raise InvalidInputError("masses length does not match positions")
     if n_pts < 1:
         raise InvalidInputError("cloud must contain at least one point")
+    dim_d = _integer(dim_d, "dim_d")
     if not (1 <= dim_d <= n):
         raise InvalidInputError(f"need 1 <= d <= n, got d={dim_d}, n={n}")
     if not np.all(np.isfinite(positions)):

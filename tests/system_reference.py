@@ -8,7 +8,9 @@ tests a neighbor list, and ``one_row`` runs a chunk function of the
 estimator on that one point.  The per-point curvature tensors of both
 variants, the inverse form conversion and the kernel constants by
 quadrature are cross-checks no library path needs.  ``reference_report``
-(with the per-point estimator it loops over) and
+(with the per-point estimator it loops over, whose tail
+``reference_curvatures`` restricts and decomposes one bilinear form on its
+own) and
 ``reference_tangent_planes`` are the one-point-at-a-time versions that the
 batched library code is tested against; the tangent reference also says
 how close the batched planes can be asked to come.  The per-point
@@ -38,18 +40,11 @@ from varicurv.estimator import (
     CurvatureReport,
     default_kernels,
     mean_curvature_vector,
-    principal_curvatures,
-    restrict_to_tangent,
     smoothed_direction_matrix,
     variation_tensor,
 )
 from varicurv.kernels import bump_profile, unit_ball_volume
-from varicurv.tensors import (
-    SYMMETRY_TOL,
-    direction_matrix,
-    solve_curvature_system,
-    to_bilinear_form,
-)
+from varicurv.tensors import SYMMETRY_TOL, direction_matrix, solve_curvature_system
 
 
 def ball(cloud, x, eps: float) -> np.ndarray:
@@ -164,15 +159,33 @@ def plane_frames(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return normals * signs[:, None], v[:, :, 1:]
 
 
+def reference_bilinear_form(a) -> np.ndarray:
+    """B_ij^k = (a_ijk + a_jik - a_kij)/2 of one gradient-form tensor."""
+    return 0.5 * (a + np.einsum("jik->ijk", a) - np.einsum("kij->ijk", a))
+
+
+def reference_curvatures(b, normal, basis) -> tuple[np.ndarray, np.ndarray]:
+    """Principal curvatures, descending, and principal directions (rows in
+    ambient coordinates) of one bilinear form ``b`` (n, n, n): the eigenpairs
+    of Q^T (b . nu) Q for the unit ``normal`` nu (n,) and the tangent
+    ``basis`` Q (n, d), sorted by their own argsort."""
+    restricted = basis.T @ np.einsum("ijk,k->ij", b, normal) @ basis
+    w, v = np.linalg.eigh(0.5 * (restricted + restricted.T))
+    order = np.argsort(w)[::-1]
+    return w[order], (basis @ v[:, order]).T
+
+
 def reference_point_curvature(cloud, l0, kernels=None, *, scale, idx, normal,
                               basis, variant="orthogonal") -> dict:
     """Curvature at one point, as a dict with the keys a_perp, mean_curv,
     kappas and directions; raises
-    :class:`IsolatedPointError` for an isolated point."""
+    :class:`IsolatedPointError` for an isolated point.  H, the bilinear
+    form, the restriction and the eigendecomposition are computed here, on
+    their own; only the averaged variant's solve is the library's."""
     kernels = kernels or default_kernels(cloud)
     eps = float(scale)
     beta = reference_variation_tensor(cloud, l0, kernels, eps, idx=idx)
-    h = mean_curvature_vector(beta, dim_d=cloud.dim_d)
+    h = np.einsum("qiq->i", beta)
     p0 = cloud.planes[l0]
     a_perp = beta - np.einsum("jk,i->ijk", p0, h)
     if variant == "orthogonal":
@@ -183,8 +196,8 @@ def reference_point_curvature(cloud, l0, kernels=None, *, scale, idx, normal,
         a_form = solve_curvature_system(c, beta)
     else:
         raise InvalidInputError(f"unknown variant {variant!r}")
-    restricted = restrict_to_tangent(to_bilinear_form(a_form), normal, basis)
-    kappas, directions = principal_curvatures(restricted, basis)
+    kappas, directions = reference_curvatures(reference_bilinear_form(a_form),
+                                              normal, basis)
     return dict(a_perp=a_perp, mean_curv=h, kappas=kappas, directions=directions)
 
 

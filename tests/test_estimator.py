@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import math
 import re
@@ -31,8 +32,6 @@ from varicurv.estimator import (
     mean_curvature_vector,
     orthogonal_sff,
     point_curvature,
-    principal_curvatures,
-    restrict_to_tangent,
     smoothed_direction_matrix,
 )
 from varicurv.kernels import kernel_pair_by_name, paired_mass_profile, unit_ball_volume
@@ -44,8 +43,10 @@ from system_reference import (
     one_row,
     orthogonal_curvature_tensor,
     plane_frames,
+    reference_curvatures,
     reference_report,
     reference_tangent_planes,
+    to_gradient_form,
 )
 
 
@@ -470,39 +471,54 @@ class TestCurvatureTensors:
             assert np.max(np.abs(direct - converted)) < 1e-12
 
 
+def tails(b):
+    """(kappas, directions) of the bilinear form ``b`` (3, 3, 3) at a point
+    whose plane is z = 0, from the engine's tail and from the reference's."""
+    cloud = vc.validate_cloud(np.zeros((1, 3)), np.diag([1.0, 1.0, 0.0])[None],
+                              np.ones(1), 2)
+    rep = estimator._variant_report(cloud, np.array([0]), np.ones(1),
+                                    np.zeros((1, 3)), np.array([True]),
+                                    to_gradient_form(b)[None])
+    normal, basis = cloud.normals[0, :, 0], cloud.bases[0]
+    return {"engine": (rep.kappas[0], rep.directions[0]),
+            "reference": reference_curvatures(b, normal, basis)}
+
+
 class TestRestriction:
     def test_codimension_guard(self):
-        b = np.zeros((4, 4, 4))
-        basis = np.eye(4)[:, :2]
-        with pytest.raises(InvalidInputError, match="scalar restriction needs d = n-1"):
-            restrict_to_tangent(b, np.eye(4)[:, 3], basis)
+        # the chunk engine refuses d != n - 1 before any sum, so its tail
+        # needs no guard of its own (TestReport has curvature_report's)
+        cloud = random_cloud(np.random.default_rng(3), n_pts=30, n=4, d=2)
+        indices, eps = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(5))
+        with pytest.raises(InvalidInputError,
+                           match="point_curvature needs codimension 1"):
+            point_curvature(cloud, [0], scale=eps[:1], idx=indices[0],
+                            counts=[indices[0].size])
 
     def test_principal_curvature_values(self):
-        bbar = np.diag([2.0, -1.0])
-        basis = np.eye(3)[:, :2]
-        kappas, dirs = principal_curvatures(bbar, basis)
-        assert np.allclose(kappas, [2.0, -1.0])
-        assert np.prod(kappas) == pytest.approx(-2.0)
-        assert np.sum(np.abs(kappas)) == pytest.approx(3.0)
-        assert np.allclose(np.abs(dirs), np.eye(3)[:2])
+        b = np.zeros((3, 3, 3))
+        b[:, :, 2] = np.diag([2.0, -1.0, 0.0])  # B . e3 on the tangent plane
+        for name, (kappas, dirs) in tails(b).items():
+            assert np.allclose(kappas, [2.0, -1.0]), name
+            assert np.prod(kappas) == pytest.approx(-2.0), name
+            assert np.sum(np.abs(kappas)) == pytest.approx(3.0), name
+            assert np.allclose(np.abs(dirs), np.eye(3)[:2]), name
 
     def test_zero_matrix(self):
-        kappas, _ = principal_curvatures(np.zeros((2, 2)), np.eye(3)[:, :2])
-        assert np.all(kappas == 0)
-        assert np.prod(kappas) == 0.0
+        for name, (kappas, _) in tails(np.zeros((3, 3, 3))).items():
+            assert np.all(kappas == 0), name
+            assert np.prod(kappas) == 0.0, name
 
     def test_gauss_invariant_under_normal_flip(self):
-        rng = np.random.default_rng(41)
+        # a one-point report on the cloud's frames and on the same frames
+        # with the normal negated
         sample = vc.Sphere(1.0).sample(800, seed=2)
         cloud = sample.cloud
-        kp = pair_for(2, 3)
-        b = one_row(orthogonal_sff, cloud, 10, kp, 0.4,
-                    ball(cloud, cloud.positions[10], 0.4))
-        normal, basis = cloud.normals[10, :, 0], cloud.bases[10]
-        bbar = restrict_to_tangent(b, normal, basis)
-        k1, _ = principal_curvatures(bbar, basis)
-        bbar2 = restrict_to_tangent(b, -normal, basis)
-        k2, _ = principal_curvatures(bbar2, basis)
+        flipped = dataclasses.replace(cloud, normals=-cloud.normals)
+        idx = ball(cloud, cloud.positions[10], 0.4)
+        k1, k2 = (point_curvature(c, [10], scale=[0.4], idx=idx,
+                                  counts=[idx.size]).kappas[0]
+                  for c in (cloud, flipped))
         assert np.prod(k1) == pytest.approx(np.prod(k2), rel=1e-12)
         assert np.sum(np.abs(k1)) == pytest.approx(np.sum(np.abs(k2)), rel=1e-12)
         assert np.allclose(np.sort(k1), np.sort(-k2))
@@ -715,8 +731,7 @@ class TestReport:
         assert rows.size > 0
         for l0 in rows:
             b = one_row(orthogonal_sff, cloud, l0, kp, radius, indices[l0])
-            restricted = restrict_to_tangent(b, normals[l0], bases[l0])
-            kappas, _ = principal_curvatures(restricted, bases[l0])
+            kappas, _ = reference_curvatures(b, normals[l0], bases[l0])
             scale = 1.0 + np.max(np.abs(b))
             assert np.max(np.abs(rep.kappas[l0] - kappas)) <= 1e-12 * scale
 
@@ -1024,19 +1039,15 @@ class TestEngine:
                                               eps[points], **chunk)
                 ok = ~(np.isnan(beta).all(axis=(1, 2, 3))
                        | np.isnan(c).all(axis=(1, 2)))
-                basis = cloud.bases[points[ok]]
-                restricted = restrict_to_tangent(
-                    tensors.to_bilinear_form(
-                        tensors.solve_curvature_system(c[ok], beta[ok])),
-                    cloud.normals[points[ok], :, 0], basis)
-                want = principal_curvatures(restricted, basis)
-                got = [averaged.kappas, averaged.directions]
-                for g, w in zip(got, want, strict=True):
-                    assert g[points[ok]].tobytes() == w.tobytes()
-                    assert np.isnan(g[points[~ok]]).all()
-                assert np.all(averaged.status[points[~ok]] == STATUS_ISOLATED)
                 h = mean_curvature_vector(beta)
-                assert averaged.mean_vectors[points[ok]].tobytes() == h[ok].tobytes()
+                want = estimator._variant_report(
+                    cloud, points, eps[points], h, ok,
+                    tensors.solve_curvature_system(c[ok], beta[ok]))
+                for field in ("kappas", "directions", "mean_vectors"):
+                    got = getattr(averaged, field)[points]
+                    assert got.tobytes() == getattr(want, field).tobytes(), field
+                    assert np.isnan(got[~ok]).all(), field
+                assert np.all(averaged.status[points[~ok]] == STATUS_ISOLATED)
             if cloud is loose:
                 assert np.all(averaged.status[REPORT_BLOCK - 1:REPORT_BLOCK + 1]
                               == STATUS_ISOLATED)
@@ -1141,6 +1152,60 @@ class TestEngine:
         fn = self.chunk_function(name, cloud)
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             fn(points, eps[:1], indices[0], [len(indices[0])])
+
+    @pytest.mark.parametrize("which", ["idx", "counts"])
+    @pytest.mark.parametrize("name", ["point_curvature", "variation_tensor",
+                                      "orthogonal_sff", "smoothed_direction_matrix"])
+    def test_neighbor_lists_must_be_integers(self, name, which):
+        # floats used to be cast: a list plus 0.7 ran as the list, and a
+        # count of its length plus 0.5 as its length; NumPy integers pass
+        cloud = vc.Sphere(1.0).sample(200, seed=0).cloud
+        indices, eps = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(10))
+        fn = self.chunk_function(name, cloud)
+        points = cloud.positions[:1] if name == "smoothed_direction_matrix" else [0]
+        chunk = [indices[0], np.array([indices[0].size])]
+        what = 0 if which == "idx" else 1
+        bad = list(chunk)
+        bad[what] = chunk[what] + (0.7 if which == "idx" else 0.5)
+        word = "indices" if which == "idx" else "counts"
+        with pytest.raises(InvalidInputError, match=f"^neighbor {word} must be "
+                                                    f"integers, got dtype float64$"):
+            fn(points, eps[:1], *bad)
+        narrow = list(chunk)
+        narrow[what] = chunk[what].astype(np.int32)
+        got, want = fn(points, eps[:1], *narrow), fn(points, eps[:1], *chunk)
+        if name == "point_curvature":
+            got, want = got.kappas, want.kappas
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["point_curvature", "variation_tensor",
+                                      "orthogonal_sff"])
+    def test_list_must_hold_its_point(self, name):
+        # point 0 given another point's list used to return kappas with
+        # status ok; a list shorter than the block's longest, whose padding
+        # gathers row 0, is refused as well
+        cloud = vc.Sphere(1.0).sample(200, seed=0).cloud
+        indices, eps = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(10))
+        fn = self.chunk_function(name, cloud)
+        message = "^the neighbor list of point 0 does not hold the point itself$"
+        far = indices[int(np.argmax(cloud.positions @ -cloud.positions[0]))]
+        with pytest.raises(InvalidInputError, match=message):
+            fn([0], eps[:1], far, [far.size])
+        short = indices[0][indices[0] != 0][:3]
+        with pytest.raises(InvalidInputError, match=message):
+            fn([5, 0], eps[[5, 0]], np.concatenate([indices[5], short]),
+               [indices[5].size, short.size])
+        # a list holding its point passes wherever the point sits in it
+        fn([1, 0], eps[[1, 0]], np.concatenate([indices[1], indices[0]]),
+           [indices[1].size, indices[0].size])
+
+    def test_locations_take_any_list(self):
+        # smoothed_direction_matrix averages around locations, not points
+        cloud = vc.Sphere(1.0).sample(200, seed=0).cloud
+        indices, eps = NeighborIndex(cloud.positions).resolve_all(NeighborQuery.knn(10))
+        c = self.chunk_function("smoothed_direction_matrix", cloud)(
+            cloud.positions[:1], eps[:1], indices[1], [indices[1].size])
+        assert np.isfinite(c).all()
 
     @pytest.mark.parametrize("name", ["point_curvature", "variation_tensor",
                                       "orthogonal_sff"])
@@ -1670,6 +1735,22 @@ class TestMassEstimation:
                            match="^--n-mass = 2.5 is not an integer$"):
             estimate_masses(index, 2.5, 2)
         assert np.array_equal(estimate_masses(index, np.int32(8), 2),
+                              estimate_masses(index, 8, 2))
+
+    @pytest.mark.parametrize("dim_d", [0, -1, 2.5, 7])
+    def test_dimension_checked(self, dim_d):
+        # 0 used to give every mass 0.125, -1 ended in unit_ball_volume, 2.5
+        # took a fractional power and 7 ran in R^3; the tangent estimate's
+        # message names each
+        positions = vc.Sphere(1.0).sample(200, seed=0).cloud.positions
+        index = NeighborIndex(positions)
+        with pytest.raises(InvalidInputError) as tangents:
+            estimate_tangent_planes(positions, index.resolve_all(NeighborQuery.knn(10)),
+                                    dim_d)
+        with pytest.raises(InvalidInputError,
+                           match=f"^{re.escape(str(tangents.value))}$"):
+            estimate_masses(index, 8, dim_d)
+        assert np.array_equal(estimate_masses(index, 8, np.int64(2)),
                               estimate_masses(index, 8, 2))
 
     def test_nmass_one_zero_radius(self):

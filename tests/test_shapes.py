@@ -204,6 +204,20 @@ class TestSamplers:
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             vc.Cube(1.0).sample(100, **kwargs)
 
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((100.5,), {}, "n_points = 100.5 is not an integer"),
+        ((100,), {"seed": 1.5}, "seed = 1.5 is not an integer"),
+    ])
+    def test_sample_counts_must_be_integers(self, args, kwargs, message):
+        # both used to end in a TypeError from numpy
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            vc.Sphere(1.0).sample(*args, **kwargs)
+
+    def test_numpy_integer_counts(self):
+        a = vc.Sphere(1.0).sample(np.int64(300), seed=np.int32(5))
+        b = vc.Sphere(1.0).sample(300, seed=5)
+        assert_same_bits(a.cloud.positions, b.cloud.positions)
+
     def test_determinism_under_seed(self):
         a = vc.Sphere(1.0).sample(300, seed=5)
         b = vc.Sphere(1.0).sample(300, seed=5)

@@ -34,6 +34,14 @@ class TestValidateCloud:
         with pytest.raises(InvalidInputError, match="positions contain NaN or Inf"):
             vc.validate_cloud([[np.nan, 0.0]], [plane], [1.0], 1)
 
+    def test_dimension_must_be_an_integer(self):
+        # 1.5 used to pass 1 <= d <= n and end in a slicing TypeError
+        plane = np.diag([1.0, 1.0, 0.0])
+        with pytest.raises(InvalidInputError, match="^dim_d = 1.5 is not an integer$"):
+            vc.validate_cloud([[0.0, 0.0, 0.0]], [plane], [1.0], 1.5)
+        cloud = vc.validate_cloud([[0.0, 0.0, 0.0]], [plane], [1.0], np.int64(2))
+        assert type(cloud.dim_d) is int and cloud.dim_d == 2
+
     def test_reprojects_slightly_off_planes(self):
         plane = np.array([[1.0 + 5e-7, 1e-7], [1e-7, -2e-7]])
         cloud = vc.validate_cloud([[0.0, 0.0]], [plane], [1.0], 1)
